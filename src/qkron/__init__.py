@@ -4,13 +4,10 @@ canonical basis, the classical q = 1 cluster algebra, and the quantum seed
 structure, with machine verification of the defining identities."""
 
 from .dcb import b_element, compute_layer, dual_pbw, expand_in_dual_pbw
-from .pbw import PbwElement, divided_power, generator, p0, p1
+from .pbw import PbwElement, generator, p0, p1
 from .qarith import (
     LaurentQ,
-    QFrac,
     bar,
-    chebyshev_s,
-    chebyshev_t,
     quantum_binom,
     quantum_factorial,
     quantum_int,
@@ -19,9 +16,8 @@ from .qarith import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentQ", "QFrac", "bar", "chebyshev_s", "chebyshev_t",
-    "quantum_binom", "quantum_factorial", "quantum_int",
-    "PbwElement", "divided_power", "generator", "p0", "p1",
+    "LaurentQ", "bar", "quantum_binom", "quantum_factorial", "quantum_int",
+    "PbwElement", "generator", "p0", "p1",
     "b_element", "compute_layer", "dual_pbw", "expand_in_dual_pbw",
     "__version__",
 ]

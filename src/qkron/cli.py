@@ -110,7 +110,7 @@ def cmd_compute(args, parser) -> int:
         parser.error("exponents must be non-negative")
     try:
         elem = dcb.b_element(a, max_layer=args.max_layer)
-    except dcb.LayerCapExceeded as exc:
+    except (dcb.LayerCapExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     out = {}
@@ -154,7 +154,7 @@ def cmd_product(args, parser) -> int:
     try:
         x = dcb.b_element(a, max_layer=args.max_layer) * dcb.b_element(b, max_layer=args.max_layer)
         tab = dcb.layer_table(k, max_layer=args.max_layer)
-    except dcb.LayerCapExceeded as exc:
+    except (dcb.LayerCapExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     coeffs = dcb.expand_in_b_basis(x, tab)
@@ -174,6 +174,8 @@ def cmd_product(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     import os
 
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     if args.cache_dir:
         os.environ["QCA_CACHE_DIR"] = args.cache_dir
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -185,6 +187,11 @@ def cmd_verify(args, parser) -> int:
     else:
         results = [run_suite(n, params) for n in names]
     results.sort(key=lambda r: names.index(r["suite"]))
+    empty = [r["suite"] for r in results if not r["entries"]]
+    if empty:
+        print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
+              file=sys.stderr)
+        return EXIT_USAGE
     report = {"ok": all(r["ok"] for r in results), "suites": results}
     text = json.dumps(report, indent=2)
     if args.out:

@@ -7,9 +7,11 @@ must lie in the two-sided ideal generated by the two degree-four Serre
 relators.  Membership in a fixed weight component is a finite linear
 algebra problem over the spanning set {w * S * w' : S in {S1, S2}}.
 
-Exact mode eliminates over the fraction field of Laurent polynomials and
-returns a certificate; probabilistic mode solves over Q at several seeded
-integer values of q, reporting membership iff every evaluation succeeds.
+Exact mode runs fraction-free elimination over the integer Laurent
+polynomials and returns a certificate: integer Laurent numerators c_j over
+one Laurent denominator d with sum c_j * (u_j S_j u'_j) = d * x.
+Probabilistic mode solves over Q at several seeded integer values of q,
+reporting membership iff every evaluation succeeds.
 
 Words are tuples over the alphabet {1, 2} (the letters E1, E2); the weight
 of a word is (#E1, #E2), additive under concatenation.
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .qarith import LaurentQ, QFrac, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
@@ -33,8 +34,7 @@ def weight(word) -> tuple:
 
 
 class FreeElement:
-    """A linear combination of words in E1, E2; coefficients are LaurentQ
-    or QFrac values and may be mixed term by term."""
+    """A linear combination of words in E1, E2 with LaurentQ coefficients."""
 
     __slots__ = ("terms",)
 
@@ -56,12 +56,7 @@ class FreeElement:
     def __eq__(self, other):
         if not isinstance(other, FreeElement):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = QFrac(0)
-        return all(
-            QFrac(self.terms.get(w, 0)) - QFrac(other.terms.get(w, 0)) == zero
-            for w in keys
-        )
+        return self.terms == other.terms
 
     def __neg__(self):
         return FreeElement({w: -c for w, c in self.terms.items()})
@@ -84,7 +79,7 @@ class FreeElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentQ, QFrac)):
+        if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         out = {}
         for w1, c1 in self.terms.items():
@@ -100,7 +95,7 @@ class FreeElement:
         return FreeElement(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentQ, QFrac)):
+        if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         return NotImplemented
 
@@ -156,33 +151,13 @@ def serre_relators():
     return s1, s2
 
 
-def commutator_element():
-    """A = (1/[2]) (E2 E1 - q^-2 E1 E2); the generators are iterated
-    commutators with A."""
-    inv2 = QFrac(1, quantum_int(2))
-    return FreeElement({(2, 1): inv2, (1, 2): -inv2 * qpow(-2)})
-
-
-def build_generators():
-    """The four root vectors in the free algebra: v0 = E1, v1 by the
-    printed divided-power formula, and v_{i+1} = A v_i - v_i A."""
-    inv2 = QFrac(1, quantum_int(2))
-    v0 = FreeElement.word((1,))
-    v1 = FreeElement({
-        (2, 1, 1): inv2,
-        (1, 2, 1): -inv2 * (qpow(-2) + 1),
-        (1, 1, 2): inv2 * qpow(-2),
-    })
-    a = commutator_element()
-    v2 = a * v1 - v1 * a
-    v3 = a * v2 - v2 * a
-    return v0, v1, v2, v3
-
-
 def scaled_generators():
-    """W_i = [2]^i v_i: the same vectors with denominators cleared, so all
-    coefficients are honest Laurent polynomials.  Every relation among the
-    v_i is equivalent to the same relation among the W_i."""
+    """The four root vectors in the free algebra with the [2]-power
+    denominators of the printed formulas cleared: W_i = [2]^i v_i, where
+    v0 = E1, v1 is the printed divided-power formula and v_{i+1} = A v_i - v_i A
+    with A = (1/[2]) (E2 E1 - q^-2 E1 E2).  Hence W0 = E1 and
+    W_{i+1} = A2 W_i - W_i A2 with A2 = E2 E1 - q^-2 E1 E2.  Every relation
+    among the v_i is equivalent to the same relation among the W_i."""
     one = lq_one()
     w0 = FreeElement.word((1,))
     w1 = FreeElement({
@@ -235,7 +210,10 @@ class MembershipResult:
     member: bool
     mode: str
     weight: tuple
-    certificate: list | None = None  # exact mode: [(label, QFrac coefficient)]
+    # exact mode: [(label, LaurentQ numerator)] with
+    # expand_certificate(certificate) == x.scale(denominator)
+    certificate: list | None = None
+    denominator: LaurentQ = lq_one()
 
 
 DEFAULT_WEIGHT_CAP = 12
@@ -247,8 +225,8 @@ def ideal_membership(x: FreeElement, mode: str | None = None, cap: int = DEFAULT
     """Decide membership of a weight-homogeneous element in the two-sided
     quantum Serre ideal, within its weight component.
 
-    mode "exact" eliminates over the fraction field and produces a
-    certificate; "probabilistic" solves over Q at `points` seeded integer
+    mode "exact" eliminates fraction-free and produces a certificate over
+    one denominator; "probabilistic" solves over Q at `points` seeded integer
     values of q and reports membership iff all evaluations succeed.  The
     default picks exact for total weight <= 8.
     """
@@ -271,59 +249,27 @@ def ideal_membership(x: FreeElement, mode: str | None = None, cap: int = DEFAULT
     return _membership_probabilistic(x, span, w, seed, points)
 
 
-def _to_laurent(c) -> LaurentQ:
-    if isinstance(c, QFrac):
-        return c.as_laurent()
-    if isinstance(c, LaurentQ):
-        return c
-    return LaurentQ.from_rational(c)
-
-
-def _clear_denominators(terms):
-    """Scale a row with QFrac entries to pure Laurent coefficients;
-    membership is invariant under scaling by a nonzero element.  Returns
-    the scaled row and the factor applied."""
-    common = lq_one()
-    for c in terms.values():
-        if isinstance(c, QFrac) and not c.is_laurent():
-            try:
-                common.exact_div(c.den)
-            except ValueError:
-                common = common * c.den
-    out = {}
-    for w, c in terms.items():
-        if isinstance(c, QFrac):
-            out[w] = c.num * common.exact_div(c.den)
-        else:
-            out[w] = _to_laurent(c) * common
-    return out, common
-
-
-def _strip_content(dicts):
-    """Divide every LaurentQ entry of every dict by their common rational
-    content and q-power shift, in place (keeps fraction-free rows small)."""
-    from fractions import Fraction as F
-
-    num_gcd = 0
-    den_lcm = 1
-    shift = None
+def _strip_content(dicts, shift=None):
+    """Divide every LaurentQ entry of every dict by their common integer
+    content and by q^(shift/2), in place; shift defaults to the lowest
+    half-exponent present (keeps fraction-free rows small)."""
+    g = 0
+    low = None
     for d in dicts:
         for c in d.values():
             for h, v in c.terms.items():
-                if shift is None or h < shift:
-                    shift = h
-                f = F(v)
-                num_gcd = gcd(num_gcd, abs(f.numerator))
-                den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-    if shift is None:
+                if low is None or h < low:
+                    low = h
+                g = gcd(g, v)
+    if low is None:
         return
-    scale = F(den_lcm, num_gcd if num_gcd else 1)
-    if scale == 1 and shift == 0:
+    if shift is None:
+        shift = low
+    if g == 1 and shift == 0:
         return
     for d in dicts:
         for k in list(d):
-            c = d[k]
-            d[k] = LaurentQ({h - shift: v * scale for h, v in c.terms.items()})
+            d[k] = LaurentQ._raw({h - shift: v // g for h, v in d[k].terms.items()})
 
 
 def _membership_exact(x, span, w) -> MembershipResult:
@@ -332,18 +278,21 @@ def _membership_exact(x, span, w) -> MembershipResult:
     basis = {}  # lead word -> (row dict word->LaurentQ, combo dict idx->LaurentQ)
     one = lq_one()
     for idx, (_label, elem) in enumerate(span):
-        row = {word: _to_laurent(c) for word, c in elem.terms.items()}
-        combo = {idx: one}
-        row, combo, _scale = _laurent_reduce(row, combo, None, basis)
+        row, combo, _scale = _laurent_reduce(dict(elem.terms), {idx: one}, None, basis)
         if row:
             _strip_content((row, combo))
             basis[max(row)] = (row, combo)
-    row, cleared = _clear_denominators(x.terms)
-    row, combo, scale = _laurent_reduce(row, {}, one, basis)
+    row, combo, scale = _laurent_reduce(dict(x.terms), {}, one, basis)
     if row:
         return MembershipResult(False, "exact", w)
-    cert = [(span[i][0], QFrac(-c, scale * cleared)) for i, c in combo.items() if c]
-    return MembershipResult(True, "exact", w, certificate=cert)
+    # scale * x = -sum combo[j] * span_j; present it over a denominator
+    # with constant term nonzero, positive lead and no common content
+    sign = -1 if scale.terms[max(scale.terms)] < 0 else 1
+    nums = {i: c * -sign for i, c in combo.items()}
+    den = {0: scale * sign}
+    _strip_content((nums, den), shift=min(scale.terms))
+    cert = [(span[i][0], c) for i, c in nums.items()]
+    return MembershipResult(True, "exact", w, certificate=cert, denominator=den[0])
 
 
 def _laurent_reduce(row, combo, scale, basis):
@@ -399,12 +348,12 @@ def expand_certificate(certificate, span_lookup=None) -> FreeElement:
 
 
 def _eval_row_to_int(terms, t) -> dict:
-    """Evaluate LaurentQ/QFrac coefficients at q = t and clear denominators
-    to integers (scaling a row never changes the span)."""
+    """Evaluate LaurentQ coefficients at q = t and clear the denominators of
+    the negative powers of t (scaling a row never changes the span)."""
     vals = {}
     denom_lcm = 1
     for k, c in terms.items():
-        v = c.eval_q(t) if isinstance(c, (LaurentQ, QFrac)) else Fraction(c)
+        v = c.eval_q(t)
         if v:
             vals[k] = v
             denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
@@ -460,10 +409,7 @@ def _membership_probabilistic(x, span, w, seed, points) -> MembershipResult:
         if t in used:
             continue
         used.add(t)
-        try:
-            xrow = _eval_row_to_int(x.terms, t)
-        except ZeroDivisionError:
-            continue  # evaluation point kills a denominator: resample
+        xrow = _eval_row_to_int(x.terms, t)
         basis = {}
         rows = []
         for _label, elem in span:
@@ -514,7 +460,7 @@ def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0,
     for name, diff in straightening_differences():
         res = ideal_membership(diff, mode=mode, seed=seed, cap=cap)
         if res.member and res.certificate and diff:
-            if expand_certificate(res.certificate) != diff:
+            if expand_certificate(res.certificate) != diff.scale(res.denominator):
                 raise AssertionError(f"certificate for {name} does not expand back")
         report.append({"relation": name, "weight": list(res.weight),
                        "mode": res.mode, "member": res.member})

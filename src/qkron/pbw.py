@@ -20,9 +20,7 @@ weights, which multiplication preserves.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .qarith import LaurentQ, QFrac, lq_one, qpow, quantum_factorial
+from .qarith import LaurentQ, lq_one, qpow
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -118,9 +116,8 @@ def _mono_times_gen(a: Exp, j: int) -> dict:
 class PbwElement:
     """A linear combination of normal-ordered monomials in u0..u3.
 
-    Coefficients are LaurentQ values; divided powers may carry QFrac
-    coefficients, which interoperate but fail the integrality checks the
-    dual-canonical pipeline runs.
+    Coefficients are LaurentQ values, integer Laurent polynomials in
+    q^(1/2).
     """
 
     __slots__ = ("terms",)
@@ -177,9 +174,9 @@ class PbwElement:
         return self + (-other)
 
     def scale(self, c) -> "PbwElement":
-        """Multiply by a central coefficient (LaurentQ, QFrac or rational)."""
-        if isinstance(c, (int, Fraction)):
-            c = LaurentQ.from_rational(c)
+        """Multiply by a central coefficient (LaurentQ or int)."""
+        if isinstance(c, int):
+            c = LaurentQ.from_int(c)
         if not c:
             return PbwElement._raw({})
         return PbwElement._raw({a: c * v for a, v in self.terms.items()})
@@ -193,9 +190,7 @@ class PbwElement:
         return PbwElement._raw(_terms_times_gen(self.terms, i))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, (LaurentQ, QFrac, Fraction)):
+        if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         if not isinstance(other, PbwElement):
             return NotImplemented
@@ -215,7 +210,7 @@ class PbwElement:
         return PbwElement._raw(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, LaurentQ, QFrac, Fraction)):
+        if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         return NotImplemented
 
@@ -244,7 +239,7 @@ class PbwElement:
         return not self.terms or self.root_weight() is not None
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, LaurentQ) and c.is_integral() for c in self.terms.values())
+        return all(c.is_integral() for c in self.terms.values())
 
     def sigma(self) -> "PbwElement":
         """The ring anti-automorphism with sigma(q) = q^-1 and
@@ -267,8 +262,6 @@ class PbwElement:
 
         out = classical.CPoly()
         for a, c in self.terms.items():
-            if isinstance(c, QFrac):
-                c = c.as_laurent()
             if not c.is_integral():
                 raise ValueError("element has odd half-powers of q; no q = 1 image")
             out = out + classical.u_monomial(a).scale(c.at_q1())
@@ -283,7 +276,7 @@ class PbwElement:
         for a in sorted(self.terms, reverse=True):
             c = self.terms[a]
             mono = _mono_str(a)
-            neg = isinstance(c, LaurentQ) and c.terms and all(v < 0 for v in c.terms.values())
+            neg = all(v < 0 for v in c.terms.values())
             if neg:
                 c = -c
             if c == 1:
@@ -311,11 +304,10 @@ class PbwElement:
                 f"u_{i}" + (f"^{{{e}}}" if e > 1 else "")
                 for i, e in zip((3, 2, 1, 0), a) if e
             ) or "1"
-            neg = isinstance(c, LaurentQ) and c.terms and all(v < 0 for v in c.terms.values())
+            neg = all(v < 0 for v in c.terms.values())
             if neg:
                 c = -c
-            cl = c.to_latex() if isinstance(c, LaurentQ) else str(c)
-            body = mono if c == 1 else f"({cl}){mono}"
+            body = mono if c == 1 else f"({c.to_latex()}){mono}"
             sign = "-" if neg else ("+" if parts else "")
             parts.append(sign + body)
         return "".join(parts)
@@ -427,8 +419,8 @@ def one() -> PbwElement:
 
 
 def scalar(c) -> PbwElement:
-    if isinstance(c, (int, Fraction)):
-        c = LaurentQ.from_rational(c)
+    if isinstance(c, int):
+        c = LaurentQ.from_int(c)
     return PbwElement({_ZERO_EXP: c})
 
 
@@ -453,19 +445,6 @@ def p0() -> PbwElement:
 def p1() -> PbwElement:
     """The quantized frozen variable p1 = u3 u1 - q^2 u2^2."""
     return PbwElement._raw({(1, 0, 1, 0): _ONE, (0, 2, 0, 0): -qpow(2)})
-
-
-def divided_power(i: int, k: int) -> PbwElement:
-    """u_i^k / [k]!; the coefficient is a QFrac for k >= 2."""
-    if k < 0:
-        raise ValueError("needs k >= 0")
-    if k == 0:
-        return one()
-    a = _ZERO_EXP[:_slot(i)] + (k,) + _ZERO_EXP[_slot(i) + 1:]
-    coef = QFrac(_ONE, quantum_factorial(k))
-    if coef.is_laurent():
-        return PbwElement({a: coef.as_laurent()})
-    return PbwElement({a: coef})
 
 
 def exp_total(a: Exp) -> int:

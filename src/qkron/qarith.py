@@ -1,13 +1,13 @@
 """Exact coefficient arithmetic for the quantum Kronecker algebra.
 
 Everything here is exact: Laurent polynomials in q^(1/2) with
-arbitrary-precision rational coefficients, quantum integers, binomials and
-factorials, normalized Chebyshev polynomials over Z, and the bar involution
-q -> q^(-1).  There is no floating point anywhere.
+arbitrary-precision integer coefficients, quantum integers, binomials and
+factorials, and the bar involution q -> q^(-1).  There is no floating point
+anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`.
 
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
-h (a plain int) to a nonzero rational coefficient; the key h stands for
-q^(h/2).  Elements of Q[q, q^(-1)] are exactly those whose keys are all
+h (a plain int) to a nonzero int coefficient; the key h stands for
+q^(h/2).  Elements of Z[q, q^(-1)] are exactly those whose keys are all
 even, which :meth:`LaurentQ.is_integral` tests.  Values are immutable after
 construction and safe to share between threads.
 """
@@ -19,15 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def _norm(c):
-    """Collapse Fractions with denominator 1 to plain ints (speed)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class LaurentQ:
-    """A sparse Laurent polynomial in q^(1/2) over the rationals.
+    """A sparse Laurent polynomial in q^(1/2) over the integers.
 
     The canonical text form lists terms in decreasing exponent order, with
     exponents printed as ``q^k`` (``q^-k`` for negatives) and ``q^(k/2)``
@@ -40,21 +33,21 @@ class LaurentQ:
         t = {}
         if terms:
             for h, c in terms.items():
-                c = _norm(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"LaurentQ coefficients are ints, got {c!r}")
                 if c:
                     t[h] = c
         self.terms = t
 
     @classmethod
     def _raw(cls, terms):
-        # internal: terms already trimmed and normalized, never aliased
+        # internal: terms already trimmed to nonzero ints, never aliased
         self = object.__new__(cls)
         self.terms = terms
         return self
 
     @classmethod
-    def from_rational(cls, c) -> "LaurentQ":
-        c = _norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+    def from_int(cls, c: int) -> "LaurentQ":
         return cls._raw({0: c} if c else {})
 
     # -- ring operations ---------------------------------------------------
@@ -63,8 +56,8 @@ class LaurentQ:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.from_rational(other)
+        if isinstance(other, int):
+            other = LaurentQ.from_int(other)
         if not isinstance(other, LaurentQ):
             return NotImplemented
         return self.terms == other.terms
@@ -76,15 +69,15 @@ class LaurentQ:
         return LaurentQ._raw({h: -c for h, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.from_rational(other)
+        if isinstance(other, int):
+            other = LaurentQ.from_int(other)
         out = dict(self.terms)
         for h, c in other.terms.items():
             v = out.get(h)
             if v is None:
                 out[h] = c
             else:
-                v = _norm(v + c)
+                v += c
                 if v:
                     out[h] = v
                 else:
@@ -94,19 +87,18 @@ class LaurentQ:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.from_rational(other)
+        if isinstance(other, int):
+            other = LaurentQ.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _norm(other)
+        if isinstance(other, int):
             if not other:
                 return _ZERO
-            return LaurentQ._raw({h: _norm(c * other) for h, c in self.terms.items()})
+            return LaurentQ._raw({h: c * other for h, c in self.terms.items()})
         if not isinstance(other, LaurentQ):
             return NotImplemented
         a, b = self.terms, other.terms
@@ -123,13 +115,13 @@ class LaurentQ:
                     out[h] = c1 * c2
                 else:
                     out[h] = v + c1 * c2
-        return LaurentQ._raw({h: _norm(c) for h, c in out.items() if c})
+        return LaurentQ._raw({h: c for h, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative powers live in QFrac, not LaurentQ")
+            raise ValueError("negative powers are not Laurent polynomials")
         out = _ONE
         base = self
         while k:
@@ -146,25 +138,20 @@ class LaurentQ:
         return LaurentQ._raw({-h: c for h, c in self.terms.items()})
 
     def is_integral(self) -> bool:
-        """True iff the element lies in Q[q, q^(-1)] (all keys even)."""
+        """True iff the element lies in Z[q, q^(-1)] (all keys even)."""
         return all(h % 2 == 0 for h in self.terms)
 
-    def has_integer_coeffs(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
-
     def in_q_zq(self) -> bool:
-        """True iff the element lies in qZ[q]: integer coefficients on
-        strictly positive integral powers of q."""
-        return all(h >= 2 and h % 2 == 0 and isinstance(c, int)
-                   for h, c in self.terms.items())
+        """True iff the element lies in qZ[q]: only strictly positive
+        integral powers of q."""
+        return all(h >= 2 and h % 2 == 0 for h in self.terms)
 
     def constant_term(self):
         return self.terms.get(0, 0)
 
     def at_q1(self):
         """Evaluate at q = 1 (the sum of all coefficients)."""
-        s = sum(self.terms.values())
-        return _norm(s if isinstance(s, Fraction) else s)
+        return sum(self.terms.values())
 
     def eval_q(self, t):
         """Evaluate at q = t for a nonzero rational t; requires integrality."""
@@ -179,8 +166,8 @@ class LaurentQ:
         return total
 
     def exact_div(self, other: "LaurentQ") -> "LaurentQ":
-        """Exact division in the Laurent ring; raises if the quotient has
-        a remainder."""
+        """Exact division in the Laurent ring over Z; raises ValueError
+        ("not divisible") unless the quotient exists there."""
         if not other:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self:
@@ -197,12 +184,14 @@ class LaurentQ:
         b = [0] * (db + 1)
         for h, c in other.terms.items():
             b[h - shift_b] = c
-        lead = Fraction(b[db]) if not isinstance(b[db], Fraction) else b[db]
+        lead = b[db]
         quot = {}
         for i in range(da - db, -1, -1):
             c = a[i + db]
             if c:
-                f = c / lead if isinstance(c, Fraction) else Fraction(c) / lead
+                f, r = divmod(c, lead)
+                if r:
+                    raise ValueError("not divisible")
                 quot[i] = f
                 for j, bc in enumerate(b):
                     if bc:
@@ -210,7 +199,7 @@ class LaurentQ:
         if any(a):
             raise ValueError("not divisible")
         shift = shift_a - shift_b
-        return LaurentQ._raw({h + shift: _norm(c) for h, c in quot.items() if c})
+        return LaurentQ._raw({h + shift: c for h, c in quot.items()})
 
     def positive_part(self) -> "LaurentQ":
         """Truncation to strictly positive exponents of q^(1/2)."""
@@ -274,7 +263,7 @@ class LaurentQ:
             if not m:
                 raise ValueError(f"cannot parse Laurent term {tok!r}")
             coef = m.group("coef")
-            c = Fraction(coef) if coef else Fraction(1)
+            c = int(coef) if coef else 1
             if m.group("q") is None:
                 h = 0
             elif m.group("half") is not None:
@@ -290,7 +279,7 @@ class LaurentQ:
 
 
 _TERM_RE = re.compile(
-    r"(?:(?P<coef>\d+(?:/\d+)?)(?:\s*\*\s*)?)?"
+    r"(?:(?P<coef>\d+)(?:\s*\*\s*)?)?"
     r"(?P<q>q(?:\^(?:\((?P<half>-?\d+)/2\)|(?P<int>-?\d+)))?)?"
 )
 
@@ -400,275 +389,15 @@ def quantum_binom(n: int, k: int) -> LaurentQ:
 def split_antisymmetric(x: LaurentQ) -> LaurentQ:
     """Solve x = phi(q) - phi(q^(-1)) for phi in qZ[q].
 
-    Requires x integral in q with integer coefficients, zero constant term
-    and bar(x) = -x; the solution is the positive-exponent truncation.
-    A violation signals a bug in the dual-canonical computation, so it is
-    raised rather than repaired.
+    Requires x integral in q, with zero constant term and bar(x) = -x;
+    the solution is the positive-exponent truncation.  A violation signals
+    a bug in the dual-canonical computation, so it is raised rather than
+    repaired.
     """
     if not x.is_integral():
         raise ValueError("antisymmetric split: element has odd half-exponents")
-    if not x.has_integer_coeffs():
-        raise ValueError("antisymmetric split: non-integer coefficients")
     if x.constant_term():
         raise ValueError("antisymmetric split: nonzero constant term")
     if x.bar() != -x:
         raise ValueError("antisymmetric split: element is not bar-antisymmetric")
     return x.positive_part()
-
-
-class IntPoly:
-    """Dense univariate polynomial over Z in the variable X."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        ])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            - (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        ])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self and other else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    def shift_mul_x(self):
-        """Multiply by the variable X."""
-        return IntPoly((0,) + self.coeffs)
-
-    def eval_at(self, x):
-        """Evaluate at any ring element supporting + and * (Horner)."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return 0
-        return acc
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            neg = c < 0
-            mag = -c if neg else c
-            if i == 0:
-                body = str(mag)
-            else:
-                xp = "X" if i == 1 else f"X^{i}"
-                body = xp if mag == 1 else f"{mag}*{xp}"
-            if not parts:
-                parts.append(("-" + body) if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"IntPoly({self})"
-
-
-@lru_cache(maxsize=None)
-def chebyshev_t(k: int) -> IntPoly:
-    """Normalized Chebyshev polynomial of the first kind: T_0 = 2, T_1 = X,
-    T_{k+1} = X*T_k - T_{k-1}."""
-    if k < 0:
-        raise ValueError("needs k >= 0")
-    if k == 0:
-        return IntPoly([2])
-    if k == 1:
-        return IntPoly([0, 1])
-    return chebyshev_t(k - 1).shift_mul_x() - chebyshev_t(k - 2)
-
-
-@lru_cache(maxsize=None)
-def chebyshev_s(k: int) -> IntPoly:
-    """Normalized Chebyshev polynomial of the second kind: S_0 = 1, S_1 = X,
-    S_{k+1} = X*S_k - S_{k-1}."""
-    if k < 0:
-        raise ValueError("needs k >= 0")
-    if k == 0:
-        return IntPoly([1])
-    if k == 1:
-        return IntPoly([0, 1])
-    return chebyshev_s(k - 1).shift_mul_x() - chebyshev_s(k - 2)
-
-
-class QFrac:
-    """A quotient of two Laurent polynomials in q^(1/2).
-
-    Used where honest fractions are unavoidable: divided powers, the free
-    algebra generators and Gaussian elimination over the function field.
-    Normalization is light on purpose (monomial shift, rational content,
-    and an opportunistic exact division); equality cross-multiplies.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, QFrac) or isinstance(den, QFrac):
-            num = _as_qfrac(num)
-            den = QFrac(1) if den is None else _as_qfrac(den)
-            num, den = num.num * den.den, num.den * den.num
-        if isinstance(num, (int, Fraction)):
-            num = LaurentQ.from_rational(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentQ.from_rational(den)
-        if not den:
-            raise ZeroDivisionError("QFrac with zero denominator")
-        if not num:
-            self.num, self.den = _ZERO, _ONE
-            return
-        try:
-            self.num, self.den = num.exact_div(den), _ONE
-            return
-        except ValueError:
-            pass
-        # shift the denominator to start at exponent 0 and clear its content
-        shift = min(den.terms)
-        den = LaurentQ._raw({h - shift: c for h, c in den.terms.items()})
-        num = LaurentQ._raw({h - shift: c for h, c in num.terms.items()})
-        coeffs = [Fraction(c) for c in den.terms.values()]
-        g = coeffs[0]
-        for c in coeffs[1:]:
-            g = Fraction(_gcd_frac(g, c))
-        lead = den.terms[max(den.terms)]
-        if lead < 0:
-            g = -g
-        if g != 1:
-            inv = 1 / g
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _as_qfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    # equality cross-multiplies while the representation is not canonical,
-    # so fractions stay unhashable on purpose
-    __hash__ = None
-
-    def __neg__(self):
-        out = object.__new__(QFrac)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __add__(self, other):
-        other = _as_qfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return QFrac(self.num + other.num, self.den)
-        return QFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_qfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_qfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_qfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("QFrac division by zero")
-        return QFrac(self.num * other.den, self.den * other.num)
-
-    def is_laurent(self) -> bool:
-        return self.den == _ONE
-
-    def as_laurent(self) -> LaurentQ:
-        if self.den != _ONE:
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return self.num
-
-    def bar(self) -> "QFrac":
-        return QFrac(self.num.bar(), self.den.bar())
-
-    def eval_q(self, t) -> Fraction:
-        d = self.den.eval_q(t)
-        if not d:
-            raise ZeroDivisionError(f"denominator vanishes at q = {t}")
-        return self.num.eval_q(t) / d
-
-    def __str__(self):
-        if self.den == _ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"QFrac({self})"
-
-
-def _as_qfrac(x):
-    if isinstance(x, QFrac):
-        return x
-    if isinstance(x, (int, Fraction, LaurentQ)):
-        return QFrac(x)
-    return NotImplemented
-
-
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-
-    a, b = Fraction(a), Fraction(b)
-    num = gcd(abs(a.numerator), abs(b.numerator))
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)

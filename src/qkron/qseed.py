@@ -49,13 +49,6 @@ def l_matrix(n: int):
     )
 
 
-def l_matrix_str(n: int) -> str:
-    """L(n) as a printable integer matrix."""
-    L = l_matrix(n)
-    width = max(len(str(x)) for row in L for x in row)
-    return "\n".join(" ".join(f"{x:>{width}}" for x in row) for row in L)
-
-
 def seed_exchange_matrix(n: int):
     """The 4x2 exchange matrix of the quantum seed (X_n, X_{n+1}, Y_0, Y_1)."""
     from .classical import ExchangeMatrix
@@ -200,18 +193,17 @@ class TorusElement:
         return TorusElement(self.n, out)
 
     def inverse(self) -> "TorusElement":
-        """Inverse of a single monomial: M(e)^-1 = M(-e), and a monomial
-        q-power coefficient inverts by negating its exponent."""
+        """Inverse of a single monomial: M(e)^-1 = M(-e), and a coefficient
+        +-q^(h/2) inverts to +-q^(-h/2)."""
         if len(self.terms) != 1:
             raise ValueError("only torus monomials invert")
         (e, c), = self.terms.items()
         if len(c.terms) != 1:
             raise ValueError("coefficient is not a monomial q-power")
         (h, v), = c.terms.items()
-        from fractions import Fraction
-
-        inv_c = LaurentQ({-h: Fraction(1, 1) / v})
-        return TorusElement(self.n, {tuple(-x for x in e): inv_c})
+        if v not in (1, -1):
+            raise ValueError("coefficient is not +-q^(h/2); its inverse is not integral")
+        return TorusElement(self.n, {tuple(-x for x in e): LaurentQ({-h: v})})
 
     def __pow__(self, k: int):
         base = self

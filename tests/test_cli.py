@@ -174,3 +174,30 @@ def test_latex_output(capsys):
     code, out, _ = run(["compute", "1", "0", "1", "0", "--format", "latex"], capsys)
     assert code == 0
     assert out.strip() == "u_3u_1-(q^{2})u_2^{2}"
+
+
+@pytest.mark.parametrize("argv", [["verify", "recursions", "--n-max", "-3"],
+                                  ["verify", "layers", "--k-max", "-1"]])
+def test_verify_empty_suite_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_jobs_below_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_compute_deep_stripping_exits_3(capsys):
+    import time
+
+    t0 = time.time()
+    code, out, err = run(["compute", "0", "1200", "0", "1200"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert time.time() - t0 < 5

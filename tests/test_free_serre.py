@@ -1,10 +1,11 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from qkron import free_serre as fs
-from qkron.qarith import QFrac, lq_one, qpow, quantum_int
+from qkron.qarith import LaurentQ, lq_one, qpow, quantum_int
 
 
 def test_relators():
@@ -17,26 +18,63 @@ def test_relators():
 
 
 def test_generator_weights():
-    v0, v1, v2, v3 = fs.build_generators()
-    assert v0.weight() == (1, 0)
-    assert v1.weight() == (2, 1)
-    assert v2.weight() == (3, 2)
-    assert v3.weight() == (4, 3)
+    w0, w1, w2, w3 = fs.scaled_generators()
+    assert w0.weight() == (1, 0)
+    assert w1.weight() == (2, 1)
+    assert w2.weight() == (3, 2)
+    assert w3.weight() == (4, 3)
 
 
 def test_v1_is_commutator():
-    v0, v1, _, _ = fs.build_generators()
-    a = fs.commutator_element()
-    assert v1 == a * v0 - v0 * a
+    w0, w1, _, _ = fs.scaled_generators()
+    a2 = fs.FreeElement({(2, 1): lq_one(), (1, 2): -qpow(-2)})
+    assert w1 == a2 * w0 - w0 * a2
+
+
+def _word_mul(x, y):
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return out
+
+
+def _commutator(a, v):
+    out = _word_mul(a, v)
+    for w, c in _word_mul(v, a).items():
+        out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}
+
+
+def printed_generators(t):
+    """v0..v3 exactly as printed, with their 1/[2] coefficients, at q = t."""
+    inv2 = 1 / (t + 1 / t)
+    v0 = {(1,): Fraction(1)}
+    v1 = {(2, 1, 1): inv2, (1, 2, 1): -inv2 * (t ** -2 + 1), (1, 1, 2): inv2 * t ** -2}
+    a = {(2, 1): inv2, (1, 2): -inv2 * t ** -2}
+    v2 = _commutator(a, v1)
+    v3 = _commutator(a, v2)
+    return v0, v1, v2, v3
 
 
 def test_scaled_generators_match():
-    vs = fs.build_generators()
+    # [2]^i v_i is a Laurent polynomial in q with exponents in [-2i, 0] (each
+    # of its i factors [2]A and [2]v1 has exponents in [-2, 0]); so agreeing
+    # with W_i at more points than the joint exponent span proves equality
     ws = fs.scaled_generators()
-    two = quantum_int(2)
-    for i, (v, w) in enumerate(zip(vs, ws)):
-        assert v.scale(two ** i) == w
-        assert all(not isinstance(c, QFrac) for c in w.terms.values())
+    lo, hi = -2 * 3, 0
+    for w in ws:
+        for c in w.terms.values():
+            assert c.is_integral() and all(isinstance(v, int) for v in c.terms.values())
+            lo, hi = min(lo, min(c.terms) // 2), max(hi, max(c.terms) // 2)
+    points = [Fraction(k, 3) for k in range(1, hi - lo + 3)]
+    assert len(points) > hi - lo
+    for t in points:
+        two = t + 1 / t
+        for i, (v, w) in enumerate(zip(printed_generators(t), ws)):
+            lhs = {word: c * two ** i for word, c in v.items()}
+            rhs = {word: c.eval_q(t) for word, c in w.terms.items()}
+            assert all(lhs.get(word, 0) == rhs.get(word, 0) for word in lhs.keys() | rhs.keys())
 
 
 def test_concatenation_weight_additive():
@@ -65,13 +103,13 @@ def test_free_product_associative():
 def test_membership_trivial_cases():
     s1, _ = fs.serre_relators()
     res = fs.ideal_membership(fs.FreeElement())
-    assert res.member and res.certificate == []
+    assert res.member and res.certificate == [] and res.denominator == 1
     x = fs.FreeElement.word((1,)) * s1
     res = fs.ideal_membership(x, mode="exact")
     assert res.member
-    assert fs.expand_certificate(res.certificate) == x
+    assert fs.expand_certificate(res.certificate) == x.scale(res.denominator)
     # the certificate is literally E1 * S1 with coefficient 1
-    assert [(lbl, c) for lbl, c in res.certificate if c] == [((0, (1,), ()), QFrac(1))]
+    assert [(lbl, c) for lbl, c in res.certificate if c] == [((0, (1,), ()), res.denominator)]
     # weight (1,1): the ideal component is zero
     y = fs.FreeElement({(1, 2): lq_one(), (2, 1): -lq_one()})
     assert not fs.ideal_membership(y).member
@@ -91,6 +129,7 @@ def test_membership_errors():
 
 def test_straightening_small_weights_exact():
     diffs = dict(fs.straightening_differences())
+    denominators = []
     for name in ("v0*v1 - q^-2*v1*v0",
                  "v0*v2 - q^-2*v2*v0 - (q^-2-1)*v1^2",
                  "v0*v3 - q^-2*v3*v0 - (q^-4-1)*v2*v1",
@@ -98,7 +137,12 @@ def test_straightening_small_weights_exact():
         d = diffs[name]
         res = fs.ideal_membership(d, mode="exact")
         assert res.member, name
-        assert fs.expand_certificate(res.certificate) == d
+        assert fs.expand_certificate(res.certificate) == d.scale(res.denominator)
+        for c in [res.denominator] + [c for _, c in res.certificate]:
+            assert isinstance(c, LaurentQ)
+            assert all(type(v) is int for v in c.terms.values())
+        denominators.append(res.denominator)
+    assert any(den != 1 for den in denominators)
 
 
 def test_modes_agree_up_to_weight_5_3():
@@ -126,22 +170,6 @@ def test_full_straightening_report():
     assert {tuple(e["weight"]) for e in report} == \
         {(3, 1), (5, 3), (7, 5), (4, 2), (6, 4)}
     assert time.time() - t0 < 300
-
-
-def test_membership_with_fractional_coefficients():
-    # differences built from the divided-power generators themselves carry
-    # [2]-power denominators; exact mode clears them and the certificate
-    # still expands back to the original element
-    v = fs.build_generators()
-    qm2 = qpow(-2)
-    diffs = [
-        v[0] * v[1] - (v[1] * v[0]).scale(qm2),
-        v[0] * v[2] - (v[2] * v[0]).scale(qm2) - (v[1] * v[1]).scale(qpow(-2) - 1),
-    ]
-    for d in diffs:
-        res = fs.ideal_membership(d, mode="exact")
-        assert res.member
-        assert fs.expand_certificate(res.certificate) == d
 
 
 def test_cross_oracle_with_normal_form():

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 from qkron import classical, pbw
-from qkron.qarith import QFrac, lq_one, qpow, quantum_factorial
+from qkron.qarith import lq_one, qpow
 
 u0, u1, u2, u3 = (pbw.generator(i) for i in range(4))
 
@@ -97,17 +97,6 @@ def test_u1_u3_power_identity():
         rhs = (u3l * u1).scale_qpow(-2 * l) + \
             (pbw.monomial((l - 1, 0, 0, 0)) * u2 * u2).scale(qpow(-4 * l + 2) - qpow(-2 * l + 2))
         assert lhs == rhs
-
-
-def test_divided_power():
-    assert pbw.divided_power(1, 0) == pbw.one()
-    assert pbw.divided_power(1, 1) == u1
-    dp = pbw.divided_power(1, 2)
-    assert set(dp.terms) == {(0, 0, 2, 0)}
-    assert dp.terms[(0, 0, 2, 0)] == QFrac(1, quantum_factorial(2))
-    assert not dp.is_integral()
-    # scaling back clears the denominator
-    assert dp.scale(quantum_factorial(2)) == u1 * u1
 
 
 def test_specialize_q1():
