@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 from pathlib import Path
 
 from . import pbw
@@ -110,19 +111,23 @@ def _linear_extension(block, seed=None):
     return order
 
 
-def check_basis_conditions(a: Exp, elem: pbw.PbwElement):
-    """Assert both defining conditions on a candidate B[a]."""
+def check_basis_conditions(a: Exp, elem: pbw.PbwElement) -> dict:
+    """Assert both defining conditions on a candidate B[a]; return its
+    dual-PBW expansion, `expand_in_dual_pbw(elem)`."""
     coeffs = expand_in_dual_pbw(elem)
-    lead = coeffs.pop(a, None)
+    lead = coeffs.get(a)
     if lead != lq_one():
         raise AssertionError(f"B[{a}]: leading dual-PBW coefficient is {lead}, not 1")
     for b, c in coeffs.items():
-        if b == a or not order_leq(a, b):
+        if b == a:
+            continue
+        if not order_leq(a, b):
             raise AssertionError(f"B[{a}]: support contains {b} outside S({a})")
         if not (isinstance(c, LaurentQ) and c.in_q_zq()):
             raise AssertionError(f"B[{a}]: coefficient {c} at {b} is not in qZ[q]")
     if elem.sigma() != elem.scale(qpow(-stat_n(a))):
         raise AssertionError(f"B[{a}] is not a sigma eigenvector with eigenvalue q^{-stat_n(a)}")
+    return coeffs
 
 
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
@@ -216,10 +221,20 @@ def _layer_path(k: int, cache_dir) -> Path:
 
 
 def _save_layer(tab: LayerTable, cache_dir):
+    """Write the layer to its cache file atomically: the text goes to a
+    temporary file in the same directory, named for this process and
+    thread, and `os.replace` moves it into place, so concurrent writers
+    never leave a half-written file behind."""
     path = _layer_path(tab.k, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = [{"a": list(a), "element": e.to_json_dict()} for a, e in sorted(tab.entries.items())]
-    path.write_text(json.dumps(data))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            f.write(json.dumps(data))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the move succeeded
 
 
 def _load_layer(k: int, cache_dir):
@@ -231,9 +246,9 @@ def _load_layer(k: int, cache_dir):
     for item in json.loads(path.read_text()):
         a = tuple(item["a"])
         elem = pbw.PbwElement.from_json_dict(item["element"])
-        check_basis_conditions(a, elem)  # the cache is advisory: verify on load
+        # the cache is advisory: verify on load
+        expansions[a] = check_basis_conditions(a, elem)
         entries[a] = elem
-        expansions[a] = expand_in_dual_pbw(elem)
     if set(entries) != set(layer_exponents(k)):
         return None
     order = []

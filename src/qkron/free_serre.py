@@ -337,7 +337,7 @@ def _laurent_reduce(row, combo, scale, basis):
 _LZERO = LaurentQ._raw({})
 
 
-def expand_certificate(certificate, span_lookup=None) -> FreeElement:
+def expand_certificate(certificate) -> FreeElement:
     """Rebuild sum coeff * (left * S * right) from a certificate."""
     s1, s2 = serre_relators()
     total = FreeElement()

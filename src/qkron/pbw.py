@@ -16,6 +16,11 @@ confluence is exercised by the associativity tests.
 Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
 weights, which multiplication preserves.
+
+The anti-automorphism sigma reverses every word.  It straightens the
+reversed words of all terms together by Horner's rule on their last
+letter, so one pass over the trie of the words replaces a pass over each
+word, with no memo table beyond the straightening memo.
 """
 
 from __future__ import annotations
@@ -111,6 +116,40 @@ def _mono_times_gen(a: Exp, j: int) -> dict:
                     del res[b]
     _GEN_CACHE[key] = res
     return res
+
+
+def _horner(terms: list, i: int) -> dict:
+    """Normal form of the sum of c * u0^a0 u1^a1 ... u_i^ai over the pairs
+    (a, c) in terms, reading only the exponents of the letters u0..u_i.
+
+    Grouping by the exponent e of the last letter u_i gives sum_e H_e u_i^e,
+    each H_e the same kind of sum over u0..u_{i-1}; it is evaluated as
+    (...(H_m u_i + H_{m-1}) u_i + ...) u_i + H_0.  That is one straightening
+    pass per edge of the trie of the words, not one per letter of every
+    word, and only the dicts on the current path stay alive."""
+    if not terms:
+        return {}
+    if i < 0:
+        total = sum(c for _, c in terms)
+        return {_ZERO_EXP: total} if total else {}
+    s = _slot(i)
+    groups = {}
+    for t in terms:
+        groups.setdefault(t[0][s], []).append(t)
+    acc = {}
+    for e in range(max(groups), -1, -1):
+        if acc:
+            acc = _terms_times_gen(acc, i)
+        part = groups.get(e)
+        if part:
+            for b, c in _horner(part, i - 1).items():
+                v = acc.get(b)
+                v = c if v is None else v + c
+                if v:
+                    acc[b] = v
+                elif b in acc:
+                    del acc[b]
+    return acc
 
 
 class PbwElement:
@@ -244,17 +283,16 @@ class PbwElement:
     def sigma(self) -> "PbwElement":
         """The ring anti-automorphism with sigma(q) = q^-1 and
         sigma(u_i) = q^(2i) u_i: bar the coefficients, reverse each word and
-        re-straighten."""
-        out = PbwElement._raw({})
-        for a, c in self.terms.items():
-            a3, a2, a1, a0 = a
-            t = {_ZERO_EXP: _ONE}
-            for i, e in zip((0, 1, 2, 3), (a0, a1, a2, a3)):
-                for _ in range(e):
-                    t = _terms_times_gen(t, i)
-            piece = PbwElement._raw(dict(t)).scale(c.bar() * qpow(2 * (3 * a3 + 2 * a2 + a1)))
-            out = out + piece
-        return out
+        re-straighten.
+
+        A term c u3^a3 u2^a2 u1^a1 u0^a0 maps to
+        c' u0^a0 u1^a1 u2^a2 u3^a3 with c' = bar(c) q^(2(3a3 + 2a2 + a1)).
+        The reversed words are straightened together by Horner's rule on
+        their last letter (see `_horner`), so words that share a prefix
+        share its straightening."""
+        terms = [(a, c.bar() * qpow(2 * (3 * a[0] + 2 * a[1] + a[2])))
+                 for a, c in self.terms.items()]
+        return PbwElement._raw(_horner(terms, 3))
 
     def specialize_q1(self):
         """Image in the commutative polynomial ring Q[U0..U3] at q = 1."""

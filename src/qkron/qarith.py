@@ -106,6 +106,10 @@ class LaurentQ:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial c1 q^(h1/2): shift and scale, no collisions possible
+            (h1, c1), = a.items()
+            return LaurentQ._raw({h1 + h2: c1 * c2 for h2, c2 in b.items()})
         out = {}
         for h1, c1 in a.items():
             for h2, c2 in b.items():

@@ -184,6 +184,48 @@ def test_layer_disk_cache(tmp_path, monkeypatch):
     dcb._LAYER_TABLES.pop(3, None)
 
 
+def test_layer_cache_write_is_atomic(tmp_path, monkeypatch):
+    import sys
+    import threading
+
+    import pytest
+
+    tab = dcb.layer_table(3)
+    dcb._save_layer(tab, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
+    back = dcb._load_layer(3, tmp_path)
+    assert back.entries == tab.entries
+    assert back.expansions == tab.expansions
+
+    # concurrent writers: each moves a complete file into place
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: [dcb._save_layer(tab, tmp_path) for _ in range(5)])
+                   for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
+    assert dcb._load_layer(3, tmp_path).entries == tab.entries
+
+    # a failed move leaves neither a temporary file nor a changed layer file
+    text = (tmp_path / "layer_3.json").read_text()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dcb.os, "replace", fail)
+    with pytest.raises(OSError):
+        dcb._save_layer(tab, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
+    assert (tmp_path / "layer_3.json").read_text() == text
+
+
 def test_layer_cache_rejects_corrupt_entries(tmp_path, monkeypatch):
     import pytest
 

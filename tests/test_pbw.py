@@ -1,8 +1,8 @@
 import random
 from itertools import product
 
-from qkron import classical, pbw
-from qkron.qarith import lq_one, qpow
+from qkron import classical, dcb, pbw
+from qkron.qarith import half_pow, lq_one, qpow
 
 u0, u1, u2, u3 = (pbw.generator(i) for i in range(4))
 
@@ -74,6 +74,54 @@ def test_sigma_u3_u0_example():
     lhs = (u3 * u0).sigma()
     rhs = ((u3 * u0).scale_qpow(-2) + (u2 * u1).scale(qpow(-4) - 1)).scale_qpow(6)
     assert lhs == rhs
+
+
+def sigma_by_words(x):
+    """Reference sigma: straighten each term's reversed word on its own."""
+    out = pbw.zero()
+    for a, c in x.terms.items():
+        a3, a2, a1, a0 = a
+        word = [0] * a0 + [1] * a1 + [2] * a2 + [3] * a3
+        out = out + pbw.word_product(word).scale(c.bar() * qpow(2 * (3 * a3 + 2 * a2 + a1)))
+    return out
+
+
+def rand_coef(rng):
+    return half_pow(rng.randint(-6, 6)) * rng.randint(-3, 3) + half_pow(rng.randint(-4, 4))
+
+
+def test_sigma_zero():
+    assert pbw.zero().sigma() == pbw.zero()
+    assert pbw.zero().sigma().terms == {}
+
+
+def test_sigma_matches_word_by_word_reference():
+    rng = random.Random(16)
+    blocks = {}
+    for k in (3, 4, 5):
+        for a in dcb.layer_exponents(k):
+            blocks.setdefault(pbw.exp_root_weight(a), []).append(a)
+    wide = [b for b in blocks.values() if len(b) > 2]
+    # sigma(u3 u0) = q^4 u3 u0 + (q^2 - q^6) u2 u1; the u2 u1 term cancels
+    cancel = u3 * u0 + (u2 * u1).scale(qpow(-2) - qpow(2))
+    cases = [pbw.zero(), pbw.one(), cancel]
+    for _ in range(40):
+        # mixed root weights
+        cases.append(pbw.PbwElement({
+            tuple(rng.randint(0, 3) for _ in range(4)): rand_coef(rng)
+            for _ in range(rng.randint(1, 6))}))
+        # one root weight, where the reversed words overlap most
+        block = rng.choice(wide)
+        cases.append(pbw.PbwElement({a: rand_coef(rng) for a in rng.sample(block, rng.randint(2, len(block)))}))
+    assert cancel.sigma().terms == {(1, 0, 0, 1): qpow(4)}
+    for x in cases:
+        assert x.sigma().terms == sigma_by_words(x).terms
+
+
+def test_sigma_matches_reference_on_layers():
+    for k in range(7):
+        for a, elem in dcb.layer_table(k):
+            assert elem.sigma().terms == sigma_by_words(elem).terms
 
 
 def test_p_elements():
