@@ -1,10 +1,10 @@
 """The q = 1 side: the commutative cluster algebra of rank two.
 
 CPoly is a sparse Laurent polynomial in the six symbols
-U3, U2, U1, U0, P0, P1 with rational coefficients; exponents may be
+U3, U2, U1, U0, P0, P1 with integer coefficients; exponents may be
 negative in the U slots (cluster variables are Laurent in the initial
 cluster) while P0 and P1 only ever appear with nonnegative exponents.
-The polynomial ring Q[U0..U3] sits inside as the elements with
+The polynomial ring Z[U0..U3] sits inside as the elements with
 nonnegative exponents and no P symbols; `subs_p` eliminates the P symbols
 via P0 = U2 U0 - U1^2 and P1 = U3 U1 - U2^2.
 
@@ -16,7 +16,6 @@ P0 <-> P1 that reverses the exchange sequence.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -35,12 +34,6 @@ def binomial(n: int, k: int) -> int:
     return num // factorial(k)
 
 
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class CPoly:
     """Sparse commutative Laurent polynomial over U3, U2, U1, U0, P0, P1."""
 
@@ -50,7 +43,8 @@ class CPoly:
         t = {}
         if terms:
             for e, c in terms.items():
-                c = _norm(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"CPoly coefficients are ints, got {c!r}")
                 if c:
                     t[e] = c
         self.terms = t
@@ -65,7 +59,7 @@ class CPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = const(other)
         if not isinstance(other, CPoly):
             return NotImplemented
@@ -78,7 +72,7 @@ class CPoly:
         return CPoly._raw({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -86,7 +80,7 @@ class CPoly:
             if v is None:
                 out[e] = c
             else:
-                v = _norm(v + c)
+                v = v + c
                 if v:
                     out[e] = v
                 else:
@@ -96,7 +90,7 @@ class CPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = const(other)
         return self + (-other)
 
@@ -104,7 +98,7 @@ class CPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         a, b = self.terms, other.terms
         if not a or not b:
@@ -117,15 +111,16 @@ class CPoly:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 v = out.get(e)
                 out[e] = c1 * c2 if v is None else v + c1 * c2
-        return CPoly._raw({e: _norm(c) for e, c in out.items() if c})
+        return CPoly._raw({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "CPoly":
-        c = _norm(c)
+    def scale(self, c: int) -> "CPoly":
+        if not isinstance(c, int):
+            raise TypeError(f"CPoly coefficients are ints, got {c!r}")
         if not c:
             return CPoly._raw({})
-        return CPoly._raw({e: _norm(v * c) for e, v in self.terms.items()})
+        return CPoly._raw({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -171,7 +166,7 @@ class CPoly:
         for e, c in self.terms.items():
             e0 = e[:4] + (0, 0)
             v = out.get(e0)
-            v = c if v is None else _norm(v + c)
+            v = c if v is None else v + c
             if v:
                 out[e0] = v
             elif e0 in out:
@@ -189,7 +184,8 @@ class CPoly:
         return CPoly._raw(out)
 
     def exact_div(self, other: "CPoly") -> "CPoly":
-        """Exact division in the Laurent ring; raises if not divisible.
+        """Exact division in the Laurent ring over Z; raises ValueError
+        ("not divisible") unless the quotient exists there.
 
         Reduction by the lex-leading term of the divisor; termination is
         guarded by a step bound since lex on Laurent exponents is not a
@@ -212,12 +208,13 @@ class CPoly:
             e = max(rem)
             c = rem[e]
             qe = tuple(x - y for x, y in zip(e, lead))
-            qc = Fraction(c) / Fraction(lead_c)
-            quot[qe] = _norm(qc)
+            qc, r = divmod(c, lead_c)
+            if r:
+                raise ValueError("not divisible")
+            quot[qe] = qc
             for e2, c2 in other.terms.items():
                 t = tuple(x + y for x, y in zip(qe, e2))
                 v = rem.get(t, 0) - qc * c2
-                v = _norm(v)
                 if v:
                     rem[t] = v
                 elif t in rem:
@@ -436,7 +433,7 @@ def cluster_monomial(n: int, exponents) -> CPoly:
 
 def chebyshev_basis_element(k: int, kind: str = "S") -> CPoly:
     """The Chebyshev-basis element s_k (kind "S") or t_k (kind "T") in
-    Q[U0..U3], computed through the three-term recursion
+    Z[U0..U3], computed through the three-term recursion
     f_{k+1} = z f_k - P1 P0 f_{k-1} so no square roots appear."""
     if k < 0:
         raise ValueError("needs k >= 0")

@@ -55,7 +55,7 @@ def run_suite(name: str, params: dict) -> dict:
     elif name == "serre":
         entries = free_serre.verify_straightening_mod_serre(mode=mode, seed=seed)
     elif name == "layers":
-        entries = dcb.verify_layers(k_max, seeds=(None, seed + 1, seed + 2))
+        entries = dcb.verify_layers(k_max, seeds=(seed + 1, seed + 2))
     elif name == "recursions":
         entries = dcb.verify_recursions(n_max)
     elif name == "products":
@@ -176,16 +176,23 @@ def cmd_verify(args, parser) -> int:
 
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    if args.cache_dir:
-        os.environ["QCA_CACHE_DIR"] = args.cache_dir
     names = list(SUITES) if args.suite == "all" else [args.suite]
     params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
               "mode": args.mode}
-    if args.jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
-    else:
-        results = [run_suite(n, params) for n in names]
+    saved = os.environ.get("QCA_CACHE_DIR")
+    if args.cache_dir:
+        os.environ["QCA_CACHE_DIR"] = args.cache_dir
+    try:
+        if args.jobs > 1 and len(names) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
+        else:
+            results = [run_suite(n, params) for n in names]
+    finally:
+        if saved is None:
+            os.environ.pop("QCA_CACHE_DIR", None)
+        else:
+            os.environ["QCA_CACHE_DIR"] = saved
     results.sort(key=lambda r: names.index(r["suite"]))
     empty = [r["suite"] for r in results if not r["entries"]]
     if empty:

@@ -295,7 +295,7 @@ class PbwElement:
         return PbwElement._raw(_horner(terms, 3))
 
     def specialize_q1(self):
-        """Image in the commutative polynomial ring Q[U0..U3] at q = 1."""
+        """Image in the commutative polynomial ring Z[U0..U3] at q = 1."""
         from . import classical
 
         out = classical.CPoly()

@@ -17,6 +17,7 @@ holds among abstract torus monomials over L(n).
 from __future__ import annotations
 
 from . import dcb, pbw
+from .dcb import _entry
 from .qarith import LaurentQ, half_pow, lq_one, qpow
 
 
@@ -54,13 +55,6 @@ def seed_exchange_matrix(n: int):
     from .classical import ExchangeMatrix
 
     return ExchangeMatrix([[0, 2], [-2, 0], [n - 3, -n + 4], [n, -n + 1]])
-
-
-def _entry(suite, n, identity, ok, detail=None):
-    e = {"suite": suite, "n": n, "identity": identity, "ok": bool(ok)}
-    if detail:
-        e["detail"] = detail
-    return e
 
 
 def verify_quasi_commutation(n_max: int) -> list:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qkron import classical as cl
@@ -169,3 +171,15 @@ def test_cluster_monomial():
 def test_exact_div_guard():
     with pytest.raises(ValueError):
         (cl.U1 + 1).exact_div(cl.U2 + 1)
+
+
+def test_exact_div_needs_an_integral_quotient():
+    with pytest.raises(ValueError, match="not divisible"):
+        cl.U1.exact_div(cl.U1.scale(2))
+
+
+def test_coefficients_are_ints():
+    with pytest.raises(TypeError):
+        cl.CPoly({(0,) * 6: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        cl.U1.scale(Fraction(1, 2))

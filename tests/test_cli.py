@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -148,7 +149,8 @@ def test_table_layer_cap(capsys):
     assert "max-layer" in err
 
 
-def test_verify_cache_dir(tmp_path, capsys):
+def test_verify_cache_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCA_CACHE_DIR", raising=False)
     # in-process memoized layers would bypass the disk cache; start cold
     for k in (0, 1, 2):
         dcb._LAYER_TABLES.pop(k, None)
@@ -156,9 +158,7 @@ def test_verify_cache_dir(tmp_path, capsys):
                         "--cache-dir", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "layer_2.json").exists()
-    import os
-
-    os.environ.pop("QCA_CACHE_DIR", None)
+    assert "QCA_CACHE_DIR" not in os.environ
     for k in (0, 1, 2):
         dcb._LAYER_TABLES.pop(k, None)
 

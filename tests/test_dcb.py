@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from qkron import dcb, pbw
 from qkron.qarith import lq_one, qpow
 
@@ -171,6 +173,23 @@ def test_expand_in_b_basis():
     x = u3 * u0
     coeffs = dcb.expand_in_b_basis(x, tab)
     assert coeffs == {(1, 0, 0, 1): lq_one(), (0, 1, 1, 0): qpow(2)}
+
+
+def test_expand_in_b_basis_reassembles_products():
+    small = [a for k in range(3) for a in dcb.layer_exponents(k)]
+    for a in small:
+        for b in small:
+            x = B(*a) * B(*b)
+            coeffs = dcb.expand_in_b_basis(x, dcb.layer_table(sum(a) + sum(b)))
+            back = pbw.zero()
+            for c, d in coeffs.items():
+                back = back + B(*c).scale(d)
+            assert back == x, (a, b)
+
+
+def test_expand_in_b_basis_off_layer():
+    with pytest.raises(AssertionError, match=r"B\[\(1, 0, 0, 1\)\]"):
+        dcb.expand_in_b_basis(u3 * u0, dcb.layer_table(3))
 
 
 def test_layer_disk_cache(tmp_path, monkeypatch):
