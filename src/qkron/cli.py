@@ -96,14 +96,6 @@ def _run_suite_star(args):
     return run_suite(*args)
 
 
-def _render_element(elem, fmt: str):
-    if fmt == "json":
-        return json.dumps(elem.to_json_dict())
-    if fmt == "latex":
-        return elem.to_latex()
-    return str(elem)
-
-
 def cmd_compute(args, parser) -> int:
     a = tuple(args.a)
     if any(x < 0 for x in a):
@@ -130,15 +122,12 @@ def cmd_compute(args, parser) -> int:
             print(q1.to_latex())
         else:
             print(q1)
-    if not args.dual_pbw and not args.q1:
-        if args.format == "json":
-            print(json.dumps({"a": list(a), "element": elem.to_json_dict()}))
-        else:
-            print(_render_element(elem, args.format))
-    elif args.format == "json":
+    if args.format == "json":
         out["a"] = list(a)
         out["element"] = elem.to_json_dict()
         print(json.dumps(out))
+    elif not args.dual_pbw and not args.q1:
+        print(elem.to_latex() if args.format == "latex" else elem)
     return EXIT_OK
 
 
@@ -152,12 +141,10 @@ def cmd_product(args, parser) -> int:
               file=sys.stderr)
         return EXIT_RESOURCE
     try:
-        x = dcb.b_element(a, max_layer=args.max_layer) * dcb.b_element(b, max_layer=args.max_layer)
-        tab = dcb.layer_table(k, max_layer=args.max_layer)
-    except (dcb.LayerCapExceeded, RecursionError) as exc:
+        coeffs = dcb.expand_in_b_basis(dcb.b_element(a) * dcb.b_element(b))
+    except RecursionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    coeffs = dcb.expand_in_b_basis(x, tab)
     items = sorted(coeffs.items(), reverse=True)
     if args.format == "json":
         print(json.dumps({"a": list(a), "b": list(b),
@@ -172,27 +159,16 @@ def cmd_product(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    import os
-
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
               "mode": args.mode}
-    saved = os.environ.get("QCA_CACHE_DIR")
-    if args.cache_dir:
-        os.environ["QCA_CACHE_DIR"] = args.cache_dir
-    try:
-        if args.jobs > 1 and len(names) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
-        else:
-            results = [run_suite(n, params) for n in names]
-    finally:
-        if saved is None:
-            os.environ.pop("QCA_CACHE_DIR", None)
-        else:
-            os.environ["QCA_CACHE_DIR"] = saved
+    if args.jobs > 1 and len(names) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
+    else:
+        results = [run_suite(n, params) for n in names]
     results.sort(key=lambda r: names.index(r["suite"]))
     empty = [r["suite"] for r in results if not r["entries"]]
     if empty:
@@ -290,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default=None, help="write the JSON report to a file")
-    v.add_argument("--cache-dir", default=None,
-                   help="layer cache directory (same as QCA_CACHE_DIR)")
 
     t = sub.add_parser("table", help="print cluster variables or a basis layer")
     t.add_argument("kind", choices=("cluster", "layer"))
-    t.add_argument("range", help="N or N..M")
+    # optional here, so that `main` can take a range such as -20..20, which
+    # argparse reads as an unknown option, or one after other options
+    t.add_argument("range", nargs="?", help="N or N..M")
     t.add_argument("--format", choices=("text", "json", "latex"), default="text")
     t.add_argument("--max-layer", type=int, default=8)
     return p
@@ -303,7 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "table" and args.range is None:
+        extra = [x for x in extra if x != "--"]
+        if len(extra) != 1:
+            parser.error("table: expected one range, N or N..M")
+        args.range = extra.pop()
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "compute":
         return cmd_compute(args, parser)
     if args.command == "product":

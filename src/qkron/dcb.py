@@ -3,12 +3,11 @@
 The basis elements B[a], a in N^4, are pinned down by two conditions:
 triangularity B[a] - E[a] in the span of qZ[q] E[b] over b strictly above
 a in the order defined by the cone N(-1,2,-1,0) + N(0,-1,2,-1), and the
-eigenvector property sigma(B[a]) = q^(-N(a)) B[a].  `compute_layer` runs
-the constructive triangular algorithm on a whole total-degree layer;
-`b_element` takes the fast route that strips p0/p1 factors and runs the
-one-step recursions on the diagonal cores.  Both are kept as independent
-in-repo oracles and cross-checked in the tests.  `compute_layer` and
-`expand_in_b_basis` share one back-substitution, `_peel`.
+eigenvector property sigma(B[a]) = q^(-N(a)) B[a].  `b_element` is the one
+route to B[a]; `layer_table` and `expand_in_b_basis` are built on it.
+`compute_layer`, the triangular algorithm on a whole total-degree layer, is
+kept only as the oracle that `verify layers` and the tests check it
+against; the two share one back-substitution, `_peel`.
 
 Exponent tuples are (a3, a2, a1, a0) throughout.
 """
@@ -18,11 +17,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import threading
 from pathlib import Path
 
 from . import pbw
-from .qarith import LaurentQ, lq_one, qpow, quantum_binom, split_antisymmetric
+from .qarith import LaurentQ, half_pow, lq_one, qpow, quantum_binom, split_antisymmetric
 
 Exp = tuple
 
@@ -72,12 +72,11 @@ class LayerCapExceeded(Exception):
 
 
 class LayerTable:
-    """All B[a] with total(a) = k, plus their dual-PBW expansions."""
+    """All B[a] with total(a) = k."""
 
-    def __init__(self, k: int, entries: dict, expansions: dict):
+    def __init__(self, k: int, entries: dict):
         self.k = k
         self.entries = entries          # a -> PbwElement
-        self.expansions = expansions    # a -> {b: LaurentQ} over the E basis
 
     def __iter__(self):
         return iter(self.entries.items())
@@ -110,15 +109,16 @@ def _linear_extension(block, seed=None):
     return order
 
 
-def _peel(work: dict, expansions: dict) -> dict:
+def _peel(work: dict, expansion_of) -> dict:
     """Back-substitution against known B-expansions: consume the dual-PBW
     combination `work`, always taking its order-lowest key b (largest
     a3 + a0, which nothing else in `work` can reach), and return the
-    coefficients d_b with work = sum d_b B[b], in peel order."""
+    coefficients d_b with work = sum d_b B[b], in peel order, where
+    `expansion_of(b)` is B[b] over the E basis, or None if unknown."""
     out = {}
     while work:
         b = max(work, key=lambda e: (e[0] + e[3], e))
-        exp_b = expansions.get(b)
+        exp_b = expansion_of(b)
         if exp_b is None:
             raise AssertionError(f"back-substitution hit unknown B[{b}]")
         d = work.pop(b)
@@ -134,9 +134,8 @@ def _peel(work: dict, expansions: dict) -> dict:
     return out
 
 
-def check_basis_conditions(a: Exp, elem: pbw.PbwElement) -> dict:
-    """Assert both defining conditions on a candidate B[a]; return its
-    dual-PBW expansion, `expand_in_dual_pbw(elem)`."""
+def check_basis_conditions(a: Exp, elem: pbw.PbwElement):
+    """Assert both defining conditions on a candidate B[a]."""
     coeffs = expand_in_dual_pbw(elem)
     lead = coeffs.get(a)
     if lead != lq_one():
@@ -150,7 +149,6 @@ def check_basis_conditions(a: Exp, elem: pbw.PbwElement) -> dict:
             raise AssertionError(f"B[{a}]: coefficient {c} at {b} is not in qZ[q]")
     if elem.sigma() != elem.scale(qpow(-stat_n(a))):
         raise AssertionError(f"B[{a}] is not a sigma eigenvector with eigenvalue q^{-stat_n(a)}")
-    return coeffs
 
 
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
@@ -175,7 +173,7 @@ def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
                 raise AssertionError(
                     f"sigma(E[{a}]): leading coefficient {lead} != q^{-stat_n(a)}")
             phi_coeffs = {}
-            for b, d in _peel(t, expansions).items():
+            for b, d in _peel(t, expansions.get).items():
                 if not order_leq(a, b):
                     raise AssertionError(f"sigma(E[{a}]) reached {b} outside S({a})")
                 phi = split_antisymmetric(qpow(stat_n(a)) * d)
@@ -195,7 +193,7 @@ def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
                 check_basis_conditions(a, elem)
             entries[a] = elem
             expansions[a] = e_exp
-    return LayerTable(k, entries, expansions)
+    return LayerTable(k, entries)
 
 
 _LZ = LaurentQ._raw({})
@@ -205,17 +203,17 @@ _LAYER_TABLES: dict = {}
 _B_CACHE: dict = {}
 
 
-def layer_table(k: int, max_layer=None) -> LayerTable:
-    """Memoized layer, read through the optional on-disk cache."""
-    if max_layer is not None and k > max_layer:
-        raise LayerCapExceeded(f"layer {k} exceeds cap {max_layer}")
+def layer_table(k: int) -> LayerTable:
+    """Memoized, checked `b_element`s of one layer, via the on-disk cache."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
         cache_dir = os.environ.get("QCA_CACHE_DIR")
         if cache_dir:
             tab = _load_layer(k, cache_dir)
         if tab is None:
-            tab = compute_layer(k)
+            tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
+            for a, elem in tab:
+                check_basis_conditions(a, elem)
             if cache_dir:
                 _save_layer(tab, cache_dir)
         _LAYER_TABLES[k] = tab
@@ -244,26 +242,29 @@ def _save_layer(tab: LayerTable, cache_dir):
 
 
 def _load_layer(k: int, cache_dir):
+    """The cached layer k; None, a miss, if the file is absent, incomplete
+    or unreadable.  An element failing its check raises."""
     path = _layer_path(k, cache_dir)
     if not path.exists():
         return None
-    entries = {}
-    expansions = {}
-    for item in json.loads(path.read_text()):
-        a = tuple(item["a"])
-        elem = pbw.PbwElement.from_json_dict(item["element"])
-        # the cache is advisory: verify on load
-        expansions[a] = check_basis_conditions(a, elem)
-        entries[a] = elem
+    try:
+        entries = {tuple(item["a"]): pbw.PbwElement.from_json_dict(item["element"])
+                   for item in json.loads(path.read_text())}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"warning: ignoring unreadable layer cache {path}: {exc}", file=sys.stderr)
+        return None
+    for a, elem in entries.items():
+        check_basis_conditions(a, elem)  # the cache is advisory: verify on load
     if set(entries) != set(layer_exponents(k)):
         return None
-    return LayerTable(k, entries, expansions)
+    return LayerTable(k, entries)
 
 
 def b_element(a, max_layer=None) -> pbw.PbwElement:
-    """B[a], by the fast route: strip p0/p1 factors, then either a frozen
-    dual-PBW core, the one-step recursions on near-diagonal cores, or a
-    full layer computation.  Convention: any negative coordinate gives 0.
+    """B[a]: strip p0/p1 factors, then either a frozen dual-PBW core, the
+    one-step recursions on near-diagonal cores, or, on any other core
+    (x, 0, 0, w), a quantum cluster monomial, refused if x + w > max_layer.
+    Convention: any negative coordinate gives 0.
     """
     a = tuple(int(x) for x in a)
     if any(x < 0 for x in a):
@@ -287,25 +288,37 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
         x, w = a3, a0
         if x == w:
             n = x
-            res = (b_element((n, 0, 0, n - 1), max_layer) * _U[0]).scale_qpow(n - 1) \
-                - (b_element((n - 1, 1, 0, n - 1), max_layer) * _U[1]).scale_qpow(2 * n)
+            res = (b_element((n, 0, 0, n - 1)) * _U[0]).scale_qpow(n - 1) \
+                - (b_element((n - 1, 1, 0, n - 1)) * _U[1]).scale_qpow(2 * n)
         elif x == w + 1:
             n = x
-            res = (_U[3] * b_element((n - 1, 0, 0, n - 1), max_layer)).scale_qpow(n - 1) \
-                - (_U[2] * b_element((n - 1, 0, 1, n - 2), max_layer)).scale_qpow(2 * n - 1)
+            res = (_U[3] * b_element((n - 1, 0, 0, n - 1))).scale_qpow(n - 1) \
+                - (_U[2] * b_element((n - 1, 0, 1, n - 2))).scale_qpow(2 * n - 1)
         elif w == x + 1:
             n = w
-            res = (b_element((n - 1, 0, 0, n - 1), max_layer) * _U[0]).scale_qpow(n - 1) \
-                - (b_element((n - 2, 1, 0, n - 1), max_layer) * _U[1]).scale_qpow(2 * n - 1)
+            res = (b_element((n - 1, 0, 0, n - 1)) * _U[0]).scale_qpow(n - 1) \
+                - (b_element((n - 2, 1, 0, n - 1)) * _U[1]).scale_qpow(2 * n - 1)
         else:
-            res = layer_table(x + w, max_layer).entries[a]
+            if max_layer is not None and x + w > max_layer:
+                raise LayerCapExceeded(f"layer {x + w} exceeds cap {max_layer}")
+            # the quantum cluster monomial in two adjacent cluster variables
+            # c and c + (1, 0, 0, 1), divided by its E[a] coefficient q^(h/2)
+            d = abs(x - w)
+            m, j = divmod(min(x, w), d)
+            c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
+            res = b_element(c) ** (d - j) * b_element((c[0] + 1, 0, 0, c[3] + 1)) ** j
+            lead = res.terms.get(a, _LZ) * qpow(-stat_b(a))
+            h = min(lead.terms, default=0)
+            if lead != half_pow(h):
+                raise AssertionError(f"B[{a}]: cluster monomial has leading coefficient {lead}")
+            res = res.scale(half_pow(-h))
     _B_CACHE[a] = res
     return res
 
 
-def expand_in_b_basis(x: pbw.PbwElement, tab: LayerTable) -> dict:
-    """Coefficients d_a with x = sum d_a B[a]; x must live on layer tab.k."""
-    return _peel(expand_in_dual_pbw(x), tab.expansions)
+def expand_in_b_basis(x: pbw.PbwElement) -> dict:
+    """Coefficients d_a with x = sum d_a B[a]."""
+    return _peel(expand_in_dual_pbw(x), lambda b: expand_in_dual_pbw(b_element(b)))
 
 
 # -- verification suites -------------------------------------------------------
@@ -556,20 +569,19 @@ def verify_pbw_expansion(n_max: int) -> list:
 
 
 def verify_layers(k_max: int, seeds=(1, 2)) -> list:
-    """Layer-by-layer checks: both basis conditions on every element, the
-    fast path agreeing with the triangular algorithm, and independence of
-    the computed basis from the chosen linear extension."""
+    """Layer-by-layer checks: both basis conditions on every element of
+    `layer_table`, its agreement with the oracle `compute_layer`, and the
+    oracle's independence from the chosen linear extension."""
     report = []
     for k in range(0, k_max + 1):
         tab = layer_table(k)
-        ok = True
         for a, elem in tab:
             check_basis_conditions(a, elem)
-            if b_element(a) != elem:
-                ok = False
+        oracle = compute_layer(k, check=False)
+        ok = tab.entries == oracle.entries
         report.append(_entry("layers", k, "defining conditions + fast-path agreement", ok))
         for s in seeds:
             alt = compute_layer(k, seed=s, check=False)
-            same = alt.entries == tab.entries
+            same = alt.entries == oracle.entries
             report.append(_entry("layers", k, f"basis independent of total order (seed {s})", same))
     return report

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -149,18 +148,34 @@ def test_table_layer_cap(capsys):
     assert "max-layer" in err
 
 
-def test_verify_cache_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QCA_CACHE_DIR", raising=False)
-    # in-process memoized layers would bypass the disk cache; start cold
-    for k in (0, 1, 2):
-        dcb._LAYER_TABLES.pop(k, None)
-    code, out, _ = run(["verify", "layers", "--k-max", "2",
-                        "--cache-dir", str(tmp_path)], capsys)
+def test_table_cluster_negative_range(capsys):
+    code, out, _ = run(["table", "cluster", "-20..20", "--format", "json"], capsys)
     assert code == 0
-    assert (tmp_path / "layer_2.json").exists()
-    assert "QCA_CACHE_DIR" not in os.environ
-    for k in (0, 1, 2):
-        dcb._LAYER_TABLES.pop(k, None)
+    assert [r["n"] for r in json.loads(out)] == list(range(-20, 21))
+    code, out, _ = run(["table", "cluster", "--format", "json", "--", "-3..-1"], capsys)
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)] == [-3, -2, -1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "cluster", "-3..1", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_compute_off_diagonal_core_cap(capsys):
+    # a memoized element is returned without a cap check; start cold
+    for a in ((7, 0, 0, 2), (7, 1, 0, 3)):
+        dcb._B_CACHE.pop(a, None)
+    # the cap applies to the core (7, 0, 0, 2), also when p0 stripping reaches it
+    for a in (["7", "0", "0", "2"], ["7", "1", "0", "3"]):
+        code, out, err = run(["compute", *a], capsys)
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
+    for a in ((7, 0, 0, 2), (7, 1, 0, 3)):
+        code, out, _ = run(["compute", *map(str, a), "--max-layer", "9",
+                            "--format", "json"], capsys)
+        assert code == 0
+        elem = pbw.PbwElement.from_json_dict(json.loads(out)["element"])
+        dcb.check_basis_conditions(a, elem)
 
 
 def test_verify_jobs_parallel(capsys):

@@ -97,15 +97,29 @@ def test_b_element_simple():
 
 def test_b_element_against_layers():
     for k in range(0, 8):
-        tab = dcb.layer_table(k)
+        tab = dcb.compute_layer(k)
         for a, elem in tab:
             assert dcb.b_element(a) == elem
 
 
-def test_b_element_deep_core_uses_layer():
-    a = (3, 0, 0, 1)
-    tab = dcb.compute_layer(4)
-    assert B(*a) == tab.entries[a]
+def _off_diagonal_cores(lo, hi):
+    return [(x, 0, 0, t - x) for t in range(lo, hi + 1) for x in range(1, t)
+            if abs(2 * x - t) >= 2]
+
+
+def test_b_element_cluster_monomial_cores_match_compute_layer():
+    cores = _off_diagonal_cores(4, 10)
+    assert len(cores) == 32
+    for t in range(4, 11):
+        tab = dcb.compute_layer(t, check=False)
+        for a in cores:
+            if sum(a) == t:
+                assert B(*a) == tab.entries[a], a
+
+
+def test_b_element_cluster_monomial_cores_satisfy_conditions():
+    for a in _off_diagonal_cores(11, 16):
+        dcb.check_basis_conditions(a, B(*a))
 
 
 def test_p_shift_identities():
@@ -169,27 +183,46 @@ def test_uniqueness_under_reordering():
 
 
 def test_expand_in_b_basis():
-    tab = dcb.layer_table(2)
     x = u3 * u0
-    coeffs = dcb.expand_in_b_basis(x, tab)
+    coeffs = dcb.expand_in_b_basis(x)
     assert coeffs == {(1, 0, 0, 1): lq_one(), (0, 1, 1, 0): qpow(2)}
 
 
 def test_expand_in_b_basis_reassembles_products():
     small = [a for k in range(3) for a in dcb.layer_exponents(k)]
-    for a in small:
-        for b in small:
-            x = B(*a) * B(*b)
-            coeffs = dcb.expand_in_b_basis(x, dcb.layer_table(sum(a) + sum(b)))
-            back = pbw.zero()
-            for c, d in coeffs.items():
-                back = back + B(*c).scale(d)
-            assert back == x, (a, b)
+    # one product on layer 9, above the CLI's default cap
+    pairs = [(a, b) for a in small for b in small] + [((5, 0, 0, 0), (0, 0, 0, 4))]
+    for a, b in pairs:
+        x = B(*a) * B(*b)
+        coeffs = dcb.expand_in_b_basis(x)
+        back = pbw.zero()
+        for c, d in coeffs.items():
+            back = back + B(*c).scale(d)
+        assert back == x, (a, b)
 
 
-def test_expand_in_b_basis_off_layer():
-    with pytest.raises(AssertionError, match=r"B\[\(1, 0, 0, 1\)\]"):
-        dcb.expand_in_b_basis(u3 * u0, dcb.layer_table(3))
+def test_layer_table_checks_its_entries(monkeypatch):
+    # E[a] is not B[a] off the order-maximal shapes: the check must refuse it
+    monkeypatch.setattr(dcb, "b_element", dcb.dual_pbw)
+    monkeypatch.delenv("QCA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(dcb, "_LAYER_TABLES", {})
+    with pytest.raises(AssertionError):
+        dcb.layer_table(2)
+
+
+def test_verify_layers_compares_with_the_oracle(monkeypatch):
+    compute_layer = dcb.compute_layer
+
+    def tampered(k, seed=None, check=True):
+        tab = compute_layer(k, seed=seed, check=check)
+        if k == 2:
+            tab.entries[(1, 0, 0, 1)] = pbw.zero()
+        return tab
+
+    monkeypatch.setattr(dcb, "compute_layer", tampered)
+    rep = dcb.verify_layers(2)
+    assert [e["ok"] for e in rep if e["n"] == 2][0] is False
+    assert all(e["ok"] for e in rep if e["n"] < 2)
 
 
 def test_layer_disk_cache(tmp_path, monkeypatch):
@@ -214,7 +247,6 @@ def test_layer_cache_write_is_atomic(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
     back = dcb._load_layer(3, tmp_path)
     assert back.entries == tab.entries
-    assert back.expansions == tab.expansions
 
     # concurrent writers: each moves a complete file into place
     old_interval = sys.getswitchinterval()
@@ -260,8 +292,18 @@ def test_layer_cache_rejects_corrupt_entries(tmp_path, monkeypatch):
     dcb._LAYER_TABLES.pop(2, None)
 
 
-def test_layer_cap():
-    import pytest
-
-    with pytest.raises(dcb.LayerCapExceeded):
-        dcb.layer_table(9, max_layer=8)
+def test_truncated_layer_cache_is_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
+    dcb._LAYER_TABLES.pop(2, None)
+    want = dcb.layer_table(2)
+    path = tmp_path / "layer_2.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    dcb._LAYER_TABLES.pop(2, None)
+    assert dcb.layer_table(2).entries == want.entries
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert path.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_2.json"]
+    dcb._LAYER_TABLES.pop(2, None)
