@@ -19,9 +19,16 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
+from .qarith import Terms
+
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
 _NVARS = 6
 _ZERO_EXP = (0,) * _NVARS
+
+
+def _check_int(c):
+    if not isinstance(c, int):
+        raise TypeError(f"CPoly coefficients are ints, got {c!r}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -34,68 +41,21 @@ def binomial(n: int, k: int) -> int:
     return num // factorial(k)
 
 
-class CPoly:
-    """Sparse commutative Laurent polynomial over U3, U2, U1, U0, P0, P1."""
+class CPoly(Terms):
+    """Sparse commutative Laurent polynomial over U3, U2, U1, U0, P0, P1,
+    with int coefficients; an int operand stands for that constant."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        t = {}
         if terms:
-            for e, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError(f"CPoly coefficients are ints, got {c!r}")
-                if c:
-                    t[e] = c
-        self.terms = t
+            for c in terms.values():
+                _check_int(c)
+        super().__init__(terms)
 
     @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = const(other)
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return CPoly._raw({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return CPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _scalar(cls, c: int):
+        return const(c)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -116,11 +76,8 @@ class CPoly:
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "CPoly":
-        if not isinstance(c, int):
-            raise TypeError(f"CPoly coefficients are ints, got {c!r}")
-        if not c:
-            return CPoly._raw({})
-        return CPoly._raw({e: v * c for e, v in self.terms.items()})
+        _check_int(c)
+        return super().scale(c)
 
     def __pow__(self, k: int):
         if k < 0:

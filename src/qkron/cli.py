@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("product", help="expand B[a] * B[b] in the basis")
     pr.add_argument("a", nargs=4, type=int, metavar="A")
     pr.add_argument("b", nargs=4, type=int, metavar="B")
-    pr.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    pr.add_argument("--format", choices=("text", "json"), default="text")
     pr.add_argument("--max-layer", type=int, default=8)
 
     v = sub.add_parser("verify", help="run a verification suite")

@@ -269,6 +269,12 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
     a = tuple(int(x) for x in a)
     if any(x < 0 for x in a):
         return pbw.zero()
+    if max_layer is not None:
+        # the core left by p0/p1 stripping, worked out before the memo so
+        # that the cap never depends on earlier calls
+        x, w = a[0] - min(a[0], a[2]), a[3] - min(a[1], a[3])
+        if x >= 1 and w >= 1 and abs(x - w) >= 2 and x + w > max_layer:
+            raise LayerCapExceeded(f"layer {x + w} exceeds cap {max_layer}")
     hit = _B_CACHE.get(a)
     if hit is not None:
         return hit
@@ -277,10 +283,10 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
         res = pbw.one()
     elif a2 >= 1 and a0 >= 1:
         c = (a3, a2 - 1, a1, a0 - 1)
-        res = (b_element(c, max_layer) * pbw.p0()).scale_qpow(c[1] + 2 * c[2] + 3 * c[3])
+        res = (b_element(c) * pbw.p0()).scale_qpow(c[1] + 2 * c[2] + 3 * c[3])
     elif a3 >= 1 and a1 >= 1:
         c = (a3 - 1, a2, a1 - 1, a0)
-        res = (pbw.p1() * b_element(c, max_layer)).scale_qpow(3 * c[0] + 2 * c[1] + c[2])
+        res = (pbw.p1() * b_element(c)).scale_qpow(3 * c[0] + 2 * c[1] + c[2])
     elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
         res = dual_pbw(a)  # order-maximal shapes: B = E
     else:
@@ -299,8 +305,6 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
             res = (b_element((n - 1, 0, 0, n - 1)) * _U[0]).scale_qpow(n - 1) \
                 - (b_element((n - 2, 1, 0, n - 1)) * _U[1]).scale_qpow(2 * n - 1)
         else:
-            if max_layer is not None and x + w > max_layer:
-                raise LayerCapExceeded(f"layer {x + w} exceeds cap {max_layer}")
             # the quantum cluster monomial in two adjacent cluster variables
             # c and c + (1, 0, 0, 1), divided by its E[a] coefficient q^(h/2)
             d = abs(x - w)

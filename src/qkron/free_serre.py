@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .qarith import LaurentQ, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, Terms, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
@@ -33,50 +33,15 @@ def weight(word) -> tuple:
     return (sum(1 for c in word if c == E1), sum(1 for c in word if c == E2))
 
 
-class FreeElement:
-    """A linear combination of words in E1, E2 with LaurentQ coefficients."""
+class FreeElement(Terms):
+    """A linear combination of words in E1, E2 with LaurentQ coefficients;
+    a word is a tuple of letters 1 and 2."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    t[tuple(w)] = c
-        self.terms = t
+    __slots__ = ()
 
     @classmethod
     def word(cls, letters, coef=None):
         return cls({tuple(letters): coef if coef is not None else lq_one()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return FreeElement({w: -c for w, c in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w)
-            if v is None:
-                out[w] = c
-            else:
-                v = v + c
-                if v:
-                    out[w] = v
-                else:
-                    del out[w]
-        return FreeElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQ)):
@@ -92,17 +57,7 @@ class FreeElement:
                     out[w] = v
                 elif w in out:
                     del out[w]
-        return FreeElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentQ)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "FreeElement":
-        if not c:
-            return FreeElement()
-        return FreeElement({w: c * v for w, v in self.terms.items()})
+        return FreeElement._raw(out)
 
     def weight(self):
         """The common weight of all words, or None if inhomogeneous."""

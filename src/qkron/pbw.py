@@ -25,7 +25,7 @@ word, with no memo table beyond the straightening memo.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, lq_one, qpow
+from .qarith import LaurentQ, Terms, lq_one, qpow
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -152,81 +152,22 @@ def _horner(terms: list, i: int) -> dict:
     return acc
 
 
-class PbwElement:
+class PbwElement(Terms):
     """A linear combination of normal-ordered monomials in u0..u3.
 
     Coefficients are LaurentQ values, integer Laurent polynomials in
-    q^(1/2).
+    q^(1/2); an int operand stands for that multiple of 1.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for a, c in terms.items():
-                if c:
-                    t[a] = c
-        self.terms = t
+    __slots__ = ()
 
     @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = scalar(other)
-        if not isinstance(other, PbwElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((a, c) for a, c in self.terms.items()))
-
-    def __neg__(self):
-        return PbwElement._raw({a: -c for a, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = scalar(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            v = out.get(a)
-            if v is None:
-                out[a] = c
-            else:
-                v = v + c
-                if v:
-                    out[a] = v
-                else:
-                    del out[a]
-        return PbwElement._raw(out)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = scalar(other)
-        return self + (-other)
-
-    def scale(self, c) -> "PbwElement":
-        """Multiply by a central coefficient (LaurentQ or int)."""
-        if isinstance(c, int):
-            c = LaurentQ.from_int(c)
-        if not c:
-            return PbwElement._raw({})
-        return PbwElement._raw({a: c * v for a, v in self.terms.items()})
+    def _scalar(cls, c: int):
+        return scalar(c)
 
     def scale_qpow(self, k: int) -> "PbwElement":
         """Multiply by q^k."""
         return self.scale(qpow(k))
-
-    def times_gen(self, i: int) -> "PbwElement":
-        """Right multiplication by the generator u_i."""
-        return PbwElement._raw(_terms_times_gen(self.terms, i))
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQ)):
@@ -247,11 +188,6 @@ class PbwElement:
                 elif a in out:
                     del out[a]
         return PbwElement._raw(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentQ)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
@@ -483,10 +419,6 @@ def p0() -> PbwElement:
 def p1() -> PbwElement:
     """The quantized frozen variable p1 = u3 u1 - q^2 u2^2."""
     return PbwElement._raw({(1, 0, 1, 0): _ONE, (0, 2, 0, 0): -qpow(2)})
-
-
-def exp_total(a: Exp) -> int:
-    return a[0] + a[1] + a[2] + a[3]
 
 
 def exp_root_weight(a: Exp):

@@ -5,6 +5,11 @@ arbitrary-precision integer coefficients, quantum integers, binomials and
 factorials, and the bar involution q -> q^(-1).  There is no floating point
 anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`.
 
+:class:`Terms` is the one sparse-sum format of the algebra element types
+(``pbw.PbwElement``, ``classical.CPoly``, ``free_serre.FreeElement`` and
+``qseed.TorusElement``): a dict from monomial keys to nonzero
+coefficients, with the module operations that never look inside a key.
+
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
 q^(h/2).  Elements of Z[q, q^(-1)] are exactly those whose keys are all
@@ -280,6 +285,87 @@ class LaurentQ:
             prev = out.get(h, 0)
             out[h] = prev + c
         return cls(out)
+
+
+class Terms:
+    """A finite sum of monomials: ``terms`` maps each monomial key to its
+    nonzero coefficient.  A subclass adds the product of keys and its text
+    forms; ``_scalar(c)`` is its element c * 1 if it takes int operands,
+    and ``_like`` builds a result of the same kind."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _raw(cls, terms):
+        # internal: terms already trimmed to nonzero coefficients, never aliased
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    def _like(self, terms):
+        return self._raw(terms)
+
+    @classmethod
+    def _scalar(cls, c: int):
+        return None
+
+    def _operand(self, other):
+        """other as an element of self's ring, or None if it is not one."""
+        if isinstance(other, int):
+            return self._scalar(other)
+        return other if isinstance(other, type(self)) else None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k)
+            if v is None:
+                out[k] = c
+            else:
+                v = v + c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """Multiply every coefficient by c (a coefficient or an int)."""
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c) if isinstance(c, (int, LaurentQ)) else NotImplemented
 
 
 _TERM_RE = re.compile(

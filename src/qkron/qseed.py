@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import dcb, pbw
 from .dcb import _entry
-from .qarith import LaurentQ, half_pow, lq_one, qpow
+from .qarith import LaurentQ, Terms, half_pow, lq_one, qpow
 
 
 def x_var(n: int) -> pbw.PbwElement:
@@ -109,65 +109,42 @@ def verify_quantum_exchange(n_max: int) -> list:
     return report
 
 
-class TorusElement:
+class TorusElement(Terms):
     """An element of the quantum torus on (X_n, X_{n+1}, Y_0, Y_1) with
     skew matrix L(n).
 
-    Monomial keys are Z^4 exponent vectors; the stored monomial x^a is the
+    Monomial keys are Z^4 exponent tuples; the stored monomial x^a is the
     normalized M(a), so multiplication follows
     x^a x^b = q^((1/2) sum_{i>j} (a_i b_j - a_j b_i) L_ij) x^(a+b).
+    Elements over different n do not mix: sums and products raise
+    ValueError, and they compare unequal.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[tuple(e)] = c
-        self.terms = t
+        super().__init__(terms)
 
-    def _check(self, other):
-        if self.n != other.n:
+    def _like(self, terms):
+        out = self._raw(terms)
+        out.n = self.n
+        return out
+
+    def _operand(self, other):
+        if isinstance(other, TorusElement) and self.n != other.n:
             raise ValueError("torus elements over different L matrices")
-
-    def __bool__(self):
-        return bool(self.terms)
+        return super()._operand(other)
 
     def __eq__(self, other):
         return isinstance(other, TorusElement) and self.n == other.n and self.terms == other.terms
-
-    def __neg__(self):
-        return TorusElement(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return TorusElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TorusElement":
-        return TorusElement(self.n, {e: c * v for e, v in self.terms.items()})
 
     def scale_qpow(self, k: int) -> "TorusElement":
         return self.scale(qpow(k))
 
     def __mul__(self, other):
-        self._check(other)
+        if self._operand(other) is None:
+            return NotImplemented
         L = l_matrix(self.n)
         out = {}
         for a, ca in self.terms.items():
@@ -184,7 +161,7 @@ class TorusElement:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return TorusElement(self.n, out)
+        return self._like(out)
 
     def inverse(self) -> "TorusElement":
         """Inverse of a single monomial: M(e)^-1 = M(-e), and a coefficient

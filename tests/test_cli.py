@@ -83,6 +83,14 @@ def test_product_layer_cap(capsys):
     assert "max-layer" in err
 
 
+def test_product_latex_exits_2(capsys):
+    # product renders text and JSON only; latex is not an accepted format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["product", "1", "0", "0", "0", "0", "0", "0", "1", "--format", "latex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
 def test_verify_bogus_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus"])
@@ -162,20 +170,22 @@ def test_table_cluster_negative_range(capsys):
 
 
 def test_compute_off_diagonal_core_cap(capsys):
-    # a memoized element is returned without a cap check; start cold
-    for a in ((7, 0, 0, 2), (7, 1, 0, 3)):
-        dcb._B_CACHE.pop(a, None)
-    # the cap applies to the core (7, 0, 0, 2), also when p0 stripping reaches it
-    for a in (["7", "0", "0", "2"], ["7", "1", "0", "3"]):
-        code, out, err = run(["compute", *a], capsys)
-        assert code == 3
-        assert out == "" and err.startswith("error: ")
+    # the cap applies to the core (7, 0, 0, 2), also when p0 stripping
+    # reaches it, and still after the element was computed in this process
+    def refused():
+        for a in (["7", "0", "0", "2"], ["7", "1", "0", "3"]):
+            code, out, err = run(["compute", *a], capsys)
+            assert code == 3
+            assert out == "" and err.startswith("error: ")
+
+    refused()
     for a in ((7, 0, 0, 2), (7, 1, 0, 3)):
         code, out, _ = run(["compute", *map(str, a), "--max-layer", "9",
                             "--format", "json"], capsys)
         assert code == 0
         elem = pbw.PbwElement.from_json_dict(json.loads(out)["element"])
         dcb.check_basis_conditions(a, elem)
+    refused()
 
 
 def test_verify_jobs_parallel(capsys):

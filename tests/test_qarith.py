@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qkron import classical, free_serre, pbw, qseed
 from qkron.qarith import (
     LaurentQ,
+    Terms,
     bar,
     half_pow,
     lq_one,
@@ -147,3 +150,59 @@ def test_eval_q():
     assert quantum_int(3).eval_q(2) == Fraction(4) + 1 + Fraction(1, 4)
     with pytest.raises(ValueError):
         half_pow(1).eval_q(2)
+
+
+# one element of each sparse-sum type, built from two summands x and y,
+# and whether an int operand stands for that multiple of 1
+TERMS_CASES = {
+    "PbwElement": (lambda: (pbw.p0() + 2, pbw.generator(3).scale_qpow(1)), True),
+    "CPoly": (lambda: (classical.z_poly() - 3, classical.U2 * 5), True),
+    "FreeElement": (lambda: (free_serre.serre_relators()[0],
+                             free_serre.FreeElement({(2, 1): -qpow(1)})), False),
+    "TorusElement": (lambda: (qseed.torus_gen(2, 0) + qseed.torus_gen(2, 3).scale(half_pow(3)),
+                              qseed.torus_gen(2, 1)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(TERMS_CASES))
+def test_terms_module_operations(name):
+    make, takes_ints = TERMS_CASES[name]
+    x, y = make()
+    assert isinstance(x, Terms) and type(x).__name__ == name
+    for zero in (x - x, x + (-x), x.scale(0), -x + x):
+        assert zero.terms == {} and not zero
+    total = (x + y) - y
+    assert total == x and 0 not in total.terms.values()
+    assert -(-x) == x
+    assert x + y == y + x and x.scale(-1) == -x
+    if takes_ints:
+        assert 1 + x - x == 1 and x - x == 0 and x + 0 == x
+        assert (3 - x) + x == 3 and x != 1
+    else:
+        with pytest.raises(TypeError):
+            x + 1
+
+
+def test_torus_elements_over_different_matrices_do_not_mix():
+    x, y = qseed.torus_gen(2, 0), qseed.torus_gen(3, 0)
+    assert x.terms == y.terms and x != y
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(ValueError, match="different L matrices"):
+            op()
+    assert (x + x).n == 2 and (-x).n == 2 and x.scale(2).n == 2
+
+
+def test_tracer_wraps_and_restores_methods(monkeypatch):
+    # the benchmark's tracer wraps LaurentQ and PbwElement methods read from
+    # each class's own __dict__; install raises KeyError if one moved to a base
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    add = LaurentQ.__dict__.get("__add__")
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        assert LaurentQ.__dict__["__add__"] is not add
+    finally:
+        tracer.uninstall()
+    assert LaurentQ.__dict__["__add__"] is add
