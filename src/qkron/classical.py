@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .qarith import Terms
+from .qarith import Terms, add_into
 
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
 _NVARS = 6
@@ -121,13 +121,7 @@ class CPoly(Terms):
         """Set P0 = P1 = 1 (drop the P exponents)."""
         out = {}
         for e, c in self.terms.items():
-            e0 = e[:4] + (0, 0)
-            v = out.get(e0)
-            v = c if v is None else v + c
-            if v:
-                out[e0] = v
-            elif e0 in out:
-                del out[e0]
+            add_into(out, {e[:4] + (0, 0): c})
         return CPoly._raw(out)
 
     def shift_seed_down(self) -> "CPoly":
@@ -169,13 +163,8 @@ class CPoly(Terms):
             if r:
                 raise ValueError("not divisible")
             quot[qe] = qc
-            for e2, c2 in other.terms.items():
-                t = tuple(x + y for x, y in zip(qe, e2))
-                v = rem.get(t, 0) - qc * c2
-                if v:
-                    rem[t] = v
-                elif t in rem:
-                    del rem[t]
+            add_into(rem, {tuple(x + y for x, y in zip(qe, e2)): c2
+                           for e2, c2 in other.terms.items()}, -qc)
         return CPoly._raw(quot)
 
     def __str__(self):

@@ -178,8 +178,12 @@ def cmd_verify(args, parser) -> int:
     report = {"ok": all(r["ok"] for r in results), "suites": results}
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     return EXIT_OK if report["ok"] else EXIT_IDENTITY
@@ -187,13 +191,13 @@ def cmd_verify(args, parser) -> int:
 
 def _parse_range(text: str, parser):
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        v = int(text)
-        return v, v
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         parser.error(f"bad range {text!r}; expected N or N..M")
+    if lo > hi:
+        parser.error(f"empty range {text!r}; expected N..M with N <= M")
+    return lo, hi
 
 
 def cmd_table(args, parser) -> int:
@@ -216,12 +220,13 @@ def cmd_table(args, parser) -> int:
                     print(f"U_{r['n']} (laurent)    = {r['laurent']}")
                     print(f"U_{r['n']} (polynomial) = {r['polynomial']}")
     else:
+        if lo < 0:
+            parser.error("layer index must be non-negative")
+        if hi > args.max_layer:
+            print(f"error: layer {max(lo, args.max_layer + 1)} > --max-layer {args.max_layer}",
+                  file=sys.stderr)
+            return EXIT_RESOURCE
         for k in range(lo, hi + 1):
-            if k < 0:
-                parser.error("layer index must be non-negative")
-            if k > args.max_layer:
-                print(f"error: layer {k} > --max-layer {args.max_layer}", file=sys.stderr)
-                return EXIT_RESOURCE
             tab = dcb.layer_table(k)
             for a in sorted(tab.entries, reverse=True):
                 rows.append({"a": a, "element": tab.entries[a]})

@@ -22,7 +22,8 @@ import threading
 from pathlib import Path
 
 from . import pbw
-from .qarith import LaurentQ, half_pow, lq_one, qpow, quantum_binom, split_antisymmetric
+from .qarith import (LaurentQ, add_into, half_pow, lq_one, lq_zero, qpow, quantum_binom,
+                     split_antisymmetric)
 
 Exp = tuple
 
@@ -114,23 +115,19 @@ def _peel(work: dict, expansion_of) -> dict:
     combination `work`, always taking its order-lowest key b (largest
     a3 + a0, which nothing else in `work` can reach), and return the
     coefficients d_b with work = sum d_b B[b], in peel order, where
-    `expansion_of(b)` is B[b] over the E basis, or None if unknown."""
+    `expansion_of(b)` is B[b] over the E basis, or None if unknown; an
+    expansion whose E[b] coefficient is not 1 raises."""
     out = {}
     while work:
         b = max(work, key=lambda e: (e[0] + e[3], e))
         exp_b = expansion_of(b)
         if exp_b is None:
             raise AssertionError(f"back-substitution hit unknown B[{b}]")
-        d = work.pop(b)
-        out[b] = d
-        for c_exp, c_val in exp_b.items():
-            if c_exp == b:
-                continue
-            v = work.get(c_exp, _LZ) - d * c_val
-            if v:
-                work[c_exp] = v
-            elif c_exp in work:
-                del work[c_exp]
+        lead = exp_b.get(b)
+        if lead != lq_one():
+            raise AssertionError(f"back-substitution: B[{b}] has E[{b}] coefficient {lead}, not 1")
+        d = out[b] = work.pop(b)
+        add_into(work, {e: v for e, v in exp_b.items() if e != b}, -d)
     return out
 
 
@@ -182,21 +179,13 @@ def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
             # assemble B[a] = E[a] + sum phi_b B[b] in the E basis
             e_exp = {a: lq_one()}
             for b, phi in phi_coeffs.items():
-                for c_exp, c_val in expansions[b].items():
-                    v = e_exp.get(c_exp, _LZ) + phi * c_val
-                    if v:
-                        e_exp[c_exp] = v
-                    elif c_exp in e_exp:
-                        del e_exp[c_exp]
+                add_into(e_exp, expansions[b], phi)
             elem = _from_dual_pbw(e_exp)
             if check:
                 check_basis_conditions(a, elem)
             entries[a] = elem
             expansions[a] = e_exp
     return LayerTable(k, entries)
-
-
-_LZ = LaurentQ._raw({})
 
 # memo tables; idempotent writes keep concurrent use deterministic
 _LAYER_TABLES: dict = {}
@@ -311,7 +300,7 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
             m, j = divmod(min(x, w), d)
             c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
             res = b_element(c) ** (d - j) * b_element((c[0] + 1, 0, 0, c[3] + 1)) ** j
-            lead = res.terms.get(a, _LZ) * qpow(-stat_b(a))
+            lead = res.terms.get(a, lq_zero()) * qpow(-stat_b(a))
             h = min(lead.terms, default=0)
             if lead != half_pow(h):
                 raise AssertionError(f"B[{a}]: cluster monomial has leading coefficient {lead}")
@@ -548,11 +537,7 @@ def pbw_expansion_formula(n: int) -> dict:
                     if (k + l + s + r + 1) % 2:
                         coef = -coef
                     exp = (s, n + 2 - 2 * s + r, n - 1 - 2 * r + s, r)
-                    v = acc.get(exp, _LZ) + coef
-                    if v:
-                        acc[exp] = v
-                    elif exp in acc:
-                        del acc[exp]
+                    add_into(acc, {exp: coef})
     out = {}
     for exp, c in acc.items():
         if min(exp) < 0:

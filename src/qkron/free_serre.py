@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .qarith import LaurentQ, Terms, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, Terms, add_into, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
@@ -48,15 +48,7 @@ class FreeElement(Terms):
             return self.scale(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                v = out.get(w)
-                v = c if v is None else v + c
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
+            add_into(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         return FreeElement._raw(out)
 
     def weight(self):
@@ -261,23 +253,8 @@ def _laurent_reduce(row, combo, scale, basis):
             return row, combo, scale
         prow, pcombo = piv
         a, b = row[lw], prow[lw]
-        new_row = {}
-        for word, c in row.items():
-            new_row[word] = b * c
-        for word, c in prow.items():
-            v = new_row.get(word, _LZERO) - a * c
-            if v:
-                new_row[word] = v
-            elif word in new_row:
-                del new_row[word]
-        new_combo = {i: b * c for i, c in combo.items()}
-        for i, c in pcombo.items():
-            v = new_combo.get(i, _LZERO) - a * c
-            if v:
-                new_combo[i] = v
-            elif i in new_combo:
-                del new_combo[i]
-        row, combo = new_row, new_combo
+        row = add_into({word: b * c for word, c in row.items()}, prow, -a)
+        combo = add_into({i: b * c for i, c in combo.items()}, pcombo, -a)
         if scale is not None:
             scale = b * scale
             if row:
@@ -287,9 +264,6 @@ def _laurent_reduce(row, combo, scale, basis):
         elif row:
             _strip_content((row, combo))
     return row, combo, scale
-
-
-_LZERO = LaurentQ._raw({})
 
 
 def expand_certificate(certificate) -> FreeElement:
@@ -336,14 +310,7 @@ def _int_reduce(row, basis):
         a, b = row[lw], piv[lw]
         g = gcd(a, b)
         ca, cb = b // g, a // g
-        new = {w: ca * v for w, v in row.items()}
-        for w, v in piv.items():
-            nv = new.get(w, 0) - cb * v
-            if nv:
-                new[w] = nv
-            elif w in new:
-                del new[w]
-        row = new
+        row = add_into({w: ca * v for w, v in row.items()}, piv, -cb)
         if row:
             g = 0
             for v in row.values():

@@ -25,7 +25,7 @@ word, with no memo table beyond the straightening memo.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, lq_one, qpow
+from .qarith import LaurentQ, Terms, add_into, lq_one, qpow
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -75,13 +75,7 @@ _GEN_CACHE: dict = {}
 def _terms_times_gen(terms: dict, j: int) -> dict:
     out = {}
     for a, c in terms.items():
-        for b, d in _mono_times_gen(a, j).items():
-            v = out.get(b)
-            v = c * d if v is None else v + c * d
-            if v:
-                out[b] = v
-            elif b in out:
-                del out[b]
+        add_into(out, _mono_times_gen(a, j), c)
     return out
 
 
@@ -98,22 +92,9 @@ def _mono_times_gen(a: Exp, j: int) -> dict:
         head = _dec(a, i)
         res = {b: _QM2 * c for b, c in _terms_times_gen(_mono_times_gen(head, j), i).items()}
         if j - i == 2:
-            corr = _terms_times_gen(_terms_times_gen({head: _ONE}, i + 1), i + 1)
-            scale = _CORR2
+            add_into(res, _terms_times_gen(_terms_times_gen({head: _ONE}, i + 1), i + 1), _CORR2)
         elif j - i == 3:
-            corr = _terms_times_gen(_terms_times_gen({head: _ONE}, 2), 1)
-            scale = _CORR3
-        else:
-            corr = None
-            scale = None
-        if corr:
-            for b, c in corr.items():
-                v = res.get(b)
-                v = scale * c if v is None else v + scale * c
-                if v:
-                    res[b] = v
-                elif b in res:
-                    del res[b]
+            add_into(res, _terms_times_gen(_terms_times_gen({head: _ONE}, 2), 1), _CORR3)
     _GEN_CACHE[key] = res
     return res
 
@@ -142,13 +123,7 @@ def _horner(terms: list, i: int) -> dict:
             acc = _terms_times_gen(acc, i)
         part = groups.get(e)
         if part:
-            for b, c in _horner(part, i - 1).items():
-                v = acc.get(b)
-                v = c if v is None else v + c
-                if v:
-                    acc[b] = v
-                elif b in acc:
-                    del acc[b]
+            add_into(acc, _horner(part, i - 1))
     return acc
 
 
@@ -180,13 +155,7 @@ class PbwElement(Terms):
             for i, e in zip((3, 2, 1, 0), b):
                 for _ in range(e):
                     t = _terms_times_gen(t, i)
-            for a, d in t.items():
-                v = out.get(a)
-                v = c * d if v is None else v + c * d
-                if v:
-                    out[a] = v
-                elif a in out:
-                    del out[a]
+            add_into(out, t, c)
         return PbwElement._raw(out)
 
     def __pow__(self, k: int):

@@ -5,10 +5,13 @@ arbitrary-precision integer coefficients, quantum integers, binomials and
 factorials, and the bar involution q -> q^(-1).  There is no floating point
 anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`.
 
-:class:`Terms` is the one sparse-sum format of the algebra element types
-(``pbw.PbwElement``, ``classical.CPoly``, ``free_serre.FreeElement`` and
-``qseed.TorusElement``): a dict from monomial keys to nonzero
-coefficients, with the module operations that never look inside a key.
+:class:`Terms` is the one sparse-sum format: a dict from monomial keys to
+nonzero coefficients, with the module operations that never look inside a
+key.  :class:`LaurentQ` and the algebra element types (``pbw.PbwElement``,
+``classical.CPoly``, ``free_serre.FreeElement`` and ``qseed.TorusElement``)
+subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
+c * (a coefficient dict) into another goes through it, so that no zero
+coefficient is ever stored; only ``LaurentQ.__add__`` keeps its own.
 
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
@@ -24,15 +27,104 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class LaurentQ:
+def add_into(out: dict, terms: dict, c=None) -> dict:
+    """Add c * terms (terms itself if c is None) into the coefficient dict
+    out in place, storing no zero coefficient, and return out."""
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        w = out.get(k)
+        if w is not None:
+            v = w + v
+        if v:
+            out[k] = v
+        elif w is not None:
+            del out[k]
+    return out
+
+
+class Terms:
+    """A finite sum of monomials: ``terms`` maps each monomial key to its
+    nonzero coefficient; its sum merges through `add_into`.  A subclass
+    adds the product of keys and its text forms; ``_scalar(c)`` is
+    its element c * 1 if it takes int operands, and ``_like`` builds a
+    result of the same kind."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _raw(cls, terms):
+        # internal: terms already trimmed to nonzero coefficients, never aliased
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    def _like(self, terms):
+        return self._raw(terms)
+
+    @classmethod
+    def _scalar(cls, c: int):
+        return None
+
+    def _operand(self, other):
+        """other as an element of self's ring, or None if it is not one."""
+        if isinstance(other, int):
+            return self._scalar(other)
+        return other if isinstance(other, type(self)) else None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._like(add_into(dict(self.terms), other.terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """Multiply every coefficient by c (a coefficient or an int)."""
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c) if isinstance(c, (int, LaurentQ)) else NotImplemented
+
+
+class LaurentQ(Terms):
     """A sparse Laurent polynomial in q^(1/2) over the integers.
 
     The canonical text form lists terms in decreasing exponent order, with
     exponents printed as ``q^k`` (``q^-k`` for negatives) and ``q^(k/2)``
-    for odd half-steps, e.g. ``q^2 + 1 + q^-2``.
+    for odd half-steps, e.g. ``q^2 + 1 + q^-2``.  Its ring operators
+    live in this class, where the benchmark tracer wraps them, and its sum
+    merges inline rather than through `add_into`: it is the hottest call.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         t = {}
@@ -45,36 +137,17 @@ class LaurentQ:
         self.terms = t
 
     @classmethod
-    def _raw(cls, terms):
-        # internal: terms already trimmed to nonzero ints, never aliased
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
     def from_int(cls, c: int) -> "LaurentQ":
         return cls._raw({0: c} if c else {})
 
+    _scalar = from_int
+
     # -- ring operations ---------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return LaurentQ._raw({h: -c for h, c in self.terms.items()})
-
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is not LaurentQ:
+            if not isinstance(other, int):
+                return NotImplemented
             other = LaurentQ.from_int(other)
         out = dict(self.terms)
         for h, c in other.terms.items():
@@ -285,87 +358,6 @@ class LaurentQ:
             prev = out.get(h, 0)
             out[h] = prev + c
         return cls(out)
-
-
-class Terms:
-    """A finite sum of monomials: ``terms`` maps each monomial key to its
-    nonzero coefficient.  A subclass adds the product of keys and its text
-    forms; ``_scalar(c)`` is its element c * 1 if it takes int operands,
-    and ``_like`` builds a result of the same kind."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
-
-    @classmethod
-    def _raw(cls, terms):
-        # internal: terms already trimmed to nonzero coefficients, never aliased
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    def _like(self, terms):
-        return self._raw(terms)
-
-    @classmethod
-    def _scalar(cls, c: int):
-        return None
-
-    def _operand(self, other):
-        """other as an element of self's ring, or None if it is not one."""
-        if isinstance(other, int):
-            return self._scalar(other)
-        return other if isinstance(other, type(self)) else None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            else:
-                v = v + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        """Multiply every coefficient by c (a coefficient or an int)."""
-        if not c:
-            return self._like({})
-        return self._like({k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c) if isinstance(c, (int, LaurentQ)) else NotImplemented
 
 
 _TERM_RE = re.compile(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import dcb, pbw
 from .dcb import _entry
-from .qarith import LaurentQ, Terms, half_pow, lq_one, qpow
+from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow
 
 
 def x_var(n: int) -> pbw.PbwElement:
@@ -148,19 +148,14 @@ class TorusElement(Terms):
         L = l_matrix(self.n)
         out = {}
         for a, ca in self.terms.items():
+            row = {}
             for b, cb in other.terms.items():
                 h = 0
                 for i in range(4):
                     for j in range(i):
                         h += (a[i] * b[j] - a[j] * b[i]) * L[i][j]
-                e = tuple(x + y for x, y in zip(a, b))
-                c = ca * cb * half_pow(h)
-                v = out.get(e)
-                v = c if v is None else v + c
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+                row[tuple(x + y for x, y in zip(a, b))] = cb * half_pow(h)
+            add_into(out, row, ca)
         return self._like(out)
 
     def inverse(self) -> "TorusElement":

@@ -125,6 +125,16 @@ def test_verify_out_file(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def test_verify_out_unwritable_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(["verify", "pbw-expansion", "--n-max", "1", "--out", str(out_path)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out_path.parent.exists()
+
+
 def test_table_cluster(capsys):
     code, out, _ = run(["table", "cluster", "4..4"], capsys)
     assert code == 0
@@ -138,9 +148,12 @@ def test_table_layer(capsys):
 
 
 def test_table_empty_range(capsys):
-    code, out, _ = run(["table", "cluster", "6..4"], capsys)
-    assert code == 0
-    assert out.strip() == ""
+    for kind, text in (("cluster", "6..4"), ("layer", "5..3")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", kind, text])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "empty range" in out.err
 
 
 def test_table_bad_range(capsys):
@@ -154,6 +167,15 @@ def test_table_layer_cap(capsys):
     code, _, err = run(["table", "layer", "9", "--max-layer", "8"], capsys)
     assert code == 3
     assert "max-layer" in err
+
+
+def test_table_layer_cap_is_checked_before_any_layer(monkeypatch, capsys):
+    def refuse(k):
+        raise AssertionError(f"layer {k} computed before the cap check")
+
+    monkeypatch.setattr(dcb, "layer_table", refuse)
+    code, out, err = run(["table", "layer", "0..9"], capsys)
+    assert (code, out, err) == (3, "", "error: layer 9 > --max-layer 8\n")
 
 
 def test_table_cluster_negative_range(capsys):

@@ -201,6 +201,22 @@ def test_expand_in_b_basis_reassembles_products():
         assert back == x, (a, b)
 
 
+@pytest.mark.parametrize("lead", [2, None])
+def test_peel_rejects_an_expansion_whose_lead_is_not_one(lead):
+    # back-substitution against a tampered B[1,0,1,0]: its E[1,0,1,0]
+    # coefficient set to 2, or dropped, must raise rather than loop
+    a = (1, 0, 1, 0)
+    good = dcb.expand_in_dual_pbw(B(*a))
+    assert dcb._peel(dict(good), {a: good}.get) == {a: lq_one()}
+    bad = dict(good)
+    if lead is None:
+        del bad[a]
+    else:
+        bad[a] = lq_one() * lead
+    with pytest.raises(AssertionError, match="back-substitution"):
+        dcb._peel(dict(good), {a: bad}.get)
+
+
 def test_layer_table_checks_its_entries(monkeypatch):
     # E[a] is not B[a] off the order-maximal shapes: the check must refuse it
     monkeypatch.setattr(dcb, "b_element", dcb.dual_pbw)

@@ -155,6 +155,7 @@ def test_eval_q():
 # one element of each sparse-sum type, built from two summands x and y,
 # and whether an int operand stands for that multiple of 1
 TERMS_CASES = {
+    "LaurentQ": (lambda: (qpow(1) + 2, half_pow(3) * 5), True),
     "PbwElement": (lambda: (pbw.p0() + 2, pbw.generator(3).scale_qpow(1)), True),
     "CPoly": (lambda: (classical.z_poly() - 3, classical.U2 * 5), True),
     "FreeElement": (lambda: (free_serre.serre_relators()[0],
@@ -181,6 +182,13 @@ def test_terms_module_operations(name):
     else:
         with pytest.raises(TypeError):
             x + 1
+
+
+def test_laurent_and_pbw_do_not_mix():
+    for op in (lambda: pbw.one() - qpow(1), lambda: qpow(1) + pbw.one(),
+               lambda: qpow(1) - pbw.one()):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_torus_elements_over_different_matrices_do_not_mix():
