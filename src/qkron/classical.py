@@ -22,6 +22,7 @@ from math import factorial
 from .qarith import Terms, add_into
 
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
+_LATEX_VARS = ("U_3", "U_2", "U_1", "U_0", "P_0", "P_1")
 _NVARS = 6
 _ZERO_EXP = (0,) * _NVARS
 
@@ -167,53 +168,27 @@ class CPoly(Terms):
                            for e2, c2 in other.terms.items()}, -qc)
         return CPoly._raw(quot)
 
+    def _term(self, e, c, latex):
+        if latex:
+            mono = "".join([n if x == 1 else f"{n}^{{{x}}}" for n, x in zip(_LATEX_VARS, e) if x])
+        else:
+            mono = "*".join([n if x == 1 else f"{n}^{x}" for n, x in zip(VARS, e) if x])
+        neg = c < 0
+        mag = -c if neg else c
+        if not mono:
+            return neg, str(mag)
+        if mag == 1:
+            return neg, mono
+        return neg, f"{mag}{mono}" if latex else f"{mag}*{mono}"
+
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            neg = c < 0
-            mag = -c if neg else c
-            factors = []
-            for name, exp in zip(VARS, e):
-                if exp == 1:
-                    factors.append(name)
-                elif exp:
-                    factors.append(f"{name}^{exp}")
-            mono = "*".join(factors) if factors else "1"
-            if mag == 1:
-                body = mono
-            elif mono == "1":
-                body = str(mag)
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(("-" + body) if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return self._render()
 
     def __repr__(self):
         return f"CPoly({self})"
 
     def to_latex(self) -> str:
-        names = ("U_3", "U_2", "U_1", "U_0", "P_0", "P_1")
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            neg = c < 0
-            mag = -c if neg else c
-            mono = "".join(
-                n + (f"^{{{exp}}}" if exp != 1 else "")
-                for n, exp in zip(names, e) if exp
-            ) or "1"
-            body = mono if mag == 1 else f"{mag}{mono}"
-            sign = "-" if neg else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+        return self._render(latex=True)
 
 
 def const(c) -> CPoly:

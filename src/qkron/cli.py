@@ -8,6 +8,7 @@ failed, 2 usage error, 3 a resource cap was hit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -161,31 +162,30 @@ def cmd_product(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
-              "mode": args.mode}
-    if args.jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
-    else:
-        results = [run_suite(n, params) for n in names]
-    results.sort(key=lambda r: names.index(r["suite"]))
-    empty = [r["suite"] for r in results if not r["entries"]]
-    if empty:
-        print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
-              file=sys.stderr)
+    # open --out before any suite runs, so that a path that cannot be
+    # written fails at once; the report is written when every suite is done
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = {"ok": all(r["ok"] for r in results), "suites": results}
-    text = json.dumps(report, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+    with out as fh:
+        names = list(SUITES) if args.suite == "all" else [args.suite]
+        params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
+                  "mode": args.mode}
+        if args.jobs > 1 and len(names) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
+        else:
+            results = [run_suite(n, params) for n in names]
+        results.sort(key=lambda r: names.index(r["suite"]))
+        empty = [r["suite"] for r in results if not r["entries"]]
+        if empty:
+            print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
+                  file=sys.stderr)
             return EXIT_USAGE
-    else:
-        print(text)
+        report = {"ok": all(r["ok"] for r in results), "suites": results}
+        print(json.dumps(report, indent=2), file=fh)
     return EXIT_OK if report["ok"] else EXIT_IDENTITY
 
 

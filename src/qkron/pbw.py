@@ -25,7 +25,7 @@ word, with no memo table beyond the straightening memo.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, add_into, lq_one, qpow
+from .qarith import LaurentQ, Terms, add_into, lq_one, qpow, split_signed
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -212,48 +212,23 @@ class PbwElement(Terms):
 
     # -- text and JSON forms --------------------------------------------------
 
+    def _term(self, a, c, latex):
+        neg = all(v < 0 for v in c.terms.values())
+        if neg:
+            c = -c
+        mono = _mono_str(a, latex)
+        if c.terms == _ONE.terms:
+            return neg, mono
+        return neg, f"({c.to_latex()}){mono}" if latex else f"({c})*{mono}"
+
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for a in sorted(self.terms, reverse=True):
-            c = self.terms[a]
-            mono = _mono_str(a)
-            neg = all(v < 0 for v in c.terms.values())
-            if neg:
-                c = -c
-            if c == 1:
-                body = mono
-            elif mono == "1":
-                body = f"({c})*1"
-            else:
-                body = f"({c})*{mono}"
-            if not parts:
-                parts.append(("-" + body) if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return self._render()
 
     def __repr__(self):
         return f"PbwElement({self})"
 
     def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a in sorted(self.terms, reverse=True):
-            c = self.terms[a]
-            mono = "".join(
-                f"u_{i}" + (f"^{{{e}}}" if e > 1 else "")
-                for i, e in zip((3, 2, 1, 0), a) if e
-            ) or "1"
-            neg = all(v < 0 for v in c.terms.values())
-            if neg:
-                c = -c
-            body = mono if c == 1 else f"({c.to_latex()}){mono}"
-            sign = "-" if neg else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+        return self._render(latex=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -274,15 +249,18 @@ class PbwElement(Terms):
         if s == "0":
             return cls()
         out = {}
-        for tok, sign in _split_top(s):
+        for neg, tok in split_signed(s):
             coef, mono = _parse_term(tok)
-            c = coef if sign > 0 else -coef
+            c = -coef if neg else coef
             prev = out.get(mono)
             out[mono] = c if prev is None else prev + c
         return cls(out)
 
 
-def _mono_str(a: Exp) -> str:
+def _mono_str(a: Exp, latex: bool) -> str:
+    if latex:
+        return "".join(f"u_{i}" + (f"^{{{e}}}" if e > 1 else "")
+                       for i, e in zip((3, 2, 1, 0), a) if e) or "1"
     parts = []
     for i, e in zip((3, 2, 1, 0), a):
         if e == 1:
@@ -290,34 +268,6 @@ def _mono_str(a: Exp) -> str:
         elif e > 1:
             parts.append(f"u{i}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _split_top(s: str):
-    """Split on top-level ' + ' / ' - ' outside parentheses."""
-    tokens = []
-    depth = 0
-    buf = []
-    sign = 1
-    i = 0
-    if s.startswith("-"):
-        sign = -1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and i > 0 and s[i - 1] == " " and i + 1 < len(s) and s[i + 1] == " ":
-            tokens.append(("".join(buf).strip(), sign))
-            buf = []
-            sign = 1 if ch == "+" else -1
-            i += 2
-            continue
-        buf.append(ch)
-        i += 1
-    tokens.append(("".join(buf).strip(), sign))
-    return tokens
 
 
 def _parse_term(tok: str):

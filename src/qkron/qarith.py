@@ -13,6 +13,12 @@ subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
 coefficient is ever stored; only ``LaurentQ.__add__`` keeps its own.
 
+The canonical text form of a sum is one decision, made here: terms in
+decreasing key order, written ``a - b + c`` (``a-b+c`` in LaTeX).
+``Terms._render`` writes it from the (negative, body) pair that a
+subclass's ``_term`` gives for each term, and :func:`split_signed` is its
+inverse, which ``LaurentQ.parse`` and ``PbwElement.parse`` share.
+
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
 q^(h/2).  Elements of Z[q, q^(-1)] are exactly those whose keys are all
@@ -46,9 +52,10 @@ def add_into(out: dict, terms: dict, c=None) -> dict:
 class Terms:
     """A finite sum of monomials: ``terms`` maps each monomial key to its
     nonzero coefficient; its sum merges through `add_into`.  A subclass
-    adds the product of keys and its text forms; ``_scalar(c)`` is
-    its element c * 1 if it takes int operands, and ``_like`` builds a
-    result of the same kind."""
+    adds the product of keys and, if it renders through ``_render``,
+    ``_term(key, coef, latex)``: the (negative, body) pair of one term;
+    ``_scalar(c)`` is its element c * 1 if it takes int operands, and
+    ``_like`` builds a result of the same kind."""
 
     __slots__ = ("terms",)
 
@@ -85,7 +92,13 @@ class Terms:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        t = self.terms
+        if len(t) <= 1:
+            one = self._scalar(1)
+            if one is not None and t.keys() <= one.terms.keys():
+                # self is c * 1, which equals c when c is an int: hash as c
+                return hash(next(iter(t.values()), 0))
+        return hash(frozenset(t.items()))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -112,6 +125,24 @@ class Terms:
 
     def __rmul__(self, c):
         return self.scale(c) if isinstance(c, (int, LaurentQ)) else NotImplemented
+
+    def _render(self, latex=False):
+        """The canonical text form (LaTeX if latex): the terms in decreasing
+        key order, each a (negative, body) pair from ``_term``, written
+        ``a - b + c`` (``a-b+c``); the empty sum is ``0``."""
+        if not self.terms:
+            return "0"
+        term = self._term
+        parts = []
+        for k, c in sorted(self.terms.items(), reverse=True):
+            neg, body = term(k, c, latex)
+            if latex:
+                parts.append(("-" if neg else "+" if parts else "") + body)
+            elif parts:
+                parts.append(("- " if neg else "+ ") + body)
+            else:
+                parts.append("-" + body if neg else body)
+        return ("" if latex else " ").join(parts)
 
 
 class LaurentQ(Terms):
@@ -289,49 +320,29 @@ class LaurentQ(Terms):
 
     # -- text form ----------------------------------------------------------
 
+    def _term(self, h, c, latex):
+        neg = c < 0
+        mag = -c if neg else c
+        if h == 0:
+            return neg, str(mag)
+        if latex:
+            qp = f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
+        elif h % 2:
+            qp = f"q^({h}/2)"
+        else:
+            qp = "q" if h == 2 else f"q^{h // 2}"
+        if mag == 1:
+            return neg, qp
+        return neg, f"{mag}{qp}" if latex else f"{mag}*{qp}"
+
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for h in sorted(self.terms, reverse=True):
-            c = self.terms[h]
-            neg = c < 0
-            mag = -c if neg else c
-            if h == 0:
-                body = str(mag)
-            else:
-                if h % 2 == 0:
-                    e = h // 2
-                    qp = "q" if e == 1 else f"q^{e}"
-                else:
-                    qp = f"q^({h}/2)"
-                body = qp if mag == 1 else f"{mag}*{qp}"
-            if not parts:
-                parts.append(("-" + body) if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return self._render()
 
     def __repr__(self):
         return f"LaurentQ({self})"
 
     def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for h in sorted(self.terms, reverse=True):
-            c = self.terms[h]
-            neg = c < 0
-            mag = -c if neg else c
-            if h == 0:
-                body = str(mag)
-            else:
-                e = f"{h // 2}" if h % 2 == 0 else f"{h}/2"
-                qp = f"q^{{{e}}}"
-                body = qp if mag == 1 else f"{mag}{qp}"
-            sign = "-" if neg else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+        return self._render(latex=True)
 
     @classmethod
     def parse(cls, s: str) -> "LaurentQ":
@@ -340,7 +351,7 @@ class LaurentQ(Terms):
         if s == "0":
             return _ZERO
         out = {}
-        for tok, sign in _split_terms(s):
+        for neg, tok in split_signed(s):
             m = _TERM_RE.fullmatch(tok)
             if not m:
                 raise ValueError(f"cannot parse Laurent term {tok!r}")
@@ -354,9 +365,7 @@ class LaurentQ(Terms):
                 h = 2 * int(m.group("int"))
             else:
                 h = 2
-            c = sign * c
-            prev = out.get(h, 0)
-            out[h] = prev + c
+            out[h] = out.get(h, 0) + (-c if neg else c)
         return cls(out)
 
 
@@ -366,27 +375,30 @@ _TERM_RE = re.compile(
 )
 
 
-def _split_terms(s):
-    """Split a canonical sum on top-level ``+``/``-`` into (token, sign)."""
-    tokens = []
-    sign = 1
-    buf = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and (i == 0 or s[i - 1] == " ") and (i + 1 == len(s) or s[i + 1] in " 0123456789q"):
-            if buf and "".join(buf).strip():
-                tokens.append(("".join(buf).strip(), sign))
-            buf = []
-            sign = 1 if ch == "+" else -1
-        else:
-            buf.append(ch)
-        i += 1
-    if buf and "".join(buf).strip():
-        tokens.append(("".join(buf).strip(), sign))
-    if not tokens:
-        raise ValueError(f"cannot parse Laurent polynomial {s!r}")
-    return tokens
+_SIGN_RE = re.compile(r" ([+-]) ")
+
+
+def split_signed(s: str) -> list:
+    """The inverse of ``Terms._render``'s text join: split s on each
+    top-level `` + `` or `` - `` (outside parentheses) into
+    (negative, term) pairs, a leading ``-`` being the first term's sign.
+    Raises ValueError on an empty term."""
+    pieces = _SIGN_RE.split(s)
+    tok, neg = pieces[0], pieces[0].startswith("-")
+    if neg:
+        tok = tok[1:]
+    out = []
+    for i in range(1, len(pieces), 2):
+        if tok.count("(") != tok.count(")"):
+            # the sign is inside parentheses, within this term
+            tok = f"{tok} {pieces[i]} {pieces[i + 1]}"
+            continue
+        out.append((neg, tok.strip()))
+        tok, neg = pieces[i + 1], pieces[i] == "-"
+    out.append((neg, tok.strip()))
+    if not all(t for _, t in out):
+        raise ValueError(f"empty term in signed sum {s!r}")
+    return out
 
 
 _ZERO = LaurentQ._raw({})

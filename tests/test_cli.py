@@ -125,10 +125,14 @@ def test_verify_out_file(tmp_path, capsys):
     assert report["ok"] is True
 
 
-def test_verify_out_unwritable_exits_2(tmp_path, capsys):
+def test_verify_out_unwritable_exits_2(tmp_path, capsys, monkeypatch):
+    def no_suite(*args):
+        raise AssertionError("a suite ran before --out was opened")
+
+    # the path is checked before any suite runs
+    monkeypatch.setattr(cli, "run_suite", no_suite)
     out_path = tmp_path / "missing" / "report.json"
-    code, out, err = run(["verify", "pbw-expansion", "--n-max", "1", "--out", str(out_path)],
-                         capsys)
+    code, out, err = run(["verify", "all", "--out", str(out_path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -239,11 +243,17 @@ def test_verify_jobs_below_one_exits_2(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_compute_deep_stripping_exits_3(capsys):
+@pytest.mark.parametrize("argv", [
+    ["compute", "0", "1200", "0", "1200"],
+    # the recursion through the near-diagonal cores (n,0,0,n), (n,0,0,n-1), (n-1,0,0,n)
+    ["compute", "600", "0", "0", "600"],
+    ["product", "600", "0", "0", "600", "0", "0", "0", "0", "--max-layer", "5000"],
+], ids=["compute-p-stripping", "compute-diagonal-core", "product-diagonal-core"])
+def test_compute_deep_stripping_exits_3(argv, capsys):
     import time
 
     t0 = time.time()
-    code, out, err = run(["compute", "0", "1200", "0", "1200"], capsys)
+    code, out, err = run(argv, capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err

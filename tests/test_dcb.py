@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -314,12 +315,15 @@ def test_truncated_layer_cache_is_recomputed(tmp_path, monkeypatch, capsys):
     want = dcb.layer_table(2)
     path = tmp_path / "layer_2.json"
     text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    capsys.readouterr()
-    dcb._LAYER_TABLES.pop(2, None)
-    assert dcb.layer_table(2).entries == want.entries
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("warning: ")
-    assert path.read_text() == text
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_2.json"]
+    # a truncated file, and a coefficient that ends in a dangling sign, do not parse
+    for damaged in (text[: len(text) // 2],
+                    re.sub(r'("coef": "[^"]*)"', r'\1 +"', text, count=1)):
+        path.write_text(damaged)
+        capsys.readouterr()
+        dcb._LAYER_TABLES.pop(2, None)
+        assert dcb.layer_table(2).entries == want.entries
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ")
+        assert path.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_2.json"]
     dcb._LAYER_TABLES.pop(2, None)

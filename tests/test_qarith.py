@@ -146,6 +146,52 @@ def test_render_and_parse_roundtrip():
         assert LaurentQ.parse(str(x)) == x
 
 
+# the canonical text and LaTeX forms, pinned: (element, text, LaTeX)
+_U = pbw.generator
+TEXT_FORMS = {
+    "laurent-zero": (lambda: lq_zero(), "0", "0"),
+    "laurent-mixed": (lambda: LaurentQ({4: -1, 3: 1, 0: 3, -1: -2, -4: 5}),
+                      "-q^2 + q^(3/2) + 3 - 2*q^(-1/2) + 5*q^-2",
+                      "-q^{2}+q^{3/2}+3-2q^{-1/2}+5q^{-2}"),
+    "laurent-units": (lambda: LaurentQ({2: 1, 0: -1, -3: -1}),
+                      "q - 1 - q^(-3/2)", "q^{1}-1-q^{-3/2}"),
+    "laurent-constant": (lambda: LaurentQ.from_int(-7), "-7", "-7"),
+    "laurent-half": (lambda: 2 * half_pow(1), "2*q^(1/2)", "2q^{1/2}"),
+    "pbw-zero": (lambda: pbw.zero(), "0", "0"),
+    "pbw-mixed": (lambda: -_U(3) * _U(1) + (_U(2) * _U(2)).scale(qpow(2) - qpow(-1))
+                  - _U(1).scale(half_pow(3) + 1) + pbw.scalar(-1),
+                  "-u3*u1 + (q^2 - q^-1)*u2^2 - (q^(3/2) + 1)*u1 - 1",
+                  "-u_3u_1+(q^{2}-q^{-1})u_2^{2}-(q^{3/2}+1)u_1-1"),
+    "pbw-half": (lambda: _U(0).scale(2 * half_pow(-1)) + pbw.one(),
+                 "(2*q^(-1/2))*u0 + 1", "(2q^{-1/2})u_0+1"),
+    "pbw-constant": (lambda: pbw.scalar(-2 * qpow(1)), "-(2*q)*1", "-(2q^{1})1"),
+    "cpoly-zero": (lambda: classical.CPoly(), "0", "0"),
+    "cpoly-mixed": (lambda: classical.CPoly({(1, 0, 0, 1, 0, 0): -1, (0, 1, 1, 0, 0, 0): 1,
+                                             (0, -1, 2, 0, 1, 0): -3, (0,) * 6: 1}),
+                    "-U3*U0 + U2*U1 + 1 - 3*U2^-1*U1^2*P0",
+                    "-U_3U_0+U_2U_1+1-3U_2^{-1}U_1^{2}P_0"),
+    "cpoly-constant": (lambda: 4 * classical.var("P1", 2) - 2, "4*P1^2 - 2", "4P_1^{2}-2"),
+}
+
+
+@pytest.mark.parametrize("name", list(TEXT_FORMS))
+def test_text_and_latex_forms(name):
+    make, text, latex = TEXT_FORMS[name]
+    x = make()
+    assert str(x) == text and x.to_latex() == latex
+    if not isinstance(x, classical.CPoly):
+        assert type(x).parse(text) == x
+
+
+@pytest.mark.parametrize("cls, s", [(pbw.PbwElement, ""), (LaurentQ, ""), (LaurentQ, "1 +"),
+                                    (LaurentQ, "1 + + q"), (LaurentQ, "-"),
+                                    (pbw.PbwElement, "u0 - ")],
+                         ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_parse_rejects_empty_terms(cls, s):
+    with pytest.raises(ValueError):
+        cls.parse(s)
+
+
 def test_eval_q():
     assert quantum_int(3).eval_q(2) == Fraction(4) + 1 + Fraction(1, 4)
     with pytest.raises(ValueError):
@@ -179,6 +225,10 @@ def test_terms_module_operations(name):
     if takes_ints:
         assert 1 + x - x == 1 and x - x == 0 and x + 0 == x
         assert (3 - x) + x == 3 and x != 1
+        assert hash(total) == hash(x) and hash(y + x) == hash(x + y)
+        for c in (0, 1, -3):
+            # an element equal to an int hashes as that int
+            assert hash(x - x + c) == hash(c) and len({x - x + c, c}) == 1
     else:
         with pytest.raises(TypeError):
             x + 1
