@@ -102,14 +102,13 @@ class CPoly(Terms):
     def subs_p(self) -> "CPoly":
         """Eliminate P0, P1 via the determinantal identities
         P0 = U2 U0 - U1^2 and P1 = U3 U1 - U2^2."""
-        out = CPoly._raw({})
+        out = {}
         for e, c in self.terms.items():
             e0, e4, e5 = e[:4] + (0, 0), e[4], e[5]
             if e4 < 0 or e5 < 0:
                 raise ValueError("negative power of a frozen variable")
-            piece = CPoly._raw({e0: c}) * _p0_pow(e4) * _p1_pow(e5)
-            out = out + piece
-        return out
+            add_into(out, (CPoly._raw({e0: c}) * _p0_pow(e4) * _p1_pow(e5)).terms)
+        return CPoly._raw(out)
 
     def swap(self) -> "CPoly":
         """The symmetry U_i <-> U_{3-i}, P0 <-> P1 (reverses the exchange
@@ -241,6 +240,7 @@ def z_laurent() -> CPoly:
     return (P1_SYM * P0_SYM + P1_SYM * U1 * U1 + P0_SYM * U2 * U2) * inv
 
 
+@lru_cache(maxsize=None)
 def cluster_variable(n: int) -> CPoly:
     """The cluster variable U_n as a Laurent polynomial in U1, U2 with
     coefficients polynomial in P0, P1.
@@ -248,7 +248,8 @@ def cluster_variable(n: int) -> CPoly:
     For n >= 3 this is the closed sum over {k + l <= n - 3 or
     (k, l) = (n - 2, 0)} divided by the monomial U1^(n-2) U2^(n-3);
     U1 and U2 are returned as themselves, and n <= 0 uses the swap
-    symmetry U_n = swap(U_{3-n})."""
+    symmetry U_n = swap(U_{3-n}).  Memoized: a CPoly is never changed in
+    place."""
     if n == 1:
         return U1
     if n == 2:
@@ -257,21 +258,21 @@ def cluster_variable(n: int) -> CPoly:
         return cluster_variable(3 - n).swap()
     m = n - 3
     inv = CPoly({(0, -m, -(m + 1), 0, 0, 0): 1})
-    total = CPoly()
+    total = {}
     for k in range(0, m + 2):
         for l in range(0, m + 1):
             if not (k + l <= m or (k, l) == (m + 1, 0)):
                 continue
             c = binomial(m - k, l) * binomial(m + 1 - l, k)
-            if not c:
-                continue
-            mono = CPoly({(0, 2 * k, 2 * l, 0, m - l, m + 1 - k): c})
-            total = total + mono
-    return total * inv
+            if c:
+                add_into(total, {(0, 2 * k, 2 * l, 0, m - l, m + 1 - k): c})
+    return CPoly._raw(total) * inv
 
 
+@lru_cache(maxsize=None)
 def polynomial_form(n: int) -> CPoly:
-    """U_n as an honest polynomial in U3, U2, U1, U0 (polynomiality)."""
+    """U_n as an honest polynomial in U3, U2, U1, U0 (polynomiality);
+    memoized like `cluster_variable`."""
     if 0 <= n <= 3:
         return (U0, U1, U2, U3)[n]
     if n < 0:
@@ -302,7 +303,7 @@ def coefficient_polynomial(n: int) -> CPoly:
     Raises if a coefficient with an out-of-range monomial (negative
     exponent) is nonzero; their vanishing is exactly the combinatorial
     identity the formula asserts."""
-    out = CPoly()
+    out = {}
     for a in range(0, n + 2):
         for b in range(0, n + 1):
             c = cluster_coefficient(n, a, b)
@@ -313,8 +314,8 @@ def coefficient_polynomial(n: int) -> CPoly:
                     raise AssertionError(f"c_{{{n},{a},{b}}} = {c} on an invalid monomial")
                 continue
             if c:
-                out = out + CPoly({(a, e2, e1, b, 0, 0): c})
-    return out
+                add_into(out, {(a, e2, e1, b, 0, 0): c})
+    return CPoly._raw(out)
 
 
 def coefficient_free_cluster(n: int) -> CPoly:
@@ -333,15 +334,15 @@ def coefficient_free_cluster(n: int) -> CPoly:
         })
     m = n - 2
     inv = CPoly({(0, 0, -m, -(m + 1), 0, 0): 1})
-    total = CPoly()
+    total = {}
     for k in range(0, m + 2):
         for l in range(0, m + 1):
             if not (k + l <= m or (k, l) == (m + 1, 0)):
                 continue
             c = binomial(m - k, l) * binomial(m + 1 - l, k)
             if c:
-                total = total + CPoly({(0, 0, 2 * k, 2 * l, 0, 0): c})
-    return total * inv
+                add_into(total, {(0, 0, 2 * k, 2 * l, 0, 0): c})
+    return CPoly._raw(total) * inv
 
 
 def cluster_monomial(n: int, exponents) -> CPoly:

@@ -3,6 +3,13 @@ verification suites, and print cluster/layer tables.
 
 Exit codes are the machine contract: 0 success, 1 a verified identity
 failed, 2 usage error, 3 a resource cap was hit.
+
+`main` may be called many times in one process, as the benchmark and the
+tests do.  Between calls it keeps only per-process memos that no request
+changes: the argument parser (built by `build_parser` on the first call, not
+at import), the basis elements and layer tables of `dcb` (`_B_CACHE`,
+`_LAYER_TABLES`), and the cluster-table rows that `classical.cluster_variable`
+and `classical.polynomial_form` memoize.
 """
 
 from __future__ import annotations
@@ -282,8 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        # looked up by name at the call, so a wrapped `build_parser` is the one run
+        _PARSER = build_parser()
+    parser = _PARSER
     args, extra = parser.parse_known_args(argv)
     if args.command == "table" and args.range is None:
         extra = [x for x in extra if x != "--"]

@@ -269,11 +269,11 @@ def _laurent_reduce(row, combo, scale, basis):
 def expand_certificate(certificate) -> FreeElement:
     """Rebuild sum coeff * (left * S * right) from a certificate."""
     s1, s2 = serre_relators()
-    total = FreeElement()
+    total = {}
     for (ridx, left, right), coef in certificate:
         s = s1 if ridx == 0 else s2
-        total = total + (FreeElement.word(left) * s * FreeElement.word(right)).scale(coef)
-    return total
+        add_into(total, (FreeElement.word(left) * s * FreeElement.word(right)).terms, coef)
+    return FreeElement._raw(total)
 
 
 def _eval_row_to_int(terms, t) -> dict:
@@ -406,11 +406,11 @@ def u_word_free_difference(letters) -> FreeElement:
     for i in letters:
         lhs = lhs * ws[i]
     nf = pbw.word_product(letters)
-    rhs = FreeElement()
+    rhs = {}
     for a, c in nf.terms.items():
         piece = FreeElement({(): lq_one()})
         for gen_idx, e in zip((3, 2, 1, 0), a):
             for _ in range(e):
                 piece = piece * ws[gen_idx]
-        rhs = rhs + piece.scale(c)
-    return lhs - rhs
+        add_into(rhs, piece.terms, c)
+    return lhs - FreeElement._raw(rhs)

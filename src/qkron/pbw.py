@@ -203,12 +203,12 @@ class PbwElement(Terms):
         """Image in the commutative polynomial ring Z[U0..U3] at q = 1."""
         from . import classical
 
-        out = classical.CPoly()
+        out = {}
         for a, c in self.terms.items():
             if not c.is_integral():
                 raise ValueError("element has odd half-powers of q; no q = 1 image")
-            out = out + classical.u_monomial(a).scale(c.at_q1())
-        return out
+            add_into(out, classical.u_monomial(a).terms, c.at_q1())
+        return classical.CPoly._raw(out)
 
     # -- text and JSON forms --------------------------------------------------
 

@@ -183,3 +183,31 @@ def test_coefficients_are_ints():
         cl.CPoly({(0,) * 6: Fraction(1, 2)})
     with pytest.raises(TypeError):
         cl.U1.scale(Fraction(1, 2))
+
+
+def test_cluster_memo_matches_uncached_calls():
+    for n in range(-10, 15):
+        assert cl.cluster_variable(n) == cl.cluster_variable.__wrapped__(n)
+        assert cl.polynomial_form(n) == cl.polynomial_form.__wrapped__(n)
+
+
+def test_cluster_memo_is_not_changed_by_arithmetic():
+    cached = cl.polynomial_form(5)
+    before = dict(cached.terms)
+    assert cached + cl.U0 != cached
+    assert cached * cl.U0 != cached
+    assert cl.polynomial_form(5) is cached
+    assert cached.terms == before == cl.polynomial_form.__wrapped__(5).terms
+
+
+def test_cluster_table_repeats_from_the_memo(capsys):
+    from qkron import cli
+
+    cl.cluster_variable.cache_clear()
+    cl.polynomial_form.cache_clear()
+    outs = []
+    for _ in range(2):
+        assert cli.main(["table", "cluster", "8..11"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "U_11 (polynomial) = " in outs[0]

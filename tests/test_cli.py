@@ -258,3 +258,49 @@ def test_compute_deep_stripping_exits_3(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert time.time() - t0 < 5
+
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    """One process serving a sequence of requests prints what a fresh
+    interpreter prints for each, and builds the parser once."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    compute = ["compute", "2", "0", "0", "1"]
+    # (argv, expected exit code, whether --out <file> is appended)
+    sequence = [
+        (compute + ["--format", "json"], 0, False),
+        (compute, 0, False),
+        (["table", "cluster", "-3..1", "--bogus"], 2, False),
+        (["table", "cluster", "-3..1"], 0, False),
+        (["verify", "recursions"], 0, True),
+        (["verify", "recursions"], 0, False),
+    ]
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    outputs = []
+    for i, (argv, want_code, to_file) in enumerate(sequence):
+        here, fresh = tmp_path / f"here-{i}.json", tmp_path / f"fresh-{i}.json"
+        try:
+            code = cli.main(argv + ["--out", str(here)] if to_file else argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        want = subprocess.run(
+            [sys.executable, "-m", "qkron.cli", *argv, *(["--out", str(fresh)] if to_file else [])],
+            capture_output=True, text=True, env=env)
+        assert code == want.returncode == want_code, argv
+        assert (got.out, got.err) == (want.stdout, want.stderr), argv
+        if to_file:
+            assert here.read_text() == fresh.read_text()
+        outputs.append(got.out)
+    assert json.loads(outputs[0])["a"] == [2, 0, 0, 1]
+    assert outputs[1].strip() == str(dcb.b_element((2, 0, 0, 1)))
+    assert outputs[4] == "" and json.loads(outputs[5])["ok"] is True
+    assert len(built) == 1
