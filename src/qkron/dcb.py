@@ -9,6 +9,12 @@ route to B[a]; `layer_table` and `expand_in_b_basis` are built on it.
 kept only as the oracle that `verify layers` and the tests check it
 against; the two share one back-substitution, `_peel`.
 
+`b_element` writes B[a] as q^e p1^s B[core] p0^r.  `layer_table` checks
+triangularity on every element it builds, but the sigma condition only
+once per core and once for the p0/p1 facts; each element's eigenvalue is
+then derived from the p0/p1 steps (`_sigma_exponent`).  The cache read,
+`verify layers` and `check_basis_conditions` check every element in full.
+
 Exponent tuples are (a3, a2, a1, a0) throughout.
 """
 
@@ -19,6 +25,7 @@ import os
 import random
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 from . import pbw
@@ -133,6 +140,14 @@ def _peel(work: dict, expansion_of) -> dict:
 
 def check_basis_conditions(a: Exp, elem: pbw.PbwElement):
     """Assert both defining conditions on a candidate B[a]."""
+    _check_triangular(a, elem)
+    if elem.sigma() != elem.scale(qpow(-stat_n(a))):
+        raise AssertionError(f"B[{a}] is not a sigma eigenvector with eigenvalue q^{-stat_n(a)}")
+
+
+def _check_triangular(a: Exp, elem: pbw.PbwElement):
+    """Assert the triangularity condition: E[a] coefficient 1, the rest
+    supported strictly above a with coefficients in qZ[q]."""
     coeffs = expand_in_dual_pbw(elem)
     lead = coeffs.get(a)
     if lead != lq_one():
@@ -144,8 +159,6 @@ def check_basis_conditions(a: Exp, elem: pbw.PbwElement):
             raise AssertionError(f"B[{a}]: support contains {b} outside S({a})")
         if not (isinstance(c, LaurentQ) and c.in_q_zq()):
             raise AssertionError(f"B[{a}]: coefficient {c} at {b} is not in qZ[q]")
-    if elem.sigma() != elem.scale(qpow(-stat_n(a))):
-        raise AssertionError(f"B[{a}] is not a sigma eigenvector with eigenvalue q^{-stat_n(a)}")
 
 
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
@@ -190,10 +203,17 @@ def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
 # memo tables; idempotent writes keep concurrent use deterministic
 _LAYER_TABLES: dict = {}
 _B_CACHE: dict = {}
+_CHECKED_CORES: dict = {}       # core -> the b_element object that passed the full check
 
 
 def layer_table(k: int) -> LayerTable:
-    """Memoized, checked `b_element`s of one layer, via the on-disk cache."""
+    """Memoized `b_element`s of one layer.
+
+    With QCA_CACHE_DIR set, a cached layer is read back and every element
+    gets the full `check_basis_conditions`; a miss is built and written.
+    A built layer checks triangularity on every element, and the sigma
+    condition by `_sigma_exponent`: one full check per core, then integer
+    arithmetic along the p0/p1 steps, which must give -N(a)."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
         cache_dir = os.environ.get("QCA_CACHE_DIR")
@@ -202,11 +222,68 @@ def layer_table(k: int) -> LayerTable:
         if tab is None:
             tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
             for a, elem in tab:
-                check_basis_conditions(a, elem)
+                _check_triangular(a, elem)
+                e = _sigma_exponent(a)
+                if e != -stat_n(a):
+                    raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
             if cache_dir:
                 _save_layer(tab, cache_dir)
         _LAYER_TABLES[k] = tab
     return tab
+
+
+def _p_step(a: Exp):
+    """One p0/p1 stripping step of `b_element`: (0, c, t) when
+    B[a] = q^t B[c] p0, (1, c, t) when B[a] = q^t p1 B[c], None on a core."""
+    a3, a2, a1, a0 = a
+    if a2 >= 1 and a0 >= 1:
+        c = (a3, a2 - 1, a1, a0 - 1)
+        return 0, c, c[1] + 2 * c[2] + 3 * c[3]
+    if a3 >= 1 and a1 >= 1:
+        c = (a3 - 1, a2, a1 - 1, a0)
+        return 1, c, 3 * c[0] + 2 * c[1] + c[2]
+    return None
+
+
+@lru_cache(maxsize=None)
+def _p_facts():
+    """((eps0, chi0), (eps1, chi1)), checked once per process: sigma(p) =
+    q^eps p, p u_i = q^e_i u_i p, and e_i = chi . (root weight of u_i) for
+    a linear form chi, so p x = q^(chi . w) x p for any x of root weight w."""
+    out = []
+    for p, eps, exps in ((pbw.p0(), pbw.P0_SIGMA, pbw.P0_COMMUTE),
+                         (pbw.p1(), pbw.P1_SIGMA, pbw.P1_COMMUTE)):
+        chi = (exps[0], exps[1] - 2 * exps[0])  # solved on u0, u1: weights (1, 0), (2, 1)
+        if (p.sigma() != p.scale_qpow(eps) or not pbw.q_commutes(p, exps)
+                or any(chi[0] * w1 + chi[1] * w2 != e for (w1, w2), e in zip(pbw.ROOT_WEIGHT, exps))):
+            raise AssertionError(f"the p0/p1 fact table does not hold for {p}")
+        out.append((eps, chi))
+    return tuple(out)
+
+
+def _sigma_exponent(a: Exp) -> int:
+    """The e with sigma(B[a]) = q^e B[a], for B[a] as `b_element` builds it.
+
+    sigma is an anti-automorphism that bars coefficients, and p0, p1 are
+    sigma eigenvectors whose q-commutation with a homogeneous x is linear in
+    its root weight (`_p_facts`).  So B[a] = q^t B[c] p0 gives
+    e(a) = -2t + eps0 + e(c) + chi0(wt c), and B[a] = q^t p1 B[c] gives
+    e(a) = -2t + eps1 + e(c) - chi1(wt c).  The core's B gets the full check
+    once per process (again only if `b_element` hands back another object)
+    and contributes -N(core)."""
+    facts = _p_facts()
+    e = 0
+    while (step := _p_step(a)) is not None:
+        which, a, t = step
+        eps, (x, y) = facts[which]
+        w1, w2 = pbw.exp_root_weight(a)
+        chi = x * w1 + y * w2
+        e += -2 * t + eps + (chi if which == 0 else -chi)
+    core = b_element(a)
+    if _CHECKED_CORES.get(a) is not core:
+        check_basis_conditions(a, core)
+        _CHECKED_CORES[a] = core
+    return e - stat_n(a)
 
 
 def _layer_path(k: int, cache_dir) -> Path:
@@ -268,14 +345,12 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
     if hit is not None:
         return hit
     a3, a2, a1, a0 = a
+    step = _p_step(a)
     if a == (0, 0, 0, 0):
         res = pbw.one()
-    elif a2 >= 1 and a0 >= 1:
-        c = (a3, a2 - 1, a1, a0 - 1)
-        res = (b_element(c) * pbw.p0()).scale_qpow(c[1] + 2 * c[2] + 3 * c[3])
-    elif a3 >= 1 and a1 >= 1:
-        c = (a3 - 1, a2, a1 - 1, a0)
-        res = (pbw.p1() * b_element(c)).scale_qpow(3 * c[0] + 2 * c[1] + c[2])
+    elif step is not None:
+        which, c, t = step
+        res = (b_element(c) * pbw.p0() if which == 0 else pbw.p1() * b_element(c)).scale_qpow(t)
     elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
         res = dual_pbw(a)  # order-maximal shapes: B = E
     else:
@@ -332,6 +407,12 @@ def _diff_detail(lhs, rhs):
     return f"first differing monomial {a}: {d.terms[a]}"
 
 
+def _compare(suite, n, identity, lhs, rhs):
+    """The entry for lhs == rhs; a failing one carries `_diff_detail`."""
+    ok = lhs == rhs
+    return _entry(suite, n, identity, ok, None if ok else _diff_detail(lhs, rhs))
+
+
 def verify_recursions(n_max: int) -> list:
     """The eight printed one-step recursion identities, for 1 <= n <= n_max."""
     B = b_element
@@ -375,7 +456,7 @@ def verify_recursions(n_max: int) -> list:
              - (B((n - 1, 0, 1, n - 1)) * u2).scale_qpow(2 * n - 2)),
         ]
         for name, lhs, rhs in checks:
-            report.append(_entry("recursions", n, name, lhs == rhs, _diff_detail(lhs, rhs)))
+            report.append(_compare("recursions", n, name, lhs, rhs))
     return report
 
 
@@ -401,24 +482,21 @@ def verify_products(n_max: int) -> list:
              (B((n + 1, 0, 0, n + 1)) + B((n, 1, 1, n))).scale_qpow(-4 * n)),
         ]
         for name, lhs, rhs in cases:
-            report.append(_entry("products", n, name, lhs == rhs, _diff_detail(lhs, rhs)))
+            report.append(_compare("products", n, name, lhs, rhs))
     # the diagonal equations also make sense and hold for n = 0: the
     # correction term is q^(6n-4) p1 B[n-1,0,0,n-1] p0, whose core index
     # goes negative and kills it
     lhs = B((0, 0, 0, 0)) * b11
     rhs = B((1, 0, 0, 1))
-    report.append(_entry("products", 0,
-                         "B[0,0,0,0] B[1,0,0,1] = B[1,0,0,1] + (vanishing core)",
-                         lhs == rhs, _diff_detail(lhs, rhs)))
-    report.append(_entry("products", 0,
-                         "B[1,0,0,1] B[0,0,0,0] = B[1,0,0,1] + (vanishing core)",
-                         b11 * B((0, 0, 0, 0)) == rhs, None))
+    report.append(_compare("products", 0,
+                           "B[0,0,0,0] B[1,0,0,1] = B[1,0,0,1] + (vanishing core)", lhs, rhs))
+    report.append(_compare("products", 0,
+                           "B[1,0,0,1] B[0,0,0,0] = B[1,0,0,1] + (vanishing core)",
+                           b11 * B((0, 0, 0, 0)), rhs))
     for n in range(0, n_max + 1):
         lhs = b11 * B((n, 0, 0, n))
         rhs = B((n, 0, 0, n)) * b11
-        report.append(_entry("products", n,
-                             "B[1,0,0,1] commutes with B[n,0,0,n]",
-                             lhs == rhs, _diff_detail(lhs, rhs)))
+        report.append(_compare("products", n, "B[1,0,0,1] commutes with B[n,0,0,n]", lhs, rhs))
     return report
 
 
@@ -466,9 +544,8 @@ def verify_closed_formulas(n_max: int) -> list:
                 term = p_power(1, n + 1 - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
                 add_into(acc, term.terms, coef * qpow(f_exponent(n, k, l)))
         rhs = pbw.PbwElement._raw(acc)
-        report.append(_entry("closed-formulas", n,
-                             "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum",
-                             lhs == rhs, _diff_detail(lhs, rhs)))
+        report.append(_compare("closed-formulas", n,
+                               "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum", lhs, rhs))
         lhs = _u_pow(2, n) * b_element((n, 0, 0, n)) * _u_pow(1, n)
         acc = {}
         for k in range(0, n + 1):
@@ -479,9 +556,8 @@ def verify_closed_formulas(n_max: int) -> list:
                 term = p_power(1, n - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
                 add_into(acc, term.terms, coef * qpow(g_exponent(n, k, l)))
         rhs = pbw.PbwElement._raw(acc)
-        report.append(_entry("closed-formulas", n,
-                             "u2^n B[n,0,0,n] u1^n = quantum Chebyshev sum",
-                             lhs == rhs, _diff_detail(lhs, rhs)))
+        report.append(_compare("closed-formulas", n,
+                               "u2^n B[n,0,0,n] u1^n = quantum Chebyshev sum", lhs, rhs))
     return report
 
 
@@ -504,10 +580,8 @@ def verify_power_formulas(k_max: int) -> list:
     report = []
     for k in range(0, k_max + 1):
         f1, f0 = power_formulas(k)
-        report.append(_entry("closed-formulas", k, "p1^k closed expansion",
-                             f1 == p_power(1, k), _diff_detail(f1, p_power(1, k))))
-        report.append(_entry("closed-formulas", k, "p0^k closed expansion",
-                             f0 == p_power(0, k), _diff_detail(f0, p_power(0, k))))
+        report.append(_compare("closed-formulas", k, "p1^k closed expansion", f1, p_power(1, k)))
+        report.append(_compare("closed-formulas", k, "p0^k closed expansion", f0, p_power(0, k)))
     return report
 
 
@@ -569,10 +643,21 @@ def verify_layers(k_max: int, seeds=(1, 2)) -> list:
         for a, elem in tab:
             check_basis_conditions(a, elem)
         oracle = compute_layer(k, check=False)
-        ok = tab.entries == oracle.entries
-        report.append(_entry("layers", k, "defining conditions + fast-path agreement", ok))
+        report.append(_layer_entry(k, "defining conditions + fast-path agreement", tab, oracle))
         for s in seeds:
             alt = compute_layer(k, seed=s, check=False)
-            same = alt.entries == oracle.entries
-            report.append(_entry("layers", k, f"basis independent of total order (seed {s})", same))
+            report.append(_layer_entry(k, f"basis independent of total order (seed {s})", alt, oracle))
     return report
+
+
+def _layer_entry(k, identity, tab, ref):
+    """The entry for two equal layer tables; a failing one names the first
+    a where they differ, with `_diff_detail`."""
+    ok = tab.entries == ref.entries
+    detail = None
+    if not ok:
+        a = next(a for a in sorted(set(tab.entries) | set(ref.entries))
+                 if tab.entries.get(a) != ref.entries.get(a))
+        lhs, rhs = tab.entries.get(a, pbw.zero()), ref.entries.get(a, pbw.zero())
+        detail = f"first differing B[{a}]: {_diff_detail(lhs, rhs)}"
+    return _entry("layers", k, identity, ok, detail)

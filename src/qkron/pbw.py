@@ -340,6 +340,22 @@ def p1() -> PbwElement:
     return PbwElement._raw({(1, 0, 1, 0): _ONE, (0, 2, 0, 0): -qpow(2)})
 
 
+# The p0/p1 fact table: p u_i = q^e_i u_i p with (e_0, .., e_3) = P*_COMMUTE,
+# p0 p1 = q^P0_P1_COMMUTE p1 p0, and sigma(p) = q^P*_SIGMA p.  The
+# straightening suite and the sigma derivation in `dcb` both read these.
+P0_COMMUTE = (2, 0, -2, -4)
+P1_COMMUTE = (4, 2, 0, -2)
+P0_P1_COMMUTE = -4
+P0_SIGMA = 2
+P1_SIGMA = 6
+
+
+def q_commutes(p: PbwElement, exps) -> bool:
+    """p u_i = q^exps[i] u_i p for i = 0..3."""
+    return all(p * g == (g * p).scale_qpow(e)
+               for g, e in zip((generator(i) for i in range(4)), exps))
+
+
 def exp_root_weight(a: Exp):
     a3, a2, a1, a0 = a
     return (4 * a3 + 3 * a2 + 2 * a1 + a0, 3 * a3 + 2 * a2 + a1)
@@ -397,10 +413,8 @@ def verify_normal_form(seed: int = 0) -> list:
     entry("randomized associativity, sigma anti-homomorphism, homogeneity", ok)
 
     q0, q1 = p0(), p1()
-    ok = q0 * q1 == (q1 * q0).scale_qpow(-4)
-    for p, exps in ((q0, (2, 0, -2, -4)), (q1, (4, 2, 0, -2))):
-        for g, e in zip(u, exps):
-            ok = ok and p * g == (g * p).scale_qpow(e)
+    ok = (q0 * q1 == (q1 * q0).scale_qpow(P0_P1_COMMUTE)
+          and q_commutes(q0, P0_COMMUTE) and q_commutes(q1, P1_COMMUTE))
     entry("p0/p1 q-commutation table", ok)
 
     ok = True

@@ -240,6 +240,92 @@ def test_verify_layers_compares_with_the_oracle(monkeypatch):
     rep = dcb.verify_layers(2)
     assert [e["ok"] for e in rep if e["n"] == 2][0] is False
     assert all(e["ok"] for e in rep if e["n"] < 2)
+    # the failing entry names the first differing element and monomial;
+    # passing entries carry no detail
+    want = dcb._diff_detail(B(1, 0, 0, 1), pbw.zero())
+    assert [e.get("detail") for e in rep if e["n"] == 2][0] == f"first differing B[(1, 0, 0, 1)]: {want}"
+    assert want.startswith("first differing monomial (1, 0, 0, 1)")
+    assert all("detail" not in e for e in rep if e["ok"])
+
+
+def _cold_layers(monkeypatch):
+    """Fresh memos for a cold `layer_table`, restored after the test."""
+    monkeypatch.delenv("QCA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(dcb, "_LAYER_TABLES", {})
+    monkeypatch.setattr(dcb, "_B_CACHE", {})
+    monkeypatch.setattr(dcb, "_CHECKED_CORES", {})
+    dcb._p_facts.cache_clear()
+
+
+def _core(a):
+    """The core b_element strips a to: a minus min(a2, a0) p0's and min(a3, a1) p1's."""
+    m1, m0 = min(a[0], a[2]), min(a[1], a[3])
+    return (a[0] - m1, a[1] - m0, a[2] - m1, a[3] - m0)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_layer_table_refuses_a_core_with_the_wrong_eigenvalue(monkeypatch, k):
+    # E[1,0,0,1] passes the triangular check but is no sigma eigenvector;
+    # layer 4 only reaches it as the core of B[1,1,0,2] = q^t B[1,0,0,1] p0
+    real = dcb.b_element
+    _cold_layers(monkeypatch)
+    monkeypatch.setattr(dcb, "b_element",
+                        lambda a, max_layer=None: dcb.dual_pbw(a) if a == (1, 0, 0, 1) else real(a))
+    with pytest.raises(AssertionError, match="sigma eigenvector"):
+        dcb.layer_table(k)
+
+
+def test_layer_table_refuses_a_p_multiple_whose_lead_is_not_one(monkeypatch):
+    real = dcb.b_element
+    _cold_layers(monkeypatch)
+    monkeypatch.setattr(dcb, "b_element",
+                        lambda a, max_layer=None: real(a).scale_qpow(1) if a == (1, 1, 1, 1) else real(a))
+    with pytest.raises(AssertionError, match=r"B\[\(1, 1, 1, 1\)\]: leading dual-PBW coefficient"):
+        dcb.layer_table(4)
+
+
+def test_layer_table_refuses_a_wrong_derived_exponent(monkeypatch):
+    # a p0 eigenvalue off by one makes every p0-multiple's exponent miss -N(a)
+    _cold_layers(monkeypatch)
+    (eps0, chi0), p1_facts = dcb._p_facts()
+    monkeypatch.setattr(dcb, "_p_facts", lambda: ((eps0 + 1, chi0), p1_facts))
+    with pytest.raises(AssertionError, match="derived sigma exponent"):
+        dcb.layer_table(2)
+
+
+def test_p_facts_refuse_a_wrong_table(monkeypatch):
+    _cold_layers(monkeypatch)
+    monkeypatch.setattr(pbw, "P1_SIGMA", 4)
+    with pytest.raises(AssertionError, match="p0/p1 fact table"):
+        dcb._p_facts()
+
+
+def test_derived_sigma_exponent_is_minus_n():
+    for k in range(12):
+        for a in dcb.layer_exponents(k):
+            assert dcb._sigma_exponent(a) == -dcb.stat_n(a), a
+
+
+def test_cold_layer_table_runs_sigma_once_per_core(monkeypatch):
+    sigma = pbw.PbwElement.sigma
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return sigma(self)
+
+    monkeypatch.setattr(pbw.PbwElement, "sigma", counting)
+    for k in range(9):
+        _cold_layers(monkeypatch)
+        calls.clear()
+        tab = dcb.layer_table(k)
+        cores = {_core(a) for a in dcb.layer_exponents(k)}
+        # one sigma per distinct core, plus sigma(p0) and sigma(p1)
+        assert len(calls) <= len(cores) + 2, (k, len(calls), len(cores))
+        calls.clear()
+        dcb._LAYER_TABLES.clear()
+        assert dcb.layer_table(k).entries == tab.entries
+        assert calls == []  # a rebuild in the same process reuses every check
 
 
 def test_layer_disk_cache(tmp_path, monkeypatch):

@@ -138,6 +138,16 @@ def test_p_commutation_table():
             assert p * g == (g * p).scale_qpow(e)
 
 
+def test_p_fact_table():
+    # the named constants the straightening suite and the sigma derivation read
+    assert pbw.P0_COMMUTE == (2, 0, -2, -4) and pbw.P1_COMMUTE == (4, 2, 0, -2)
+    assert pbw.q_commutes(pbw.p0(), pbw.P0_COMMUTE) and pbw.q_commutes(pbw.p1(), pbw.P1_COMMUTE)
+    assert not pbw.q_commutes(pbw.p0(), pbw.P1_COMMUTE)
+    assert pbw.p0() * pbw.p1() == (pbw.p1() * pbw.p0()).scale_qpow(pbw.P0_P1_COMMUTE)
+    assert pbw.p0().sigma() == pbw.p0().scale_qpow(2) and pbw.P0_SIGMA == 2
+    assert pbw.p1().sigma() == pbw.p1().scale_qpow(6) and pbw.P1_SIGMA == 6
+
+
 def test_u1_u3_power_identity():
     for l in range(1, 11):
         u3l = pbw.monomial((l, 0, 0, 0))

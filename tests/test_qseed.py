@@ -37,6 +37,22 @@ def test_quasi_commutation():
     assert all(e["ok"] for e in qseed.verify_quasi_commutation(4))
 
 
+def test_failing_entries_carry_a_witness(monkeypatch):
+    # Y1 replaced by u2: its commutations fail, and each failure names the
+    # first differing monomial; passing entries carry no detail
+    u2 = pbw.generator(2)
+    monkeypatch.setattr(qseed, "y1_var", lambda: u2)
+    for rep in (qseed.verify_quasi_commutation(3), qseed.verify_algebra_matches_l(3)):
+        assert not all(e["ok"] for e in rep)
+        assert all(("detail" in e) != e["ok"] for e in rep)
+    e = qseed.verify_quasi_commutation(3)[0]
+    y0 = qseed.y0_var()
+    assert e["identity"] == "Y0 Y1 = q^-4 Y1 Y0"
+    assert e["detail"] == dcb._diff_detail(y0 * u2, (u2 * y0).scale_qpow(-4))
+    assert e["detail"].startswith("first differing monomial ")
+    assert qseed.verify_algebra_matches_l(3)[0]["detail"].startswith("X_{n+1} Y_1: first differing monomial ")
+
+
 def test_quantum_exchange():
     assert all(e["ok"] for e in qseed.verify_quantum_exchange(4))
 
