@@ -271,16 +271,20 @@ def cluster_variable(n: int) -> CPoly:
 
 @lru_cache(maxsize=None)
 def polynomial_form(n: int) -> CPoly:
-    """U_n as an honest polynomial in U3, U2, U1, U0 (polynomiality);
-    memoized like `cluster_variable`."""
+    """U_n as a polynomial in U3, U2, U1, U0; memoized like
+    `cluster_variable`.  U_4 is `cluster_variable(4).subs_p()`, and n >= 5
+    takes one step of U_n = z U_{n-1} - P1 P0 U_{n-2} from the memoized rows
+    below.  The classical suite checks both facts against `subs_p`."""
     if 0 <= n <= 3:
         return (U0, U1, U2, U3)[n]
     if n < 0:
         return polynomial_form(3 - n).swap()
-    out = cluster_variable(n).subs_p()
-    if not out.is_polynomial():
-        raise AssertionError(f"U_{n} did not clear its denominator")
-    return out
+    if n == 4:
+        out = cluster_variable(4).subs_p()
+        if not out.is_polynomial():
+            raise AssertionError("U_4 did not clear its denominator")
+        return out
+    return z_poly() * polynomial_form(n - 1) - p1_poly() * p0_poly() * polynomial_form(n - 2)
 
 
 def cluster_coefficient(n: int, a: int, b: int) -> int:
@@ -453,9 +457,11 @@ def linear_recursion_check(n_max: int) -> list:
               cfr[n + 1] == t * cfr[n] - cfr[n - 1], n)
     z = z_poly()
     pp = p1_poly() * p0_poly()
+    # the closed formula with P eliminated, not `polynomial_form`, which
+    # is built by this recursion
+    us = {k: cluster_variable(k).subs_p() for k in range(3, n_max + 2)}
     for k in range(4, n_max + 1):
-        entry("U_{k+1} = z U_k - P1 P0 U_{k-1}",
-              polynomial_form(k + 1) == z * polynomial_form(k) - pp * polynomial_form(k - 1), k)
+        entry("U_{k+1} = z U_k - P1 P0 U_{k-1}", us[k + 1] == z * us[k] - pp * us[k - 1], k)
     entry("z = U3 U0 - U2 U1", z_laurent().subs_p() == z)
     return report
 
@@ -487,8 +493,10 @@ def verify_classical(n_max: int = 10) -> list:
             ok = False
         entry("c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish", ok, n)
 
-    ok = all(polynomial_form(n).is_polynomial() and not polynomial_form(n).uses_p_symbols()
-             for n in range(4, n_max + 1))
+    ok = True
+    for n in range(4, n_max + 1):
+        u = cluster_variable(n).subs_p()
+        ok = ok and u.is_polynomial() and not u.uses_p_symbols() and u == polynomial_form(n)
     entry("polynomiality of U_n in U3,U2,U1,U0", ok)
 
     ok = True

@@ -181,7 +181,8 @@ def cmd_verify(args, parser) -> int:
         params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
                   "mode": args.mode}
         if args.jobs > 1 and len(names) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # under fork every worker starts at once: no more than there are suites
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
                 results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
         else:
             results = [run_suite(n, params) for n in names]

@@ -331,6 +331,12 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
     one-step recursions on near-diagonal cores, or, on any other core
     (x, 0, 0, w), a quantum cluster monomial, refused if x + w > max_layer.
     Convention: any negative coordinate gives 0.
+
+    Every p0/p1 step and every near-diagonal step multiplies by a factor
+    that q-commutes with each letter it passes (x p0, p1 x, x u0, x u1,
+    u2 x, u3 x), so it is a `pbw.q_product` with the step's q^t folded in
+    and straightens nothing; only the cluster-monomial cores multiply with
+    `PbwElement.__mul__`.
     """
     a = tuple(int(x) for x in a)
     if any(x < 0 for x in a):
@@ -350,24 +356,25 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
         res = pbw.one()
     elif step is not None:
         which, c, t = step
-        res = (b_element(c) * pbw.p0() if which == 0 else pbw.p1() * b_element(c)).scale_qpow(t)
+        res = pbw.q_product(b_element(c), pbw.X_P0 if which == 0 else pbw.P1_X, t)
     elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
         res = dual_pbw(a)  # order-maximal shapes: B = E
     else:
         # core shape (x, 0, 0, w) with x, w >= 1
         x, w = a3, a0
+        qp = pbw.q_product
         if x == w:
             n = x
-            res = (b_element((n, 0, 0, n - 1)) * _U[0]).scale_qpow(n - 1) \
-                - (b_element((n - 1, 1, 0, n - 1)) * _U[1]).scale_qpow(2 * n)
+            res = qp(b_element((n, 0, 0, n - 1)), pbw.X_U0, n - 1) \
+                - qp(b_element((n - 1, 1, 0, n - 1)), pbw.X_U1, 2 * n)
         elif x == w + 1:
             n = x
-            res = (_U[3] * b_element((n - 1, 0, 0, n - 1))).scale_qpow(n - 1) \
-                - (_U[2] * b_element((n - 1, 0, 1, n - 2))).scale_qpow(2 * n - 1)
+            res = qp(b_element((n - 1, 0, 0, n - 1)), pbw.U3_X, n - 1) \
+                - qp(b_element((n - 1, 0, 1, n - 2)), pbw.U2_X, 2 * n - 1)
         elif w == x + 1:
             n = w
-            res = (b_element((n - 1, 0, 0, n - 1)) * _U[0]).scale_qpow(n - 1) \
-                - (b_element((n - 2, 1, 0, n - 1)) * _U[1]).scale_qpow(2 * n - 1)
+            res = qp(b_element((n - 1, 0, 0, n - 1)), pbw.X_U0, n - 1) \
+                - qp(b_element((n - 2, 1, 0, n - 1)), pbw.X_U1, 2 * n - 1)
         else:
             # the quantum cluster monomial in two adjacent cluster variables
             # c and c + (1, 0, 0, 1), divided by its E[a] coefficient q^(h/2)

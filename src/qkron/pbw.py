@@ -17,6 +17,20 @@ Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
 weights, which multiplication preserves.
 
+A product by a factor that q-commutes with every letter it passes needs
+no straightening: `q_product` applies it as a table of monomial rules.
+With b = (b3, b2, b1, b0) and u^b the normal monomial,
+
+    u^b p0 = q^(-2b0-2b1) u^(b+(0,1,0,1)) - q^(2-2b0) u^(b+(0,0,2,0))
+    p1 u^b = q^(-2b3-2b2) u^(b+(1,0,1,0)) - q^(2-2b3) u^(b+(0,2,0,0))
+    u^b u0 = u^(b+(0,0,0,1))            u^b u1 = q^(-2b0) u^(b+(0,0,1,0))
+    u2 u^b = q^(-2b3) u^(b+(0,1,0,0))   u3 u^b = u^(b+(1,0,0,0))
+
+`P0_COMMUTE`, `P1_COMMUTE` and the distance-one relation move the factor
+to the middle of the word, between u2 and u1; each of its terms then only
+swaps letters at distance one, which gives no correction term.  The rule
+tables are derived from those constants (`_q_rules`).
+
 The anti-automorphism sigma reverses every word.  It straightens the
 reversed words of all terms together by Horner's rule on their last
 letter, so one pass over the trie of the words replaces a pass over each
@@ -33,7 +47,8 @@ Exp = tuple  # (a3, a2, a1, a0)
 ROOT_WEIGHT = ((1, 0), (2, 1), (3, 2), (4, 3))
 
 _ONE = lq_one()
-_QM2 = qpow(-2)
+_ADJ = -2                   # u_i u_{i+1} = q^_ADJ u_{i+1} u_i
+_QM2 = qpow(_ADJ)
 _CORR2 = qpow(-2) - 1       # coefficient of u_{i+1}^2 in the distance-2 rule
 _CORR3 = qpow(-4) - 1       # coefficient of u_2 u_1 in the distance-3 rule
 
@@ -354,6 +369,62 @@ def q_commutes(p: PbwElement, exps) -> bool:
     """p u_i = q^exps[i] u_i p for i = 0..3."""
     return all(p * g == (g * p).scale_qpow(e)
                for g, e in zip((generator(i) for i in range(4)), exps))
+
+
+def _gen_commute(j: int):
+    """The e_i with u_j u_i = q^e_i u_i u_j, for |i - j| <= 1 (None beyond,
+    where a correction term appears)."""
+    return tuple(0 if i == j else _ADJ if i == j + 1 else -_ADJ if i == j - 1 else None
+                 for i in range(4))
+
+
+def _q_rules(f: PbwElement, exps, right: bool) -> tuple:
+    """The `q_product` rules of x f (right) or f x, for a factor f with
+    f u_i = q^exps[i] u_i f on the letters it passes.
+
+    f goes to the middle of the word u3^b3 u2^b2 | u1^b1 u0^b0: on the right
+    it passes u1^b1 u0^b0 (a shift of -(e1 b1 + e0 b0)), on the left
+    u3^b3 u2^b2 (+(e3 b3 + e2 b2)).  A term m q^(h/2) u^d of f then stands
+    between the halves, and the normal order of
+    u3^b3 u2^b2 u3^d3 u2^d2 u1^d1 u0^d0 u1^b1 u0^b0 takes b2 d3 swaps u2 u3 and
+    d0 b1 swaps u0 u1, all at distance one: q^(_ADJ (b2 d3 + b1 d0)) and no
+    correction term.  One rule (d, h, m, w) per term, w the exponent of q
+    per unit of b."""
+    w = [0, 0, 0, 0]
+    for i in ((1, 0) if right else (3, 2)):
+        w[_slot(i)] = -exps[i] if right else exps[i]
+    rules = []
+    for d, c in f.terms.items():
+        (h, m), = c.terms.items()
+        wd = list(w)
+        wd[_slot(2)] += _ADJ * d[_slot(3)]
+        wd[_slot(1)] += _ADJ * d[_slot(0)]
+        rules.append((d, h, m, tuple(wd)))
+    return tuple(rules)
+
+
+def q_product(x: PbwElement, rules, t: int = 0) -> PbwElement:
+    """q^t times x times a factor that q-commutes with every letter it
+    passes, without straightening: x p0 (`X_P0`), p1 x (`P1_X`), x u0
+    (`X_U0`), x u1 (`X_U1`), u2 x (`U2_X`) or u3 x (`U3_X`).  A rule
+    (d, h, m, w) sends the coefficient c of u^b to c m q^(h/2 + t + w.b) at
+    u^(b + d)."""
+    out = {}
+    for (d3, d2, d1, d0), h, m, (w3, w2, w1, w0) in rules:
+        h += 2 * t
+        part = {}
+        for (b3, b2, b1, b0), c in x.terms.items():
+            s = h + 2 * (w3 * b3 + w2 * b2 + w1 * b1 + w0 * b0)
+            part[(b3 + d3, b2 + d2, b1 + d1, b0 + d0)] = \
+                LaurentQ._raw({k + s: m * v for k, v in c.terms.items()})
+        add_into(out, part)
+    return PbwElement._raw(out)
+
+
+X_P0 = _q_rules(p0(), P0_COMMUTE, right=True)
+P1_X = _q_rules(p1(), P1_COMMUTE, right=False)
+X_U0, X_U1 = (_q_rules(generator(j), _gen_commute(j), right=True) for j in (0, 1))
+U2_X, U3_X = (_q_rules(generator(j), _gen_commute(j), right=False) for j in (2, 3))
 
 
 def exp_root_weight(a: Exp):

@@ -191,6 +191,12 @@ def test_cluster_memo_matches_uncached_calls():
         assert cl.polynomial_form(n) == cl.polynomial_form.__wrapped__(n)
 
 
+def test_polynomial_form_matches_the_closed_formula_with_p_eliminated():
+    # n >= 5 is built by the three-term recursion; subs_p is the oracle
+    for n in range(-10, 25):
+        assert cl.polynomial_form(n) == cl.cluster_variable(n).subs_p(), n
+
+
 def test_cluster_memo_is_not_changed_by_arithmetic():
     cached = cl.polynomial_form(5)
     before = dict(cached.terms)

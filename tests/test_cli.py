@@ -221,6 +221,33 @@ def test_verify_jobs_parallel(capsys):
     assert [s["suite"] for s in report["suites"]] == list(cli.SUITES)
 
 
+@pytest.mark.parametrize("jobs, want", [(64, len(cli.SUITES)), (3, 3)])
+def test_verify_starts_no_more_workers_than_suites(monkeypatch, capsys, jobs, want):
+    seen = []
+
+    class FakePool:
+        # runs the suites in this process and records the pool size asked for
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda name, params: {"suite": name, "ok": True, "entries": [{"ok": True}]})
+    code, out, _ = run(["verify", "all", "--jobs", str(jobs)], capsys)
+    assert code == 0
+    assert seen == [want]
+    assert [s["suite"] for s in json.loads(out)["suites"]] == list(cli.SUITES)
+
+
 def test_latex_output(capsys):
     code, out, _ = run(["compute", "1", "0", "1", "0", "--format", "latex"], capsys)
     assert code == 0

@@ -141,6 +141,60 @@ def test_p_shift_identities():
         assert lhs == (B(*a) * p1).scale_qpow(a3 + 2 * a2 + 3 * a1 + 4 * a0)
 
 
+_STRAIGHTENED = {}
+
+
+def straightened_b(a):
+    """B[a] by `b_element`'s recursion with every product straightened by
+    `PbwElement.__mul__`.  A cluster-monomial core is taken from
+    `b_element`, which builds it from near-diagonal cores that this
+    reference covers."""
+    hit = _STRAIGHTENED.get(a)
+    if hit is not None:
+        return hit
+    a3, a2, a1, a0 = a
+    step = dcb._p_step(a)
+    R = straightened_b
+    if a == (0, 0, 0, 0):
+        res = pbw.one()
+    elif step is not None:
+        which, c, t = step
+        res = (R(c) * pbw.p0() if which == 0 else pbw.p1() * R(c)).scale_qpow(t)
+    elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
+        res = dcb.dual_pbw(a)
+    elif a3 == a0:
+        n = a3
+        res = (R((n, 0, 0, n - 1)) * u0).scale_qpow(n - 1) \
+            - (R((n - 1, 1, 0, n - 1)) * u1).scale_qpow(2 * n)
+    elif a3 == a0 + 1:
+        n = a3
+        res = (u3 * R((n - 1, 0, 0, n - 1))).scale_qpow(n - 1) \
+            - (u2 * R((n - 1, 0, 1, n - 2))).scale_qpow(2 * n - 1)
+    elif a0 == a3 + 1:
+        n = a0
+        res = (R((n - 1, 0, 0, n - 1)) * u0).scale_qpow(n - 1) \
+            - (R((n - 2, 1, 0, n - 1)) * u1).scale_qpow(2 * n - 1)
+    else:
+        res = dcb.b_element(a)
+    _STRAIGHTENED[a] = res
+    return res
+
+
+def test_b_element_equals_the_straightened_build():
+    cores = [c for n in range(1, 15) for c in ((n, 0, 0, n), (n, 0, 0, n - 1), (n - 1, 0, 0, n))]
+    for a in [a for k in range(12) for a in dcb.layer_exponents(k)] + cores:
+        assert dcb.b_element(a).terms == straightened_b(a).terms, a
+
+
+@pytest.mark.parametrize("a", [(14, 0, 0, 14), (15, 2, 1, 16)])
+def test_near_diagonal_cores_and_p_steps_need_no_straightening(monkeypatch, a):
+    # (15,2,1,16) strips two p0's and one p1 down to the core (14,0,0,14)
+    monkeypatch.setattr(dcb, "_B_CACHE", {})
+    monkeypatch.setattr(pbw, "_GEN_CACHE", {})
+    dcb.b_element(a)
+    assert pbw._GEN_CACHE == {}
+
+
 def test_recursions_base():
     rep = dcb.verify_recursions(2)
     assert all(e["ok"] for e in rep)

@@ -193,3 +193,25 @@ def test_word_product_equals_multiply():
         for i in word:
             step = step * pbw.generator(i)
         assert direct == step
+
+
+def test_q_product_rules_match_straightening():
+    rng = random.Random(17)
+    # under x -> x p0 the images of u1^2 and q^-4 u2 u0 meet at u2 u1^2 u0
+    # and cancel; so do those of u2^2 and q^-4 u3 u1 under x -> p1 x
+    cancel_p0 = u1 * u1 + (u2 * u0).scale_qpow(-4)
+    cancel_p1 = u2 * u2 + (u3 * u1).scale_qpow(-4)
+    assert (0, 1, 2, 1) not in (cancel_p0 * pbw.p0()).terms
+    assert (1, 2, 1, 0) not in (pbw.p1() * cancel_p1).terms
+    cases = [pbw.zero(), pbw.one(), cancel_p0, cancel_p1]
+    for _ in range(30):
+        cases.append(pbw.PbwElement({tuple(rng.randint(0, 4) for _ in range(4)): rand_coef(rng)
+                                     for _ in range(rng.randint(1, 5))}))
+    factors = [(pbw.X_P0, pbw.p0(), True), (pbw.P1_X, pbw.p1(), False),
+               (pbw.X_U0, u0, True), (pbw.X_U1, u1, True),
+               (pbw.U2_X, u2, False), (pbw.U3_X, u3, False)]
+    for rules, f, right in factors:
+        for x in cases:
+            want = x * f if right else f * x
+            for t in range(-3, 4):
+                assert pbw.q_product(x, rules, t).terms == want.scale_qpow(t).terms
