@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .qarith import Terms, add_into
+from .qarith import Terms, add_into, cluster_terms
 
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
 _LATEX_VARS = ("U_3", "U_2", "U_1", "U_0", "P_0", "P_1")
@@ -79,18 +79,6 @@ class CPoly(Terms):
     def scale(self, c: int) -> "CPoly":
         _check_int(c)
         return super().scale(c)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("use explicit monomials for Laurent inverses")
-        out = const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def is_polynomial(self) -> bool:
         """No negative exponents anywhere."""
@@ -180,15 +168,6 @@ class CPoly(Terms):
             return neg, mono
         return neg, f"{mag}{mono}" if latex else f"{mag}*{mono}"
 
-    def __str__(self):
-        return self._render()
-
-    def __repr__(self):
-        return f"CPoly({self})"
-
-    def to_latex(self) -> str:
-        return self._render(latex=True)
-
 
 def const(c) -> CPoly:
     return CPoly({_ZERO_EXP: c})
@@ -258,14 +237,7 @@ def cluster_variable(n: int) -> CPoly:
         return cluster_variable(3 - n).swap()
     m = n - 3
     inv = CPoly({(0, -m, -(m + 1), 0, 0, 0): 1})
-    total = {}
-    for k in range(0, m + 2):
-        for l in range(0, m + 1):
-            if not (k + l <= m or (k, l) == (m + 1, 0)):
-                continue
-            c = binomial(m - k, l) * binomial(m + 1 - l, k)
-            if c:
-                add_into(total, {(0, 2 * k, 2 * l, 0, m - l, m + 1 - k): c})
+    total = {(0, 2 * k, 2 * l, 0, m - l, m + 1 - k): c for k, l, c in cluster_terms(m, binomial)}
     return CPoly._raw(total) * inv
 
 
@@ -290,15 +262,8 @@ def polynomial_form(n: int) -> CPoly:
 def cluster_coefficient(n: int, a: int, b: int) -> int:
     """The coefficient c_{n,a,b} of U3^a U2^(n+2-2a+b) U1^(n-1-2b+a) U0^b
     in U_{n+3}, as the alternating quadruple-binomial sum."""
-    total = 0
-    for k in range(0, n + 2):
-        for l in range(0, n + 1):
-            if not (k + l <= n or (k, l) == (n + 1, 0)):
-                continue
-            total += ((-1) ** (k + l + a + b + 1)
-                      * binomial(n - k, l) * binomial(n + 1 - l, k)
-                      * binomial(n + 1 - k, a) * binomial(n - l, b))
-    return total
+    return sum((-1) ** (k + l + a + b + 1) * c * binomial(n + 1 - k, a) * binomial(n - l, b)
+               for k, l, c in cluster_terms(n, binomial))
 
 
 def coefficient_polynomial(n: int) -> CPoly:
@@ -338,14 +303,7 @@ def coefficient_free_cluster(n: int) -> CPoly:
         })
     m = n - 2
     inv = CPoly({(0, 0, -m, -(m + 1), 0, 0): 1})
-    total = {}
-    for k in range(0, m + 2):
-        for l in range(0, m + 1):
-            if not (k + l <= m or (k, l) == (m + 1, 0)):
-                continue
-            c = binomial(m - k, l) * binomial(m + 1 - l, k)
-            if c:
-                add_into(total, {(0, 0, 2 * k, 2 * l, 0, 0): c})
+    total = {(0, 0, 2 * k, 2 * l, 0, 0): c for k, l, c in cluster_terms(m, binomial)}
     return CPoly._raw(total) * inv
 
 
@@ -382,9 +340,9 @@ class ExchangeMatrix:
 
     __slots__ = ("rows", "n_mutable")
 
-    def __init__(self, rows, n_mutable=None):
+    def __init__(self, rows):
         self.rows = tuple(tuple(int(x) for x in r) for r in rows)
-        self.n_mutable = len(self.rows[0]) if n_mutable is None else n_mutable
+        self.n_mutable = len(self.rows[0])
         if any(len(r) != self.n_mutable for r in self.rows):
             raise ValueError("ragged exchange matrix")
 
@@ -420,7 +378,7 @@ def mutate(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 sign = 1 if bik > 0 else -1 if bik < 0 else 0
                 new_row.append(row[j] + sign * max(0, bik * bkj))
         new.append(new_row)
-    return ExchangeMatrix(new, b.n_mutable)
+    return ExchangeMatrix(new)
 
 
 def initial_exchange_matrix() -> ExchangeMatrix:

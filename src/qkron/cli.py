@@ -27,60 +27,42 @@ EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-SUITES = ("straightening", "serre", "layers", "recursions", "products",
-          "closed-formulas", "pbw-expansion", "classical", "qseed")
-
-# per-suite default bounds; --n-max / --k-max override where meaningful
-DEFAULTS = {
-    "layers": {"k_max": 6},
-    "recursions": {"n_max": 6},
-    "products": {"n_max": 5},
-    "closed-formulas": {"n_max": 4, "k_max": 6},
-    "pbw-expansion": {"n_max": 3},
-    "classical": {"n_max": 10},
-    "qseed": {"n_max": 5},
-    "straightening": {},
-    "serre": {},
+# each verify suite: its default bounds (--n-max / --k-max override where
+# meaningful) and its runner, run(n_max, k_max, seed, mode) -> entries.  A
+# runner looks its checks up as module attributes when it runs, so a check
+# rebound on its module after import is the one called.
+_SUITE_TABLE = {
+    "straightening": ({}, lambda n, k, seed, mode: pbw.verify_normal_form(seed=seed)),
+    "serre": ({}, lambda n, k, seed, mode:
+              free_serre.verify_straightening_mod_serre(mode=mode, seed=seed)),
+    "layers": ({"k_max": 6},
+               lambda n, k, seed, mode: dcb.verify_layers(k, seeds=(seed + 1, seed + 2))),
+    "recursions": ({"n_max": 6}, lambda n, k, seed, mode: dcb.verify_recursions(n)),
+    "products": ({"n_max": 5}, lambda n, k, seed, mode: dcb.verify_products(n)),
+    "closed-formulas": ({"n_max": 4, "k_max": 6}, lambda n, k, seed, mode:
+                        dcb.verify_closed_formulas(n) + dcb.verify_power_formulas(k)),
+    "pbw-expansion": ({"n_max": 3}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
+    "classical": ({"n_max": 10}, lambda n, k, seed, mode:
+                  classical.verify_classical(n) + _classical_cross_checks()),
+    "qseed": ({"n_max": 5}, lambda n, k, seed, mode:
+              qseed.verify_quasi_commutation(n) + qseed.verify_quantum_exchange(n)
+              + qseed.verify_bz_exchange(n) + qseed.verify_algebra_matches_l(min(n, 6))),
 }
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(name: str, params: dict) -> dict:
     """Run one named suite and wrap its entries with an aggregate flag."""
+    defaults, run = _SUITE_TABLE[name]
     n_max = params.get("n_max")
     k_max = params.get("k_max")
-    seed = params.get("seed", 0)
-    mode = params.get("mode")
-    d = DEFAULTS[name]
     if n_max is None:
-        n_max = d.get("n_max")
+        n_max = defaults.get("n_max")
     if k_max is None:
-        k_max = d.get("k_max", n_max)
+        k_max = defaults.get("k_max", n_max)
     if n_max is None:
         n_max = k_max
-    entries: list
-    if name == "straightening":
-        entries = pbw.verify_normal_form(seed=seed)
-    elif name == "serre":
-        entries = free_serre.verify_straightening_mod_serre(mode=mode, seed=seed)
-    elif name == "layers":
-        entries = dcb.verify_layers(k_max, seeds=(seed + 1, seed + 2))
-    elif name == "recursions":
-        entries = dcb.verify_recursions(n_max)
-    elif name == "products":
-        entries = dcb.verify_products(n_max)
-    elif name == "closed-formulas":
-        entries = dcb.verify_closed_formulas(n_max) + dcb.verify_power_formulas(k_max)
-    elif name == "pbw-expansion":
-        entries = dcb.verify_pbw_expansion(n_max)
-    elif name == "classical":
-        entries = classical.verify_classical(n_max) + _classical_cross_checks()
-    elif name == "qseed":
-        entries = (qseed.verify_quasi_commutation(n_max)
-                   + qseed.verify_quantum_exchange(n_max)
-                   + qseed.verify_bz_exchange(n_max)
-                   + qseed.verify_algebra_matches_l(min(n_max, 6)))
-    else:
-        raise ValueError(f"unknown suite {name!r}")
+    entries = run(n_max, k_max, params.get("seed", 0), params.get("mode"))
     ok = all(e.get("ok", e.get("member", False)) for e in entries)
     return {"suite": name, "ok": ok, "entries": entries}
 

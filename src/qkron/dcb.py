@@ -29,16 +29,12 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import pbw
-from .qarith import (LaurentQ, add_into, half_pow, lq_one, lq_zero, qpow, quantum_binom,
-                     split_antisymmetric)
+from .qarith import (LaurentQ, add_into, cluster_terms, half_pow, lq_one, lq_zero, qpow,
+                     quantum_binom, split_antisymmetric)
 
 Exp = tuple
 
 _U = [pbw.generator(i) for i in range(4)]
-
-# generators of the order cone, in (a3, a2, a1, a0) coordinates
-CONE_GEN_1 = (-1, 2, -1, 0)
-CONE_GEN_2 = (0, -1, 2, -1)
 
 
 def stat_n(a: Exp) -> int:
@@ -541,15 +537,9 @@ def verify_closed_formulas(n_max: int) -> list:
     for n in range(0, n_max + 1):
         lhs = _u_pow(2, n) * b_element((n + 1, 0, 0, n)) * _u_pow(1, n + 1)
         acc = {}
-        for k in range(0, n + 2):
-            for l in range(0, n + 1):
-                if not (k + l <= n or (k, l) == (n + 1, 0)):
-                    continue
-                coef = quantum_binom(n - k, l) * quantum_binom(n + 1 - l, k)
-                if not coef:
-                    continue
-                term = p_power(1, n + 1 - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
-                add_into(acc, term.terms, coef * qpow(f_exponent(n, k, l)))
+        for k, l, coef in cluster_terms(n, quantum_binom):
+            term = p_power(1, n + 1 - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
+            add_into(acc, term.terms, coef * qpow(f_exponent(n, k, l)))
         rhs = pbw.PbwElement._raw(acc)
         report.append(_compare("closed-formulas", n,
                                "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum", lhs, rhs))
@@ -599,28 +589,22 @@ def pbw_expansion_formula(n: int) -> dict:
     rather than assumed.
     """
     acc = {}
-    for k in range(0, n + 2):
-        for l in range(0, n + 1):
-            if not (k + l <= n or (k, l) == (n + 1, 0)):
+    for k, l, c_kl in cluster_terms(n, quantum_binom):
+        for s in range(0, n + 2 - k):
+            cs = quantum_binom(n + 1 - k, s)
+            if not cs:
                 continue
-            c_kl = quantum_binom(n - k, l) * quantum_binom(n + 1 - l, k)
-            if not c_kl:
-                continue
-            for s in range(0, n + 2 - k):
-                cs = quantum_binom(n + 1 - k, s)
-                if not cs:
+            for r in range(0, n + 1 - l):
+                cr = quantum_binom(n - l, r)
+                if not cr:
                     continue
-                for r in range(0, n + 1 - l):
-                    cr = quantum_binom(n - l, r)
-                    if not cr:
-                        continue
-                    e = (-l - 2 * k * l + 2 * n + k * n + l * n - 3 * r - l * r - r * r
-                         + s - k * s + 2 * r * s - s * s)
-                    coef = c_kl * cs * cr * qpow(e)
-                    if (k + l + s + r + 1) % 2:
-                        coef = -coef
-                    exp = (s, n + 2 - 2 * s + r, n - 1 - 2 * r + s, r)
-                    add_into(acc, {exp: coef})
+                e = (-l - 2 * k * l + 2 * n + k * n + l * n - 3 * r - l * r - r * r
+                     + s - k * s + 2 * r * s - s * s)
+                coef = c_kl * cs * cr * qpow(e)
+                if (k + l + s + r + 1) % 2:
+                    coef = -coef
+                exp = (s, n + 2 - 2 * s + r, n - 1 - 2 * r + s, r)
+                add_into(acc, {exp: coef})
     out = {}
     for exp, c in acc.items():
         if min(exp) < 0:

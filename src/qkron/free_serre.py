@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .qarith import LaurentQ, Terms, add_into, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, Terms, add_into, laurent_term, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
@@ -65,17 +65,12 @@ class FreeElement(Terms):
     def is_homogeneous(self) -> bool:
         return not self.terms or self.weight() is not None
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms):
-            name = "*".join(f"E{c}" for c in w) if w else "1"
-            parts.append(f"({self.terms[w]})*{name}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"FreeElement({self})"
+    def _term(self, word, c, latex):
+        if latex:
+            name = "".join(f"E_{x}" for x in word)
+        else:
+            name = "*".join(f"E{x}" for x in word)
+        return laurent_term(c, name or "1", latex)
 
 
 def serre_relators():

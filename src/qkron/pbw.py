@@ -155,10 +155,6 @@ class PbwElement(Terms):
     def _scalar(cls, c: int):
         return scalar(c)
 
-    def scale_qpow(self, k: int) -> "PbwElement":
-        """Multiply by q^k."""
-        return self.scale(qpow(k))
-
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
@@ -172,14 +168,6 @@ class PbwElement(Terms):
                     t = _terms_times_gen(t, i)
             add_into(out, t, c)
         return PbwElement._raw(out)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("the algebra has no inverses")
-        out = one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- structure ----------------------------------------------------------
 
@@ -236,11 +224,9 @@ class PbwElement(Terms):
             return neg, mono
         return neg, f"({c.to_latex()}){mono}" if latex else f"({c})*{mono}"
 
+    # kept in this class, where the benchmark tracer wraps them
     def __str__(self):
         return self._render()
-
-    def __repr__(self):
-        return f"PbwElement({self})"
 
     def to_latex(self) -> str:
         return self._render(latex=True)

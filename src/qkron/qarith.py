@@ -7,7 +7,8 @@ anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`.
 
 :class:`Terms` is the one sparse-sum format: a dict from monomial keys to
 nonzero coefficients, with the module operations that never look inside a
-key.  :class:`LaurentQ` and the algebra element types (``pbw.PbwElement``,
+key: sums, scaling (also by q^k), powers, hashing, repr and the text forms.
+:class:`LaurentQ` and the algebra element types (``pbw.PbwElement``,
 ``classical.CPoly``, ``free_serre.FreeElement`` and ``qseed.TorusElement``)
 subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
@@ -18,6 +19,11 @@ decreasing key order, written ``a - b + c`` (``a-b+c`` in LaTeX).
 ``Terms._render`` writes it from the (negative, body) pair that a
 subclass's ``_term`` gives for each term, and :func:`split_signed` is its
 inverse, which ``LaurentQ.parse`` and ``PbwElement.parse`` share.
+
+:func:`cluster_terms` is the one index set of the paper's explicit formula
+for the quantized cluster variables, a double sum over k + l <= n or
+(k, l) = (n + 1, 0); the generic-q sums and the q = 1 sums read it with
+their own binomial.
 
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
@@ -52,10 +58,10 @@ def add_into(out: dict, terms: dict, c=None) -> dict:
 class Terms:
     """A finite sum of monomials: ``terms`` maps each monomial key to its
     nonzero coefficient; its sum merges through `add_into`.  A subclass
-    adds the product of keys and, if it renders through ``_render``,
-    ``_term(key, coef, latex)``: the (negative, body) pair of one term;
-    ``_scalar(c)`` is its element c * 1 if it takes int operands, and
-    ``_like`` builds a result of the same kind."""
+    adds the product of keys and ``_term(key, coef, latex)``: the
+    (negative, body) pair of one term, from which ``str`` and ``to_latex``
+    render; ``_scalar(c)`` is its element c * 1 if it takes int operands
+    (and has powers), and ``_like`` builds a result of the same kind."""
 
     __slots__ = ("terms",)
 
@@ -123,8 +129,34 @@ class Terms:
             return self._like({})
         return self._like({k: c * v for k, v in self.terms.items()})
 
+    def scale_qpow(self, k: int):
+        """Multiply by q^k."""
+        return self.scale(qpow(k))
+
     def __rmul__(self, c):
         return self.scale(c) if isinstance(c, (int, LaurentQ)) else NotImplemented
+
+    def __pow__(self, k: int):
+        """self^k by repeated right multiplication, starting from 1: each
+        step's right factor is self, which keeps a straightening product
+        small.  NotImplemented for a type with no unit."""
+        out = self._scalar(1)
+        if out is None:
+            return NotImplemented
+        if k < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __str__(self):
+        return self._render()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def to_latex(self) -> str:
+        return self._render(latex=True)
 
     def _render(self, latex=False):
         """The canonical text form (LaTeX if latex): the terms in decreasing
@@ -232,18 +264,6 @@ class LaurentQ(Terms):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not Laurent polynomials")
-        out = _ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- structure ----------------------------------------------------------
 
     def bar(self) -> "LaurentQ":
@@ -335,14 +355,9 @@ class LaurentQ(Terms):
             return neg, qp
         return neg, f"{mag}{qp}" if latex else f"{mag}*{qp}"
 
+    # kept in this class, where the benchmark tracer wraps it
     def __str__(self):
         return self._render()
-
-    def __repr__(self):
-        return f"LaurentQ({self})"
-
-    def to_latex(self) -> str:
-        return self._render(latex=True)
 
     @classmethod
     def parse(cls, s: str) -> "LaurentQ":
@@ -403,6 +418,18 @@ def split_signed(s: str) -> list:
 
 _ZERO = LaurentQ._raw({})
 _ONE = LaurentQ._raw({0: 1})
+
+
+def laurent_term(c: LaurentQ, mono: str, latex: bool):
+    """The (negative, body) pair of the term c * mono for a Laurent
+    coefficient c: its sign comes out when every coefficient of c is
+    negative, and c is written in parentheses unless it is 1."""
+    neg = all(v < 0 for v in c.terms.values())
+    if neg:
+        c = -c
+    if c.terms == _ONE.terms:
+        return neg, mono
+    return neg, f"({c.to_latex()}){mono}" if latex else f"({c})*{mono}"
 
 
 def lq_zero() -> LaurentQ:
@@ -478,6 +505,19 @@ def quantum_binom(n: int, k: int) -> LaurentQ:
     for j in range(k):
         num = num * quantum_int(n - j)
     return num.exact_div(quantum_factorial(k))
+
+
+def cluster_terms(m: int, binom):
+    """The nonzero terms (k, l, c) of the double sum in the explicit formula
+    for the quantized cluster variables: k + l <= m or (k, l) = (m + 1, 0),
+    with c = binom(m - k, l) * binom(m + 1 - l, k).  binom is
+    `quantum_binom`, or an integer binomial for the q = 1 sums."""
+    for k in range(m + 2):
+        for l in range(m + 1):
+            if k + l <= m or (k, l) == (m + 1, 0):
+                c = binom(m - k, l) * binom(m + 1 - l, k)
+                if c:
+                    yield k, l, c
 
 
 def split_antisymmetric(x: LaurentQ) -> LaurentQ:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import dcb, pbw
 from .dcb import _compare, _diff_detail, _entry
-from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow
+from .qarith import LaurentQ, Terms, add_into, half_pow, laurent_term, lq_one
 
 
 def x_var(n: int) -> pbw.PbwElement:
@@ -138,9 +138,6 @@ class TorusElement(Terms):
     def __eq__(self, other):
         return isinstance(other, TorusElement) and self.n == other.n and self.terms == other.terms
 
-    def scale_qpow(self, k: int) -> "TorusElement":
-        return self.scale(qpow(k))
-
     def __mul__(self, other):
         if self._operand(other) is None:
             return NotImplemented
@@ -171,25 +168,22 @@ class TorusElement(Terms):
         return TorusElement(self.n, {tuple(-x for x in e): LaurentQ({-h: v})})
 
     def __pow__(self, k: int):
-        base = self
+        """self^k; a negative k inverts the monomial first."""
         if k < 0:
-            base, k = self.inverse(), -k
-        out = TorusElement(self.n, {(0, 0, 0, 0): lq_one()})
+            return self.inverse() ** -k
+        out = self._like({(0, 0, 0, 0): lq_one()})
         for _ in range(k):
-            out = out * base
+            out = out * self
         return out
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = (f"X{self.n}", f"X{self.n + 1}", "Y0", "Y1")
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                f"{nm}^{x}" if x != 1 else nm for nm, x in zip(names, e) if x
-            ) or "1"
-            parts.append(f"({self.terms[e]})*{mono}")
-        return " + ".join(parts)
+    def _term(self, e, c, latex):
+        if latex:
+            names = (f"X_{{{self.n}}}", f"X_{{{self.n + 1}}}", "Y_0", "Y_1")
+            mono = "".join(nm if x == 1 else f"{nm}^{{{x}}}" for nm, x in zip(names, e) if x)
+        else:
+            names = (f"X{self.n}", f"X{self.n + 1}", "Y0", "Y1")
+            mono = "*".join(nm if x == 1 else f"{nm}^{x}" for nm, x in zip(names, e) if x)
+        return laurent_term(c, mono or "1", latex)
 
     def __repr__(self):
         return f"TorusElement(n={self.n}, {self})"

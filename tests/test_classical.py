@@ -121,6 +121,24 @@ def test_chebyshev_basis():
         cl.chebyshev_basis_element(2, "X")
 
 
+def test_chebyshev_basis_matches_the_dickson_sums():
+    # s_k = sum_j (-1)^j C(k-j, j) z^(k-2j) (P1 P0)^j, and t_k the same with
+    # the factor k/(k-j): closed sums, not the recursion that builds them
+    z = cl.z_poly()
+    pp = cl.p1_poly() * cl.p0_poly()
+    for k in range(9):
+        s_k, t_k = cl.const(0), cl.const(2 if k == 0 else 0)
+        for j in range(k // 2 + 1):
+            c = (-1) ** j * cl.binomial(k - j, j)
+            term = z ** (k - 2 * j) * pp ** j
+            s_k += c * term
+            if k:
+                assert c * k % (k - j) == 0
+                t_k += c * k // (k - j) * term
+        assert cl.chebyshev_basis_element(k, "S") == s_k
+        assert cl.chebyshev_basis_element(k, "T") == t_k
+
+
 def test_swap_symmetry():
     assert cl.cluster_variable(0) == cl.cluster_variable(3).swap()
     u0 = cl.cluster_variable(0)

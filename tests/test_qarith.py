@@ -171,6 +171,16 @@ TEXT_FORMS = {
                     "-U3*U0 + U2*U1 + 1 - 3*U2^-1*U1^2*P0",
                     "-U_3U_0+U_2U_1+1-3U_2^{-1}U_1^{2}P_0"),
     "cpoly-constant": (lambda: 4 * classical.var("P1", 2) - 2, "4*P1^2 - 2", "4P_1^{2}-2"),
+    "free-zero": (lambda: free_serre.FreeElement(), "0", "0"),
+    "free-mixed": (lambda: free_serre.FreeElement({(2, 1): -qpow(1), (1, 1, 2): lq_one(),
+                                                   (1,): qpow(2) - 1, (): -half_pow(1) - 1}),
+                   "-(q)*E2*E1 + E1*E1*E2 + (q^2 - 1)*E1 - (q^(1/2) + 1)*1",
+                   "-(q^{1})E_2E_1+E_1E_1E_2+(q^{2}-1)E_1-(q^{1/2}+1)1"),
+    "torus-zero": (lambda: qseed.TorusElement(3), "0", "0"),
+    "torus-mixed": (lambda: qseed.TorusElement(3, {(1, 0, 0, -1): lq_one(), (0, 2, 1, 0): -qpow(-1),
+                                                   (0, 0, 0, 0): 2 * half_pow(1)}),
+                    "X3*Y1^-1 - (q^-1)*X4^2*Y0 + (2*q^(1/2))*1",
+                    "X_{3}Y_1^{-1}-(q^{-1})X_{4}^{2}Y_0+(2q^{1/2})1"),
 }
 
 
@@ -179,7 +189,7 @@ def test_text_and_latex_forms(name):
     make, text, latex = TEXT_FORMS[name]
     x = make()
     assert str(x) == text and x.to_latex() == latex
-    if not isinstance(x, classical.CPoly):
+    if isinstance(x, (LaurentQ, pbw.PbwElement)):
         assert type(x).parse(text) == x
 
 
@@ -206,8 +216,9 @@ TERMS_CASES = {
     "CPoly": (lambda: (classical.z_poly() - 3, classical.U2 * 5), True),
     "FreeElement": (lambda: (free_serre.serre_relators()[0],
                              free_serre.FreeElement({(2, 1): -qpow(1)})), False),
-    "TorusElement": (lambda: (qseed.torus_gen(2, 0) + qseed.torus_gen(2, 3).scale(half_pow(3)),
-                              qseed.torus_gen(2, 1)), False),
+    # n = 3, where the quantum seed and so the torus product start
+    "TorusElement": (lambda: (qseed.torus_gen(3, 0) + qseed.torus_gen(3, 3).scale(half_pow(3)),
+                              qseed.torus_gen(3, 1)), False),
 }
 
 
@@ -229,9 +240,21 @@ def test_terms_module_operations(name):
         for c in (0, 1, -3):
             # an element equal to an int hashes as that int
             assert hash(x - x + c) == hash(c) and len({x - x + c, c}) == 1
+        assert x ** 0 == 1 and x ** 3 == x * x * x
+        with pytest.raises(ValueError):
+            x ** -1
     else:
         with pytest.raises(TypeError):
             x + 1
+    if name == "TorusElement":
+        # y is a monomial, which inverts
+        assert y ** -1 * y == qseed.torus_m((0, 0, 0, 0), y.n)
+        assert repr(x) == f"TorusElement(n={x.n}, {x})"
+    else:
+        assert repr(x) == f"{name}({x})"
+    if name == "FreeElement":
+        with pytest.raises(TypeError):
+            x ** 2
 
 
 def test_laurent_and_pbw_do_not_mix():
