@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .qarith import Terms, add_into, cluster_terms
+from .qarith import Terms, add_into, cluster_terms, power_product
 
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
 _LATEX_VARS = ("U_3", "U_2", "U_1", "U_0", "P_0", "P_1")
@@ -155,18 +155,8 @@ class CPoly(Terms):
                            for e2, c2 in other.terms.items()}, -qc)
         return CPoly._raw(quot)
 
-    def _term(self, e, c, latex):
-        if latex:
-            mono = "".join([n if x == 1 else f"{n}^{{{x}}}" for n, x in zip(_LATEX_VARS, e) if x])
-        else:
-            mono = "*".join([n if x == 1 else f"{n}^{x}" for n, x in zip(VARS, e) if x])
-        neg = c < 0
-        mag = -c if neg else c
-        if not mono:
-            return neg, str(mag)
-        if mag == 1:
-            return neg, mono
-        return neg, f"{mag}{mono}" if latex else f"{mag}*{mono}"
+    def _mono(self, e, latex):
+        return power_product(_LATEX_VARS if latex else VARS, e, latex)
 
 
 def const(c) -> CPoly:
@@ -246,7 +236,10 @@ def polynomial_form(n: int) -> CPoly:
     """U_n as a polynomial in U3, U2, U1, U0; memoized like
     `cluster_variable`.  U_4 is `cluster_variable(4).subs_p()`, and n >= 5
     takes one step of U_n = z U_{n-1} - P1 P0 U_{n-2} from the memoized rows
-    below.  The classical suite checks both facts against `subs_p`."""
+    below.  The classical suite checks both facts against `subs_p`.
+
+    The rows below are filled bottom-up first, so no call is more than one
+    row deep and a cold large n cannot exhaust the recursion limit."""
     if 0 <= n <= 3:
         return (U0, U1, U2, U3)[n]
     if n < 0:
@@ -256,6 +249,8 @@ def polynomial_form(n: int) -> CPoly:
         if not out.is_polynomial():
             raise AssertionError("U_4 did not clear its denominator")
         return out
+    for k in range(5, n):
+        polynomial_form(k)
     return z_poly() * polynomial_form(n - 1) - p1_poly() * p0_poly() * polynomial_form(n - 2)
 
 

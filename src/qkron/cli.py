@@ -90,9 +90,26 @@ def cmd_compute(args, parser) -> int:
     a = tuple(args.a)
     if any(x < 0 for x in a):
         parser.error("exponents must be non-negative")
+    # the cap is on the core (x, 0, 0, w) that b_element's p0/p1 stripping
+    # leaves, checked before any build so that it never depends on earlier
+    # requests; b_element recurses once per step, so a stripping as deep as
+    # the recursion limit is refused here too
+    core, depth = a, sys.getrecursionlimit()
+    for _ in range(depth):
+        step = dcb._p_step(core)
+        if step is None:
+            break
+        core = step[1]
+    else:
+        print(f"error: p0/p1 stripping deeper than {depth} steps", file=sys.stderr)
+        return EXIT_RESOURCE
+    x, w = core[0], core[3]
+    if x >= 1 and w >= 1 and abs(x - w) >= 2 and x + w > args.max_layer:
+        print(f"error: layer {x + w} exceeds cap {args.max_layer}", file=sys.stderr)
+        return EXIT_RESOURCE
     try:
-        elem = dcb.b_element(a, max_layer=args.max_layer)
-    except (dcb.LayerCapExceeded, RecursionError) as exc:
+        elem = dcb.b_element(a)
+    except RecursionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     out = {}

@@ -71,10 +71,6 @@ def _from_dual_pbw(coeffs: dict) -> pbw.PbwElement:
     return pbw.PbwElement({a: qpow(stat_b(a)) * c for a, c in coeffs.items() if c})
 
 
-class LayerCapExceeded(Exception):
-    """A computation would need a layer above the configured cap."""
-
-
 class LayerTable:
     """All B[a] with total(a) = k."""
 
@@ -322,10 +318,10 @@ def _load_layer(k: int, cache_dir):
     return LayerTable(k, entries)
 
 
-def b_element(a, max_layer=None) -> pbw.PbwElement:
+def b_element(a) -> pbw.PbwElement:
     """B[a]: strip p0/p1 factors, then either a frozen dual-PBW core, the
     one-step recursions on near-diagonal cores, or, on any other core
-    (x, 0, 0, w), a quantum cluster monomial, refused if x + w > max_layer.
+    (x, 0, 0, w), a quantum cluster monomial.
     Convention: any negative coordinate gives 0.
 
     Every p0/p1 step and every near-diagonal step multiplies by a factor
@@ -337,12 +333,6 @@ def b_element(a, max_layer=None) -> pbw.PbwElement:
     a = tuple(int(x) for x in a)
     if any(x < 0 for x in a):
         return pbw.zero()
-    if max_layer is not None:
-        # the core left by p0/p1 stripping, worked out before the memo so
-        # that the cap never depends on earlier calls
-        x, w = a[0] - min(a[0], a[2]), a[3] - min(a[1], a[3])
-        if x >= 1 and w >= 1 and abs(x - w) >= 2 and x + w > max_layer:
-            raise LayerCapExceeded(f"layer {x + w} exceeds cap {max_layer}")
     hit = _B_CACHE.get(a)
     if hit is not None:
         return hit

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .qarith import LaurentQ, Terms, add_into, laurent_term, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, Terms, add_into, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
@@ -65,12 +65,10 @@ class FreeElement(Terms):
     def is_homogeneous(self) -> bool:
         return not self.terms or self.weight() is not None
 
-    def _term(self, word, c, latex):
+    def _mono(self, word, latex):
         if latex:
-            name = "".join(f"E_{x}" for x in word)
-        else:
-            name = "*".join(f"E{x}" for x in word)
-        return laurent_term(c, name or "1", latex)
+            return "".join(f"E_{x}" for x in word)
+        return "*".join(f"E{x}" for x in word)
 
 
 def serre_relators():
@@ -160,17 +158,18 @@ class MembershipResult:
 
 DEFAULT_WEIGHT_CAP = 12
 EXACT_DEFAULT_MAX_TOTAL = 8
+PROBABILISTIC_POINTS = 5
 
 
-def ideal_membership(x: FreeElement, mode: str | None = None, cap: int = DEFAULT_WEIGHT_CAP,
-                     seed: int = 0, points: int = 5) -> MembershipResult:
+def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> MembershipResult:
     """Decide membership of a weight-homogeneous element in the two-sided
-    quantum Serre ideal, within its weight component.
+    quantum Serre ideal, within its weight component, up to total weight
+    `DEFAULT_WEIGHT_CAP`.
 
     mode "exact" eliminates fraction-free and produces a certificate over
-    one denominator; "probabilistic" solves over Q at `points` seeded integer
-    values of q and reports membership iff all evaluations succeed.  The
-    default picks exact for total weight <= 8.
+    one denominator; "probabilistic" solves over Q at `PROBABILISTIC_POINTS`
+    seeded integer values of q and reports membership iff all evaluations
+    succeed.  The default picks exact for total weight <= 8.
     """
     if mode not in (None, "exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,8 +178,8 @@ def ideal_membership(x: FreeElement, mode: str | None = None, cap: int = DEFAULT
     w = x.weight()
     if w is None:
         raise ValueError("ideal membership needs a weight-homogeneous element")
-    if w[0] + w[1] > cap:
-        raise ValueError(f"weight {w} exceeds the configured cap {cap}")
+    if w[0] + w[1] > DEFAULT_WEIGHT_CAP:
+        raise ValueError(f"weight {w} exceeds the cap {DEFAULT_WEIGHT_CAP}")
     if mode is None:
         mode = "exact" if w[0] + w[1] <= EXACT_DEFAULT_MAX_TOTAL else "probabilistic"
     span = spanning_set(w)
@@ -188,7 +187,7 @@ def ideal_membership(x: FreeElement, mode: str | None = None, cap: int = DEFAULT
         return MembershipResult(False, mode, w)
     if mode == "exact":
         return _membership_exact(x, span, w)
-    return _membership_probabilistic(x, span, w, seed, points)
+    return _membership_probabilistic(x, span, w, seed)
 
 
 def _strip_content(dicts, shift=None):
@@ -317,11 +316,11 @@ def _int_reduce(row, basis):
     return row
 
 
-def _membership_probabilistic(x, span, w, seed, points) -> MembershipResult:
+def _membership_probabilistic(x, span, w, seed) -> MembershipResult:
     rng = random.Random(seed)
     used = set()
     tested = 0
-    while tested < points:
+    while tested < PROBABILISTIC_POINTS:
         t = rng.randint(2, 97)
         if t in used:
             continue
@@ -369,13 +368,12 @@ def straightening_differences():
     return diffs
 
 
-def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0,
-                                   cap: int = DEFAULT_WEIGHT_CAP) -> list:
+def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0) -> list:
     """Certify all six straightening relations as members of the quantum
     Serre ideal; returns one report entry per relation."""
     report = []
     for name, diff in straightening_differences():
-        res = ideal_membership(diff, mode=mode, seed=seed, cap=cap)
+        res = ideal_membership(diff, mode=mode, seed=seed)
         if res.member and res.certificate and diff:
             if expand_certificate(res.certificate) != diff.scale(res.denominator):
                 raise AssertionError(f"certificate for {name} does not expand back")

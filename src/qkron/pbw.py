@@ -39,7 +39,7 @@ word, with no memo table beyond the straightening memo.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, add_into, lq_one, qpow, split_signed
+from .qarith import LaurentQ, Terms, add_into, lq_one, power_product, qpow, split_signed
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -53,6 +53,8 @@ _CORR2 = qpow(-2) - 1       # coefficient of u_{i+1}^2 in the distance-2 rule
 _CORR3 = qpow(-4) - 1       # coefficient of u_2 u_1 in the distance-3 rule
 
 _ZERO_EXP = (0, 0, 0, 0)
+_U_NAMES = ("u3", "u2", "u1", "u0")      # a monomial's factors, in normal order
+_U_LATEX = ("u_3", "u_2", "u_1", "u_0")
 
 
 def _slot(i: int) -> int:
@@ -215,14 +217,8 @@ class PbwElement(Terms):
 
     # -- text and JSON forms --------------------------------------------------
 
-    def _term(self, a, c, latex):
-        neg = all(v < 0 for v in c.terms.values())
-        if neg:
-            c = -c
-        mono = _mono_str(a, latex)
-        if c.terms == _ONE.terms:
-            return neg, mono
-        return neg, f"({c.to_latex()}){mono}" if latex else f"({c})*{mono}"
+    def _mono(self, a, latex):
+        return power_product(_U_LATEX if latex else _U_NAMES, a, latex)
 
     # kept in this class, where the benchmark tracer wraps them
     def __str__(self):
@@ -256,19 +252,6 @@ class PbwElement(Terms):
             prev = out.get(mono)
             out[mono] = c if prev is None else prev + c
         return cls(out)
-
-
-def _mono_str(a: Exp, latex: bool) -> str:
-    if latex:
-        return "".join(f"u_{i}" + (f"^{{{e}}}" if e > 1 else "")
-                       for i, e in zip((3, 2, 1, 0), a) if e) or "1"
-    parts = []
-    for i, e in zip((3, 2, 1, 0), a):
-        if e == 1:
-            parts.append(f"u{i}")
-        elif e > 1:
-            parts.append(f"u{i}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def _parse_term(tok: str):

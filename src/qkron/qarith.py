@@ -14,11 +14,13 @@ subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
 coefficient is ever stored; only ``LaurentQ.__add__`` keeps its own.
 
-The canonical text form of a sum is one decision, made here: terms in
-decreasing key order, written ``a - b + c`` (``a-b+c`` in LaTeX).
-``Terms._render`` writes it from the (negative, body) pair that a
-subclass's ``_term`` gives for each term, and :func:`split_signed` is its
-inverse, which ``LaurentQ.parse`` and ``PbwElement.parse`` share.
+The canonical text form of a sum is one grammar, written only by
+``Terms._render``: terms in decreasing key order, written ``a - b + c``
+(``a-b+c`` in LaTeX), each a signed coefficient times a monomial.  A
+subclass only names its monomials (``_mono``, most of them through
+:func:`power_product`); the sign, the coefficient and the unit are
+``_render``'s.  :func:`split_signed` is its inverse, which
+``LaurentQ.parse`` and ``PbwElement.parse`` share.
 
 :func:`cluster_terms` is the one index set of the paper's explicit formula
 for the quantized cluster variables, a double sum over k + l <= n or
@@ -58,8 +60,8 @@ def add_into(out: dict, terms: dict, c=None) -> dict:
 class Terms:
     """A finite sum of monomials: ``terms`` maps each monomial key to its
     nonzero coefficient; its sum merges through `add_into`.  A subclass
-    adds the product of keys and ``_term(key, coef, latex)``: the
-    (negative, body) pair of one term, from which ``str`` and ``to_latex``
+    adds the product of keys and ``_mono(key, latex)``: the name of one
+    monomial, ``""`` for the unit, from which ``str`` and ``to_latex``
     render; ``_scalar(c)`` is its element c * 1 if it takes int operands
     (and has powers), and ``_like`` builds a result of the same kind."""
 
@@ -160,14 +162,28 @@ class Terms:
 
     def _render(self, latex=False):
         """The canonical text form (LaTeX if latex): the terms in decreasing
-        key order, each a (negative, body) pair from ``_term``, written
-        ``a - b + c`` (``a-b+c``); the empty sum is ``0``."""
+        key order, written ``a - b + c`` (``a-b+c``); the empty sum is ``0``.
+        A term is its coefficient times ``_mono(key, latex)``: an int goes in
+        front (``3*m``, ``3m``) and stands alone on the unit, a Laurent
+        polynomial in parentheses (``(c)*m``, ``(c)m``, with ``1`` for the
+        unit); a coefficient 1 is dropped, and the sign comes out when every
+        coefficient is negative."""
         if not self.terms:
             return "0"
-        term = self._term
+        mono = self._mono
         parts = []
         for k, c in sorted(self.terms.items(), reverse=True):
-            neg, body = term(k, c, latex)
+            m = mono(k, latex)
+            scalar = isinstance(c, int)
+            neg = c < 0 if scalar else all(v < 0 for v in c.terms.values())
+            if neg:
+                c = -c
+            if scalar:
+                body = m if c == 1 and m else f"{c}*{m}" if m and not latex else f"{c}{m}"
+            else:
+                m = m or "1"
+                body = m if c.terms == _ONE.terms else (
+                    f"({c.to_latex()}){m}" if latex else f"({c})*{m}")
             if latex:
                 parts.append(("-" if neg else "+" if parts else "") + body)
             elif parts:
@@ -175,6 +191,15 @@ class Terms:
             else:
                 parts.append("-" + body if neg else body)
         return ("" if latex else " ").join(parts)
+
+
+def power_product(names, exps, latex: bool) -> str:
+    """The monomial names[0]^exps[0] names[1]^exps[1] ..., written
+    ``a^2*b`` (``a^{2}b`` in LaTeX); a zero exponent drops its factor, and
+    the unit is ``""``."""
+    if latex:
+        return "".join([n if x == 1 else f"{n}^{{{x}}}" for n, x in zip(names, exps) if x])
+    return "*".join([n if x == 1 else f"{n}^{x}" for n, x in zip(names, exps) if x])
 
 
 class LaurentQ(Terms):
@@ -340,20 +365,14 @@ class LaurentQ(Terms):
 
     # -- text form ----------------------------------------------------------
 
-    def _term(self, h, c, latex):
-        neg = c < 0
-        mag = -c if neg else c
-        if h == 0:
-            return neg, str(mag)
+    def _mono(self, h, latex):
+        if not h:
+            return ""
         if latex:
-            qp = f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
-        elif h % 2:
-            qp = f"q^({h}/2)"
-        else:
-            qp = "q" if h == 2 else f"q^{h // 2}"
-        if mag == 1:
-            return neg, qp
-        return neg, f"{mag}{qp}" if latex else f"{mag}*{qp}"
+            return f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
+        if h % 2:
+            return f"q^({h}/2)"
+        return "q" if h == 2 else f"q^{h // 2}"
 
     # kept in this class, where the benchmark tracer wraps it
     def __str__(self):
@@ -418,18 +437,6 @@ def split_signed(s: str) -> list:
 
 _ZERO = LaurentQ._raw({})
 _ONE = LaurentQ._raw({0: 1})
-
-
-def laurent_term(c: LaurentQ, mono: str, latex: bool):
-    """The (negative, body) pair of the term c * mono for a Laurent
-    coefficient c: its sign comes out when every coefficient of c is
-    negative, and c is written in parentheses unless it is 1."""
-    neg = all(v < 0 for v in c.terms.values())
-    if neg:
-        c = -c
-    if c.terms == _ONE.terms:
-        return neg, mono
-    return neg, f"({c.to_latex()}){mono}" if latex else f"({c})*{mono}"
 
 
 def lq_zero() -> LaurentQ:

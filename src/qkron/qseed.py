@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import dcb, pbw
 from .dcb import _compare, _diff_detail, _entry
-from .qarith import LaurentQ, Terms, add_into, half_pow, laurent_term, lq_one
+from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, power_product
 
 
 def x_var(n: int) -> pbw.PbwElement:
@@ -116,12 +116,14 @@ class TorusElement(Terms):
     normalized M(a), so multiplication follows
     x^a x^b = q^((1/2) sum_{i>j} (a_i b_j - a_j b_i) L_ij) x^(a+b).
     Elements over different n do not mix: sums and products raise
-    ValueError, and they compare unequal.
+    ValueError, and they compare unequal.  There is no L(n) for n < 3, so
+    construction raises there.
     """
 
     __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
+        l_matrix(n)  # raises ValueError for n < 3
         self.n = n
         super().__init__(terms)
 
@@ -176,14 +178,11 @@ class TorusElement(Terms):
             out = out * self
         return out
 
-    def _term(self, e, c, latex):
+    def _mono(self, e, latex):
+        n = self.n
         if latex:
-            names = (f"X_{{{self.n}}}", f"X_{{{self.n + 1}}}", "Y_0", "Y_1")
-            mono = "".join(nm if x == 1 else f"{nm}^{{{x}}}" for nm, x in zip(names, e) if x)
-        else:
-            names = (f"X{self.n}", f"X{self.n + 1}", "Y0", "Y1")
-            mono = "*".join(nm if x == 1 else f"{nm}^{x}" for nm, x in zip(names, e) if x)
-        return laurent_term(c, mono or "1", latex)
+            return power_product((f"X_{{{n}}}", f"X_{{{n + 1}}}", "Y_0", "Y_1"), e, latex)
+        return power_product((f"X{n}", f"X{n + 1}", "Y0", "Y1"), e, latex)
 
     def __repr__(self):
         return f"TorusElement(n={self.n}, {self})"

@@ -215,6 +215,25 @@ def test_polynomial_form_matches_the_closed_formula_with_p_eliminated():
         assert cl.polynomial_form(n) == cl.cluster_variable(n).subs_p(), n
 
 
+def test_cold_polynomial_form_needs_no_deep_recursion():
+    # rows are filled bottom-up, so a cold call stays a few frames deep
+    import sys
+
+    expected = cl.polynomial_form(50)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    cl.polynomial_form.cache_clear()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        got = cl.polynomial_form(50)
+    finally:
+        sys.setrecursionlimit(limit)
+        cl.polynomial_form.cache_clear()
+    assert got == expected
+
+
 def test_cluster_memo_is_not_changed_by_arithmetic():
     cached = cl.polynomial_form(5)
     before = dict(cached.terms)

@@ -214,6 +214,14 @@ def test_compute_off_diagonal_core_cap(capsys):
     refused()
 
 
+def test_refused_compute_builds_nothing(monkeypatch, capsys):
+    # the cap is checked on the stripped core before any b_element call
+    monkeypatch.setattr(dcb, "_B_CACHE", {})
+    code, out, err = run(["compute", "7", "1", "0", "3"], capsys)
+    assert (code, out, err) == (3, "", "error: layer 9 exceeds cap 8\n")
+    assert dcb._B_CACHE == {}
+
+
 def test_verify_jobs_parallel(capsys):
     code, out, _ = run(["verify", "all", "--n-max", "2", "--k-max", "2", "--jobs", "2"], capsys)
     assert code == 0

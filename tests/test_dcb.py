@@ -324,7 +324,7 @@ def test_layer_table_refuses_a_core_with_the_wrong_eigenvalue(monkeypatch, k):
     real = dcb.b_element
     _cold_layers(monkeypatch)
     monkeypatch.setattr(dcb, "b_element",
-                        lambda a, max_layer=None: dcb.dual_pbw(a) if a == (1, 0, 0, 1) else real(a))
+                        lambda a: dcb.dual_pbw(a) if a == (1, 0, 0, 1) else real(a))
     with pytest.raises(AssertionError, match="sigma eigenvector"):
         dcb.layer_table(k)
 
@@ -333,7 +333,7 @@ def test_layer_table_refuses_a_p_multiple_whose_lead_is_not_one(monkeypatch):
     real = dcb.b_element
     _cold_layers(monkeypatch)
     monkeypatch.setattr(dcb, "b_element",
-                        lambda a, max_layer=None: real(a).scale_qpow(1) if a == (1, 1, 1, 1) else real(a))
+                        lambda a: real(a).scale_qpow(1) if a == (1, 1, 1, 1) else real(a))
     with pytest.raises(AssertionError, match=r"B\[\(1, 1, 1, 1\)\]: leading dual-PBW coefficient"):
         dcb.layer_table(4)
 

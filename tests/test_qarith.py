@@ -265,12 +265,21 @@ def test_laurent_and_pbw_do_not_mix():
 
 
 def test_torus_elements_over_different_matrices_do_not_mix():
-    x, y = qseed.torus_gen(2, 0), qseed.torus_gen(3, 0)
+    x, y = qseed.torus_gen(3, 0), qseed.torus_gen(4, 0)
     assert x.terms == y.terms and x != y
     for op in (lambda: x + y, lambda: x - y, lambda: x * y):
         with pytest.raises(ValueError, match="different L matrices"):
             op()
-    assert (x + x).n == 2 and (-x).n == 2 and x.scale(2).n == 2
+    assert (x + x).n == 3 and (-x).n == 3 and x.scale(2).n == 3
+
+
+@pytest.mark.parametrize("n", [2, 0, -1])
+def test_torus_element_below_the_seed_is_refused(n):
+    # L(n) starts at n = 3: construction raises, not only a later product
+    with pytest.raises(ValueError, match="starts at n = 3"):
+        qseed.TorusElement(n)
+    with pytest.raises(ValueError, match="starts at n = 3"):
+        qseed.torus_gen(n, 0)
 
 
 def test_tracer_wraps_and_restores_methods(monkeypatch):
