@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .qarith import Terms, add_into, cluster_terms, power_product
+from .qarith import Terms, add_into, cluster_terms, compare, entry, power_product
 
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
 _LATEX_VARS = ("U_3", "U_2", "U_1", "U_0", "P_0", "P_1")
@@ -399,23 +399,20 @@ def linear_recursion_check(n_max: int) -> list:
     seed, the coefficient version U_{k+1} = z U_k - P1 P0 U_{k-1} for
     k >= 4, and the identity defining z."""
     report = []
-
-    def entry(identity, ok, n=0):
-        report.append({"suite": "classical", "n": n, "identity": identity, "ok": bool(ok)})
-
     cfr = {n: coefficient_free_cluster(n) for n in range(0, n_max + 2)}
     t = (1 + cfr[0] ** 2 + cfr[1] ** 2).exact_div(cfr[0] * cfr[1])
     for n in range(1, n_max + 1):
-        entry("U_{n+1} = T U_n - U_{n-1} (coefficient-free)",
-              cfr[n + 1] == t * cfr[n] - cfr[n - 1], n)
+        report.append(compare("classical", n, "U_{n+1} = T U_n - U_{n-1} (coefficient-free)",
+                              cfr[n + 1], t * cfr[n] - cfr[n - 1]))
     z = z_poly()
     pp = p1_poly() * p0_poly()
     # the closed formula with P eliminated, not `polynomial_form`, which
     # is built by this recursion
     us = {k: cluster_variable(k).subs_p() for k in range(3, n_max + 2)}
     for k in range(4, n_max + 1):
-        entry("U_{k+1} = z U_k - P1 P0 U_{k-1}", us[k + 1] == z * us[k] - pp * us[k - 1], k)
-    entry("z = U3 U0 - U2 U1", z_laurent().subs_p() == z)
+        report.append(compare("classical", k, "U_{k+1} = z U_k - P1 P0 U_{k-1}",
+                              us[k + 1], z * us[k] - pp * us[k - 1]))
+    report.append(compare("classical", 0, "z = U3 U0 - U2 U1", z_laurent().subs_p(), z))
     return report
 
 
@@ -424,39 +421,39 @@ def verify_classical(n_max: int = 10) -> list:
     closed coefficient formulas, polynomiality, the basis elements, and the
     quiver mutations."""
     report = []
-
-    def entry(identity, ok, n=0):
-        report.append({"suite": "classical", "n": n, "identity": identity, "ok": bool(ok)})
-
     us = {n: cluster_variable(n) for n in range(1, n_max + 2)}
     for n in range(4, n_max + 1):
-        ok = us[n + 1] * us[n - 1] == us[n] ** 2 + P1_SYM ** (n - 1) * P0_SYM ** (n - 4)
-        entry("U_{n+1} U_{n-1} = U_n^2 + P1^(n-1) P0^(n-4)", ok, n)
+        report.append(compare("classical", n, "U_{n+1} U_{n-1} = U_n^2 + P1^(n-1) P0^(n-4)",
+                              us[n + 1] * us[n - 1],
+                              us[n] ** 2 + P1_SYM ** (n - 1) * P0_SYM ** (n - 4)))
     cf = {n: us[n].specialize_coefficients() for n in us}
     ok = all(cf[n + 1] * cf[n - 1] == cf[n] ** 2 + 1 for n in range(2, n_max))
-    entry("coefficient-free exchange U_{n+1} U_{n-1} = U_n^2 + 1", ok)
+    report.append(entry("classical", 0,
+                        "coefficient-free exchange U_{n+1} U_{n-1} = U_n^2 + 1", ok))
 
-    entry("U_4 = U3^2 U0 - 2 U3 U2 U1 + U2^3",
-          polynomial_form(4) == U3 ** 2 * U0 - 2 * U3 * U2 * U1 + U2 ** 3)
+    report.append(compare("classical", 0, "U_4 = U3^2 U0 - 2 U3 U2 U1 + U2^3",
+                          polynomial_form(4), U3 ** 2 * U0 - 2 * U3 * U2 * U1 + U2 ** 3))
 
     for n in range(0, min(n_max - 2, 8) + 1):
         try:
             ok = coefficient_polynomial(n) == polynomial_form(n + 3)
         except AssertionError:
             ok = False
-        entry("c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish", ok, n)
+        report.append(entry("classical", n,
+                            "c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish", ok))
 
     ok = True
     for n in range(4, n_max + 1):
         u = cluster_variable(n).subs_p()
         ok = ok and u.is_polynomial() and not u.uses_p_symbols() and u == polynomial_form(n)
-    entry("polynomiality of U_n in U3,U2,U1,U0", ok)
+    report.append(entry("classical", 0, "polynomiality of U_n in U3,U2,U1,U0", ok))
 
     ok = True
     for n in range(2, min(n_max, 9)):
         shifted = cluster_variable(n + 1).specialize_coefficients().shift_seed_down()
         ok = ok and coefficient_free_cluster(n) == shifted
-    entry("coefficient-free closed formula agrees with the P = 1 specialization", ok)
+    report.append(entry("classical", 0,
+                        "coefficient-free closed formula agrees with the P = 1 specialization", ok))
 
     report.extend(linear_recursion_check(min(n_max, 9)))
     z = z_poly()
@@ -469,18 +466,20 @@ def verify_classical(n_max: int = 10) -> list:
         for kind in ("S", "T"):
             ok = ok and chebyshev_basis_element(k + 1, kind) == \
                 z * chebyshev_basis_element(k, kind) - pp * chebyshev_basis_element(k - 1, kind)
-    entry("Chebyshev basis elements satisfy s_{k+1} = z s_k - P1 P0 s_{k-1}", ok)
+    report.append(entry("classical", 0,
+                        "Chebyshev basis elements satisfy s_{k+1} = z s_k - P1 P0 s_{k-1}", ok))
 
     fig0, fig1, fig2 = quiver_figure_matrices()
     ok = mutate(fig0, 0) == fig1 and mutate(fig1, 1) == fig2
-    entry("mutations reproduce the three drawn quivers", ok)
+    report.append(entry("classical", 0, "mutations reproduce the three drawn quivers", ok))
     b = initial_exchange_matrix()
     ok = all(mutate(mutate(b, k), k) == b and mutate(b, k).is_skew_principal() for k in (0, 1))
-    entry("matrix mutation is involutive and preserves skew-symmetry", ok)
+    report.append(entry("classical", 0,
+                        "matrix mutation is involutive and preserves skew-symmetry", ok))
 
     seq, mats = seed_mutation_sequence(min(n_max, 9))
     ok = all(seq[n - 1] == us[n] for n in range(1, min(n_max, 9) + 1))
-    entry("genuine seed mutation reproduces the closed formula", ok)
+    report.append(entry("classical", 0, "genuine seed mutation reproduces the closed formula", ok))
     return report
 
 

@@ -21,6 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import classical, dcb, free_serre, pbw, qseed
+from .qarith import compare
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -72,14 +73,19 @@ def _classical_cross_checks() -> list:
     the commutative formulas."""
     entries = []
     for m in range(0, 4):
-        ok = dcb.b_element((m + 1, 0, 0, m)).specialize_q1() == classical.polynomial_form(m + 3)
-        entries.append({"suite": "classical", "n": m,
-                        "identity": "q=1 image of B[m+1,0,0,m] equals U_{m+3}", "ok": ok})
+        entries.append(compare("classical", m, "q=1 image of B[m+1,0,0,m] equals U_{m+3}",
+                               dcb.b_element((m + 1, 0, 0, m)).specialize_q1(),
+                               classical.polynomial_form(m + 3)))
     for n in range(2, 5):
-        ok = dcb.b_element((n, 0, 0, n)).specialize_q1() == classical.chebyshev_basis_element(n, "S")
-        entries.append({"suite": "classical", "n": n,
-                        "identity": "q=1 image of B[n,0,0,n] equals s_n", "ok": ok})
+        entries.append(compare("classical", n, "q=1 image of B[n,0,0,n] equals s_n",
+                               dcb.b_element((n, 0, 0, n)).specialize_q1(),
+                               classical.chebyshev_basis_element(n, "S")))
     return entries
+
+
+def _bname(a) -> str:
+    """The name ``B[a3,a2,a1,a0]`` of a basis element."""
+    return f"B[{','.join(map(str, a))}]"
 
 
 def _run_suite_star(args):
@@ -157,11 +163,8 @@ def cmd_product(args, parser) -> int:
         print(json.dumps({"a": list(a), "b": list(b),
                           "terms": [{"c": list(e), "coef": str(v)} for e, v in items]}))
     else:
-        def bname(e):
-            return f"B[{','.join(map(str, e))}]"
-        lhs = f"B[{','.join(map(str, a))}]*B[{','.join(map(str, b))}]"
-        parts = [f"({v})*{bname(e)}" if v != 1 else bname(e) for e, v in items]
-        print(f"{lhs} = " + (" + ".join(parts) if parts else "0"))
+        parts = [f"({v})*{_bname(e)}" if v != 1 else _bname(e) for e, v in items]
+        print(f"{_bname(a)}*{_bname(b)} = " + (" + ".join(parts) if parts else "0"))
     return EXIT_OK
 
 
@@ -242,9 +245,8 @@ def cmd_table(args, parser) -> int:
                               for r in rows]))
         else:
             for r in rows:
-                name = f"B[{','.join(map(str, r['a']))}]"
                 body = r["element"].to_latex() if args.format == "latex" else str(r["element"])
-                print(f"{name} = {body}")
+                print(f"{_bname(r['a'])} = {body}")
     return EXIT_OK
 
 

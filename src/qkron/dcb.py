@@ -29,8 +29,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import pbw
-from .qarith import (LaurentQ, add_into, cluster_terms, half_pow, lq_one, lq_zero, qpow,
-                     quantum_binom, split_antisymmetric)
+from .qarith import (LaurentQ, add_into, cluster_terms, compare, diff_detail, entry, half_pow,
+                     lq_one, lq_zero, qpow, quantum_binom, split_antisymmetric)
 
 Exp = tuple
 
@@ -338,9 +338,7 @@ def b_element(a) -> pbw.PbwElement:
         return hit
     a3, a2, a1, a0 = a
     step = _p_step(a)
-    if a == (0, 0, 0, 0):
-        res = pbw.one()
-    elif step is not None:
+    if step is not None:
         which, c, t = step
         res = pbw.q_product(b_element(c), pbw.X_P0 if which == 0 else pbw.P1_X, t)
     elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
@@ -383,27 +381,6 @@ def expand_in_b_basis(x: pbw.PbwElement) -> dict:
 
 
 # -- verification suites -------------------------------------------------------
-
-
-def _entry(suite, n, identity, ok, detail=None):
-    e = {"suite": suite, "n": n, "identity": identity, "ok": bool(ok)}
-    if detail:
-        e["detail"] = detail
-    return e
-
-
-def _diff_detail(lhs, rhs):
-    d = lhs - rhs
-    if not d:
-        return None
-    a = max(d.terms)
-    return f"first differing monomial {a}: {d.terms[a]}"
-
-
-def _compare(suite, n, identity, lhs, rhs):
-    """The entry for lhs == rhs; a failing one carries `_diff_detail`."""
-    ok = lhs == rhs
-    return _entry(suite, n, identity, ok, None if ok else _diff_detail(lhs, rhs))
 
 
 def verify_recursions(n_max: int) -> list:
@@ -449,7 +426,7 @@ def verify_recursions(n_max: int) -> list:
              - (B((n - 1, 0, 1, n - 1)) * u2).scale_qpow(2 * n - 2)),
         ]
         for name, lhs, rhs in checks:
-            report.append(_compare("recursions", n, name, lhs, rhs))
+            report.append(compare("recursions", n, name, lhs, rhs))
     return report
 
 
@@ -475,21 +452,21 @@ def verify_products(n_max: int) -> list:
              (B((n + 1, 0, 0, n + 1)) + B((n, 1, 1, n))).scale_qpow(-4 * n)),
         ]
         for name, lhs, rhs in cases:
-            report.append(_compare("products", n, name, lhs, rhs))
+            report.append(compare("products", n, name, lhs, rhs))
     # the diagonal equations also make sense and hold for n = 0: the
     # correction term is q^(6n-4) p1 B[n-1,0,0,n-1] p0, whose core index
     # goes negative and kills it
     lhs = B((0, 0, 0, 0)) * b11
     rhs = B((1, 0, 0, 1))
-    report.append(_compare("products", 0,
-                           "B[0,0,0,0] B[1,0,0,1] = B[1,0,0,1] + (vanishing core)", lhs, rhs))
-    report.append(_compare("products", 0,
-                           "B[1,0,0,1] B[0,0,0,0] = B[1,0,0,1] + (vanishing core)",
-                           b11 * B((0, 0, 0, 0)), rhs))
+    report.append(compare("products", 0,
+                          "B[0,0,0,0] B[1,0,0,1] = B[1,0,0,1] + (vanishing core)", lhs, rhs))
+    report.append(compare("products", 0,
+                          "B[1,0,0,1] B[0,0,0,0] = B[1,0,0,1] + (vanishing core)",
+                          b11 * B((0, 0, 0, 0)), rhs))
     for n in range(0, n_max + 1):
         lhs = b11 * B((n, 0, 0, n))
         rhs = B((n, 0, 0, n)) * b11
-        report.append(_compare("products", n, "B[1,0,0,1] commutes with B[n,0,0,n]", lhs, rhs))
+        report.append(compare("products", n, "B[1,0,0,1] commutes with B[n,0,0,n]", lhs, rhs))
     return report
 
 
@@ -531,8 +508,8 @@ def verify_closed_formulas(n_max: int) -> list:
             term = p_power(1, n + 1 - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
             add_into(acc, term.terms, coef * qpow(f_exponent(n, k, l)))
         rhs = pbw.PbwElement._raw(acc)
-        report.append(_compare("closed-formulas", n,
-                               "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum", lhs, rhs))
+        report.append(compare("closed-formulas", n,
+                              "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum", lhs, rhs))
         lhs = _u_pow(2, n) * b_element((n, 0, 0, n)) * _u_pow(1, n)
         acc = {}
         for k in range(0, n + 1):
@@ -543,8 +520,8 @@ def verify_closed_formulas(n_max: int) -> list:
                 term = p_power(1, n - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
                 add_into(acc, term.terms, coef * qpow(g_exponent(n, k, l)))
         rhs = pbw.PbwElement._raw(acc)
-        report.append(_compare("closed-formulas", n,
-                               "u2^n B[n,0,0,n] u1^n = quantum Chebyshev sum", lhs, rhs))
+        report.append(compare("closed-formulas", n,
+                              "u2^n B[n,0,0,n] u1^n = quantum Chebyshev sum", lhs, rhs))
     return report
 
 
@@ -567,8 +544,8 @@ def verify_power_formulas(k_max: int) -> list:
     report = []
     for k in range(0, k_max + 1):
         f1, f0 = power_formulas(k)
-        report.append(_compare("closed-formulas", k, "p1^k closed expansion", f1, p_power(1, k)))
-        report.append(_compare("closed-formulas", k, "p0^k closed expansion", f0, p_power(0, k)))
+        report.append(compare("closed-formulas", k, "p1^k closed expansion", f1, p_power(1, k)))
+        report.append(compare("closed-formulas", k, "p0^k closed expansion", f0, p_power(0, k)))
     return report
 
 
@@ -606,11 +583,10 @@ def pbw_expansion_formula(n: int) -> dict:
 def verify_pbw_expansion(n_max: int) -> list:
     report = []
     for n in range(0, n_max + 1):
-        got = pbw_expansion_formula(n)
-        want = expand_in_dual_pbw(b_element((n + 1, 0, 0, n)))
-        report.append(_entry("pbw-expansion", n,
-                             "quadruple sum matches expand_in_dual_pbw(B[n+1,0,0,n])",
-                             got == want))
+        got = pbw.PbwElement(pbw_expansion_formula(n))
+        want = pbw.PbwElement(expand_in_dual_pbw(b_element((n + 1, 0, 0, n))))
+        report.append(compare("pbw-expansion", n,
+                              "quadruple sum matches expand_in_dual_pbw(B[n+1,0,0,n])", got, want))
     return report
 
 
@@ -633,12 +609,12 @@ def verify_layers(k_max: int, seeds=(1, 2)) -> list:
 
 def _layer_entry(k, identity, tab, ref):
     """The entry for two equal layer tables; a failing one names the first
-    a where they differ, with `_diff_detail`."""
+    a where they differ, with `diff_detail`."""
     ok = tab.entries == ref.entries
     detail = None
     if not ok:
         a = next(a for a in sorted(set(tab.entries) | set(ref.entries))
                  if tab.entries.get(a) != ref.entries.get(a))
         lhs, rhs = tab.entries.get(a, pbw.zero()), ref.entries.get(a, pbw.zero())
-        detail = f"first differing B[{a}]: {_diff_detail(lhs, rhs)}"
-    return _entry("layers", k, identity, ok, detail)
+        detail = f"first differing B[{a}]: {diff_detail(lhs, rhs)}"
+    return entry("layers", k, identity, ok, detail)

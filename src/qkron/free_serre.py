@@ -10,8 +10,10 @@ algebra problem over the spanning set {w * S * w' : S in {S1, S2}}.
 Exact mode runs fraction-free elimination over the integer Laurent
 polynomials and returns a certificate: integer Laurent numerators c_j over
 one Laurent denominator d with sum c_j * (u_j S_j u'_j) = d * x.
-Probabilistic mode solves over Q at several seeded integer values of q,
-reporting membership iff every evaluation succeeds.
+Probabilistic mode evaluates every row at several seeded integer values
+q = t, in integers only: a row times the power of t that its lowest
+exponent needs, divided by its content.  It eliminates over Z and reports
+membership iff every evaluation succeeds.
 
 Words are tuples over the alphabet {1, 2} (the letters E1, E2); the weight
 of a word is (#E1, #E2), additive under concatenation.
@@ -167,9 +169,10 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
     `DEFAULT_WEIGHT_CAP`.
 
     mode "exact" eliminates fraction-free and produces a certificate over
-    one denominator; "probabilistic" solves over Q at `PROBABILISTIC_POINTS`
-    seeded integer values of q and reports membership iff all evaluations
-    succeed.  The default picks exact for total weight <= 8.
+    one denominator; "probabilistic" eliminates integer rows at
+    `PROBABILISTIC_POINTS` seeded integer values of q and reports
+    membership iff all evaluations succeed.  The default picks exact for
+    total weight <= 8.
     """
     if mode not in (None, "exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -270,32 +273,32 @@ def expand_certificate(certificate) -> FreeElement:
     return FreeElement._raw(total)
 
 
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
 def _eval_row_to_int(terms, t) -> dict:
-    """Evaluate LaurentQ coefficients at q = t and clear the denominators of
-    the negative powers of t (scaling a row never changes the span)."""
-    vals = {}
-    denom_lcm = 1
-    for k, c in terms.items():
-        v = c.eval_q(t)
-        if v:
-            vals[k] = v
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    """The primitive int row of LaurentQ coefficients at q = t, zeros dropped:
+    each half-exponent less the row's lowest makes it a positive multiple of
+    the row at q = t.  Raises ValueError on an odd half-exponent."""
+    low = min((h for c in terms.values() for h in c.terms), default=0)
     out = {}
-    for k, v in vals.items():
-        out[k] = int(v * denom_lcm)
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
+    for k, c in terms.items():
+        v = 0
+        for h, a in c.terms.items():
+            if h % 2:
+                raise ValueError("cannot evaluate odd half-powers of q at an integer point")
+            v += a * t ** ((h - low) // 2)
+        if v:
+            out[k] = v
+    return _primitive(out)
 
 
 def _int_reduce(row, basis):
-    """Fraction-free reduction of an integer row against an integer echelon
-    basis, with content stripping to keep entries small."""
+    """Cross-multiplied reduction of an integer row against an integer
+    echelon basis, kept primitive to keep entries small."""
     while row:
         lw = max(row)
         piv = basis.get(lw)
@@ -304,33 +307,22 @@ def _int_reduce(row, basis):
         a, b = row[lw], piv[lw]
         g = gcd(a, b)
         ca, cb = b // g, a // g
-        row = add_into({w: ca * v for w, v in row.items()}, piv, -cb)
-        if row:
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                row = {w: v // g for w, v in row.items()}
+        row = _primitive(add_into({w: ca * v for w, v in row.items()}, piv, -cb))
     return row
 
 
 def _membership_probabilistic(x, span, w, seed) -> MembershipResult:
     rng = random.Random(seed)
     used = set()
-    tested = 0
-    while tested < PROBABILISTIC_POINTS:
+    while len(used) < PROBABILISTIC_POINTS:
         t = rng.randint(2, 97)
         if t in used:
             continue
         used.add(t)
         xrow = _eval_row_to_int(x.terms, t)
         basis = {}
-        rows = []
-        for _label, elem in span:
-            rows.append(_eval_row_to_int(elem.terms, t))
-        rows.sort(key=lambda r: max(r) if r else (), reverse=True)
+        rows = sorted((_eval_row_to_int(elem.terms, t) for _label, elem in span),
+                      key=lambda r: max(r) if r else (), reverse=True)
         for row in rows:
             row = _int_reduce(row, basis)
             if row:
@@ -340,7 +332,6 @@ def _membership_probabilistic(x, span, w, seed) -> MembershipResult:
                 basis[lw] = row
         if _int_reduce(xrow, basis):
             return MembershipResult(False, "probabilistic", w)
-        tested += 1
     return MembershipResult(True, "probabilistic", w)
 
 

@@ -39,7 +39,7 @@ word, with no memo table beyond the straightening memo.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, add_into, lq_one, power_product, qpow, split_signed
+from .qarith import LaurentQ, Terms, add_into, entry, lq_one, power_product, qpow, split_signed
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -255,19 +255,16 @@ class PbwElement(Terms):
 
 
 def _parse_term(tok: str):
+    """One term ``(c)*m`` or ``m``: the coefficient c is the text between the
+    leading ``(`` and the last ``)``, since no monomial name has one."""
     coef = _ONE
     rest = tok
     if tok.startswith("("):
-        depth = 0
-        for i, ch in enumerate(tok):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    coef = LaurentQ.parse(tok[1:i])
-                    rest = tok[i + 1:].lstrip("*")
-                    break
+        end = tok.rfind(")")
+        if end < 0:
+            raise ValueError(f"unclosed coefficient in term {tok!r}")
+        coef = LaurentQ.parse(tok[1:end])
+        rest = tok[end + 1:].lstrip("*")
     a = [0, 0, 0, 0]
     rest = rest.strip()
     if rest and rest != "1":
@@ -418,10 +415,6 @@ def verify_normal_form(seed: int = 0) -> list:
 
     rng = random.Random(seed)
     report = []
-
-    def entry(identity, ok, n=0):
-        report.append({"suite": "straightening", "n": n, "identity": identity, "ok": bool(ok)})
-
     u = [generator(i) for i in range(4)]
     ok = (u[0] * u[1] == (u[1] * u[0]).scale_qpow(-2)
           and u[1] * u[2] == (u[2] * u[1]).scale_qpow(-2)
@@ -429,9 +422,9 @@ def verify_normal_form(seed: int = 0) -> list:
           and u[0] * u[2] == (u[2] * u[0]).scale_qpow(-2) + (u[1] * u[1]).scale(qpow(-2) - 1)
           and u[1] * u[3] == (u[3] * u[1]).scale_qpow(-2) + (u[2] * u[2]).scale(qpow(-2) - 1)
           and u[0] * u[3] == (u[3] * u[0]).scale_qpow(-2) + (u[2] * u[1]).scale(qpow(-4) - 1))
-    entry("defining straightening relations", ok)
+    report.append(entry("straightening", 0, "defining straightening relations", ok))
     ok = all((x * y) * z == x * (y * z) for x in u for y in u for z in u)
-    entry("associativity on all 64 generator triples", ok)
+    report.append(entry("straightening", 0, "associativity on all 64 generator triples", ok))
 
     def rand_elem():
         t = {}
@@ -450,12 +443,13 @@ def verify_normal_form(seed: int = 0) -> list:
         xw = (x * y).root_weight()
         if x.is_homogeneous() and y.is_homogeneous() and x and y and xw is None:
             ok = False
-    entry("randomized associativity, sigma anti-homomorphism, homogeneity", ok)
+    report.append(entry("straightening", 0,
+                        "randomized associativity, sigma anti-homomorphism, homogeneity", ok))
 
     q0, q1 = p0(), p1()
     ok = (q0 * q1 == (q1 * q0).scale_qpow(P0_P1_COMMUTE)
           and q_commutes(q0, P0_COMMUTE) and q_commutes(q1, P1_COMMUTE))
-    entry("p0/p1 q-commutation table", ok)
+    report.append(entry("straightening", 0, "p0/p1 q-commutation table", ok))
 
     ok = True
     for l in range(1, 11):
@@ -464,5 +458,6 @@ def verify_normal_form(seed: int = 0) -> list:
         rhs = (u3l * u[1]).scale_qpow(-2 * l) + \
             (monomial((l - 1, 0, 0, 0)) * u[2] * u[2]).scale(qpow(-4 * l + 2) - qpow(-2 * l + 2))
         ok = ok and lhs == rhs
-    entry("u1 u3^l = q^(-2l) u3^l u1 + (q^(-4l+2)-q^(-2l+2)) u3^(l-1) u2^2, l <= 10", ok)
+    report.append(entry("straightening", 0,
+                        "u1 u3^l = q^(-2l) u3^l u1 + (q^(-4l+2)-q^(-2l+2)) u3^(l-1) u2^2, l <= 10", ok))
     return report

@@ -3,7 +3,9 @@
 Everything here is exact: Laurent polynomials in q^(1/2) with
 arbitrary-precision integer coefficients, quantum integers, binomials and
 factorials, and the bar involution q -> q^(-1).  There is no floating point
-anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`.
+anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`,
+which is on no check's path: the probabilistic Serre check evaluates its
+rows in integers (``free_serre``), and the tests keep it as an oracle.
 
 :class:`Terms` is the one sparse-sum format: a dict from monomial keys to
 nonzero coefficients, with the module operations that never look inside a
@@ -26,6 +28,11 @@ subclass only names its monomials (``_mono``, most of them through
 for the quantized cluster variables, a double sum over k + l <= n or
 (k, l) = (n + 1, 0); the generic-q sums and the q = 1 sums read it with
 their own binomial.
+
+:func:`entry` is the one builder of a verify report entry
+``{suite, n, identity, ok[, detail]}``, and :func:`compare` the entry for
+an identity between two elements, whose failure carries the
+:func:`diff_detail` witness.
 
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
@@ -525,6 +532,30 @@ def cluster_terms(m: int, binom):
                 c = binom(m - k, l) * binom(m + 1 - l, k)
                 if c:
                     yield k, l, c
+
+
+def entry(suite, n, identity, ok, detail=None) -> dict:
+    """One verify report entry; `detail`, a witness, only when given."""
+    e = {"suite": suite, "n": n, "identity": identity, "ok": bool(ok)}
+    if detail:
+        e["detail"] = detail
+    return e
+
+
+def diff_detail(lhs, rhs):
+    """The witness for lhs != rhs: the largest monomial key of lhs - rhs
+    and its coefficient there; None if they are equal."""
+    d = lhs - rhs
+    if not d:
+        return None
+    a = max(d.terms)
+    return f"first differing monomial {a}: {d.terms[a]}"
+
+
+def compare(suite, n, identity, lhs, rhs) -> dict:
+    """The entry for lhs == rhs; a failing one carries `diff_detail`."""
+    ok = lhs == rhs
+    return entry(suite, n, identity, ok, None if ok else diff_detail(lhs, rhs))
 
 
 def split_antisymmetric(x: LaurentQ) -> LaurentQ:

@@ -17,8 +17,8 @@ holds among abstract torus monomials over L(n).
 from __future__ import annotations
 
 from . import dcb, pbw
-from .dcb import _compare, _diff_detail, _entry
-from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, power_product
+from .qarith import (LaurentQ, Terms, add_into, compare, diff_detail, entry, half_pow, lq_one,
+                     power_product)
 
 
 def x_var(n: int) -> pbw.PbwElement:
@@ -63,7 +63,7 @@ def verify_quasi_commutation(n_max: int) -> list:
     for 1 <= n <= n_max."""
     report = []
     y0, y1 = y0_var(), y1_var()
-    report.append(_compare("qseed", 0, "Y0 Y1 = q^-4 Y1 Y0", y0 * y1, (y1 * y0).scale_qpow(-4)))
+    report.append(compare("qseed", 0, "Y0 Y1 = q^-4 Y1 Y0", y0 * y1, (y1 * y0).scale_qpow(-4)))
     for n in range(3, n_max + 1):
         xn, xn1 = x_var(n), x_var(n + 1)
         checks = [
@@ -74,13 +74,13 @@ def verify_quasi_commutation(n_max: int) -> list:
             ("X_{n+1} Y_1 = q^(-2n+6) Y_1 X_{n+1}", xn1 * y1, (y1 * xn1).scale_qpow(-2 * n + 6)),
         ]
         for name, lhs, rhs in checks:
-            report.append(_compare("qseed", n, name, lhs, rhs))
+            report.append(compare("qseed", n, name, lhs, rhs))
     for n in range(1, n_max + 1):
         lhs = dcb.b_element((n, 0, 0, n - 1)) * dcb.b_element((n + 1, 0, 0, n))
         rhs = (dcb.b_element((n + 1, 0, 0, n)) * dcb.b_element((n, 0, 0, n - 1))).scale_qpow(2)
-        report.append(_compare("qseed", n,
-                               "B[n,0,0,n-1] B[n+1,0,0,n] = q^2 B[n+1,0,0,n] B[n,0,0,n-1]",
-                               lhs, rhs))
+        report.append(compare("qseed", n,
+                              "B[n,0,0,n-1] B[n+1,0,0,n] = q^2 B[n+1,0,0,n] B[n,0,0,n-1]",
+                              lhs, rhs))
     return report
 
 
@@ -93,18 +93,18 @@ def verify_quantum_exchange(n_max: int) -> list:
         sq = dcb.b_element((n, 0, 0, n - 1))
         rhs = (sq * sq).scale_qpow(2) \
             + (dcb.p_power(1, n + 1) * dcb.p_power(0, n - 2)).scale_qpow(2 * n * n - 6 * n + 8)
-        report.append(_compare("qseed", n,
-                               "B[n+1,0,0,n] B[n-1,0,0,n-2] = q^2 B[n,0,0,n-1]^2 "
-                               "+ q^(2n^2-6n+8) p1^(n+1) p0^(n-2)",
-                               lhs, rhs))
+        report.append(compare("qseed", n,
+                              "B[n+1,0,0,n] B[n-1,0,0,n-2] = q^2 B[n,0,0,n-1]^2 "
+                              "+ q^(2n^2-6n+8) p1^(n+1) p0^(n-2)",
+                              lhs, rhs))
     for n in range(3, n_max + 1):
         lhs = x_var(n + 2) * x_var(n)
         x1 = x_var(n + 1)
         rhs = (x1 * x1).scale_qpow(-2) \
             + (y1_var() ** n * y0_var() ** (n - 3)).scale_qpow(-2 * n * n + 6 * n - 3)
-        report.append(_compare("qseed", n,
-                               "X_{n+2} X_n = q^-2 X_{n+1}^2 + q^(-2n^2+6n-3) Y_1^n Y_0^(n-3)",
-                               lhs, rhs))
+        report.append(compare("qseed", n,
+                              "X_{n+2} X_n = q^-2 X_{n+1}^2 + q^(-2n^2+6n-3) Y_1^n Y_0^(n-3)",
+                              lhs, rhs))
     return report
 
 
@@ -235,19 +235,19 @@ def verify_bz_exchange(n_max: int) -> list:
         lhs = (torus_m((-1, 2, 0, 0), n) + torus_m((-1, 0, n - 3, n), n)) * xn
         rhs = (xn1 * xn1).scale_qpow(-2) \
             + (y1 ** n * y0 ** (n - 3)).scale_qpow(-2 * n * n + 6 * n - 3)
-        report.append(_compare("qseed", n,
-                               "(M(-1,2,0,0) + M(-1,0,n-3,n)) X_n = q^-2 X_{n+1}^2 "
-                               "+ q^(-2n^2+6n-3) Y_1^n Y_0^(n-3)",
-                               lhs, rhs))
+        report.append(compare("qseed", n,
+                              "(M(-1,2,0,0) + M(-1,0,n-3,n)) X_n = q^-2 X_{n+1}^2 "
+                              "+ q^(-2n^2+6n-3) Y_1^n Y_0^(n-3)",
+                              lhs, rhs))
         # the expanded scalar display of (1/2) sum a_i a_j L_ij
         a = (-1, 0, n - 3, n)
         s_direct = (-a[0] * a[1] - (n - 1) * a[0] * a[2] + (n - 4) * a[0] * a[3]
                     - n * a[1] * a[2] + (n - 3) * a[1] * a[3] + 2 * a[2] * a[3])
         L = l_matrix(n)
         s_sum = sum(a[i] * a[j] * L[i][j] for i in range(4) for j in range(i))
-        report.append(_entry("qseed", n,
-                             "expanded prefactor matches (1/2) sum a_i a_j L_ij",
-                             2 * s_direct == s_sum))
+        report.append(entry("qseed", n,
+                            "expanded prefactor matches (1/2) sum a_i a_j L_ij",
+                            2 * s_direct == s_sum))
     return report
 
 
@@ -267,6 +267,6 @@ def verify_algebra_matches_l(n_max: int) -> list:
                     continue
                 lhs, rhs = gens[i] * gens[j], (gens[j] * gens[i]).scale_qpow(L[i][j])
                 if detail is None and lhs != rhs:
-                    detail = f"{names[i]} {names[j]}: {_diff_detail(lhs, rhs)}"
-        report.append(_entry("qseed", n, "pairwise commutations match L(n)", detail is None, detail))
+                    detail = f"{names[i]} {names[j]}: {diff_detail(lhs, rhs)}"
+        report.append(entry("qseed", n, "pairwise commutations match L(n)", detail is None, detail))
     return report

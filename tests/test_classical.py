@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkron import classical as cl
-from qkron import dcb
+from qkron import dcb, qarith
 
 
 def test_binomial():
@@ -170,6 +170,19 @@ def test_mutation_reproduces_quiver_figures():
 
 def test_verify_classical_suite():
     assert all(e["ok"] for e in cl.verify_classical(8))
+
+
+def test_failing_identities_carry_a_witness(monkeypatch):
+    # z over the seed plus U0: the z entry fails and names the first
+    # differing monomial; passing entries carry no detail
+    z_laurent = cl.z_laurent
+    monkeypatch.setattr(cl, "z_laurent", lambda: z_laurent() + cl.U0)
+    rep = cl.verify_classical(6)
+    bad = [e for e in rep if not e["ok"]]
+    assert [e["identity"] for e in bad] == ["z = U3 U0 - U2 U1"]
+    assert bad[0]["detail"] == qarith.diff_detail(cl.z_poly() + cl.U0, cl.z_poly())
+    assert bad[0]["detail"] == "first differing monomial (0, 0, 0, 1, 0, 0): 1"
+    assert all("detail" not in e for e in rep if e["ok"])
 
 
 def test_specialize_q1_cross_checks():

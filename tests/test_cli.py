@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qkron import cli, dcb, pbw
+from qkron import classical, cli, dcb, pbw
 
 
 def run(argv, capsys):
@@ -339,3 +339,16 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert outputs[1].strip() == str(dcb.b_element((2, 0, 0, 1)))
     assert outputs[4] == "" and json.loads(outputs[5])["ok"] is True
     assert len(built) == 1
+
+
+def test_failing_q1_cross_check_carries_a_witness(monkeypatch):
+    # s_n plus 1: each q = 1 image of B[n,0,0,n] misses by the constant -1
+    cheb = classical.chebyshev_basis_element
+    monkeypatch.setattr(classical, "chebyshev_basis_element", lambda n, kind: cheb(n, kind) + 1)
+    rep = cli._classical_cross_checks()
+    assert [e["n"] for e in rep if not e["ok"]] == [2, 3, 4]
+    for e in rep:
+        if e["ok"]:
+            assert list(e) == ["suite", "n", "identity", "ok"]
+        else:
+            assert e["detail"] == "first differing monomial (0, 0, 0, 0, 0, 0): -1"

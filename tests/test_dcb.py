@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from qkron import dcb, pbw
+from qkron import dcb, pbw, qarith
 from qkron.qarith import lq_one, qpow
 
 u0, u1, u2, u3 = (pbw.generator(i) for i in range(4))
@@ -296,10 +296,29 @@ def test_verify_layers_compares_with_the_oracle(monkeypatch):
     assert all(e["ok"] for e in rep if e["n"] < 2)
     # the failing entry names the first differing element and monomial;
     # passing entries carry no detail
-    want = dcb._diff_detail(B(1, 0, 0, 1), pbw.zero())
+    want = qarith.diff_detail(B(1, 0, 0, 1), pbw.zero())
     assert [e.get("detail") for e in rep if e["n"] == 2][0] == f"first differing B[(1, 0, 0, 1)]: {want}"
     assert want.startswith("first differing monomial (1, 0, 0, 1)")
     assert all("detail" not in e for e in rep if e["ok"])
+
+
+def test_failing_pbw_expansion_carries_a_witness(monkeypatch):
+    assert all(e["ok"] and "detail" not in e for e in dcb.verify_pbw_expansion(2))
+    formula = dcb.pbw_expansion_formula
+
+    def dropped(n):
+        table = formula(n)
+        del table[max(table)]
+        return table
+
+    monkeypatch.setattr(dcb, "pbw_expansion_formula", dropped)
+    rep = dcb.verify_pbw_expansion(2)
+    assert not any(e["ok"] for e in rep)
+    # the dropped term is the first differing monomial, with the opposite sign
+    for e in rep:
+        want = dcb.expand_in_dual_pbw(B(e["n"] + 1, 0, 0, e["n"]))
+        a = max(want)
+        assert e["detail"] == f"first differing monomial {a}: {-want[a]}"
 
 
 def _cold_layers(monkeypatch):

@@ -1,11 +1,12 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from qkron import free_serre as fs
-from qkron.qarith import LaurentQ, lq_one, qpow, quantum_int
+from qkron.qarith import LaurentQ, half_pow, lq_one, qpow, quantum_int
 
 
 def test_relators():
@@ -98,6 +99,30 @@ def test_free_product_associative():
             elems.append(fs.FreeElement(t))
         x, y, z = elems
         assert (x * y) * z == x * (y * z)
+
+
+def _rational_row(terms, t):
+    """The primitive integer row at q = t by rationals: the values of
+    `eval_q`, times the lcm of their denominators, over their gcd."""
+    vals = {k: c.eval_q(t) for k, c in terms.items() if c.eval_q(t)}
+    den = lcm(*(v.denominator for v in vals.values()))
+    ints = {k: int(v * den) for k, v in vals.items()}
+    g = gcd(*ints.values())
+    return {k: v // g for k, v in ints.items()}
+
+
+def test_integer_rows_match_the_rational_evaluation():
+    # the whole (5, 3) span, a slice of the (6, 4) span, and the six
+    # straightening differences, whose coefficients reach negative powers,
+    # also times 6 q^-3, whose content the row must divide out
+    rows = [e for _, e in fs.spanning_set((5, 3))]
+    rows += [e for _, e in fs.spanning_set((6, 4))[::4]]
+    rows += [d.scale(c) for _, d in fs.straightening_differences() for c in (1, 6 * qpow(-3))]
+    for t in (2, 3, 97):
+        for elem in rows:
+            assert fs._eval_row_to_int(elem.terms, t) == _rational_row(elem.terms, t)
+    with pytest.raises(ValueError):
+        fs._eval_row_to_int({(1,): half_pow(1)}, 2)
 
 
 def test_membership_trivial_cases():

@@ -1,6 +1,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from qkron import classical, dcb, pbw
 from qkron.qarith import half_pow, lq_one, qpow
 
@@ -182,6 +184,13 @@ def test_parse_roundtrip_odd_half_steps():
 
     x = (u3 * u3 * u0).scale(half_pow(-7)) + u2.scale(half_pow(3) + half_pow(-1))
     assert pbw.PbwElement.parse(str(x)) == x
+
+
+def test_parse_takes_the_coefficient_up_to_the_last_parenthesis():
+    assert pbw.PbwElement.parse("(q^(3/2) + 1)*u2") == u2.scale(half_pow(3) + 1)
+    for bad in ("(q*u3", "(q^(3/2) + 1*u2"):
+        with pytest.raises(ValueError):
+            pbw.PbwElement.parse(bad)
 
 
 def test_word_product_equals_multiply():
