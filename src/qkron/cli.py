@@ -171,6 +171,12 @@ def cmd_product(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    negative = [flag for flag, v in (("--n-max", args.n_max), ("--k-max", args.k_max))
+                if v is not None and v < 0]
+    if negative:
+        # refused before any suite runs; some suites would index a table they never built
+        print(f"error: {' and '.join(negative)} must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
     # open --out before any suite runs, so that a path that cannot be
     # written fails at once; the report is written when every suite is done
     try:

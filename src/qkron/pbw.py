@@ -13,6 +13,13 @@ left of a higher-index one.  Each rewrite strictly decreases the weighted
 inversion count sum(j - i) over inverted pairs, so reduction terminates;
 confluence is exercised by the associativity tests.
 
+The straightening kernel computes with ints only.  It works on flat dicts
+(exponent tuple, half-exponent) -> int, one entry per term m q^(h/2) u^b,
+merged by the one flat accumulate `_flat_add`; its memo `_GEN_CACHE` maps
+(a, j) to the int rules (b, h, m) of the normal form of u^a u_j.
+`PbwElement.__mul__`, `sigma` and `word_product` flatten their input once
+and build LaurentQ coefficients only for the element they return.
+
 Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
 weights, which multiplication preserves.
@@ -48,9 +55,10 @@ ROOT_WEIGHT = ((1, 0), (2, 1), (3, 2), (4, 3))
 
 _ONE = lq_one()
 _ADJ = -2                   # u_i u_{i+1} = q^_ADJ u_{i+1} u_i
-_QM2 = qpow(_ADJ)
-_CORR2 = qpow(-2) - 1       # coefficient of u_{i+1}^2 in the distance-2 rule
-_CORR3 = qpow(-4) - 1       # coefficient of u_2 u_1 in the distance-3 rule
+# the coefficient (h, m) pairs, m q^(h/2), of u_{i+1}^2 in the distance-2 rule
+# (q^-2 - 1) and of u_2 u_1 in the distance-3 rule (q^-4 - 1)
+_CORR2 = ((-4, 1), (0, -1))
+_CORR3 = ((-8, 1), (0, -1))
 
 _ZERO_EXP = (0, 0, 0, 0)
 _U_NAMES = ("u3", "u2", "u1", "u0")      # a monomial's factors, in normal order
@@ -84,41 +92,77 @@ def _dec(a: Exp, i: int) -> Exp:
     return a[:s] + (a[s] - 1,) + a[s + 1:]
 
 
-# straightening memo; writes are idempotent (a key always maps to the same
-# value), so concurrent use stays deterministic under the GIL
+# straightening memo: (a, j) -> the rules (b, h, m) of the normal form of
+# u^a u_j, one per term m q^(h/2) u^b; writes are idempotent (a key always
+# maps to the same value), so concurrent use stays deterministic under the GIL
 _GEN_CACHE: dict = {}
 
 
-def _terms_times_gen(terms: dict, j: int) -> dict:
-    out = {}
-    for a, c in terms.items():
-        add_into(out, _mono_times_gen(a, j), c)
+def _flat_add(out: dict, rules, h: int = 0, m: int = 1) -> dict:
+    """Add m q^(h/2) times the sum of the rules (b, h', m') into the flat dict
+    out, (b, half-exponent) -> int, in place, storing no zero; return out."""
+    for b, h2, m2 in rules:
+        k = (b, h + h2)
+        v = out.get(k, 0) + m * m2
+        if v:
+            out[k] = v
+        else:
+            del out[k]
     return out
 
 
-def _mono_times_gen(a: Exp, j: int) -> dict:
-    """Normal form of (normal monomial a) * u_j as an exp -> coeff dict."""
+def _element(flat: dict) -> "PbwElement":
+    """The PbwElement of a flat dict: its LaurentQ coefficients are built
+    here, at the kernel's boundary."""
+    terms = {}
+    for (b, h), m in flat.items():
+        c = terms.get(b)
+        if c is None:
+            terms[b] = {h: m}
+        else:
+            c[h] = m
+    return PbwElement._raw({b: LaurentQ._raw(c) for b, c in terms.items()})
+
+
+def _terms_times_gen(terms: dict, j: int, out=None) -> dict:
+    """Add (the flat dict terms) * u_j into out (a new dict if None)."""
+    if out is None:
+        out = {}
+    for (a, h), m in terms.items():
+        _flat_add(out, _mono_times_gen(a, j), h, m)
+    return out
+
+
+def _mono_times_gen(a: Exp, j: int) -> tuple:
+    """Normal form of (normal monomial a) * u_j as a tuple of rules (b, h, m)."""
     key = (a, j)
     hit = _GEN_CACHE.get(key)
     if hit is not None:
         return hit
     i = _last_letter(a)
     if i is None or i >= j:
-        res = {_inc(a, j): _ONE}
+        res = ((_inc(a, j), 0, 1),)
     else:
+        # u^a u_j = u^head u_i u_j = q^_ADJ u^head u_j u_i + (correction)
         head = _dec(a, i)
-        res = {b: _QM2 * c for b, c in _terms_times_gen(_mono_times_gen(head, j), i).items()}
-        if j - i == 2:
-            add_into(res, _terms_times_gen(_terms_times_gen({head: _ONE}, i + 1), i + 1), _CORR2)
-        elif j - i == 3:
-            add_into(res, _terms_times_gen(_terms_times_gen({head: _ONE}, 2), 1), _CORR3)
+        out = {}
+        for b, h, m in _mono_times_gen(head, j):
+            _flat_add(out, _mono_times_gen(b, i), h + 2 * _ADJ, m)
+        if j - i > 1:
+            # corr u^head u_l1 u_l2: u_{i+1}^2 at distance 2, u_2 u_1 at 3
+            l1, l2, corr = (i + 1, i + 1, _CORR2) if j - i == 2 else (2, 1, _CORR3)
+            for b, h, m in _mono_times_gen(head, l1):
+                for hc, mc in corr:
+                    _flat_add(out, _mono_times_gen(b, l2), h + hc, m * mc)
+        res = tuple((b, h, m) for (b, h), m in out.items())
     _GEN_CACHE[key] = res
     return res
 
 
-def _horner(terms: list, i: int) -> dict:
-    """Normal form of the sum of c * u0^a0 u1^a1 ... u_i^ai over the pairs
-    (a, c) in terms, reading only the exponents of the letters u0..u_i.
+def _horner(terms: list, i: int, out: dict) -> dict:
+    """Add into the flat dict out the normal form of the sum of
+    m q^(h/2) u0^a0 u1^a1 ... u_i^ai over the triples (a, h, m) in terms,
+    reading only the exponents of the letters u0..u_i; return out.
 
     Grouping by the exponent e of the last letter u_i gives sum_e H_e u_i^e,
     each H_e the same kind of sum over u0..u_{i-1}; it is evaluated as
@@ -126,22 +170,23 @@ def _horner(terms: list, i: int) -> dict:
     pass per edge of the trie of the words, not one per letter of every
     word, and only the dicts on the current path stay alive."""
     if not terms:
-        return {}
+        return out
     if i < 0:
-        total = sum(c for _, c in terms)
-        return {_ZERO_EXP: total} if total else {}
+        return _flat_add(out, [(_ZERO_EXP, h, m) for _, h, m in terms])
     s = _slot(i)
     groups = {}
     for t in terms:
         groups.setdefault(t[0][s], []).append(t)
     acc = {}
     for e in range(max(groups), -1, -1):
+        nxt = out if e == 0 else {}  # the last step adds into out itself
         if acc:
-            acc = _terms_times_gen(acc, i)
+            _terms_times_gen(acc, i, nxt)
         part = groups.get(e)
         if part:
-            add_into(acc, _horner(part, i - 1))
-    return acc
+            _horner(part, i - 1, nxt)
+        acc = nxt
+    return out
 
 
 class PbwElement(Terms):
@@ -162,14 +207,17 @@ class PbwElement(Terms):
             return self.scale(other)
         if not isinstance(other, PbwElement):
             return NotImplemented
+        flat = {(a, h): m for a, c in self.terms.items() for h, m in c.terms.items()}
         out = {}
         for b, c in other.terms.items():
-            t = self.terms
+            t = flat
             for i, e in zip((3, 2, 1, 0), b):
                 for _ in range(e):
                     t = _terms_times_gen(t, i)
-            add_into(out, t, c)
-        return PbwElement._raw(out)
+            rules = [(a, h, m) for (a, h), m in t.items()]
+            for h, m in c.terms.items():
+                _flat_add(out, rules, h, m)
+        return _element(out)
 
     # -- structure ----------------------------------------------------------
 
@@ -200,9 +248,10 @@ class PbwElement(Terms):
         The reversed words are straightened together by Horner's rule on
         their last letter (see `_horner`), so words that share a prefix
         share its straightening."""
-        terms = [(a, c.bar() * qpow(2 * (3 * a[0] + 2 * a[1] + a[2])))
-                 for a, c in self.terms.items()]
-        return PbwElement._raw(_horner(terms, 3))
+        # m q^(h/2) u^a goes to m q^(h'/2) times the reversed word, h' = 4(3a3 + 2a2 + a1) - h
+        terms = [(a, 4 * (3 * a[0] + 2 * a[1] + a[2]) - h, m)
+                 for a, c in self.terms.items() for h, m in c.terms.items()]
+        return _element(_horner(terms, 3, {}))
 
     def specialize_q1(self):
         """Image in the commutative polynomial ring Z[U0..U3] at q = 1."""
@@ -400,10 +449,10 @@ def exp_root_weight(a: Exp):
 
 def word_product(letters) -> PbwElement:
     """Straightened product u_{i_1} u_{i_2} ... for a letter sequence."""
-    t = {_ZERO_EXP: _ONE}
+    t = {(_ZERO_EXP, 0): 1}
     for i in letters:
         t = _terms_times_gen(t, i)
-    return PbwElement._raw(dict(t))
+    return _element(t)
 
 
 def verify_normal_form(seed: int = 0) -> list:

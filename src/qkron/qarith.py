@@ -14,7 +14,9 @@ key: sums, scaling (also by q^k), powers, hashing, repr and the text forms.
 ``classical.CPoly``, ``free_serre.FreeElement`` and ``qseed.TorusElement``)
 subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
-coefficient is ever stored; only ``LaurentQ.__add__`` keeps its own.
+coefficient is ever stored.  Only ``LaurentQ.__add__`` keeps its own, and
+so does the straightening kernel: ``pbw._flat_add`` merges int terms keyed
+by (monomial, half-exponent), with no LaurentQ in between.
 
 The canonical text form of a sum is one grammar, written only by
 ``Terms._render``: terms in decreasing key order, written ``a - b + c``
@@ -216,7 +218,7 @@ class LaurentQ(Terms):
     exponents printed as ``q^k`` (``q^-k`` for negatives) and ``q^(k/2)``
     for odd half-steps, e.g. ``q^2 + 1 + q^-2``.  Its ring operators
     live in this class, where the benchmark tracer wraps them, and its sum
-    merges inline rather than through `add_into`: it is the hottest call.
+    merges inline rather than through `add_into`.
     """
 
     __slots__ = ()

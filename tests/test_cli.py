@@ -271,6 +271,19 @@ def test_verify_empty_suite_exits_2(argv, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--n-max", "--k-max"])
+@pytest.mark.parametrize("suite", cli.SUITES + ("all",))
+def test_verify_negative_bound_exits_2_before_any_suite(suite, flag, monkeypatch, capsys):
+    def fail(name, params):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    code, out, err = run(["verify", suite, flag, "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_verify_jobs_below_one_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "all", "--jobs", "0"])

@@ -126,6 +126,33 @@ def test_sigma_matches_reference_on_layers():
             assert elem.sigma().terms == sigma_by_words(elem).terms
 
 
+def test_straightening_memo_holds_int_rules_and_keeps_half_powers():
+    for k in range(9):
+        dcb.layer_table(k)
+    dcb.b_element((2, 1, 0, 3)) * dcb.b_element((1, 2, 1, 0))
+    assert pbw._GEN_CACHE
+    for rules in pbw._GEN_CACHE.values():
+        assert isinstance(rules, tuple) and rules
+        for b, h, m in rules:
+            assert isinstance(b, tuple) and len(b) == 4 and all(type(e) is int for e in b)
+            assert type(h) is int and type(m) is int and m
+
+    rng = random.Random(18)
+
+    def rand_odd():
+        # every coefficient has an odd half-exponent
+        return pbw.PbwElement({
+            tuple(rng.randint(0, 3) for _ in range(4)):
+                half_pow(2 * rng.randint(-3, 3) + 1) * rng.randint(1, 3) + rand_coef(rng)
+            for _ in range(rng.randint(1, 4))})
+
+    root_q = half_pow(1)
+    for _ in range(20):
+        x, y = rand_odd(), rand_odd()
+        assert (x.scale(root_q) * y).terms == (x * y).scale(root_q).terms
+        assert x.scale(root_q).sigma().terms == x.sigma().scale(half_pow(-1)).terms
+
+
 def test_p_elements():
     assert pbw.p1().terms == {(1, 0, 1, 0): lq_one(), (0, 2, 0, 0): -qpow(2)}
     assert pbw.p0().terms == {(0, 1, 0, 1): lq_one(), (0, 0, 2, 0): -qpow(2)}
