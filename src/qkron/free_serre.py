@@ -12,8 +12,12 @@ polynomials and returns a certificate: integer Laurent numerators c_j over
 one Laurent denominator d with sum c_j * (u_j S_j u'_j) = d * x.
 Probabilistic mode evaluates every row at several seeded integer values
 q = t, in integers only: a row times the power of t that its lowest
-exponent needs, divided by its content.  It eliminates over Z and reports
-membership iff every evaluation succeeds.
+exponent needs, divided by its content.  Each word is keyed once per
+weight by an int that orders the words of one length as tuples do.  At
+each point the rows are eliminated over Z, fraction-free: a row is
+reduced in place, scaled by a positive integer and less a multiple of a
+stored pivot at each step, and made primitive once, when it is stored as
+a pivot.  Membership is reported iff every evaluation succeeds.
 
 Words are tuples over the alphabet {1, 2} (the letters E1, E2); the weight
 of a word is (#E1, #E2), additive under concatenation.
@@ -298,7 +302,10 @@ def _eval_row_to_int(terms, t) -> dict:
 
 def _int_reduce(row, basis):
     """Cross-multiplied reduction of an integer row against an integer
-    echelon basis, kept primitive to keep entries small."""
+    echelon basis of primitive pivots with positive leads, in place.  Each
+    step scales the row by a positive integer, so the result is a positive
+    multiple of the primitive reduced row; the caller divides out the
+    content when it stores a pivot."""
     while row:
         lw = max(row)
         piv = basis.get(lw)
@@ -307,30 +314,66 @@ def _int_reduce(row, basis):
         a, b = row[lw], piv[lw]
         g = gcd(a, b)
         ca, cb = b // g, a // g
-        row = _primitive(add_into({w: ca * v for w, v in row.items()}, piv, -cb))
+        if ca != 1:
+            for k in row:
+                row[k] *= ca
+        add_into(row, piv, -cb)
     return row
 
 
-def _membership_probabilistic(x, span, w, seed) -> MembershipResult:
+def _word_key(word) -> int:
+    """sum x_i 2^(n-1-i) over the letters x_i of a word of length n: an int
+    that orders the words of one length as their tuples do."""
+    k = 0
+    for c in word:
+        k = 2 * k + c
+    return k
+
+
+def _keyed(terms) -> dict:
+    """A coefficient dict with each word replaced by its `_word_key`."""
+    return {_word_key(k): c for k, c in terms.items()}
+
+
+def _probabilistic_points(seed) -> list:
+    """The `PROBABILISTIC_POINTS` distinct integers t in [2, 97] that the
+    seed draws, in the order drawn."""
     rng = random.Random(seed)
-    used = set()
-    while len(used) < PROBABILISTIC_POINTS:
+    points = []
+    while len(points) < PROBABILISTIC_POINTS:
         t = rng.randint(2, 97)
-        if t in used:
-            continue
-        used.add(t)
-        xrow = _eval_row_to_int(x.terms, t)
-        basis = {}
-        rows = sorted((_eval_row_to_int(elem.terms, t) for _label, elem in span),
-                      key=lambda r: max(r) if r else (), reverse=True)
-        for row in rows:
-            row = _int_reduce(row, basis)
-            if row:
-                lw = max(row)
-                if row[lw] < 0:
-                    row = {k: -v for k, v in row.items()}
-                basis[lw] = row
-        if _int_reduce(xrow, basis):
+        if t not in points:
+            points.append(t)
+    return points
+
+
+def _echelon_at(span_terms, t) -> dict:
+    """The integer echelon basis of the span rows at q = t: lead key ->
+    primitive pivot row with positive lead.  Rows are reduced in
+    descending order of their leads, equal leads in span order, and each
+    is popped off the list as it is reduced, so no reduced row outlives
+    its step; a row is made primitive once, when it is stored."""
+    rows = sorted((_eval_row_to_int(terms, t) for terms in span_terms),
+                  key=max, reverse=True)
+    rows.reverse()
+    basis = {}
+    while rows:
+        row = _int_reduce(rows.pop(), basis)
+        if row:
+            lw = max(row)
+            g = gcd(*row.values())
+            if row[lw] < 0:
+                g = -g
+            basis[lw] = {k: v // g for k, v in row.items()}
+    return basis
+
+
+def _membership_probabilistic(x, span, w, seed) -> MembershipResult:
+    span_terms = [_keyed(elem.terms) for _label, elem in span]
+    x_terms = _keyed(x.terms)
+    for t in _probabilistic_points(seed):
+        xrow = _eval_row_to_int(x_terms, t)
+        if _int_reduce(xrow, _echelon_at(span_terms, t)):
             return MembershipResult(False, "probabilistic", w)
     return MembershipResult(True, "probabilistic", w)
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -197,13 +198,65 @@ def test_full_straightening_report():
     assert time.time() - t0 < 300
 
 
-def test_cross_oracle_with_normal_form():
-    # words in the u-generators whose free expansions are desk-scale;
-    # (3, 1) and (2, 2, 0) land above total weight 8 and take the
-    # probabilistic route
-    for letters in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (0, 3),
-                    (1, 1, 0), (2, 1, 0), (3, 1), (2, 2, 0)):
-        diff = fs.u_word_free_difference(letters)
-        if not diff:
+def _kostant_count(n1, n2):
+    """Partitions of n1 a1 + n2 a2 into the positive roots of A1^(1):
+    a1 + n d, a2 + n d (n >= 0) and n d (n >= 1), with d = a1 + a2."""
+    roots = [(n + 1, n) for n in range(n1)] + [(n, n + 1) for n in range(n2)]
+    roots += [(n, n) for n in range(1, min(n1, n2) + 1)]
+    ways = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    ways[0][0] = 1
+    for r1, r2 in roots:
+        for i in range(r1, n1 + 1):
+            for j in range(r2, n2 + 1):
+                ways[i][j] += ways[i - r1][j - r2]
+    return ways[n1][n2]
+
+
+@pytest.mark.parametrize("w, rank", [((5, 3), 35), ((6, 4), 162), ((7, 5), 693)])
+def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
+    # the quotient by the Serre ideal is U^+ of affine sl2, whose weight
+    # component has the Kostant partition count as its dimension; the ideal
+    # component, the rank of the span, is what is left of the words
+    assert rank == len(fs.words_of_weight(*w)) - _kostant_count(*w)
+    span_terms = [fs._keyed(e.terms) for _, e in fs.spanning_set(w)]
+    for t in fs._probabilistic_points(0):
+        basis = fs._echelon_at(span_terms, t)
+        assert len(basis) == rank, t
+        for lead, row in basis.items():
+            assert lead == max(row) and row[lead] > 0
+            assert gcd(*row.values()) == 1
+
+
+def test_word_keys_order_words_of_one_length():
+    words = sorted(fs.words_of_weight(5, 4))
+    keys = [fs._word_key(u) for u in words]
+    assert keys == sorted(keys) and len(set(keys)) == len(words)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_probabilistic_rejects_a_changed_coefficient(seed):
+    for _, d in fs.straightening_differences():
+        if d.weight() not in ((6, 4), (7, 5)):
             continue
-        assert fs.ideal_membership(diff).member, letters
+        assert fs.ideal_membership(d, mode="probabilistic", seed=seed).member
+        lead = max(d.terms)
+        changed = d + fs.FreeElement.word(lead)
+        assert not fs.ideal_membership(changed, mode="probabilistic", seed=seed).member
+
+
+def test_cross_oracle_with_normal_form():
+    # every word in the u-generators of length <= 3 and total weight <= 12
+    # (u_i has weight (i + 1, i)); those above total weight 8 take the
+    # probabilistic route
+    nonzero = probabilistic = 0
+    for n in range(4):
+        for letters in product(range(4), repeat=n):
+            if sum(2 * i + 1 for i in letters) > 12:
+                continue
+            diff = fs.u_word_free_difference(letters)
+            if not diff:
+                continue
+            nonzero += 1
+            probabilistic += sum(diff.weight()) > fs.EXACT_DEFAULT_MAX_TOTAL
+            assert fs.ideal_membership(diff).member, letters
+    assert (nonzero, probabilistic) == (28, 18)
