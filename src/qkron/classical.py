@@ -126,29 +126,27 @@ class CPoly(Terms):
         """Exact division in the Laurent ring over Z; raises ValueError
         ("not divisible") unless the quotient exists there.
 
-        Reduction by the lex-leading term of the divisor; termination is
-        guarded by a step bound since lex on Laurent exponents is not a
-        well-order.
+        Reduction by the lex-leading term of the divisor.  A product's lowest
+        and highest exponents in each variable are sums, so a quotient
+        exponent lies in lo(self) - lo(other) .. hi(self) - hi(other); a step
+        outside that box, or a lead that does not divide, means no quotient.
+        The remainder's lead drops at every step in a finite box, so it ends.
         """
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return CPoly._raw({})
+        box = [(min(a) - min(b), max(a) - max(b))
+               for a, b in zip(zip(*self.terms), zip(*other.terms))]
         lead = max(other.terms)
         lead_c = other.terms[lead]
         rem = dict(self.terms)
         quot = {}
-        limit = 16 * (len(self.terms) + 4) * (len(other.terms) + 4)
-        steps = 0
         while rem:
-            steps += 1
-            if steps > limit:
-                raise ValueError("not divisible (reduction did not terminate)")
             e = max(rem)
-            c = rem[e]
             qe = tuple(x - y for x, y in zip(e, lead))
-            qc, r = divmod(c, lead_c)
-            if r:
+            qc, r = divmod(rem[e], lead_c)
+            if r or any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
                 raise ValueError("not divisible")
             quot[qe] = qc
             add_into(rem, {tuple(x + y for x, y in zip(qe, e2)): c2

@@ -2,7 +2,8 @@
 verification suites, and print cluster/layer tables.
 
 Exit codes are the machine contract: 0 success, 1 a verified identity
-failed, 2 usage error, 3 a resource cap was hit.
+failed, 2 usage error, 3 a resource cap was hit.  `main` calls the handler
+each subcommand names; a `RecursionError` from any of them is exit 3.
 
 `main` may be called many times in one process, as the benchmark and the
 tests do.  Between calls it keeps only per-process memos that no request
@@ -28,10 +29,10 @@ EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# each verify suite: its default bounds (--n-max / --k-max override where
-# meaningful) and its runner, run(n_max, k_max, seed, mode) -> entries.  A
-# runner looks its checks up as module attributes when it runs, so a check
-# rebound on its module after import is the one called.
+# each verify suite: its default bounds (--n-max / --k-max override them; a
+# bound the suite does not read stays None) and its runner, run(n_max, k_max,
+# seed, mode) -> entries.  A runner looks its checks up as module attributes
+# when it runs, so a check rebound on its module after import is the one called.
 _SUITE_TABLE = {
     "straightening": ({}, lambda n, k, seed, mode: pbw.verify_normal_form(seed=seed)),
     "serre": ({}, lambda n, k, seed, mode:
@@ -55,14 +56,8 @@ SUITES = tuple(_SUITE_TABLE)
 def run_suite(name: str, params: dict) -> dict:
     """Run one named suite and wrap its entries with an aggregate flag."""
     defaults, run = _SUITE_TABLE[name]
-    n_max = params.get("n_max")
-    k_max = params.get("k_max")
-    if n_max is None:
-        n_max = defaults.get("n_max")
-    if k_max is None:
-        k_max = defaults.get("k_max", n_max)
-    if n_max is None:
-        n_max = k_max
+    n_max, k_max = (defaults.get(key) if params.get(key) is None else params[key]
+                    for key in ("n_max", "k_max"))
     entries = run(n_max, k_max, params.get("seed", 0), params.get("mode"))
     ok = all(e.get("ok", e.get("member", False)) for e in entries)
     return {"suite": name, "ok": ok, "entries": entries}
@@ -89,6 +84,8 @@ def _bname(a) -> str:
 
 
 def _run_suite_star(args):
+    # the pool pickles this by name; `run_suite` is looked up at the call,
+    # so a rebound `run_suite` is the one a worker runs
     return run_suite(*args)
 
 
@@ -113,11 +110,7 @@ def cmd_compute(args, parser) -> int:
     if x >= 1 and w >= 1 and abs(x - w) >= 2 and x + w > args.max_layer:
         print(f"error: layer {x + w} exceeds cap {args.max_layer}", file=sys.stderr)
         return EXIT_RESOURCE
-    try:
-        elem = dcb.b_element(a)
-    except RecursionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    elem = dcb.b_element(a)
     out = {}
     if args.dual_pbw:
         coeffs = dcb.expand_in_dual_pbw(elem)
@@ -153,11 +146,7 @@ def cmd_product(args, parser) -> int:
         print(f"error: product lives on layer {k} > --max-layer {args.max_layer}",
               file=sys.stderr)
         return EXIT_RESOURCE
-    try:
-        coeffs = dcb.expand_in_b_basis(dcb.b_element(a) * dcb.b_element(b))
-    except RecursionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    coeffs = dcb.expand_in_b_basis(dcb.b_element(a) * dcb.b_element(b))
     items = sorted(coeffs.items(), reverse=True)
     if args.format == "json":
         print(json.dumps({"a": list(a), "b": list(b),
@@ -194,7 +183,6 @@ def cmd_verify(args, parser) -> int:
                 results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
         else:
             results = [run_suite(n, params) for n in names]
-        results.sort(key=lambda r: names.index(r["suite"]))
         empty = [r["suite"] for r in results if not r["entries"]]
         if empty:
             print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
@@ -271,12 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the dual PBW coefficient table instead")
     c.add_argument("--q1", action="store_true", help="print the q = 1 specialization")
     c.add_argument("--max-layer", type=int, default=8)
+    c.set_defaults(handler=cmd_compute)
 
     pr = sub.add_parser("product", help="expand B[a] * B[b] in the basis")
     pr.add_argument("a", nargs=4, type=int, metavar="A")
     pr.add_argument("b", nargs=4, type=int, metavar="B")
     pr.add_argument("--format", choices=("text", "json"), default="text")
     pr.add_argument("--max-layer", type=int, default=8)
+    pr.set_defaults(handler=cmd_product)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("all",))
@@ -286,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default=None, help="write the JSON report to a file")
+    v.set_defaults(handler=cmd_verify)
 
     t = sub.add_parser("table", help="print cluster variables or a basis layer")
     t.add_argument("kind", choices=("cluster", "layer"))
@@ -294,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("range", nargs="?", help="N or N..M")
     t.add_argument("--format", choices=("text", "json", "latex"), default="text")
     t.add_argument("--max-layer", type=int, default=8)
+    t.set_defaults(handler=cmd_table)
     return p
 
 
@@ -314,16 +306,11 @@ def main(argv=None) -> int:
         args.range = extra.pop()
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "compute":
-        return cmd_compute(args, parser)
-    if args.command == "product":
-        return cmd_product(args, parser)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "table":
-        return cmd_table(args, parser)
-    parser.error("no command")
-    return EXIT_USAGE
+    try:
+        return args.handler(args, parser)
+    except RecursionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

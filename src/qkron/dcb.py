@@ -14,6 +14,8 @@ triangularity on every element it builds, but the sigma condition only
 once per core and once for the p0/p1 facts; each element's eigenvalue is
 then derived from the p0/p1 steps (`_sigma_exponent`).  The cache read,
 `verify layers` and `check_basis_conditions` check every element in full.
+The frozen powers come from the basis too: `p_power` is B[0,k,0,k] or
+B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
 
 Exponent tuples are (a3, a2, a1, a0) throughout.
 """
@@ -478,20 +480,11 @@ def g_exponent(n: int, k: int, l: int) -> int:
     return n * (n - 3) + k * (n + 1) + l * (n + 1) - 2 * k * l
 
 
-_P_POWERS = ({}, {})
-
-
 def p_power(which: int, k: int) -> pbw.PbwElement:
-    """Memoized p0^k (which = 0) or p1^k (which = 1)."""
-    cache = _P_POWERS[which]
-    hit = cache.get(k)
-    if hit is None:
-        if k == 0:
-            hit = pbw.one()
-        else:
-            hit = p_power(which, k - 1) * (pbw.p0() if which == 0 else pbw.p1())
-        cache[k] = hit
-    return hit
+    """p0^k (which = 0) or p1^k (which = 1), read off the basis: `b_element`
+    strips k factors p0 from B[0,k,0,k] (p1 from B[k,0,k,0]), the j-th with
+    q^(4(j-1)), so p^k = q^(-2k(k-1)) B."""
+    return b_element((0, k, 0, k) if which == 0 else (k, 0, k, 0)).scale_qpow(-2 * k * (k - 1))
 
 
 def _u_pow(i: int, k: int) -> pbw.PbwElement:

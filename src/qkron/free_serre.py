@@ -5,7 +5,8 @@ rewrite rules the normal-form calculus adopts: each relation, written in
 the free algebra through the commutator construction of the generators,
 must lie in the two-sided ideal generated by the two degree-four Serre
 relators.  Membership in a fixed weight component is a finite linear
-algebra problem over the spanning set {w * S * w' : S in {S1, S2}}.
+algebra problem over the spanning set {w * S * w' : S in {S1, S2}}: S2 is S1
+with the letters swapped, and a row joins the words onto S (`_serre_row`).
 
 Exact mode runs fraction-free elimination over the integer Laurent
 polynomials and returns a certificate: integer Laurent numerators c_j over
@@ -88,13 +89,14 @@ def serre_relators():
         (1, 2, 1, 1): three,
         (2, 1, 1, 1): -lq_one(),
     })
-    s2 = FreeElement({
-        (2, 2, 2, 1): lq_one(),
-        (2, 2, 1, 2): -three,
-        (2, 1, 2, 2): three,
-        (1, 2, 2, 2): -lq_one(),
-    })
+    s2 = FreeElement._raw({tuple(3 - x for x in w): c for w, c in s1.terms.items()})
     return s1, s2
+
+
+def _serre_row(left, s, right) -> FreeElement:
+    """left * s * right for words left, right: each word of s with the two
+    joined on."""
+    return FreeElement._raw({left + w + right: c for w, c in s.terms.items()})
 
 
 def scaled_generators():
@@ -134,20 +136,16 @@ def spanning_set(w: tuple):
 
     Returns a list of (label, element) where the label is
     (relator index, left word, right word)."""
-    relators = serre_relators()
-    rel_weights = ((3, 1), (1, 3))
     out = []
-    for ridx, (s, ws) in enumerate(zip(relators, rel_weights)):
-        r1, r2 = w[0] - ws[0], w[1] - ws[1]
+    for ridx, s in enumerate(serre_relators()):
+        r1, r2 = (x - y for x, y in zip(w, s.weight()))
         if r1 < 0 or r2 < 0:
             continue
         for a in range(r1 + 1):
             for b in range(r2 + 1):
                 for left in words_of_weight(a, b):
-                    lf = FreeElement.word(left)
                     for right in words_of_weight(r1 - a, r2 - b):
-                        elem = lf * s * FreeElement.word(right)
-                        out.append(((ridx, left, right), elem))
+                        out.append(((ridx, left, right), _serre_row(left, s, right)))
     return out
 
 
@@ -269,11 +267,10 @@ def _laurent_reduce(row, combo, scale, basis):
 
 def expand_certificate(certificate) -> FreeElement:
     """Rebuild sum coeff * (left * S * right) from a certificate."""
-    s1, s2 = serre_relators()
+    relators = serre_relators()
     total = {}
     for (ridx, left, right), coef in certificate:
-        s = s1 if ridx == 0 else s2
-        add_into(total, (FreeElement.word(left) * s * FreeElement.word(right)).terms, coef)
+        add_into(total, _serre_row(left, relators[ridx], right).terms, coef)
     return FreeElement._raw(total)
 
 

@@ -261,13 +261,8 @@ class LaurentQ(Terms):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = Terms.__sub__
+    __rsub__ = Terms.__rsub__
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -209,6 +209,31 @@ def test_exact_div_needs_an_integral_quotient():
         cl.U1.exact_div(cl.U1.scale(2))
 
 
+def test_exact_div_takes_a_long_quotient():
+    # 600 quotient terms from two-term operands; the twin of LaurentQ's
+    # (q^600 - 1)/(q - 1)
+    q = (cl.U1 ** 600 - 1).exact_div(cl.U1 - 1)
+    assert q == sum((cl.U1 ** i for i in range(600)), cl.const(0))
+    # the same length with a remainder: the last step leaves the box
+    with pytest.raises(ValueError, match="not divisible"):
+        (cl.U1 ** 600 + 1).exact_div(cl.U1 - 1)
+
+
+def test_exact_div_refuses_at_once(monkeypatch):
+    # a first step outside the quotient's exponent box (empty in U2 here),
+    # or a lead coefficient that does not divide, raises before any step
+    # reduces the remainder
+    cases = [(cl.U1 + 1, cl.U2 + 1), (cl.U1, cl.U1.scale(2)), (cl.U1 ** 600 - 1, cl.U1 + cl.U2)]
+
+    def no_step(*args):
+        raise AssertionError("a reduction step ran")
+
+    monkeypatch.setattr(cl, "add_into", no_step)
+    for num, den in cases:
+        with pytest.raises(ValueError, match="not divisible"):
+            num.exact_div(den)
+
+
 def test_coefficients_are_ints():
     with pytest.raises(TypeError):
         cl.CPoly({(0,) * 6: Fraction(1, 2)})

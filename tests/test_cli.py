@@ -256,6 +256,56 @@ def test_verify_starts_no_more_workers_than_suites(monkeypatch, capsys, jobs, wa
     assert [s["suite"] for s in json.loads(out)["suites"]] == list(cli.SUITES)
 
 
+# the bounds each suite's runner reads ("n" for --n-max, "k" for --k-max)
+_READS = {"straightening": "", "serre": "", "layers": "k", "recursions": "n", "products": "n",
+          "closed-formulas": "nk", "pbw-expansion": "n", "classical": "n", "qseed": "n"}
+# flags -> the read bounds each suite is handed, in "nk" order
+_BOUNDS = {
+    (): {"layers": (6,), "recursions": (6,), "products": (5,), "closed-formulas": (4, 6),
+         "pbw-expansion": (3,), "classical": (10,), "qseed": (5,)},
+    ("--n-max", "2"): {"layers": (6,), "recursions": (2,), "products": (2,),
+                       "closed-formulas": (2, 6), "pbw-expansion": (2,), "classical": (2,),
+                       "qseed": (2,)},
+    ("--k-max", "3"): {"layers": (3,), "recursions": (6,), "products": (5,),
+                       "closed-formulas": (4, 3), "pbw-expansion": (3,), "classical": (10,),
+                       "qseed": (5,)},
+    ("--n-max", "2", "--k-max", "3"): {"layers": (3,), "recursions": (2,), "products": (2,),
+                                       "closed-formulas": (2, 3), "pbw-expansion": (2,),
+                                       "classical": (2,), "qseed": (2,)},
+}
+
+
+@pytest.mark.parametrize("flags", list(_BOUNDS))
+def test_verify_hands_each_suite_its_bounds(flags, monkeypatch, capsys):
+    seen = {}
+
+    def recorder(name):
+        def runner(n, k, seed, mode):
+            seen[name] = tuple(v for v, b in zip((n, k), "nk") if b in _READS[name])
+            return [{"ok": True}]
+        return runner
+
+    for name, (defaults, _) in cli._SUITE_TABLE.items():
+        monkeypatch.setitem(cli._SUITE_TABLE, name, (defaults, recorder(name)))
+    code, _, _ = run(["verify", "all", *flags], capsys)
+    assert code == 0
+    want = {name: _BOUNDS[flags].get(name, ()) for name in cli.SUITES}
+    assert seen == want
+
+
+@pytest.mark.parametrize("argv, attr", [(["verify", "recursions"], "verify_recursions"),
+                                        (["table", "layer", "3"], "layer_table")])
+def test_recursion_depth_exits_3_from_any_command(argv, attr, monkeypatch, capsys):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(dcb, attr, too_deep)
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: maximum recursion depth exceeded"]
+
+
 def test_latex_output(capsys):
     code, out, _ = run(["compute", "1", "0", "1", "0", "--format", "latex"], capsys)
     assert code == 0

@@ -224,6 +224,13 @@ def test_power_formulas():
     assert f1 == pbw.p1() and f0 == pbw.p0()
 
 
+def test_p_powers_from_the_basis_equal_the_straightened_powers():
+    # the straightened p^k is the oracle for the basis read-off
+    for k in range(7):
+        assert dcb.p_power(0, k) == pbw.p0() ** k, k
+        assert dcb.p_power(1, k) == pbw.p1() ** k, k
+
+
 def test_pbw_expansion_formula():
     assert all(e["ok"] for e in dcb.verify_pbw_expansion(2))
     got = dcb.pbw_expansion_formula(1)

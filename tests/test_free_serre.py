@@ -19,6 +19,25 @@ def test_relators():
     assert sorted(map(str, s1.terms.values())) == sorted(map(str, [lq_one(), -three, three, -lq_one()]))
 
 
+def test_s2_is_as_printed():
+    three = quantum_int(3)
+    s2 = fs.FreeElement({
+        (2, 2, 2, 1): lq_one(),
+        (2, 2, 1, 2): -three,
+        (2, 1, 2, 2): three,
+        (1, 2, 2, 2): -lq_one(),
+    })
+    assert fs.serre_relators()[1] == s2
+
+
+@pytest.mark.parametrize("w", [(5, 3), (6, 4)])
+def test_spanning_rows_are_free_products(w):
+    relators = fs.serre_relators()
+    for (ridx, left, right), row in fs.spanning_set(w):
+        want = fs.FreeElement.word(left) * relators[ridx] * fs.FreeElement.word(right)
+        assert row == want, (ridx, left, right)
+
+
 def test_generator_weights():
     w0, w1, w2, w3 = fs.scaled_generators()
     assert w0.weight() == (1, 0)
