@@ -3,7 +3,8 @@ verification suites, and print cluster/layer tables.
 
 Exit codes are the machine contract: 0 success, 1 a verified identity
 failed, 2 usage error, 3 a resource cap was hit.  `main` calls the handler
-each subcommand names; a `RecursionError` from any of them is exit 3.
+each subcommand names; a `RecursionError` from any of them is exit 3, and a
+layer cache entry that fails its check (`dcb.CacheEntryError`) is exit 1.
 
 `main` may be called many times in one process, as the benchmark and the
 tests do.  Between calls it keeps only per-process memos that no request
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except dcb.CacheEntryError as exc:
+        print(f"error: layer cache {exc.path}: {exc}", file=sys.stderr)
+        return EXIT_IDENTITY
 
 
 if __name__ == "__main__":

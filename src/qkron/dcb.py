@@ -12,8 +12,11 @@ against; the two share one back-substitution, `_peel`.
 `b_element` writes B[a] as q^e p1^s B[core] p0^r.  `layer_table` checks
 triangularity on every element it builds, but the sigma condition only
 once per core and once for the p0/p1 facts; each element's eigenvalue is
-then derived from the p0/p1 steps (`_sigma_exponent`).  The cache read,
-`verify layers` and `check_basis_conditions` check every element in full.
+then derived from the p0/p1 steps (`_sigma_exponent`).  The on-disk layer
+cache is checked by comparing it with that build: B[a] is the one element
+meeting both conditions, so a cached entry passes them exactly when it
+equals the built one.  `verify layers` and `check_basis_conditions` check
+every element in full.
 The frozen powers come from the basis too: `p_power` is B[0,k,0,k] or
 B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
 
@@ -203,25 +206,24 @@ _CHECKED_CORES: dict = {}       # core -> the b_element object that passed the f
 def layer_table(k: int) -> LayerTable:
     """Memoized `b_element`s of one layer.
 
-    With QCA_CACHE_DIR set, a cached layer is read back and every element
-    gets the full `check_basis_conditions`; a miss is built and written.
-    A built layer checks triangularity on every element, and the sigma
-    condition by `_sigma_exponent`: one full check per core, then integer
-    arithmetic along the p0/p1 steps, which must give -N(a)."""
+    Every layer is built, with triangularity checked on every element and
+    the sigma condition by `_sigma_exponent`: one full check per core, then
+    integer arithmetic along the p0/p1 steps, which must give -N(a).  With
+    QCA_CACHE_DIR set, the layer's cache file is then compared with the
+    build (`_cache_matches`); a missing, unreadable or incomplete file is
+    written anew, and an entry that fails its conditions raises
+    `CacheEntryError`."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
+        tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
+        for a, elem in tab:
+            _check_triangular(a, elem)
+            e = _sigma_exponent(a)
+            if e != -stat_n(a):
+                raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
         cache_dir = os.environ.get("QCA_CACHE_DIR")
-        if cache_dir:
-            tab = _load_layer(k, cache_dir)
-        if tab is None:
-            tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
-            for a, elem in tab:
-                _check_triangular(a, elem)
-                e = _sigma_exponent(a)
-                if e != -stat_n(a):
-                    raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
-            if cache_dir:
-                _save_layer(tab, cache_dir)
+        if cache_dir and not _cache_matches(tab, cache_dir):
+            _save_layer(tab, cache_dir)
         _LAYER_TABLES[k] = tab
     return tab
 
@@ -301,23 +303,51 @@ def _save_layer(tab: LayerTable, cache_dir):
         tmp.unlink(missing_ok=True)  # a no-op once the move succeeded
 
 
-def _load_layer(k: int, cache_dir):
-    """The cached layer k; None, a miss, if the file is absent, incomplete
-    or unreadable.  An element failing its check raises."""
-    path = _layer_path(k, cache_dir)
+class CacheEntryError(AssertionError):
+    """A well-formed entry of a layer cache file that fails the defining
+    conditions: the message is the failed check's, `path` names the file."""
+
+    def __init__(self, message, path=None):
+        # unpickling, as a `verify --jobs` worker's error is, calls cls(message)
+        # and then restores `path` from the instance dict
+        super().__init__(message)
+        self.path = path
+
+
+def _cache_matches(tab: LayerTable, cache_dir) -> bool:
+    """Whether the cache file of the built, checked layer `tab` holds exactly
+    its elements; False, a miss, if the file is absent, unreadable or
+    incomplete, or names a key off the layer.
+
+    Each entry is parsed, compared with the build and dropped.  Only an
+    entry that differs, or whose key is not on the layer, gets
+    `check_basis_conditions`, after the whole file has parsed; the last
+    entry under a key counts.  One that fails raises `CacheEntryError`; an
+    entry on the layer that differs yet passes would contradict the
+    uniqueness of B[a], and raises too."""
+    path = _layer_path(tab.k, cache_dir)
     if not path.exists():
-        return None
+        return False
+    differing = {}  # a -> the file's element where it is not the build's, else None
     try:
-        entries = {tuple(item["a"]): pbw.PbwElement.from_json_dict(item["element"])
-                   for item in json.loads(path.read_text())}
+        for item in json.loads(path.read_text()):
+            a = tuple(item["a"])
+            elem = pbw.PbwElement.from_json_dict(item["element"])
+            differing[a] = None if tab.entries.get(a) == elem else elem
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring unreadable layer cache {path}: {exc}", file=sys.stderr)
-        return None
-    for a, elem in entries.items():
-        check_basis_conditions(a, elem)  # the cache is advisory: verify on load
-    if set(entries) != set(layer_exponents(k)):
-        return None
-    return LayerTable(k, entries)
+        return False
+    for a, elem in differing.items():
+        if elem is None:
+            continue
+        try:
+            check_basis_conditions(a, elem)
+        except AssertionError as exc:
+            raise CacheEntryError(str(exc), path) from exc
+        if a in tab.entries:
+            raise AssertionError(f"cached B[{a}] in {path} passes both conditions "
+                                 "but differs from the build")
+    return differing.keys() == tab.entries.keys()
 
 
 def b_element(a) -> pbw.PbwElement:

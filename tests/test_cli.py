@@ -415,3 +415,16 @@ def test_failing_q1_cross_check_carries_a_witness(monkeypatch):
             assert list(e) == ["suite", "n", "identity", "ok"]
         else:
             assert e["detail"] == "first differing monomial (0, 0, 0, 0, 0, 0): -1"
+
+
+@pytest.mark.parametrize("argv", [["table", "layer", "1"], ["verify", "layers", "--k-max", "2"]])
+def test_failing_cache_entry_exits_1(argv, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "layer_1.json"
+    path.write_text('[{"a":[0,0,0,1],"element":{"terms":[{"exp":[0,0,0,1],"coef":"q"}]}}]')
+    monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(dcb, "_LAYER_TABLES", {})
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: layer cache {path}: B[(0, 0, 0, 1)]: "
+                                "leading dual-PBW coefficient is q, not 1"]

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -428,8 +429,7 @@ def test_layer_cache_write_is_atomic(tmp_path, monkeypatch):
     tab = dcb.layer_table(3)
     dcb._save_layer(tab, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
-    back = dcb._load_layer(3, tmp_path)
-    assert back.entries == tab.entries
+    assert dcb._cache_matches(tab, tmp_path)
 
     # concurrent writers: each moves a complete file into place
     old_interval = sys.getswitchinterval()
@@ -445,7 +445,7 @@ def test_layer_cache_write_is_atomic(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(old_interval)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
-    assert dcb._load_layer(3, tmp_path).entries == tab.entries
+    assert dcb._cache_matches(tab, tmp_path)
 
     # a failed move leaves neither a temporary file nor a changed layer file
     text = (tmp_path / "layer_3.json").read_text()
@@ -493,3 +493,122 @@ def test_truncated_layer_cache_is_recomputed(tmp_path, monkeypatch, capsys):
         assert path.read_text() == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_2.json"]
     dcb._LAYER_TABLES.pop(2, None)
+
+
+def _file_state(directory):
+    """Each file's inode, modification time and bytes: a rewrite changes them."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+            for p in sorted(directory.iterdir())}
+
+
+def test_cached_layer_table_runs_sigma_once_per_core(tmp_path, monkeypatch):
+    # a read from a filled cache builds and checks the layer as a cold one
+    # does, then compares the file with it: no sigma per cached element
+    _cold_layers(monkeypatch)
+    monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
+    want = {k: dcb.layer_table(k).entries for k in range(9)}
+    filled = _file_state(tmp_path)
+    assert sorted(filled) == sorted(f"layer_{k}.json" for k in range(9))
+    sigma = pbw.PbwElement.sigma
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return sigma(self)
+
+    monkeypatch.setattr(pbw.PbwElement, "sigma", counting)
+    for k in range(9):
+        _cold_layers(monkeypatch)
+        monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
+        calls.clear()
+        assert dcb.layer_table(k).entries == want[k]
+        cores = {_core(a) for a in dcb.layer_exponents(k)}
+        assert len(calls) <= len(cores) + 2, (k, len(calls), len(cores))
+    assert _file_state(tmp_path) == filled  # a hit writes nothing
+
+
+# the old golden B[2,0,0,2]: triangular, but no sigma eigenvector
+_REJECTED_B2002 = ("(q^2)*u3^2*u0^2 - (q^4 + 2*q^3)*u3*u2*u1*u0"
+                   " - (q^6)*u3*u1^3 - (q^6)*u2^3*u0 + (q^8)*u2^2*u1^2")
+
+
+def _layer_items(k):
+    return [{"a": list(a), "element": e.to_json_dict()}
+            for a, e in sorted(dcb.layer_table(k).entries.items())]
+
+
+def _read_layer(tmp_path, monkeypatch, k, items):
+    """layer_table(k) from a cold process state over a cache file holding `items`."""
+    path = tmp_path / f"layer_{k}.json"
+    path.write_text(json.dumps(items))
+    _cold_layers(monkeypatch)
+    monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
+    return path, dcb.layer_table(k)
+
+
+def test_cache_entry_that_is_no_sigma_eigenvector_raises(tmp_path, monkeypatch):
+    items = _layer_items(4)
+    bad = pbw.PbwElement.parse(_REJECTED_B2002)
+    dcb._check_triangular((2, 0, 0, 2), bad)  # only the sigma condition fails
+    for item in items:
+        if item["a"] == [2, 0, 0, 2]:
+            item["element"] = bad.to_json_dict()
+    with pytest.raises(dcb.CacheEntryError, match="sigma eigenvector") as info:
+        _read_layer(tmp_path, monkeypatch, 4, items)
+    assert isinstance(info.value, AssertionError)
+    assert info.value.path == tmp_path / "layer_4.json"
+    assert 4 not in dcb._LAYER_TABLES
+
+
+def _extra_key(items):
+    return items + [{"a": [1, 0, 0, 1], "element": B(1, 0, 0, 1).to_json_dict()}]
+
+
+def _dropped_entry(items):
+    return items[:-1]
+
+
+def _corrupt_then_correct(items):
+    # the last entry under a key counts
+    first = dict(items[0], element=(B(*items[0]["a"]) * qpow(1)).to_json_dict())
+    return [first] + items
+
+
+@pytest.mark.parametrize("damage, hit", [(_extra_key, False), (_dropped_entry, False),
+                                         (_corrupt_then_correct, True), (lambda items: items, True)])
+def test_layer_cache_outcome_by_file(tmp_path, monkeypatch, capsys, damage, hit):
+    # a miss is silent and rewrites the file; a hit leaves it as it is
+    items = _layer_items(3)
+    want = json.dumps(items)
+    path, tab = _read_layer(tmp_path, monkeypatch, 3, damage(items))
+    before = path.read_text()
+    assert tab.entries == {tuple(i["a"]): B(*i["a"]) for i in items}
+    assert capsys.readouterr().err == ""
+    assert path.read_text() == (before if hit else want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["layer_3.json"]
+
+
+def test_layer_cache_extra_key_that_fails_raises(tmp_path, monkeypatch):
+    items = _layer_items(2) + [{"a": [1, 0, 0, 1], "element": dcb.dual_pbw((1, 0, 0, 1)).to_json_dict()}]
+    with pytest.raises(dcb.CacheEntryError, match=r"B\[\(1, 0, 0, 1\)\] is not a sigma eigenvector"):
+        _read_layer(tmp_path, monkeypatch, 2, items)
+
+
+def test_unparseable_layer_cache_wins_over_a_failing_entry(tmp_path, monkeypatch, capsys):
+    # the whole file is parsed before any differing entry is checked
+    items = _layer_items(2)
+    items[0]["element"]["terms"][0]["coef"] = "q^7"
+    items[-1]["element"]["terms"][0]["coef"] = "q +"
+    path, _ = _read_layer(tmp_path, monkeypatch, 2, items)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert path.read_text() == json.dumps(_layer_items(2))
+
+
+def test_layer_cache_entry_that_differs_yet_passes_raises(tmp_path, monkeypatch):
+    # B[a] is unique, so this cannot happen unless a check is wrong
+    items = _layer_items(2)
+    items[0]["element"]["terms"][0]["coef"] = "q^7"
+    monkeypatch.setattr(dcb, "check_basis_conditions", lambda a, elem: None)
+    with pytest.raises(AssertionError, match="differs from the build"):
+        _read_layer(tmp_path, monkeypatch, 2, items)
