@@ -273,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITES + ("all",))
     v.add_argument("--n-max", type=int, default=None)
     v.add_argument("--k-max", type=int, default=None)
-    v.add_argument("--mode", choices=("exact", "probabilistic"), default=None)
+    v.add_argument("--mode", choices=("exact", "probabilistic"), default=None,
+                   help="serre only: exact (the kernel of the quantum shuffle map) or "
+                        "probabilistic (integer elimination at seeded points); "
+                        "default exact up to total weight 8")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default=None, help="write the JSON report to a file")

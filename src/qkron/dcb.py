@@ -211,7 +211,8 @@ def layer_table(k: int) -> LayerTable:
     integer arithmetic along the p0/p1 steps, which must give -N(a).  With
     QCA_CACHE_DIR set, the layer's cache file is then compared with the
     build (`_cache_matches`); a missing, unreadable or incomplete file is
-    written anew, and an entry that fails its conditions raises
+    written anew, a path that cannot be read or written (an `OSError`) is
+    one warning and a miss, and an entry that fails its conditions raises
     `CacheEntryError`."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
@@ -222,8 +223,13 @@ def layer_table(k: int) -> LayerTable:
             if e != -stat_n(a):
                 raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
         cache_dir = os.environ.get("QCA_CACHE_DIR")
-        if cache_dir and not _cache_matches(tab, cache_dir):
-            _save_layer(tab, cache_dir)
+        if cache_dir:
+            try:
+                if not _cache_matches(tab, cache_dir):
+                    _save_layer(tab, cache_dir)
+            except OSError as exc:
+                print(f"warning: ignoring layer cache {_layer_path(k, cache_dir)}: {exc}",
+                      file=sys.stderr)
         _LAYER_TABLES[k] = tab
     return tab
 

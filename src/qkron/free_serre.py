@@ -4,15 +4,16 @@ This module certifies the straightening relations independently of the
 rewrite rules the normal-form calculus adopts: each relation, written in
 the free algebra through the commutator construction of the generators,
 must lie in the two-sided ideal generated by the two degree-four Serre
-relators.  Membership in a fixed weight component is a finite linear
-algebra problem over the spanning set {w * S * w' : S in {S1, S2}}: S2 is S1
-with the letters swapped, and a row joins the words onto S (`_serre_row`).
+relators.
 
-Exact mode runs fraction-free elimination over the integer Laurent
-polynomials and returns a certificate: integer Laurent numerators c_j over
-one Laurent denominator d with sum c_j * (u_j S_j u'_j) = d * x.
-Probabilistic mode evaluates every row at several seeded integer values
-q = t, in integers only: a row times the power of t that its lowest
+Exact mode maps an element by the quantum shuffle map (`shuffle_image`),
+an algebra map into the quantum shuffle algebra whose kernel is exactly the
+Serre ideal (Rosso 1998; Leclerc 2004): x is a member iff its image is 0.
+Probabilistic mode, kept as an independent oracle, is finite linear
+algebra over the spanning set {w * S * w' : S in {S1, S2}} of the weight
+component: S2 is S1 with the letters swapped, and a row joins the words
+onto S (`_serre_row`).  It evaluates every row at several seeded integer
+values q = t, in integers only: a row times the power of t that its lowest
 exponent needs, divided by its content.  Each word is keyed once per
 weight by an int that orders the words of one length as tuples do.  At
 each point the rows are eliminated over Z, fraction-free: a row is
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .qarith import LaurentQ, Terms, add_into, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
@@ -154,32 +155,30 @@ class MembershipResult:
     member: bool
     mode: str
     weight: tuple
-    # exact mode: [(label, LaurentQ numerator)] with
-    # expand_certificate(certificate) == x.scale(denominator)
-    certificate: list | None = None
-    denominator: LaurentQ = lq_one()
 
 
 DEFAULT_WEIGHT_CAP = 12
+# The default split between the modes stays where the elimination put it:
+# the `verify serre` report and acceptance criterion 6 name each relation's
+# mode, exact through (5,3) and probabilistic at (6,4) and (7,5).
 EXACT_DEFAULT_MAX_TOTAL = 8
 PROBABILISTIC_POINTS = 5
 
 
 def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> MembershipResult:
     """Decide membership of a weight-homogeneous element in the two-sided
-    quantum Serre ideal, within its weight component, up to total weight
-    `DEFAULT_WEIGHT_CAP`.
+    quantum Serre ideal, up to total weight `DEFAULT_WEIGHT_CAP`.
 
-    mode "exact" eliminates fraction-free and produces a certificate over
-    one denominator; "probabilistic" eliminates integer rows at
+    mode "exact" asks whether `shuffle_image(x)` is zero; "probabilistic"
+    eliminates the integer rows of the weight component's spanning set at
     `PROBABILISTIC_POINTS` seeded integer values of q and reports
     membership iff all evaluations succeed.  The default picks exact for
-    total weight <= 8.
+    total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
     """
     if mode not in (None, "exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
     if not x:
-        return MembershipResult(True, mode or "exact", (0, 0), certificate=[])
+        return MembershipResult(True, mode or "exact", (0, 0))
     w = x.weight()
     if w is None:
         raise ValueError("ideal membership needs a weight-homogeneous element")
@@ -187,86 +186,47 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
         raise ValueError(f"weight {w} exceeds the cap {DEFAULT_WEIGHT_CAP}")
     if mode is None:
         mode = "exact" if w[0] + w[1] <= EXACT_DEFAULT_MAX_TOTAL else "probabilistic"
-    span = spanning_set(w)
-    if not span:
-        return MembershipResult(False, mode, w)
     if mode == "exact":
-        return _membership_exact(x, span, w)
-    return _membership_probabilistic(x, span, w, seed)
+        return MembershipResult(not shuffle_image(x), "exact", w)
+    return _membership_probabilistic(x, w, seed)
 
 
-def _strip_content(dicts, shift=None):
-    """Divide every LaurentQ entry of every dict by their common integer
-    content and by q^(shift/2), in place; shift defaults to the lowest
-    half-exponent present (keeps fraction-free rows small)."""
-    g = 0
-    low = None
-    for d in dicts:
-        for c in d.values():
-            for h, v in c.terms.items():
-                if low is None or h < low:
-                    low = h
-                g = gcd(g, v)
-    if low is None:
-        return
-    if shift is None:
-        shift = low
-    if g == 1 and shift == 0:
-        return
-    for d in dicts:
-        for k in list(d):
-            d[k] = LaurentQ._raw({h - shift: v // g for h, v in d[k].terms.items()})
+def shuffle_image(x: FreeElement) -> FreeElement:
+    """The image of x under the quantum shuffle map Phi.
+
+    Phi(E_i w) = i |> Phi(w) and Phi(1) = 1, where i |> v inserts the
+    letter i at each position k of the word v with the factor
+    q^-(alpha_i, wt(v_1 ... v_k)); (alpha_1, alpha_1) = (alpha_2, alpha_2) = 2
+    and (alpha_1, alpha_2) = -2.  Its kernel is exactly the Serre ideal.
+    Terms are grouped by their first letter, as `pbw._horner` groups by
+    the last one, so words that share a prefix share its insertions."""
+    return FreeElement._raw(_shuffle(list(x.terms.items()), 0))
 
 
-def _membership_exact(x, span, w) -> MembershipResult:
-    # fraction-free elimination: rows keep LaurentQ entries throughout and
-    # every pivot row remembers its expression over the spanning set
-    basis = {}  # lead word -> (row dict word->LaurentQ, combo dict idx->LaurentQ)
-    one = lq_one()
-    for idx, (_label, elem) in enumerate(span):
-        row, combo, _scale = _laurent_reduce(dict(elem.terms), {idx: one}, None, basis)
-        if row:
-            _strip_content((row, combo))
-            basis[max(row)] = (row, combo)
-    row, combo, scale = _laurent_reduce(dict(x.terms), {}, one, basis)
-    if row:
-        return MembershipResult(False, "exact", w)
-    # scale * x = -sum combo[j] * span_j; present it over a denominator
-    # with constant term nonzero, positive lead and no common content
-    sign = -1 if scale.terms[max(scale.terms)] < 0 else 1
-    nums = {i: c * -sign for i, c in combo.items()}
-    den = {0: scale * sign}
-    _strip_content((nums, den), shift=min(scale.terms))
-    cert = [(span[i][0], c) for i, c in nums.items()]
-    return MembershipResult(True, "exact", w, certificate=cert, denominator=den[0])
-
-
-def _laurent_reduce(row, combo, scale, basis):
-    """Cross-multiplied reduction against the echelon basis.  Maintains the
-    invariant row = scale * x + sum combo[j] * span_j (scale is None for
-    rows that started life inside the span)."""
-    while row:
-        lw = max(row)
-        piv = basis.get(lw)
-        if piv is None:
-            return row, combo, scale
-        prow, pcombo = piv
-        a, b = row[lw], prow[lw]
-        row = add_into({word: b * c for word, c in row.items()}, prow, -a)
-        combo = add_into({i: b * c for i, c in combo.items()}, pcombo, -a)
-        if scale is not None:
-            scale = b * scale
-            if row:
-                dicts = (row, combo, {0: scale})
-                _strip_content(dicts)
-                scale = dicts[2][0]
-        elif row:
-            _strip_content((row, combo))
-    return row, combo, scale
+def _shuffle(terms, pos) -> dict:
+    """Phi of the sum of c * word[pos:] over the pairs (word, c) in terms,
+    as a coefficient dict."""
+    out, groups = {}, {}
+    for word, c in terms:
+        if len(word) == pos:
+            add_into(out, {(): c})
+        else:
+            groups.setdefault(word[pos], []).append((word, c))
+    for i, part in groups.items():
+        for v, c in _shuffle(part, pos + 1).items():
+            inserted = {}
+            h = 0  # q^(h/2) = q^-(alpha_i, wt(v_1 ... v_k))
+            for k in range(len(v) + 1):
+                add_into(inserted, {v[:k] + (i,) + v[k:]: half_pow(h)})
+                if k < len(v):
+                    h += -4 if v[k] == i else 4
+            add_into(out, inserted, c)
+    return out
 
 
 def expand_certificate(certificate) -> FreeElement:
-    """Rebuild sum coeff * (left * S * right) from a certificate."""
+    """sum coeff * (left * S * right) over the pairs
+    ((relator index, left, right), coeff) of a certificate."""
     relators = serre_relators()
     total = {}
     for (ridx, left, right), coef in certificate:
@@ -365,7 +325,10 @@ def _echelon_at(span_terms, t) -> dict:
     return basis
 
 
-def _membership_probabilistic(x, span, w, seed) -> MembershipResult:
+def _membership_probabilistic(x, w, seed) -> MembershipResult:
+    span = spanning_set(w)
+    if not span:
+        return MembershipResult(False, "probabilistic", w)
     span_terms = [_keyed(elem.terms) for _label, elem in span]
     x_terms = _keyed(x.terms)
     for t in _probabilistic_points(seed):
@@ -400,14 +363,11 @@ def straightening_differences():
 
 
 def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0) -> list:
-    """Certify all six straightening relations as members of the quantum
+    """Decide all six straightening relations as members of the quantum
     Serre ideal; returns one report entry per relation."""
     report = []
     for name, diff in straightening_differences():
         res = ideal_membership(diff, mode=mode, seed=seed)
-        if res.member and res.certificate and diff:
-            if expand_certificate(res.certificate) != diff.scale(res.denominator):
-                raise AssertionError(f"certificate for {name} does not expand back")
         report.append({"relation": name, "weight": list(res.weight),
                        "mode": res.mode, "member": res.member})
     return report

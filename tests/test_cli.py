@@ -428,3 +428,30 @@ def test_failing_cache_entry_exits_1(argv, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.splitlines() == [f"error: layer cache {path}: B[(0, 0, 0, 1)]: "
                                 "leading dual-PBW coefficient is q, not 1"]
+
+
+def _layer_dir_blocked(cache):
+    # a directory where the layer file should be: reading it is an OSError
+    (cache / "layer_1.json").mkdir(parents=True)
+
+
+def _cache_dir_is_a_file(cache):
+    # a regular file where the cache directory should be: writing is an OSError
+    cache.write_text("")
+
+
+@pytest.mark.parametrize("block", [_layer_dir_blocked, _cache_dir_is_a_file])
+def test_cache_path_that_cannot_be_used_is_a_warned_miss(block, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dcb, "_LAYER_TABLES", {})
+    monkeypatch.delenv("QCA_CACHE_DIR", raising=False)
+    code, want, err = run(["table", "layer", "1"], capsys)
+    assert code == 0 and err == ""
+    cache = tmp_path / "cache"
+    block(cache)
+    monkeypatch.setenv("QCA_CACHE_DIR", str(cache))
+    monkeypatch.setattr(dcb, "_LAYER_TABLES", {})
+    code, out, err = run(["table", "layer", "1"], capsys)
+    assert code == 0
+    assert out == want
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"warning: ignoring layer cache {cache}")

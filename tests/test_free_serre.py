@@ -148,13 +148,13 @@ def test_integer_rows_match_the_rational_evaluation():
 def test_membership_trivial_cases():
     s1, _ = fs.serre_relators()
     res = fs.ideal_membership(fs.FreeElement())
-    assert res.member and res.certificate == [] and res.denominator == 1
+    assert res.member and not fs.shuffle_image(fs.FreeElement())
     x = fs.FreeElement.word((1,)) * s1
-    res = fs.ideal_membership(x, mode="exact")
-    assert res.member
-    assert fs.expand_certificate(res.certificate) == x.scale(res.denominator)
-    # the certificate is literally E1 * S1 with coefficient 1
-    assert [(lbl, c) for lbl, c in res.certificate if c] == [((0, (1,), ()), res.denominator)]
+    # x is literally the spanning row E1 * S1, and its image is zero
+    assert x == fs.expand_certificate([((0, (1,), ()), lq_one())])
+    assert not fs.shuffle_image(x)
+    assert fs.ideal_membership(x, mode="exact").member
+    assert fs.ideal_membership(x, mode="probabilistic").member
     # weight (1,1): the ideal component is zero
     y = fs.FreeElement({(1, 2): lq_one(), (2, 1): -lq_one()})
     assert not fs.ideal_membership(y).member
@@ -173,21 +173,19 @@ def test_membership_errors():
 
 
 def test_straightening_small_weights_exact():
+    # each difference maps to zero, and with its lead word's coefficient
+    # changed it maps to a nonzero element
     diffs = dict(fs.straightening_differences())
-    denominators = []
     for name in ("v0*v1 - q^-2*v1*v0",
                  "v0*v2 - q^-2*v2*v0 - (q^-2-1)*v1^2",
                  "v0*v3 - q^-2*v3*v0 - (q^-4-1)*v2*v1",
                  "v1*v2 - q^-2*v2*v1"):
         d = diffs[name]
-        res = fs.ideal_membership(d, mode="exact")
-        assert res.member, name
-        assert fs.expand_certificate(res.certificate) == d.scale(res.denominator)
-        for c in [res.denominator] + [c for _, c in res.certificate]:
-            assert isinstance(c, LaurentQ)
-            assert all(type(v) is int for v in c.terms.values())
-        denominators.append(res.denominator)
-    assert any(den != 1 for den in denominators)
+        assert not fs.shuffle_image(d), name
+        assert fs.ideal_membership(d, mode="exact").member, name
+        changed = d + fs.FreeElement.word(max(d.terms))
+        assert fs.shuffle_image(changed), name
+        assert not fs.ideal_membership(changed, mode="exact").member, name
 
 
 def test_modes_agree_up_to_weight_5_3():
@@ -266,7 +264,7 @@ def test_probabilistic_rejects_a_changed_coefficient(seed):
 def test_cross_oracle_with_normal_form():
     # every word in the u-generators of length <= 3 and total weight <= 12
     # (u_i has weight (i + 1, i)); those above total weight 8 take the
-    # probabilistic route
+    # probabilistic route by default; both modes decide every one
     nonzero = probabilistic = 0
     for n in range(4):
         for letters in product(range(4), repeat=n):
@@ -277,5 +275,52 @@ def test_cross_oracle_with_normal_form():
                 continue
             nonzero += 1
             probabilistic += sum(diff.weight()) > fs.EXACT_DEFAULT_MAX_TOTAL
-            assert fs.ideal_membership(diff).member, letters
+            assert fs.ideal_membership(diff, mode="exact").member, letters
+            assert fs.ideal_membership(diff, mode="probabilistic").member, letters
     assert (nonzero, probabilistic) == (28, 18)
+
+
+def test_shuffle_image_of_relators_and_a_commutator():
+    s1, s2 = fs.serre_relators()
+    assert not fs.shuffle_image(s1) and not fs.shuffle_image(s2)
+    c = fs.FreeElement({(1, 2): lq_one(), (2, 1): -lq_one()})
+    # E1 |> E2 = E1 E2 + q^2 E2 E1, so the commutator goes to (1 - q^2) c
+    assert fs.shuffle_image(c) == c.scale(1 - qpow(2))
+    assert len(fs.shuffle_image(c).terms) == 2
+
+
+def test_shuffle_kernel_is_the_ideal_at_5_3():
+    # the ideal lies in the kernel: every spanning row maps to zero; the
+    # images of the words span a space of the Kostant partition count at
+    # q = 2, so the kernel is no larger than the ideal's 35 dimensions
+    w = (5, 3)
+    assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
+    images = [fs._keyed(fs.shuffle_image(fs.FreeElement.word(u)).terms)
+              for u in fs.words_of_weight(*w)]
+    assert len(fs._echelon_at(images, 2)) == _kostant_count(*w) == 21
+
+
+def test_exact_decides_the_large_differences():
+    # the weights the elimination could not finish in exact mode
+    for _, d in fs.straightening_differences():
+        if d.weight() not in ((6, 4), (7, 5)):
+            continue
+        assert fs.ideal_membership(d, mode="exact").member
+        changed = d + fs.FreeElement.word(max(d.terms))
+        assert not fs.ideal_membership(changed, mode="exact").member
+
+
+@pytest.mark.parametrize("w", [(4, 2), (5, 3)])
+def test_modes_agree_on_random_ideal_elements(w):
+    # random combinations of spanning rows are members; adding one word,
+    # whose image has only positive coefficients, makes a non-member
+    rng = random.Random(sum(w))
+    labels = [label for label, _ in fs.spanning_set(w)]
+    words = fs.words_of_weight(*w)
+    for _ in range(4):
+        combo = [(label, qpow(rng.randint(-3, 3)) * rng.choice((-2, -1, 1, 3)))
+                 for label in rng.sample(labels, 3)]
+        x = fs.expand_certificate(combo)
+        for y, member in ((x, True), (x + fs.FreeElement.word(rng.choice(words)), False)):
+            assert fs.ideal_membership(y, mode="exact").member is member
+            assert fs.ideal_membership(y, mode="probabilistic", seed=1).member is member
