@@ -2,9 +2,13 @@
 verification suites, and print cluster/layer tables.
 
 Exit codes are the machine contract: 0 success, 1 a verified identity
-failed, 2 usage error, 3 a resource cap was hit.  `main` calls the handler
-each subcommand names; a `RecursionError` from any of them is exit 3, and a
-layer cache entry that fails its check (`dcb.CacheEntryError`) is exit 1.
+failed, 2 usage error, 3 a resource cap was hit, 141 (128 + SIGPIPE, as
+`cat` gives) the reader closed stdout.  `main` calls the handler each
+subcommand names and flushes stdout; a `RecursionError` from any of them is
+exit 3, a layer cache entry that fails its check (`dcb.CacheEntryError`) is
+exit 1, and a `BrokenPipeError` is exit 141 with nothing on stderr.
+`verify` runs its suites one after another in this process, in `SUITES`
+order.
 
 `main` may be called many times in one process, as the benchmark and the
 tests do.  Between calls it keeps only per-process memos that no request
@@ -19,8 +23,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import classical, dcb, free_serre, pbw, qseed
 from .qarith import compare
@@ -29,6 +33,7 @@ EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 # each verify suite: its default bounds (--n-max / --k-max override them; a
 # bound the suite does not read stays None) and its runner, run(n_max, k_max,
@@ -82,12 +87,6 @@ def _classical_cross_checks() -> list:
 def _bname(a) -> str:
     """The name ``B[a3,a2,a1,a0]`` of a basis element."""
     return f"B[{','.join(map(str, a))}]"
-
-
-def _run_suite_star(args):
-    # the pool pickles this by name; `run_suite` is looked up at the call,
-    # so a rebound `run_suite` is the one a worker runs
-    return run_suite(*args)
 
 
 def cmd_compute(args, parser) -> int:
@@ -159,13 +158,14 @@ def cmd_product(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     negative = [flag for flag, v in (("--n-max", args.n_max), ("--k-max", args.k_max))
                 if v is not None and v < 0]
     if negative:
         # refused before any suite runs; some suites would index a table they never built
         print(f"error: {' and '.join(negative)} must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mode is not None and args.suite not in ("serre", "all"):
+        print(f"error: --mode applies to the serre suite, not {args.suite}", file=sys.stderr)
         return EXIT_USAGE
     # open --out before any suite runs, so that a path that cannot be
     # written fails at once; the report is written when every suite is done
@@ -178,12 +178,7 @@ def cmd_verify(args, parser) -> int:
         names = list(SUITES) if args.suite == "all" else [args.suite]
         params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
                   "mode": args.mode}
-        if args.jobs > 1 and len(names) > 1:
-            # under fork every worker starts at once: no more than there are suites
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
-                results = list(pool.map(_run_suite_star, [(n, params) for n in names]))
-        else:
-            results = [run_suite(n, params) for n in names]
+        results = [run_suite(n, params) for n in names]
         empty = [r["suite"] for r in results if not r["entries"]]
         if empty:
             print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
@@ -278,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "probabilistic (integer elimination at seeded points); "
                         "default exact up to total weight 8")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default=None, help="write the JSON report to a file")
     v.set_defaults(handler=cmd_verify)
 
@@ -311,7 +305,16 @@ def main(argv=None) -> int:
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.handler(args, parser)
+        code = args.handler(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as `cat` does on SIGPIPE, and point the
+        # descriptor at the null device so that the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except RecursionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -313,9 +313,7 @@ class CacheEntryError(AssertionError):
     """A well-formed entry of a layer cache file that fails the defining
     conditions: the message is the failed check's, `path` names the file."""
 
-    def __init__(self, message, path=None):
-        # unpickling, as a `verify --jobs` worker's error is, calls cls(message)
-        # and then restores `path` from the instance dict
+    def __init__(self, message, path):
         super().__init__(message)
         self.path = path
 

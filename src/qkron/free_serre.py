@@ -28,7 +28,7 @@ of a word is (#E1, #E2), additive under concatenation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
@@ -150,11 +150,7 @@ def spanning_set(w: tuple):
     return out
 
 
-@dataclass
-class MembershipResult:
-    member: bool
-    mode: str
-    weight: tuple
+MembershipResult = namedtuple("MembershipResult", "member mode weight")
 
 
 DEFAULT_WEIGHT_CAP = 12

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qkron import classical, cli, dcb, pbw
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def run(argv, capsys):
@@ -222,40 +228,6 @@ def test_refused_compute_builds_nothing(monkeypatch, capsys):
     assert dcb._B_CACHE == {}
 
 
-def test_verify_jobs_parallel(capsys):
-    code, out, _ = run(["verify", "all", "--n-max", "2", "--k-max", "2", "--jobs", "2"], capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert [s["suite"] for s in report["suites"]] == list(cli.SUITES)
-
-
-@pytest.mark.parametrize("jobs, want", [(64, len(cli.SUITES)), (3, 3)])
-def test_verify_starts_no_more_workers_than_suites(monkeypatch, capsys, jobs, want):
-    seen = []
-
-    class FakePool:
-        # runs the suites in this process and records the pool size asked for
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli, "run_suite",
-                        lambda name, params: {"suite": name, "ok": True, "entries": [{"ok": True}]})
-    code, out, _ = run(["verify", "all", "--jobs", str(jobs)], capsys)
-    assert code == 0
-    assert seen == [want]
-    assert [s["suite"] for s in json.loads(out)["suites"]] == list(cli.SUITES)
-
-
 # the bounds each suite's runner reads ("n" for --n-max, "k" for --k-max)
 _READS = {"straightening": "", "serre": "", "layers": "k", "recursions": "n", "products": "n",
           "closed-formulas": "nk", "pbw-expansion": "n", "classical": "n", "qseed": "n"}
@@ -334,11 +306,49 @@ def test_verify_negative_bound_exits_2_before_any_suite(suite, flag, monkeypatch
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-def test_verify_jobs_below_one_exits_2(capsys):
+def test_verify_jobs_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "all", "--jobs", "0"])
+        cli.main(["verify", "all", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s != "serre"])
+def test_verify_mode_on_a_suite_without_modes_exits_2(suite, mode, monkeypatch, capsys):
+    def fail(name, params):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    code, out, err = run(["verify", suite, "--mode", mode], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+# with stdout block-buffered, all but layer 8 fit in the buffer and fail at main's
+# flush; layer 8 fails in a print
+@pytest.mark.parametrize("argv", [["compute", "1", "0", "1", "0"],
+                                  ["verify", "products", "--n-max", "1"],
+                                  ["table", "layer", "6"], ["table", "layer", "8"]])
+def test_closed_stdout_exits_141_silently(argv):
+    env = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qkron.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_cli_import_loads_no_worker_pool_or_dataclasses():
+    probe = ("import sys, qkron.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing', 'dataclasses'} "
+             "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_ENV, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -362,12 +372,6 @@ def test_compute_deep_stripping_exits_3(argv, capsys):
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     """One process serving a sequence of requests prints what a fresh
     interpreter prints for each, and builds the parser once."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     compute = ["compute", "2", "0", "0", "1"]
     # (argv, expected exit code, whether --out <file> is appended)
     sequence = [
@@ -392,7 +396,7 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
         got = capsys.readouterr()
         want = subprocess.run(
             [sys.executable, "-m", "qkron.cli", *argv, *(["--out", str(fresh)] if to_file else [])],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_ENV)
         assert code == want.returncode == want_code, argv
         assert (got.out, got.err) == (want.stdout, want.stderr), argv
         if to_file:
