@@ -2,11 +2,12 @@
 verification suites, and print cluster/layer tables.
 
 Exit codes are the machine contract: 0 success, 1 a verified identity
-failed, 2 usage error, 3 a resource cap was hit, 141 (128 + SIGPIPE, as
+failed, 2 usage error, 3 a resource cap was hit or memory ran out, 141 (128 + SIGPIPE, as
 `cat` gives) the reader closed stdout.  `main` calls the handler each
-subcommand names and flushes stdout; a `RecursionError` from any of them is
-exit 3, a layer cache entry that fails its check (`dcb.CacheEntryError`) is
-exit 1, and a `BrokenPipeError` is exit 141 with nothing on stderr.
+subcommand names and flushes stdout; a `RecursionError` or `MemoryError`
+from any of them is exit 3, a layer cache entry that fails its check
+(`dcb.CacheEntryError`) is exit 1, and a `BrokenPipeError` is exit 141 with
+nothing on stderr.
 `verify` runs its suites one after another in this process, in `SUITES`
 order.
 
@@ -21,7 +22,6 @@ and `classical.polynomial_form` memoize.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -167,25 +167,17 @@ def cmd_verify(args, parser) -> int:
     if args.mode is not None and args.suite not in ("serre", "all"):
         print(f"error: --mode applies to the serre suite, not {args.suite}", file=sys.stderr)
         return EXIT_USAGE
-    # open --out before any suite runs, so that a path that cannot be
-    # written fails at once; the report is written when every suite is done
-    try:
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
+              "mode": args.mode}
+    results = [run_suite(n, params) for n in names]
+    empty = [r["suite"] for r in results if not r["entries"]]
+    if empty:
+        print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
+              file=sys.stderr)
         return EXIT_USAGE
-    with out as fh:
-        names = list(SUITES) if args.suite == "all" else [args.suite]
-        params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
-                  "mode": args.mode}
-        results = [run_suite(n, params) for n in names]
-        empty = [r["suite"] for r in results if not r["entries"]]
-        if empty:
-            print(f"error: no entries in suite {', '.join(empty)}; check --n-max/--k-max",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        report = {"ok": all(r["ok"] for r in results), "suites": results}
-        print(json.dumps(report, indent=2), file=fh)
+    report = {"ok": all(r["ok"] for r in results), "suites": results}
+    print(json.dumps(report, indent=2))
     return EXIT_OK if report["ok"] else EXIT_IDENTITY
 
 
@@ -270,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k-max", type=int, default=None)
     v.add_argument("--mode", choices=("exact", "probabilistic"), default=None,
                    help="serre only: exact (the kernel of the quantum shuffle map) or "
-                        "probabilistic (integer elimination at seeded points); "
+                        "probabilistic (elimination modulo a prime at seeded points); "
                         "default exact up to total weight 8")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default=None, help="write the JSON report to a file")
     v.set_defaults(handler=cmd_verify)
 
     t = sub.add_parser("table", help="print cluster variables or a basis layer")
@@ -315,8 +306,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except RecursionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except dcb.CacheEntryError as exc:
         print(f"error: layer cache {exc.path}: {exc}", file=sys.stderr)

@@ -12,14 +12,21 @@ Serre ideal (Rosso 1998; Leclerc 2004): x is a member iff its image is 0.
 Probabilistic mode, kept as an independent oracle, is finite linear
 algebra over the spanning set {w * S * w' : S in {S1, S2}} of the weight
 component: S2 is S1 with the letters swapped, and a row joins the words
-onto S (`_serre_row`).  It evaluates every row at several seeded integer
-values q = t, in integers only: a row times the power of t that its lowest
-exponent needs, divided by its content.  Each word is keyed once per
-weight by an int that orders the words of one length as tuples do.  At
-each point the rows are eliminated over Z, fraction-free: a row is
-reduced in place, scaled by a positive integer and less a multiple of a
-stored pivot at each step, and made primitive once, when it is stored as
-a pivot.  Membership is reported iff every evaluation succeeds.
+onto S (`_serre_row`).  It evaluates every row at several seeded points
+q = t modulo the prime p = 2^61 - 1 (`PRIME`), with t drawn from
+[2, p - 1], and eliminates the rows over the field GF(p) with monic
+pivots.  Each word is keyed once per weight by an int that orders the
+words of one length as tuples do.  Membership is reported iff every
+evaluation succeeds.
+
+Over Q(q), x is a member iff its row leaves the rank r of the span
+unchanged.  A wrong answer at one point needs a nonzero r x r minor of the
+span, or (r + 1) x (r + 1) minor with x, to vanish at q = t modulo p: t is
+a root mod p of that minor times a power of q, a polynomial over Z of
+degree at most 4 r + e (a span row's exponents lie in [-2, 2], e is the
+exponent span of x; 2784 at (7,5)), or p divides all of its coefficients.
+A uniform t hits such a root with probability at most (4 r + e) / (p - 2)
+< 2^-49 (Schwartz 1980; Zippel 1979).
 
 Words are tuples over the alphabet {1, 2} (the letters E1, E2); the weight
 of a word is (#E1, #E2), additive under concatenation.
@@ -30,7 +37,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from itertools import combinations
-from math import gcd
 
 from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow, quantum_int
 
@@ -159,6 +165,7 @@ DEFAULT_WEIGHT_CAP = 12
 # mode, exact through (5,3) and probabilistic at (6,4) and (7,5).
 EXACT_DEFAULT_MAX_TOTAL = 8
 PROBABILISTIC_POINTS = 5
+PRIME = 2 ** 61 - 1  # the field of the probabilistic elimination
 
 
 def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> MembershipResult:
@@ -166,8 +173,8 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
     quantum Serre ideal, up to total weight `DEFAULT_WEIGHT_CAP`.
 
     mode "exact" asks whether `shuffle_image(x)` is zero; "probabilistic"
-    eliminates the integer rows of the weight component's spanning set at
-    `PROBABILISTIC_POINTS` seeded integer values of q and reports
+    eliminates the rows of the weight component's spanning set modulo
+    `PRIME` at `PROBABILISTIC_POINTS` seeded values of q and reports
     membership iff all evaluations succeed.  The default picks exact for
     total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
     """
@@ -230,47 +237,38 @@ def expand_certificate(certificate) -> FreeElement:
     return FreeElement._raw(total)
 
 
-def _primitive(row: dict) -> dict:
-    """An integer row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return {k: v // g for k, v in row.items()} if g > 1 else row
-
-
-def _eval_row_to_int(terms, t) -> dict:
-    """The primitive int row of LaurentQ coefficients at q = t, zeros dropped:
-    each half-exponent less the row's lowest makes it a positive multiple of
-    the row at q = t.  Raises ValueError on an odd half-exponent."""
-    low = min((h for c in terms.values() for h in c.terms), default=0)
+def _eval_row(terms, t) -> dict:
+    """The row of LaurentQ coefficients at q = t modulo `PRIME`, zeros
+    dropped.  Raises ValueError on an odd half-exponent."""
     out = {}
     for k, c in terms.items():
         v = 0
         for h, a in c.terms.items():
             if h % 2:
                 raise ValueError("cannot evaluate odd half-powers of q at an integer point")
-            v += a * t ** ((h - low) // 2)
+            v += a * pow(t, h // 2, PRIME)
+        v %= PRIME
         if v:
             out[k] = v
-    return _primitive(out)
+    return out
 
 
-def _int_reduce(row, basis):
-    """Cross-multiplied reduction of an integer row against an integer
-    echelon basis of primitive pivots with positive leads, in place.  Each
-    step scales the row by a positive integer, so the result is a positive
-    multiple of the primitive reduced row; the caller divides out the
-    content when it stores a pivot."""
+def _reduce(row, basis):
+    """Reduce a row modulo `PRIME` against an echelon basis of monic pivots,
+    in place, and return it.  A key the row lacks gets -c * v, which is
+    nonzero modulo the prime, so only a key the row has can cancel."""
     while row:
-        lw = max(row)
-        piv = basis.get(lw)
+        lead = max(row)
+        piv = basis.get(lead)
         if piv is None:
             return row
-        a, b = row[lw], piv[lw]
-        g = gcd(a, b)
-        ca, cb = b // g, a // g
-        if ca != 1:
-            for k in row:
-                row[k] *= ca
-        add_into(row, piv, -cb)
+        c = row[lead]
+        for k, v in piv.items():
+            v = (row.get(k, 0) - c * v) % PRIME
+            if v:
+                row[k] = v
+            else:
+                del row[k]
     return row
 
 
@@ -289,35 +287,28 @@ def _keyed(terms) -> dict:
 
 
 def _probabilistic_points(seed) -> list:
-    """The `PROBABILISTIC_POINTS` distinct integers t in [2, 97] that the
-    seed draws, in the order drawn."""
+    """The `PROBABILISTIC_POINTS` distinct integers t in [2, PRIME - 1] that
+    the seed draws, in the order drawn."""
     rng = random.Random(seed)
     points = []
     while len(points) < PROBABILISTIC_POINTS:
-        t = rng.randint(2, 97)
+        t = rng.randint(2, PRIME - 1)
         if t not in points:
             points.append(t)
     return points
 
 
 def _echelon_at(span_terms, t) -> dict:
-    """The integer echelon basis of the span rows at q = t: lead key ->
-    primitive pivot row with positive lead.  Rows are reduced in
-    descending order of their leads, equal leads in span order, and each
-    is popped off the list as it is reduced, so no reduced row outlives
-    its step; a row is made primitive once, when it is stored."""
-    rows = sorted((_eval_row_to_int(terms, t) for terms in span_terms),
-                  key=max, reverse=True)
-    rows.reverse()
+    """The echelon basis over GF(PRIME) of the span rows at q = t: lead key
+    -> monic pivot row.  Each row is reduced in span order and, if anything
+    is left, scaled to lead 1 and stored."""
     basis = {}
-    while rows:
-        row = _int_reduce(rows.pop(), basis)
+    for terms in span_terms:
+        row = _reduce(_eval_row(terms, t), basis)
         if row:
-            lw = max(row)
-            g = gcd(*row.values())
-            if row[lw] < 0:
-                g = -g
-            basis[lw] = {k: v // g for k, v in row.items()}
+            lead = max(row)
+            inv = pow(row[lead], -1, PRIME)
+            basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
     return basis
 
 
@@ -328,8 +319,7 @@ def _membership_probabilistic(x, w, seed) -> MembershipResult:
     span_terms = [_keyed(elem.terms) for _label, elem in span]
     x_terms = _keyed(x.terms)
     for t in _probabilistic_points(seed):
-        xrow = _eval_row_to_int(x_terms, t)
-        if _int_reduce(xrow, _echelon_at(span_terms, t)):
+        if _reduce(_eval_row(x_terms, t), _echelon_at(span_terms, t)):
             return MembershipResult(False, "probabilistic", w)
     return MembershipResult(True, "probabilistic", w)
 

@@ -5,7 +5,7 @@ arbitrary-precision integer coefficients, quantum integers, binomials and
 factorials, and the bar involution q -> q^(-1).  There is no floating point
 anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`,
 which is on no check's path: the probabilistic Serre check evaluates its
-rows in integers (``free_serre``), and the tests keep it as an oracle.
+rows modulo a prime (``free_serre``), and the tests keep it as an oracle.
 
 :class:`Terms` is the one sparse-sum format: a dict from monomial keys to
 nonzero coefficients, with the module operations that never look inside a

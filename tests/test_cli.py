@@ -122,29 +122,6 @@ def test_verify_serre_report_schema(capsys):
     assert all(set(e) == {"relation", "weight", "mode", "member"} for e in entries)
 
 
-def test_verify_out_file(tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    code, out, _ = run(["verify", "pbw-expansion", "--n-max", "2", "--out", str(out_path)], capsys)
-    assert code == 0
-    assert out == ""
-    report = json.loads(out_path.read_text())
-    assert report["ok"] is True
-
-
-def test_verify_out_unwritable_exits_2(tmp_path, capsys, monkeypatch):
-    def no_suite(*args):
-        raise AssertionError("a suite ran before --out was opened")
-
-    # the path is checked before any suite runs
-    monkeypatch.setattr(cli, "run_suite", no_suite)
-    out_path = tmp_path / "missing" / "report.json"
-    code, out, err = run(["verify", "all", "--out", str(out_path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert not out_path.parent.exists()
-
-
 def test_table_cluster(capsys):
     code, out, _ = run(["table", "cluster", "4..4"], capsys)
     assert code == 0
@@ -278,6 +255,15 @@ def test_recursion_depth_exits_3_from_any_command(argv, attr, monkeypatch, capsy
     assert err.splitlines() == ["error: maximum recursion depth exceeded"]
 
 
+def test_out_of_memory_exits_3(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dcb, "b_element", no_memory)
+    code, out, err = run(["compute", "1", "0", "1", "0"], capsys)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_latex_output(capsys):
     code, out, _ = run(["compute", "1", "0", "1", "0", "--format", "latex"], capsys)
     assert code == 0
@@ -369,42 +355,37 @@ def test_compute_deep_stripping_exits_3(argv, capsys):
 
 
 
-def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     """One process serving a sequence of requests prints what a fresh
     interpreter prints for each, and builds the parser once."""
     compute = ["compute", "2", "0", "0", "1"]
-    # (argv, expected exit code, whether --out <file> is appended)
+    # (argv, expected exit code)
     sequence = [
-        (compute + ["--format", "json"], 0, False),
-        (compute, 0, False),
-        (["table", "cluster", "-3..1", "--bogus"], 2, False),
-        (["table", "cluster", "-3..1"], 0, False),
-        (["verify", "recursions"], 0, True),
-        (["verify", "recursions"], 0, False),
+        (compute + ["--format", "json"], 0),
+        (compute, 0),
+        (["table", "cluster", "-3..1", "--bogus"], 2),
+        (["table", "cluster", "-3..1"], 0),
+        (["verify", "recursions"], 0),
     ]
     built = []
     real_build = cli.build_parser
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
     outputs = []
-    for i, (argv, want_code, to_file) in enumerate(sequence):
-        here, fresh = tmp_path / f"here-{i}.json", tmp_path / f"fresh-{i}.json"
+    for argv, want_code in sequence:
         try:
-            code = cli.main(argv + ["--out", str(here)] if to_file else argv)
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         got = capsys.readouterr()
-        want = subprocess.run(
-            [sys.executable, "-m", "qkron.cli", *argv, *(["--out", str(fresh)] if to_file else [])],
-            capture_output=True, text=True, env=_ENV)
+        want = subprocess.run([sys.executable, "-m", "qkron.cli", *argv],
+                              capture_output=True, text=True, env=_ENV)
         assert code == want.returncode == want_code, argv
         assert (got.out, got.err) == (want.stdout, want.stderr), argv
-        if to_file:
-            assert here.read_text() == fresh.read_text()
         outputs.append(got.out)
     assert json.loads(outputs[0])["a"] == [2, 0, 0, 1]
     assert outputs[1].strip() == str(dcb.b_element((2, 0, 0, 1)))
-    assert outputs[4] == "" and json.loads(outputs[5])["ok"] is True
+    assert json.loads(outputs[4])["ok"] is True
     assert len(built) == 1
 
 

@@ -2,7 +2,6 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 
 import pytest
 
@@ -121,28 +120,27 @@ def test_free_product_associative():
         assert (x * y) * z == x * (y * z)
 
 
-def _rational_row(terms, t):
-    """The primitive integer row at q = t by rationals: the values of
-    `eval_q`, times the lcm of their denominators, over their gcd."""
-    vals = {k: c.eval_q(t) for k, c in terms.items() if c.eval_q(t)}
-    den = lcm(*(v.denominator for v in vals.values()))
-    ints = {k: int(v * den) for k, v in vals.items()}
-    g = gcd(*ints.values())
-    return {k: v // g for k, v in ints.items()}
+def _rational_row_mod_p(terms, t):
+    """The values of `eval_q` at q = t reduced modulo the prime, zeros
+    dropped."""
+    p = fs.PRIME
+    vals = {k: c.eval_q(t) for k, c in terms.items()}
+    row = {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in vals.items()}
+    return {k: v for k, v in row.items() if v}
 
 
 def test_integer_rows_match_the_rational_evaluation():
     # the whole (5, 3) span, a slice of the (6, 4) span, and the six
     # straightening differences, whose coefficients reach negative powers,
-    # also times 6 q^-3, whose content the row must divide out
+    # also times 6 q^-3; at small points and at a drawn one
     rows = [e for _, e in fs.spanning_set((5, 3))]
     rows += [e for _, e in fs.spanning_set((6, 4))[::4]]
     rows += [d.scale(c) for _, d in fs.straightening_differences() for c in (1, 6 * qpow(-3))]
-    for t in (2, 3, 97):
+    for t in (2, 3, 97, fs._probabilistic_points(0)[0]):
         for elem in rows:
-            assert fs._eval_row_to_int(elem.terms, t) == _rational_row(elem.terms, t)
+            assert fs._eval_row(elem.terms, t) == _rational_row_mod_p(elem.terms, t)
     with pytest.raises(ValueError):
-        fs._eval_row_to_int({(1,): half_pow(1)}, 2)
+        fs._eval_row({(1,): half_pow(1)}, 2)
 
 
 def test_membership_trivial_cases():
@@ -240,8 +238,8 @@ def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
         basis = fs._echelon_at(span_terms, t)
         assert len(basis) == rank, t
         for lead, row in basis.items():
-            assert lead == max(row) and row[lead] > 0
-            assert gcd(*row.values()) == 1
+            assert lead == max(row) and row[lead] == 1
+            assert all(0 < v < fs.PRIME for v in row.values())
 
 
 def test_word_keys_order_words_of_one_length():
@@ -250,7 +248,18 @@ def test_word_keys_order_words_of_one_length():
     assert keys == sorted(keys) and len(set(keys)) == len(words)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
+def test_probabilistic_points_are_distinct_field_elements_fixed_by_the_seed():
+    for seed in range(20):
+        points = fs._probabilistic_points(seed)
+        assert len(set(points)) == len(points) == fs.PROBABILISTIC_POINTS
+        assert all(2 <= t <= fs.PRIME - 1 for t in points)
+        # drawn from the whole field, not from small integers
+        assert max(points) > 2 ** 32
+        assert points == fs._probabilistic_points(seed)
+    assert fs._probabilistic_points(0) != fs._probabilistic_points(1)
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_probabilistic_rejects_a_changed_coefficient(seed):
     for _, d in fs.straightening_differences():
         if d.weight() not in ((6, 4), (7, 5)):
