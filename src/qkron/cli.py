@@ -113,13 +113,13 @@ def cmd_compute(args, parser) -> int:
     elem = dcb.b_element(a)
     out = {}
     if args.dual_pbw:
-        coeffs = dcb.expand_in_dual_pbw(elem)
+        items = sorted(dcb.expand_in_dual_pbw(elem).items(), reverse=True)
         if args.format == "json":
-            out["dual_pbw"] = [{"exp": list(e), "coef": str(c)}
-                               for e, c in sorted(coeffs.items(), reverse=True)]
+            out["dual_pbw"] = [{"exp": list(e), "coef": str(c)} for e, c in items]
         else:
-            for e, c in sorted(coeffs.items(), reverse=True):
-                print(f"E[{','.join(map(str, e))}]: {c}")
+            latex = args.format == "latex"
+            print("\n".join([f"E[{','.join(map(str, e))}]: {c.to_latex() if latex else c}"
+                             for e, c in items]))
     if args.q1:
         q1 = elem.specialize_q1()
         if args.format == "json":

@@ -277,12 +277,8 @@ class PbwElement(Terms):
         return self._render(latex=True)
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"exp": list(a), "coef": str(self.terms[a])}
-                for a in sorted(self.terms, reverse=True)
-            ]
-        }
+        return {"terms": [{"exp": list(a), "coef": str(c)}
+                          for a, c in sorted(self.terms.items(), reverse=True)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PbwElement":

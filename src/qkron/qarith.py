@@ -21,10 +21,16 @@ by (monomial, half-exponent), with no LaurentQ in between.
 The canonical text form of a sum is one grammar, written only by
 ``Terms._render``: terms in decreasing key order, written ``a - b + c``
 (``a-b+c`` in LaTeX), each a signed coefficient times a monomial.  A
-subclass only names its monomials (``_mono``, most of them through
-:func:`power_product`); the sign, the coefficient and the unit are
-``_render``'s.  :func:`split_signed` is its inverse, which
-``LaurentQ.parse`` and ``PbwElement.parse`` share.
+subclass only names its monomials: ``_names`` gives, for a key, the term
+with coefficient 1 and the text that follows any other int coefficient,
+derived from ``_mono(key, latex)`` (most of them through
+:func:`power_product`).  ``LaurentQ`` looks the names of q^(h/2) up in a
+bounded table, ``_Q_NAMES``, instead of rebuilding them per term.  The
+sign, the coefficient and the unit are ``_render``'s: an int-coefficient
+sum (``LaurentQ``, ``CPoly``) is one list comprehension and one join, and
+a Laurent coefficient is written by that same path.
+:func:`split_signed` is its inverse, which ``LaurentQ.parse`` and
+``PbwElement.parse`` share.
 
 :func:`cluster_terms` is the one index set of the paper's explicit formula
 for the quantized cluster variables, a double sum over k + l <= n or
@@ -70,9 +76,10 @@ class Terms:
     """A finite sum of monomials: ``terms`` maps each monomial key to its
     nonzero coefficient; its sum merges through `add_into`.  A subclass
     adds the product of keys and ``_mono(key, latex)``: the name of one
-    monomial, ``""`` for the unit, from which ``str`` and ``to_latex``
-    render; ``_scalar(c)`` is its element c * 1 if it takes int operands
-    (and has powers), and ``_like`` builds a result of the same kind."""
+    monomial, ``""`` for the unit, from which ``_names`` derives what
+    ``str`` and ``to_latex`` render; ``_scalar(c)`` is its element c * 1
+    if it takes int operands (and has powers), and ``_like`` builds a
+    result of the same kind."""
 
     __slots__ = ("terms",)
 
@@ -169,37 +176,51 @@ class Terms:
     def to_latex(self) -> str:
         return self._render(latex=True)
 
+    def _names(self, latex):
+        """The name hook: a function from a key to the pair (its term with
+        coefficient 1, the text that follows any other int coefficient),
+        ``("q", "*q")`` say, and ``("1", "")`` for the unit; by default
+        derived from ``_mono(key, latex)``."""
+        mono = self._mono
+        return lambda k: _name_pair(mono(k, latex), latex)
+
     def _render(self, latex=False):
         """The canonical text form (LaTeX if latex): the terms in decreasing
         key order, written ``a - b + c`` (``a-b+c``); the empty sum is ``0``.
-        A term is its coefficient times ``_mono(key, latex)``: an int goes in
-        front (``3*m``, ``3m``) and stands alone on the unit, a Laurent
-        polynomial in parentheses (``(c)*m``, ``(c)m``, with ``1`` for the
-        unit); a coefficient 1 is dropped, and the sign comes out when every
-        coefficient is negative."""
+        A term is its coefficient times the monomial ``_names`` gives for its
+        key: an int goes in front (``3*m``, ``3m``) and stands alone on the
+        unit, a Laurent polynomial in parentheses (``(c)*m``, ``(c)m``, with
+        ``1`` for the unit); a coefficient 1 is dropped, and the sign comes
+        out when every coefficient is negative.  A sum's coefficients are
+        all ints or all Laurent polynomials; each term is written with its
+        sign, and the first term's ``+`` is dropped at the end."""
         if not self.terms:
             return "0"
-        mono = self._mono
-        parts = []
-        for k, c in sorted(self.terms.items(), reverse=True):
-            m = mono(k, latex)
-            scalar = isinstance(c, int)
-            neg = c < 0 if scalar else all(v < 0 for v in c.terms.values())
-            if neg:
-                c = -c
-            if scalar:
-                body = m if c == 1 and m else f"{c}*{m}" if m and not latex else f"{c}{m}"
-            else:
-                m = m or "1"
-                body = m if c.terms == _ONE.terms else (
-                    f"({c.to_latex()}){m}" if latex else f"({c})*{m}")
-            if latex:
-                parts.append(("-" if neg else "+" if parts else "") + body)
-            elif parts:
-                parts.append(("- " if neg else "+ ") + body)
-            else:
-                parts.append("-" + body if neg else body)
+        name = self._names(latex)
+        items = sorted(self.terms.items(), reverse=True)
+        plus, minus = ("+", "-") if latex else ("+ ", "- ")
+        if type(items[0][1]) is int:
+            parts = [plus + one if c == 1 else minus + one if c == -1
+                     else f"{plus}{c}{tail}" if c > 0 else f"{minus}{-c}{tail}"
+                     for k, c in items for one, tail in (name(k),)]
+        else:
+            parts = []
+            for k, c in items:
+                one = name(k)[0]
+                neg = max(c.terms.values()) < 0
+                if neg:
+                    c = -c
+                parts.append((minus if neg else plus) + (
+                    one if c.terms == _ONE.terms
+                    else f"({c.to_latex()}){one}" if latex else f"({c})*{one}"))
+        first = parts[0]
+        parts[0] = first[len(plus):] if first[0] == "+" else "-" + first[len(minus):]
         return ("" if latex else " ").join(parts)
+
+
+def _name_pair(m, latex):
+    """The names (see `Terms._names`) of the monomial named m."""
+    return (m, m if latex else "*" + m) if m else ("1", "")
 
 
 def power_product(names, exps, latex: bool) -> str:
@@ -369,14 +390,8 @@ class LaurentQ(Terms):
 
     # -- text form ----------------------------------------------------------
 
-    def _mono(self, h, latex):
-        if not h:
-            return ""
-        if latex:
-            return f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
-        if h % 2:
-            return f"q^({h}/2)"
-        return "q" if h == 2 else f"q^{h // 2}"
+    def _names(self, latex):
+        return _Q_NAMES[latex].__getitem__
 
     # kept in this class, where the benchmark tracer wraps it
     def __str__(self):
@@ -438,6 +453,35 @@ def split_signed(s: str) -> list:
         raise ValueError(f"empty term in signed sum {s!r}")
     return out
 
+
+class _QNames(dict):
+    """h -> the names of q^(h/2) (see `Terms._names`), in text or LaTeX.
+    A name is stored on first use for |h| <= _Q_NAMES_BOUND, which covers
+    layers 0..8 (|h| <= 66) and the diagonal cores n <= 14 (|h| <= 644);
+    a key outside is formatted each time and not stored, so the table
+    never holds more than 2 * _Q_NAMES_BOUND + 1 names."""
+
+    __slots__ = ("latex",)
+
+    def __init__(self, latex):
+        super().__init__()
+        self.latex = latex
+
+    def __missing__(self, h):
+        if not h:
+            m = ""
+        elif self.latex:
+            m = f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
+        else:
+            m = f"q^({h}/2)" if h % 2 else "q" if h == 2 else f"q^{h // 2}"
+        names = _name_pair(m, self.latex)
+        if abs(h) <= _Q_NAMES_BOUND:
+            self[h] = names
+        return names
+
+
+_Q_NAMES_BOUND = 1024
+_Q_NAMES = (_QNames(False), _QNames(True))
 
 _ZERO = LaurentQ._raw({})
 _ONE = LaurentQ._raw({0: 1})

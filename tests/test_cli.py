@@ -270,6 +270,16 @@ def test_latex_output(capsys):
     assert out.strip() == "u_3u_1-(q^{2})u_2^{2}"
 
 
+def test_dual_pbw_latex_prints_latex_coefficients(capsys):
+    code, out, _ = run(["compute", "1", "0", "0", "1", "--dual-pbw", "--format", "latex"],
+                       capsys)
+    assert code == 0
+    assert out == "E[1,0,0,1]: 1\nE[0,1,1,0]: -q^{2}\n"
+    # the text table is the same table with the text coefficients
+    code, out, _ = run(["compute", "1", "0", "0", "1", "--dual-pbw"], capsys)
+    assert out == "E[1,0,0,1]: 1\nE[0,1,1,0]: -q^2\n"
+
+
 @pytest.mark.parametrize("argv", [["verify", "recursions", "--n-max", "-3"],
                                   ["verify", "layers", "--k-max", "-1"]])
 def test_verify_empty_suite_exits_2(argv, capsys):

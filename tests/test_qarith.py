@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qkron import classical, free_serre, pbw, qseed
+from qkron import classical, dcb, free_serre, pbw, qseed
 from qkron.qarith import (
     LaurentQ,
     Terms,
@@ -191,6 +191,82 @@ def test_text_and_latex_forms(name):
     assert str(x) == text and x.to_latex() == latex
     if isinstance(x, (LaurentQ, pbw.PbwElement)):
         assert type(x).parse(text) == x
+
+
+def _oracle_q_mono(h, latex):
+    # the name of q^(h/2), as LaurentQ wrote it term by term
+    if not h:
+        return ""
+    if latex:
+        return f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
+    if h % 2:
+        return f"q^({h}/2)"
+    return "q" if h == 2 else f"q^{h // 2}"
+
+
+def _oracle_render(x, latex=False):
+    """The term-by-term text form, kept as an oracle for `Terms._render`."""
+    if not x.terms:
+        return "0"
+    mono = _oracle_q_mono if isinstance(x, LaurentQ) else x._mono
+    parts = []
+    for k, c in sorted(x.terms.items(), reverse=True):
+        m = mono(k, latex)
+        scalar = isinstance(c, int)
+        neg = c < 0 if scalar else all(v < 0 for v in c.terms.values())
+        if neg:
+            c = -c
+        if scalar:
+            body = m if c == 1 and m else f"{c}*{m}" if m and not latex else f"{c}{m}"
+        else:
+            m = m or "1"
+            body = m if c.terms == {0: 1} else f"({_oracle_render(c, latex)}){m}" if latex \
+                else f"({_oracle_render(c)})*{m}"
+        if latex:
+            parts.append(("-" if neg else "+" if parts else "") + body)
+        elif parts:
+            parts.append(("- " if neg else "+ ") + body)
+        else:
+            parts.append("-" + body if neg else body)
+    return ("" if latex else " ").join(parts)
+
+
+def _assert_renders_as_oracle(x):
+    assert str(x) == _oracle_render(x)
+    assert x.to_latex() == _oracle_render(x, latex=True)
+    if isinstance(x, pbw.PbwElement):
+        assert x.to_json_dict() == {"terms": [
+            {"exp": list(a), "coef": _oracle_render(c)}
+            for a, c in sorted(x.terms.items(), reverse=True)]}
+
+
+def test_text_forms_match_the_term_by_term_oracle():
+    for k in range(9):
+        for x in dcb.layer_table(k).entries.values():
+            _assert_renders_as_oracle(x)
+    cores = [a for n in range(1, 15) for a in ((n, 0, 0, n), (n, 0, 0, n - 1), (n - 1, 0, 0, n))]
+    assert len(cores) == 42
+    for a in cores:
+        x = dcb.b_element(a)
+        _assert_renders_as_oracle(x)
+        for c in dcb.expand_in_dual_pbw(x).values():
+            _assert_renders_as_oracle(c)
+    for n in range(-3, 9):
+        _assert_renders_as_oracle(classical.cluster_variable(n))
+        _assert_renders_as_oracle(classical.polynomial_form(n))
+    rng = random.Random(23)
+    for span in (3, 700, 5000):
+        # odd half-exponents too, and exponents past any table of names
+        for _ in range(40):
+            x = LaurentQ({rng.randint(-span, span): rng.choice((-1, 1, rng.randint(-99, 99)))
+                          for _ in range(rng.randint(1, 6))})
+            _assert_renders_as_oracle(x)
+            _assert_renders_as_oracle(-x)
+            # all-negative, mixed and unit coefficients inside a PbwElement
+            y = pbw.PbwElement({(0, 0, 0, 0): -x * x, (1, 0, 2, 0): x, (0, 1, 0, 0): lq_one(),
+                                (2, 0, 0, 1): -lq_one(), (0, 0, 0, 3): LaurentQ({2: -1})})
+            _assert_renders_as_oracle(y)
+            _assert_renders_as_oracle(-y)
 
 
 @pytest.mark.parametrize("cls, s", [(pbw.PbwElement, ""), (LaurentQ, ""), (LaurentQ, "1 +"),
