@@ -7,7 +7,8 @@ eigenvector property sigma(B[a]) = q^(-N(a)) B[a].  `b_element` is the one
 route to B[a]; `layer_table` and `expand_in_b_basis` are built on it.
 `compute_layer`, the triangular algorithm on a whole total-degree layer, is
 kept only as the oracle that `verify layers` and the tests check it
-against; the two share one back-substitution, `_peel`.
+against; the two share one back-substitution, `_peel`, in the monomial
+basis B[a] is stored in.  The dual PBW basis is an output and check view.
 
 `b_element` writes B[a] as q^e p1^s B[core] p0^r.  `layer_table` checks
 triangularity on every element it builds, but the sigma condition only
@@ -72,10 +73,6 @@ def expand_in_dual_pbw(x: pbw.PbwElement) -> dict:
     return {a: qpow(-stat_b(a)) * c for a, c in x.terms.items()}
 
 
-def _from_dual_pbw(coeffs: dict) -> pbw.PbwElement:
-    return pbw.PbwElement({a: qpow(stat_b(a)) * c for a, c in coeffs.items() if c})
-
-
 class LayerTable:
     """All B[a] with total(a) = k."""
 
@@ -114,24 +111,26 @@ def _linear_extension(block, seed=None):
     return order
 
 
-def _peel(work: dict, expansion_of) -> dict:
-    """Back-substitution against known B-expansions: consume the dual-PBW
-    combination `work`, always taking its order-lowest key b (largest
-    a3 + a0, which nothing else in `work` can reach), and return the
-    coefficients d_b with work = sum d_b B[b], in peel order, where
-    `expansion_of(b)` is B[b] over the E basis, or None if unknown; an
-    expansion whose E[b] coefficient is not 1 raises."""
+def _peel(work: dict, element_of) -> dict:
+    """Back-substitution: consume the monomial-keyed `work`, always taking
+    its order-lowest key b (largest a3 + a0, which nothing else in `work`
+    can reach), and return the d_b with work = sum d_b B[b], in peel order.
+    `element_of(b)` is B[b], or None if unknown; its u^b coefficient must be
+    q^(b(b)), so d_b = work[b] q^(-b(b)) and subtracting d_b B[b] cancels b."""
     out = {}
     while work:
         b = max(work, key=lambda e: (e[0] + e[3], e))
-        exp_b = expansion_of(b)
-        if exp_b is None:
+        elem = element_of(b)
+        if elem is None:
             raise AssertionError(f"back-substitution hit unknown B[{b}]")
-        lead = exp_b.get(b)
-        if lead != lq_one():
-            raise AssertionError(f"back-substitution: B[{b}] has E[{b}] coefficient {lead}, not 1")
-        d = out[b] = work.pop(b)
-        add_into(work, {e: v for e, v in exp_b.items() if e != b}, -d)
+        s = stat_b(b)
+        lead = elem.terms.get(b)
+        if lead != qpow(s):
+            raise AssertionError(f"back-substitution: B[{b}] has u^{b} coefficient {lead}, not q^{s}")
+        d = out[b] = work[b] * qpow(-s)
+        add_into(work, elem.terms, -d)
+        if b in work:
+            raise AssertionError(f"back-substitution: u^{b} did not cancel")
     return out
 
 
@@ -161,40 +160,33 @@ def _check_triangular(a: Exp, elem: pbw.PbwElement):
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
     """Compute every B[a] on the layer total(a) = k by backward induction.
 
-    Expands sigma(E[a]) in the dual PBW basis, re-expresses the tail in the
-    already-computed B[b] by back-substitution, asserts the leading
-    coefficient q^(-N(a)), and splits each residual via the antisymmetric
-    decomposition.  Any assertion failure here is a finding, not something
-    to patch over.
+    Asserts the E[a] coefficient q^(-N(a)) of sigma(E[a]), writes the rest
+    in the already-computed B[b] by `_peel`, and splits each coefficient via
+    the antisymmetric decomposition: B[a] = E[a] + sum phi_b B[b].  Any
+    assertion failure here is a finding, not something to patch over.
     """
     entries = {}
-    expansions = {}
     blocks = {}
     for a in layer_exponents(k):
         blocks.setdefault(pbw.exp_root_weight(a), []).append(a)
     for w in sorted(blocks):
         for a in _linear_extension(blocks[w], seed=seed):
-            t = expand_in_dual_pbw(dual_pbw(a).sigma())
-            lead = t.pop(a, None)
+            t = dict(dual_pbw(a).sigma().terms)
+            lead = t.pop(a, lq_zero()) * qpow(-stat_b(a))
             if lead != qpow(-stat_n(a)):
                 raise AssertionError(
                     f"sigma(E[{a}]): leading coefficient {lead} != q^{-stat_n(a)}")
-            phi_coeffs = {}
-            for b, d in _peel(t, expansions.get).items():
+            terms = {a: qpow(stat_b(a))}
+            for b, d in _peel(t, entries.get).items():
                 if not order_leq(a, b):
                     raise AssertionError(f"sigma(E[{a}]) reached {b} outside S({a})")
                 phi = split_antisymmetric(qpow(stat_n(a)) * d)
                 if phi:
-                    phi_coeffs[b] = phi
-            # assemble B[a] = E[a] + sum phi_b B[b] in the E basis
-            e_exp = {a: lq_one()}
-            for b, phi in phi_coeffs.items():
-                add_into(e_exp, expansions[b], phi)
-            elem = _from_dual_pbw(e_exp)
+                    add_into(terms, entries[b].terms, phi)
+            elem = pbw.PbwElement._raw(terms)
             if check:
                 check_basis_conditions(a, elem)
             entries[a] = elem
-            expansions[a] = e_exp
     return LayerTable(k, entries)
 
 # memo tables; idempotent writes keep concurrent use deterministic
@@ -412,8 +404,8 @@ def b_element(a) -> pbw.PbwElement:
 
 
 def expand_in_b_basis(x: pbw.PbwElement) -> dict:
-    """Coefficients d_a with x = sum d_a B[a]."""
-    return _peel(expand_in_dual_pbw(x), lambda b: expand_in_dual_pbw(b_element(b)))
+    """Coefficients d_a with x = sum d_a B[a], by `_peel` on x's terms."""
+    return _peel(dict(x.terms), b_element)
 
 
 # -- verification suites -------------------------------------------------------

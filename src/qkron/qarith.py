@@ -348,42 +348,6 @@ class LaurentQ(Terms):
             total += c * t ** (h // 2)
         return total
 
-    def exact_div(self, other: "LaurentQ") -> "LaurentQ":
-        """Exact division in the Laurent ring over Z; raises ValueError
-        ("not divisible") unless the quotient exists there."""
-        if not other:
-            raise ZeroDivisionError("division by the zero Laurent polynomial")
-        if not self:
-            return _ZERO
-        shift_a = min(self.terms)
-        shift_b = min(other.terms)
-        da = max(self.terms) - shift_a
-        db = max(other.terms) - shift_b
-        if da < db:
-            raise ValueError("not divisible")
-        a = [0] * (da + 1)
-        for h, c in self.terms.items():
-            a[h - shift_a] = c
-        b = [0] * (db + 1)
-        for h, c in other.terms.items():
-            b[h - shift_b] = c
-        lead = b[db]
-        quot = {}
-        for i in range(da - db, -1, -1):
-            c = a[i + db]
-            if c:
-                f, r = divmod(c, lead)
-                if r:
-                    raise ValueError("not divisible")
-                quot[i] = f
-                for j, bc in enumerate(b):
-                    if bc:
-                        a[i + j] -= f * bc
-        if any(a):
-            raise ValueError("not divisible")
-        shift = shift_a - shift_b
-        return LaurentQ._raw({h + shift: c for h, c in quot.items()})
-
     def positive_part(self) -> "LaurentQ":
         """Truncation to strictly positive exponents of q^(1/2)."""
         return LaurentQ._raw({h: c for h, c in self.terms.items() if h > 0})
@@ -539,8 +503,8 @@ def quantum_binom(n: int, k: int) -> LaurentQ:
     """The quantum binomial coefficient [n k], defined for all integers.
 
     For n >= 0 this runs the q-Pascal recurrence
-    [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1]; for n < 0 it expands the
-    defining product [n][n-1]...[n-k+1] / [k]! by exact division.
+    [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1]; for n < 0 it reflects,
+    [n k] = (-1)^k [k-n-1 k], as [-m] = -[m] in the defining product.
     Conventions: [n k] = 0 for k < 0, and [n 0] = 1.
     """
     if k < 0:
@@ -556,10 +520,8 @@ def quantum_binom(n: int, k: int) -> LaurentQ:
             hit = qpow(k) * quantum_binom(n - 1, k) + qpow(k - n) * quantum_binom(n - 1, k - 1)
             _BINOM_CACHE[key] = hit
         return hit
-    num = _ONE
-    for j in range(k):
-        num = num * quantum_int(n - j)
-    return num.exact_div(quantum_factorial(k))
+    hit = quantum_binom(k - n - 1, k)
+    return -hit if k % 2 else hit
 
 
 def cluster_terms(m: int, binom):

@@ -266,18 +266,36 @@ def test_expand_in_b_basis_reassembles_products():
 
 @pytest.mark.parametrize("lead", [2, None])
 def test_peel_rejects_an_expansion_whose_lead_is_not_one(lead):
-    # back-substitution against a tampered B[1,0,1,0]: its E[1,0,1,0]
-    # coefficient set to 2, or dropped, must raise rather than loop
+    # back-substitution against a tampered B[1,0,1,0]: its u^b coefficient
+    # q^(b(b)) doubled, or dropped, must raise rather than loop
     a = (1, 0, 1, 0)
-    good = dcb.expand_in_dual_pbw(B(*a))
-    assert dcb._peel(dict(good), {a: good}.get) == {a: lq_one()}
-    bad = dict(good)
+    good = B(*a)
+    assert dcb._peel(dict(good.terms), {a: good}.get) == {a: lq_one()}
+    terms = dict(good.terms)
     if lead is None:
-        del bad[a]
+        del terms[a]
     else:
-        bad[a] = lq_one() * lead
+        terms[a] = qpow(dcb.stat_b(a)) * lead
+    bad = pbw.PbwElement(terms)
     with pytest.raises(AssertionError, match="back-substitution"):
-        dcb._peel(dict(good), {a: bad}.get)
+        dcb._peel(dict(good.terms), {a: bad}.get)
+
+
+def test_back_substitution_never_expands_in_the_dual_pbw_basis(monkeypatch):
+    # the dual PBW basis is an output and check view: neither the product
+    # expansion nor the layer oracle goes through it
+    tables = [dcb.compute_layer(k) for k in range(5)]
+    products = [(B(1, 0, 0, 1), B(1, 0, 0, 1)), (B(2, 0, 0, 1), B(0, 1, 1, 0)),
+                (B(0, 0, 1, 0), B(1, 0, 0, 0))]
+    expected = [dcb.expand_in_b_basis(x * y) for x, y in products]
+
+    def refuse(x):
+        raise AssertionError("expand_in_dual_pbw called")
+
+    monkeypatch.setattr(dcb, "expand_in_dual_pbw", refuse)
+    assert [dcb.expand_in_b_basis(x * y) for x, y in products] == expected
+    for k in range(5):
+        assert dcb.compute_layer(k, check=False).entries == tables[k].entries
 
 
 def test_layer_table_checks_its_entries(monkeypatch):
