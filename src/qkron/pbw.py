@@ -18,7 +18,9 @@ The straightening kernel computes with ints only.  It works on flat dicts
 merged by the one flat accumulate `_flat_add`; its memo `_GEN_CACHE` maps
 (a, j) to the int rules (b, h, m) of the normal form of u^a u_j.
 `PbwElement.__mul__`, `sigma` and `word_product` flatten their input once
-and build LaurentQ coefficients only for the element they return.
+and build LaurentQ coefficients only for the element they return.  x * y
+straightens once per u3^b3 u2^b2 prefix of y's terms and applies each tail
+u1^b1 u0^b0 as a shift, since it swaps letters at distance one only.
 
 Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
@@ -168,11 +170,14 @@ def _horner(terms: list, i: int, out: dict) -> dict:
     each H_e the same kind of sum over u0..u_{i-1}; it is evaluated as
     (...(H_m u_i + H_{m-1}) u_i + ...) u_i + H_0.  That is one straightening
     pass per edge of the trie of the words, not one per letter of every
-    word, and only the dicts on the current path stay alive."""
+    word, and only the dicts on the current path stay alive.  The words
+    u0^a0 u1^a1 left at i == 1 swap letters at distance one only:
+    u0^a0 u1^a1 = q^(_ADJ a0 a1) u1^a1 u0^a0."""
     if not terms:
         return out
-    if i < 0:
-        return _flat_add(out, [(_ZERO_EXP, h, m) for _, h, m in terms])
+    if i == 1:
+        return _flat_add(out, [((0, 0, a1, a0), h + 2 * _ADJ * a0 * a1, m)
+                               for (_, _, a1, a0), h, m in terms])
     s = _slot(i)
     groups = {}
     for t in terms:
@@ -203,18 +208,29 @@ class PbwElement(Terms):
         return scalar(c)
 
     def __mul__(self, other):
+        """x * y straightens x u3^e once for each e up to the largest b3 of
+        y, and extends each by u2 once per b2 within that b3's terms.  The
+        tail u1^b1 u0^b0 of u^b only swaps letters at distance one, so it is
+        a shift: u^a u1^b1 u0^b0 = q^(_ADJ a0 b1) u^(a + (0, 0, b1, b0))."""
         if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         if not isinstance(other, PbwElement):
             return NotImplemented
-        flat = {(a, h): m for a, c in self.terms.items() for h, m in c.terms.items()}
+        # t3 is x u3^e3 and t is x u3^e3 u2^e2, walked in (b3, b2) order
+        t3 = {(a, h): m for a, c in self.terms.items() for h, m in c.terms.items()}
+        t, e3, e2 = t3, 0, 0
         out = {}
-        for b, c in other.terms.items():
-            t = flat
-            for i, e in zip((3, 2, 1, 0), b):
-                for _ in range(e):
-                    t = _terms_times_gen(t, i)
-            rules = [(a, h, m) for (a, h), m in t.items()]
+        for (b3, b2, b1, b0), c in sorted(other.terms.items(), key=lambda bc: bc[0][:2]):
+            if b3 > e3:
+                for _ in range(b3 - e3):
+                    t3 = _terms_times_gen(t3, 3)
+                t, e3, e2 = t3, b3, 0
+            for _ in range(b2 - e2):
+                t = _terms_times_gen(t, 2)
+            e2 = b2
+            s = 2 * _ADJ * b1
+            rules = [((a3, a2, a1 + b1, a0 + b0), h + s * a0, m)
+                     for ((a3, a2, a1, a0), h), m in t.items()]
             for h, m in c.terms.items():
                 _flat_add(out, rules, h, m)
         return _element(out)

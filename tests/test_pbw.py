@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from qkron import classical, dcb, pbw
+from qkron import classical, dcb, pbw, qseed
 from qkron.qarith import half_pow, lq_one, qpow
 
 u0, u1, u2, u3 = (pbw.generator(i) for i in range(4))
@@ -78,18 +78,72 @@ def test_sigma_u3_u0_example():
     assert lhs == rhs
 
 
+def word(a):
+    """The letters of the normal monomial u3^a3 u2^a2 u1^a1 u0^a0."""
+    return [i for i, e in zip((3, 2, 1, 0), a) for _ in range(e)]
+
+
 def sigma_by_words(x):
     """Reference sigma: straighten each term's reversed word on its own."""
     out = pbw.zero()
     for a, c in x.terms.items():
         a3, a2, a1, a0 = a
-        word = [0] * a0 + [1] * a1 + [2] * a2 + [3] * a3
-        out = out + pbw.word_product(word).scale(c.bar() * qpow(2 * (3 * a3 + 2 * a2 + a1)))
+        out = out + pbw.word_product(word(a)[::-1]).scale(c.bar() * qpow(2 * (3 * a3 + 2 * a2 + a1)))
+    return out
+
+
+def product_by_words(x, y):
+    """Reference product: straighten the concatenated word of each pair of terms on its own."""
+    out = pbw.zero()
+    for a, c in x.terms.items():
+        for b, d in y.terms.items():
+            out = out + pbw.word_product(word(a) + word(b)).scale(c * d)
     return out
 
 
 def rand_coef(rng):
     return half_pow(rng.randint(-6, 6)) * rng.randint(-3, 3) + half_pow(rng.randint(-4, 4))
+
+
+def test_product_matches_word_by_word_reference():
+    rng = random.Random(18)
+    # the products of u1^2 and q^-4 u2 u0 by p0 meet at u2 u1^2 u0 and cancel
+    cancel = u1 * u1 + (u2 * u0).scale_qpow(-4)
+    assert (0, 1, 2, 1) not in (cancel * pbw.p0()).terms
+    cases = [(pbw.zero(), u3), (u3, pbw.zero()), (pbw.one(), u0 * u3), (u0 * u3, pbw.one()),
+             (cancel, pbw.p0()), (cancel, u3 * u0), (u1 * u3, cancel)]
+    for _ in range(30):
+        x, y = (pbw.PbwElement({tuple(rng.randint(0, 3) for _ in range(4)): rand_coef(rng)
+                                for _ in range(rng.randint(1, 5))}) for _ in range(2))
+        cases.append((x, y))
+    for n in range(1, 5):
+        x, y = dcb.b_element((n, 0, 0, n - 1)), dcb.b_element((n + 1, 0, 0, n))
+        cases += [(x, y), (y, x)]
+    for n in range(7):
+        xn = qseed.x_var(n)
+        for p in (pbw.p0(), pbw.p1()):
+            cases += [(xn, p), (p, xn)]
+    for x, y in cases:
+        assert (x * y).terms == product_by_words(x, y).terms
+
+
+def test_product_straightens_once_per_u3_u2_prefix(monkeypatch):
+    calls = []
+    step = pbw._terms_times_gen
+
+    def counted(terms, j, out=None):
+        calls.append(j)
+        return step(terms, j, out)
+
+    x, y = dcb.b_element((5, 0, 0, 4)), dcb.b_element((6, 0, 0, 5))
+    want = product_by_words(x, y)
+    monkeypatch.setattr(pbw, "_terms_times_gen", counted)
+    assert (x * y).terms == want.terms
+    assert set(calls) <= {2, 3}
+    max_b2 = {}
+    for b3, b2, _, _ in y.terms:
+        max_b2[b3] = max(b2, max_b2.get(b3, 0))
+    assert len(calls) == max(max_b2) + sum(max_b2.values())
 
 
 def test_sigma_zero():
