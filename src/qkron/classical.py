@@ -300,14 +300,6 @@ def coefficient_free_cluster(n: int) -> CPoly:
     return CPoly._raw(total) * inv
 
 
-def cluster_monomial(n: int, exponents) -> CPoly:
-    """The cluster monomial U_{n+1}^a1 U_n^a2 P1^a3 P0^a4 of the cluster
-    containing U_n and U_{n+1}."""
-    a1, a2, a3, a4 = exponents
-    return (cluster_variable(n + 1) ** a1 * cluster_variable(n) ** a2
-            * P1_SYM ** a3 * P0_SYM ** a4)
-
-
 def chebyshev_basis_element(k: int, kind: str = "S") -> CPoly:
     """The Chebyshev-basis element s_k (kind "S") or t_k (kind "T") in
     Z[U0..U3], computed through the three-term recursion

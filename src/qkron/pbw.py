@@ -8,15 +8,20 @@ straightens arbitrary products with the defining relations
     u_i u_{i+2} = q^-2 u_{i+2} u_i + (q^-2 - 1) u_{i+1}^2   (i = 0, 1)
     u_0 u_3     = q^-2 u_3 u_0 + (q^-4 - 1) u_2 u_1
 
-applied left-to-right wherever a lower-index generator stands immediately
-left of a higher-index one.  Each rewrite strictly decreases the weighted
-inversion count sum(j - i) over inverted pairs, so reduction terminates;
-confluence is exercised by the associativity tests.
+Their closed forms move u_j past a normal monomial u^a in at most four
+terms; with g(n) = q^(-2(n-1)) (q^(-2n) - 1), and no term of negative
+exponent,
+
+    u^a u0 = u^(a+(0,0,0,1))     u^a u1 = q^(-2a0) u^(a+(0,0,1,0))
+    u^a u2 = q^(-2a0-2a1) u^(a+(0,1,0,0)) + g(a0) u^(a+(0,0,2,-1))
+    u^a u3 = q^(-2a0-2a1-2a2) u^(a+(1,0,0,0)) + q^(-2a0) g(a1) u^(a+(0,2,-1,0))
+             + q^(-2a1) (1 + q^-2) g(a0) u^(a+(0,1,1,-1))
+             + g(a0-1) (q^(-2a0) - 1) u^(a+(0,0,3,-2))
 
 The straightening kernel computes with ints only.  It works on flat dicts
 (exponent tuple, half-exponent) -> int, one entry per term m q^(h/2) u^b,
 merged by the one flat accumulate `_flat_add`; its memo `_GEN_CACHE` maps
-(a, j) to the int rules (b, h, m) of the normal form of u^a u_j.
+each pair (a, j) asked for, and no other, to the rules (b, h, m) of u^a u_j.
 `PbwElement.__mul__`, `sigma` and `word_product` flatten their input once
 and build LaurentQ coefficients only for the element they return.  x * y
 straightens once per u3^b3 u2^b2 prefix of y's terms and applies each tail
@@ -57,10 +62,6 @@ ROOT_WEIGHT = ((1, 0), (2, 1), (3, 2), (4, 3))
 
 _ONE = lq_one()
 _ADJ = -2                   # u_i u_{i+1} = q^_ADJ u_{i+1} u_i
-# the coefficient (h, m) pairs, m q^(h/2), of u_{i+1}^2 in the distance-2 rule
-# (q^-2 - 1) and of u_2 u_1 in the distance-3 rule (q^-4 - 1)
-_CORR2 = ((-4, 1), (0, -1))
-_CORR3 = ((-8, 1), (0, -1))
 
 _ZERO_EXP = (0, 0, 0, 0)
 _U_NAMES = ("u3", "u2", "u1", "u0")      # a monomial's factors, in normal order
@@ -71,32 +72,14 @@ def _slot(i: int) -> int:
     return 3 - i
 
 
-def _last_letter(a: Exp):
-    """Rightmost generator index of the normal word for a, or None."""
-    if a[3]:
-        return 0
-    if a[2]:
-        return 1
-    if a[1]:
-        return 2
-    if a[0]:
-        return 3
-    return None
-
-
 def _inc(a: Exp, i: int) -> Exp:
     s = _slot(i)
     return a[:s] + (a[s] + 1,) + a[s + 1:]
 
 
-def _dec(a: Exp, i: int) -> Exp:
-    s = _slot(i)
-    return a[:s] + (a[s] - 1,) + a[s + 1:]
-
-
 # straightening memo: (a, j) -> the rules (b, h, m) of the normal form of
-# u^a u_j, one per term m q^(h/2) u^b; writes are idempotent (a key always
-# maps to the same value), so concurrent use stays deterministic under the GIL
+# u^a u_j, one per term m q^(h/2) u^b, for the pairs asked for only; writes
+# are idempotent, so concurrent use stays deterministic under the GIL
 _GEN_CACHE: dict = {}
 
 
@@ -135,28 +118,33 @@ def _terms_times_gen(terms: dict, j: int, out=None) -> dict:
     return out
 
 
+def _add_g(out: dict, b: Exp, n: int, h: int = 0, m: int = 1) -> None:
+    """Add m q^(h/2) g(n) u^b into the flat dict out, g(n) = q^(-2(n-1)) (q^(-2n) - 1)."""
+    _flat_add(out, ((b, 4 - 8 * n, 1), (b, 4 - 4 * n, -1)), h, m)
+
+
 def _mono_times_gen(a: Exp, j: int) -> tuple:
-    """Normal form of (normal monomial a) * u_j as a tuple of rules (b, h, m)."""
+    """Normal form of (normal monomial a) * u_j as a tuple of rules (b, h, m),
+    by the closed forms in the module docstring."""
     key = (a, j)
     hit = _GEN_CACHE.get(key)
     if hit is not None:
         return hit
-    i = _last_letter(a)
-    if i is None or i >= j:
-        res = ((_inc(a, j), 0, 1),)
-    else:
-        # u^a u_j = u^head u_i u_j = q^_ADJ u^head u_j u_i + (correction)
-        head = _dec(a, i)
-        out = {}
-        for b, h, m in _mono_times_gen(head, j):
-            _flat_add(out, _mono_times_gen(b, i), h + 2 * _ADJ, m)
-        if j - i > 1:
-            # corr u^head u_l1 u_l2: u_{i+1}^2 at distance 2, u_2 u_1 at 3
-            l1, l2, corr = (i + 1, i + 1, _CORR2) if j - i == 2 else (2, 1, _CORR3)
-            for b, h, m in _mono_times_gen(head, l1):
-                for hc, mc in corr:
-                    _flat_add(out, _mono_times_gen(b, l2), h + hc, m * mc)
-        res = tuple((b, h, m) for (b, h), m in out.items())
+    a3, a2, a1, a0 = a
+    # u_j passes the letters u_{j-1} .. u_0 of a at q^_ADJ each
+    out = {(_inc(a, j), 2 * _ADJ * sum(a[_slot(j) + 1:])): 1}
+    if j == 2 and a0:
+        _add_g(out, (a3, a2, a1 + 2, a0 - 1), a0)
+    elif j == 3:
+        if a1:
+            _add_g(out, (a3, a2 + 2, a1 - 1, a0), a1, -4 * a0)
+        if a0:  # (1 + q^-2) g(a0); at a0 = 1 two q-powers cancel in out
+            for h in (-4 * a1, -4 * a1 - 4):
+                _add_g(out, (a3, a2 + 1, a1 + 1, a0 - 1), a0, h)
+        if a0 > 1:
+            for h, m in ((-4 * a0, 1), (0, -1)):
+                _add_g(out, (a3, a2, a1 + 3, a0 - 2), a0 - 1, h, m)
+    res = tuple((b, h, m) for (b, h), m in out.items())
     _GEN_CACHE[key] = res
     return res
 

@@ -50,13 +50,6 @@ def l_matrix(n: int):
     )
 
 
-def seed_exchange_matrix(n: int):
-    """The 4x2 exchange matrix of the quantum seed (X_n, X_{n+1}, Y_0, Y_1)."""
-    from .classical import ExchangeMatrix
-
-    return ExchangeMatrix([[0, 2], [-2, 0], [n - 3, -n + 4], [n, -n + 1]])
-
-
 def verify_quasi_commutation(n_max: int) -> list:
     """All six pairwise commutations of the seed variables for 3 <= n <= n_max,
     plus the unrescaled q-commutation of adjacent quantized cluster variables

