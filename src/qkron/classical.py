@@ -17,7 +17,7 @@ P0 <-> P1 that reverses the exchange sequence.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .qarith import Terms, add_into, cluster_terms, compare, entry, power_product
 
@@ -33,9 +33,12 @@ def _check_int(c):
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient for arbitrary integer n; zero for k < 0."""
+    """Binomial coefficient for arbitrary integer n; zero for k < 0.  A
+    negative n takes the falling factorial n (n - 1) ... (n - k + 1) / k!."""
     if k < 0:
         return 0
+    if n >= 0:
+        return comb(n, k)
     num = 1
     for j in range(k):
         num *= n - j

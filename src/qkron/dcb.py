@@ -389,11 +389,15 @@ def b_element(a) -> pbw.PbwElement:
                 - qp(b_element((n - 2, 1, 0, n - 1)), pbw.X_U1, 2 * n - 1)
         else:
             # the quantum cluster monomial in two adjacent cluster variables
-            # c and c + (1, 0, 0, 1), divided by its E[a] coefficient q^(h/2)
+            # c and c + (1, 0, 0, 1), divided by its E[a] coefficient q^(h/2);
+            # B[c]^(d-j) B[c']^j is built one right factor at a time, so that
+            # each product straightens by a single cluster variable
             d = abs(x - w)
             m, j = divmod(min(x, w), d)
             c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
-            res = b_element(c) ** (d - j) * b_element((c[0] + 1, 0, 0, c[3] + 1)) ** j
+            res, step = b_element(c) ** (d - j), b_element((c[0] + 1, 0, 0, c[3] + 1))
+            for _ in range(j):
+                res = res * step
             lead = res.terms.get(a, lq_zero()) * qpow(-stat_b(a))
             h = min(lead.terms, default=0)
             if lead != half_pow(h):

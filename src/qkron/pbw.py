@@ -18,14 +18,17 @@ exponent,
              + q^(-2a1) (1 + q^-2) g(a0) u^(a+(0,1,1,-1))
              + g(a0-1) (q^(-2a0) - 1) u^(a+(0,0,3,-2))
 
-The straightening kernel computes with ints only.  It works on flat dicts
-(exponent tuple, half-exponent) -> int, one entry per term m q^(h/2) u^b,
-merged by the one flat accumulate `_flat_add`; its memo `_GEN_CACHE` maps
-each pair (a, j) asked for, and no other, to the rules (b, h, m) of u^a u_j.
-`PbwElement.__mul__`, `sigma` and `word_product` flatten their input once
-and build LaurentQ coefficients only for the element they return.  x * y
-straightens once per u3^b3 u2^b2 prefix of y's terms and applies each tail
-u1^b1 u0^b0 as a shift, since it swaps letters at distance one only.
+The straightening kernel computes with ints only.  A kernel sum holds
+one dict per normal monomial, u^b -> {half-exponent h: m}, the terms
+m q^(h/2) u^b; the one accumulate `_add_shifted` adds a whole coefficient
+dict, shifted by a q-power and scaled by an int, into the entry of one u^b,
+and drops an entry that cancels to nothing.  Its memo `_GEN_CACHE` maps
+each pair (a, j) asked for, and no other, to the rules (b, h, m) of u^a u_j;
+each rule is applied once per monomial of a sum.  `PbwElement.__mul__`
+reads the left factor's coefficient dicts as they are, and `_element`
+wraps each dict of the result as a LaurentQ.  x * y straightens once per
+u3^b3 u2^b2 prefix of y's terms and applies each tail u1^b1 u0^b0 as a
+shift, since it swaps letters at distance one only.
 
 Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
@@ -83,44 +86,43 @@ def _inc(a: Exp, i: int) -> Exp:
 _GEN_CACHE: dict = {}
 
 
-def _flat_add(out: dict, rules, h: int = 0, m: int = 1) -> dict:
-    """Add m q^(h/2) times the sum of the rules (b, h', m') into the flat dict
-    out, (b, half-exponent) -> int, in place, storing no zero; return out."""
-    for b, h2, m2 in rules:
-        k = (b, h + h2)
-        v = out.get(k, 0) + m * m2
+def _add_shifted(out: dict, b: Exp, c: dict, s: int, m: int = 1) -> None:
+    """Add m q^(s/2) c u^b into out, b -> {half-exponent: int}, in place, for
+    c a dict half-exponent -> int; store no zero and no emptied monomial."""
+    o = out.get(b)
+    if o is None:
+        out[b] = {h + s: m * v for h, v in c.items()}
+        return
+    for h, v in c.items():
+        h += s
+        v = o.get(h, 0) + m * v
         if v:
-            out[k] = v
+            o[h] = v
         else:
-            del out[k]
-    return out
+            del o[h]
+    if not o:
+        del out[b]
 
 
-def _element(flat: dict) -> "PbwElement":
-    """The PbwElement of a flat dict: its LaurentQ coefficients are built
+def _element(terms: dict) -> "PbwElement":
+    """The PbwElement of a kernel sum: its LaurentQ coefficients are built
     here, at the kernel's boundary."""
-    terms = {}
-    for (b, h), m in flat.items():
-        c = terms.get(b)
-        if c is None:
-            terms[b] = {h: m}
-        else:
-            c[h] = m
     return PbwElement._raw({b: LaurentQ._raw(c) for b, c in terms.items()})
 
 
 def _terms_times_gen(terms: dict, j: int, out=None) -> dict:
-    """Add (the flat dict terms) * u_j into out (a new dict if None)."""
+    """Add (the kernel sum terms) * u_j into out (a new dict if None)."""
     if out is None:
         out = {}
-    for (a, h), m in terms.items():
-        _flat_add(out, _mono_times_gen(a, j), h, m)
+    for a, c in terms.items():
+        for b, h, m in _mono_times_gen(a, j):
+            _add_shifted(out, b, c, h, m)
     return out
 
 
 def _add_g(out: dict, b: Exp, n: int, h: int = 0, m: int = 1) -> None:
-    """Add m q^(h/2) g(n) u^b into the flat dict out, g(n) = q^(-2(n-1)) (q^(-2n) - 1)."""
-    _flat_add(out, ((b, 4 - 8 * n, 1), (b, 4 - 4 * n, -1)), h, m)
+    """Add m q^(h/2) g(n) u^b into out, g(n) = q^(-2(n-1)) (q^(-2n) - 1)."""
+    _add_shifted(out, b, {4 - 8 * n: 1, 4 - 4 * n: -1}, h, m)
 
 
 def _mono_times_gen(a: Exp, j: int) -> tuple:
@@ -132,7 +134,7 @@ def _mono_times_gen(a: Exp, j: int) -> tuple:
         return hit
     a3, a2, a1, a0 = a
     # u_j passes the letters u_{j-1} .. u_0 of a at q^_ADJ each
-    out = {(_inc(a, j), 2 * _ADJ * sum(a[_slot(j) + 1:])): 1}
+    out = {_inc(a, j): {2 * _ADJ * sum(a[_slot(j) + 1:]): 1}}
     if j == 2 and a0:
         _add_g(out, (a3, a2, a1 + 2, a0 - 1), a0)
     elif j == 3:
@@ -144,15 +146,16 @@ def _mono_times_gen(a: Exp, j: int) -> tuple:
         if a0 > 1:
             for h, m in ((-4 * a0, 1), (0, -1)):
                 _add_g(out, (a3, a2, a1 + 3, a0 - 2), a0 - 1, h, m)
-    res = tuple((b, h, m) for (b, h), m in out.items())
+    res = tuple((b, h, m) for b, c in out.items() for h, m in c.items())
     _GEN_CACHE[key] = res
     return res
 
 
 def _horner(terms: list, i: int, out: dict) -> dict:
-    """Add into the flat dict out the normal form of the sum of
-    m q^(h/2) u0^a0 u1^a1 ... u_i^ai over the triples (a, h, m) in terms,
-    reading only the exponents of the letters u0..u_i; return out.
+    """Add into the kernel sum out the normal form of the sum of
+    c u0^a0 u1^a1 ... u_i^ai over the pairs (a, c) in terms, c a dict
+    half-exponent -> int, reading only the exponents of the letters
+    u0..u_i; return out.
 
     Grouping by the exponent e of the last letter u_i gives sum_e H_e u_i^e,
     each H_e the same kind of sum over u0..u_{i-1}; it is evaluated as
@@ -164,8 +167,9 @@ def _horner(terms: list, i: int, out: dict) -> dict:
     if not terms:
         return out
     if i == 1:
-        return _flat_add(out, [((0, 0, a1, a0), h + 2 * _ADJ * a0 * a1, m)
-                               for (_, _, a1, a0), h, m in terms])
+        for (_, _, a1, a0), c in terms:
+            _add_shifted(out, (0, 0, a1, a0), c, 2 * _ADJ * a0 * a1)
+        return out
     s = _slot(i)
     groups = {}
     for t in terms:
@@ -205,7 +209,7 @@ class PbwElement(Terms):
         if not isinstance(other, PbwElement):
             return NotImplemented
         # t3 is x u3^e3 and t is x u3^e3 u2^e2, walked in (b3, b2) order
-        t3 = {(a, h): m for a, c in self.terms.items() for h, m in c.terms.items()}
+        t3 = {a: c.terms for a, c in self.terms.items()}
         t, e3, e2 = t3, 0, 0
         out = {}
         for (b3, b2, b1, b0), c in sorted(other.terms.items(), key=lambda bc: bc[0][:2]):
@@ -217,10 +221,10 @@ class PbwElement(Terms):
                 t = _terms_times_gen(t, 2)
             e2 = b2
             s = 2 * _ADJ * b1
-            rules = [((a3, a2, a1 + b1, a0 + b0), h + s * a0, m)
-                     for ((a3, a2, a1, a0), h), m in t.items()]
-            for h, m in c.terms.items():
-                _flat_add(out, rules, h, m)
+            for (a3, a2, a1, a0), ct in t.items():
+                b = (a3, a2, a1 + b1, a0 + b0)
+                for h, m in c.terms.items():
+                    _add_shifted(out, b, ct, h + s * a0, m)
         return _element(out)
 
     # -- structure ----------------------------------------------------------
@@ -253,8 +257,8 @@ class PbwElement(Terms):
         their last letter (see `_horner`), so words that share a prefix
         share its straightening."""
         # m q^(h/2) u^a goes to m q^(h'/2) times the reversed word, h' = 4(3a3 + 2a2 + a1) - h
-        terms = [(a, 4 * (3 * a[0] + 2 * a[1] + a[2]) - h, m)
-                 for a, c in self.terms.items() for h, m in c.terms.items()]
+        terms = [(a, {4 * (3 * a[0] + 2 * a[1] + a[2]) - h: m for h, m in c.terms.items()})
+                 for a, c in self.terms.items()]
         return _element(_horner(terms, 3, {}))
 
     def specialize_q1(self):
@@ -449,7 +453,7 @@ def exp_root_weight(a: Exp):
 
 def word_product(letters) -> PbwElement:
     """Straightened product u_{i_1} u_{i_2} ... for a letter sequence."""
-    t = {(_ZERO_EXP, 0): 1}
+    t = {_ZERO_EXP: {0: 1}}
     for i in letters:
         t = _terms_times_gen(t, i)
     return _element(t)

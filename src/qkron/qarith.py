@@ -15,8 +15,8 @@ key: sums, scaling (also by q^k), powers, hashing, repr and the text forms.
 subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
 coefficient is ever stored.  Only ``LaurentQ.__add__`` keeps its own, and
-so does the straightening kernel: ``pbw._flat_add`` merges int terms keyed
-by (monomial, half-exponent), with no LaurentQ in between.
+so does the straightening kernel: ``pbw._add_shifted`` merges a monomial's
+int coefficient dict, half-exponent -> int, with no LaurentQ in between.
 
 The canonical text form of a sum is one grammar, written only by
 ``Terms._render``: terms in decreasing key order, written ``a - b + c``

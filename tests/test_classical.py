@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,6 +14,16 @@ def test_binomial():
     assert cl.binomial(3, -1) == 0
     assert cl.binomial(-3, 3) == -10
 
+
+
+def test_binomial_matches_the_falling_factorial():
+    # n >= 0 goes through math.comb; every n is checked against the loop
+    for n in range(-8, 15):
+        for k in range(-2, 17):
+            num = 1
+            for j in range(k):
+                num *= n - j
+            assert cl.binomial(n, k) == (num // factorial(k) if k >= 0 else 0), (n, k)
 
 def test_determinantal_identities():
     assert cl.p0_poly() == cl.U2 * cl.U0 - cl.U1 ** 2

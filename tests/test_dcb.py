@@ -124,6 +124,22 @@ def test_b_element_cluster_monomial_cores_satisfy_conditions():
         dcb.check_basis_conditions(a, B(*a))
 
 
+@pytest.mark.parametrize("a", [(5, 0, 0, 2), (2, 0, 0, 7), (7, 0, 0, 3), (3, 0, 0, 8), (8, 0, 0, 5)])
+def test_cluster_monomial_core_is_the_product_of_two_powers(a):
+    # b_element builds B[c]^(d-j) and then multiplies by B[c'] j times on the
+    # right; here the two powers are built first, then normalized by the
+    # E[a] coefficient q^(h/2) as b_element normalizes
+    x, w = a[0], a[3]
+    d = abs(x - w)
+    m, j = divmod(min(x, w), d)
+    assert j > 0
+    c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
+    res = B(*c) ** (d - j) * B(c[0] + 1, 0, 0, c[3] + 1) ** j
+    (h, lead), = (res.terms[a] * qpow(-dcb.stat_b(a))).terms.items()
+    assert lead == 1
+    assert B(*a).terms == res.scale(qarith.half_pow(-h)).terms
+
+
 def test_p_shift_identities():
     rng = random.Random(21)
     p0, p1 = pbw.p0(), pbw.p1()

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from qkron import classical, dcb, pbw, qseed
-from qkron.qarith import half_pow, lq_one, qpow
+from qkron.qarith import LaurentQ, half_pow, lq_one, qpow
 
 u0, u1, u2, u3 = (pbw.generator(i) for i in range(4))
 
@@ -83,103 +83,6 @@ def word(a):
     return [i for i, e in zip((3, 2, 1, 0), a) for _ in range(e)]
 
 
-def sigma_by_words(x):
-    """Reference sigma: straighten each term's reversed word on its own."""
-    out = pbw.zero()
-    for a, c in x.terms.items():
-        a3, a2, a1, a0 = a
-        out = out + pbw.word_product(word(a)[::-1]).scale(c.bar() * qpow(2 * (3 * a3 + 2 * a2 + a1)))
-    return out
-
-
-def product_by_words(x, y):
-    """Reference product: straighten the concatenated word of each pair of terms on its own."""
-    out = pbw.zero()
-    for a, c in x.terms.items():
-        for b, d in y.terms.items():
-            out = out + pbw.word_product(word(a) + word(b)).scale(c * d)
-    return out
-
-
-def rand_coef(rng):
-    return half_pow(rng.randint(-6, 6)) * rng.randint(-3, 3) + half_pow(rng.randint(-4, 4))
-
-
-def test_product_matches_word_by_word_reference():
-    rng = random.Random(18)
-    # the products of u1^2 and q^-4 u2 u0 by p0 meet at u2 u1^2 u0 and cancel
-    cancel = u1 * u1 + (u2 * u0).scale_qpow(-4)
-    assert (0, 1, 2, 1) not in (cancel * pbw.p0()).terms
-    cases = [(pbw.zero(), u3), (u3, pbw.zero()), (pbw.one(), u0 * u3), (u0 * u3, pbw.one()),
-             (cancel, pbw.p0()), (cancel, u3 * u0), (u1 * u3, cancel)]
-    for _ in range(30):
-        x, y = (pbw.PbwElement({tuple(rng.randint(0, 3) for _ in range(4)): rand_coef(rng)
-                                for _ in range(rng.randint(1, 5))}) for _ in range(2))
-        cases.append((x, y))
-    for n in range(1, 5):
-        x, y = dcb.b_element((n, 0, 0, n - 1)), dcb.b_element((n + 1, 0, 0, n))
-        cases += [(x, y), (y, x)]
-    for n in range(7):
-        xn = qseed.x_var(n)
-        for p in (pbw.p0(), pbw.p1()):
-            cases += [(xn, p), (p, xn)]
-    for x, y in cases:
-        assert (x * y).terms == product_by_words(x, y).terms
-
-
-def test_product_straightens_once_per_u3_u2_prefix(monkeypatch):
-    calls = []
-    step = pbw._terms_times_gen
-
-    def counted(terms, j, out=None):
-        calls.append(j)
-        return step(terms, j, out)
-
-    x, y = dcb.b_element((5, 0, 0, 4)), dcb.b_element((6, 0, 0, 5))
-    want = product_by_words(x, y)
-    monkeypatch.setattr(pbw, "_terms_times_gen", counted)
-    assert (x * y).terms == want.terms
-    assert set(calls) <= {2, 3}
-    max_b2 = {}
-    for b3, b2, _, _ in y.terms:
-        max_b2[b3] = max(b2, max_b2.get(b3, 0))
-    assert len(calls) == max(max_b2) + sum(max_b2.values())
-
-
-def test_sigma_zero():
-    assert pbw.zero().sigma() == pbw.zero()
-    assert pbw.zero().sigma().terms == {}
-
-
-def test_sigma_matches_word_by_word_reference():
-    rng = random.Random(16)
-    blocks = {}
-    for k in (3, 4, 5):
-        for a in dcb.layer_exponents(k):
-            blocks.setdefault(pbw.exp_root_weight(a), []).append(a)
-    wide = [b for b in blocks.values() if len(b) > 2]
-    # sigma(u3 u0) = q^4 u3 u0 + (q^2 - q^6) u2 u1; the u2 u1 term cancels
-    cancel = u3 * u0 + (u2 * u1).scale(qpow(-2) - qpow(2))
-    cases = [pbw.zero(), pbw.one(), cancel]
-    for _ in range(40):
-        # mixed root weights
-        cases.append(pbw.PbwElement({
-            tuple(rng.randint(0, 3) for _ in range(4)): rand_coef(rng)
-            for _ in range(rng.randint(1, 6))}))
-        # one root weight, where the reversed words overlap most
-        block = rng.choice(wide)
-        cases.append(pbw.PbwElement({a: rand_coef(rng) for a in rng.sample(block, rng.randint(2, len(block)))}))
-    assert cancel.sigma().terms == {(1, 0, 0, 1): qpow(4)}
-    for x in cases:
-        assert x.sigma().terms == sigma_by_words(x).terms
-
-
-def test_sigma_matches_reference_on_layers():
-    for k in range(7):
-        for a, elem in dcb.layer_table(k):
-            assert elem.sigma().terms == sigma_by_words(elem).terms
-
-
 _REF_RULES = {}
 # (h, m) pairs, m q^(h/2), of q^-2 - 1 and q^-4 - 1: the corrections at distance 2 and 3
 _REF_CORR = {2: ((-4, 1), (0, -1)), 3: ((-8, 1), (0, -1))}
@@ -218,6 +121,130 @@ def ref_mono_times_gen(a, j):
                         ref_add(out, ref_mono_times_gen(b, l2), h + hc, m * mc)
         _REF_RULES[key] = {k: m for k, m in out.items() if m}
     return _REF_RULES[key]
+
+
+def ref_word_times(t, letters):
+    """The flat dict t, (b, h) -> m, times the word of letters, straightened
+    one letter at a time by `ref_mono_times_gen`."""
+    for j in letters:
+        nxt = {}
+        for (b, h), m in t.items():
+            ref_add(nxt, ref_mono_times_gen(b, j), h, m)
+        t = nxt
+    return t
+
+
+def ref_element(t):
+    """The terms of the flat dict t, (b, h) -> m, as an element would hold
+    them: a LaurentQ per monomial that has a nonzero entry."""
+    grouped = {}
+    for (b, h), m in t.items():
+        if m:
+            grouped.setdefault(b, {})[h] = m
+    return {b: LaurentQ(c) for b, c in grouped.items()}
+
+
+def sigma_by_words(x):
+    """Reference sigma, sharing no code with the kernel: straighten each
+    term's reversed word on its own, one letter at a time."""
+    out = {}
+    for a, c in x.terms.items():
+        a3, a2, a1, a0 = a
+        k = 4 * (3 * a3 + 2 * a2 + a1)
+        start = {((0, 0, 0, 0), k - h): m for h, m in c.terms.items()}
+        ref_add(out, ref_word_times(start, word(a)[::-1]), 0, 1)
+    return ref_element(out)
+
+
+def product_by_words(x, y):
+    """Reference product, sharing no code with the kernel: straighten the
+    concatenated word of each pair of terms on its own, one letter at a time."""
+    out = {}
+    for a, c in x.terms.items():
+        for b, d in y.terms.items():
+            t = ref_word_times({(a, h): m for h, m in c.terms.items()}, word(b))
+            for h, m in d.terms.items():
+                ref_add(out, t, h, m)
+    return ref_element(out)
+
+
+def rand_coef(rng):
+    return half_pow(rng.randint(-6, 6)) * rng.randint(-3, 3) + half_pow(rng.randint(-4, 4))
+
+
+def test_product_matches_word_by_word_reference():
+    rng = random.Random(18)
+    # the products of u1^2 and q^-4 u2 u0 by p0 meet at u2 u1^2 u0 and cancel
+    cancel = u1 * u1 + (u2 * u0).scale_qpow(-4)
+    assert (0, 1, 2, 1) not in (cancel * pbw.p0()).terms
+    cases = [(pbw.zero(), u3), (u3, pbw.zero()), (pbw.one(), u0 * u3), (u0 * u3, pbw.one()),
+             (cancel, pbw.p0()), (cancel, u3 * u0), (u1 * u3, cancel)]
+    for _ in range(30):
+        x, y = (pbw.PbwElement({tuple(rng.randint(0, 3) for _ in range(4)): rand_coef(rng)
+                                for _ in range(rng.randint(1, 5))}) for _ in range(2))
+        cases.append((x, y))
+    for n in range(1, 5):
+        x, y = dcb.b_element((n, 0, 0, n - 1)), dcb.b_element((n + 1, 0, 0, n))
+        cases += [(x, y), (y, x)]
+    for n in range(7):
+        xn = qseed.x_var(n)
+        for p in (pbw.p0(), pbw.p1()):
+            cases += [(xn, p), (p, xn)]
+    for x, y in cases:
+        assert (x * y).terms == product_by_words(x, y)
+
+
+def test_product_straightens_once_per_u3_u2_prefix(monkeypatch):
+    calls = []
+    step = pbw._terms_times_gen
+
+    def counted(terms, j, out=None):
+        calls.append(j)
+        return step(terms, j, out)
+
+    x, y = dcb.b_element((5, 0, 0, 4)), dcb.b_element((6, 0, 0, 5))
+    want = product_by_words(x, y)
+    monkeypatch.setattr(pbw, "_terms_times_gen", counted)
+    assert (x * y).terms == want
+    assert set(calls) <= {2, 3}
+    max_b2 = {}
+    for b3, b2, _, _ in y.terms:
+        max_b2[b3] = max(b2, max_b2.get(b3, 0))
+    assert len(calls) == max(max_b2) + sum(max_b2.values())
+
+
+def test_sigma_zero():
+    assert pbw.zero().sigma() == pbw.zero()
+    assert pbw.zero().sigma().terms == {}
+
+
+def test_sigma_matches_word_by_word_reference():
+    rng = random.Random(16)
+    blocks = {}
+    for k in (3, 4, 5):
+        for a in dcb.layer_exponents(k):
+            blocks.setdefault(pbw.exp_root_weight(a), []).append(a)
+    wide = [b for b in blocks.values() if len(b) > 2]
+    # sigma(u3 u0) = q^4 u3 u0 + (q^2 - q^6) u2 u1; the u2 u1 term cancels
+    cancel = u3 * u0 + (u2 * u1).scale(qpow(-2) - qpow(2))
+    cases = [pbw.zero(), pbw.one(), cancel]
+    for _ in range(40):
+        # mixed root weights
+        cases.append(pbw.PbwElement({
+            tuple(rng.randint(0, 3) for _ in range(4)): rand_coef(rng)
+            for _ in range(rng.randint(1, 6))}))
+        # one root weight, where the reversed words overlap most
+        block = rng.choice(wide)
+        cases.append(pbw.PbwElement({a: rand_coef(rng) for a in rng.sample(block, rng.randint(2, len(block)))}))
+    assert cancel.sigma().terms == {(1, 0, 0, 1): qpow(4)}
+    for x in cases:
+        assert x.sigma().terms == sigma_by_words(x)
+
+
+def test_sigma_matches_reference_on_layers():
+    for k in range(7):
+        for a, elem in dcb.layer_table(k):
+            assert elem.sigma().terms == sigma_by_words(elem)
 
 
 def test_closed_form_rules_match_the_recursive_reference():
