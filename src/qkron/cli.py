@@ -1,13 +1,15 @@
 """Command-line front end: compute basis elements, expand products, run the
 verification suites, and print cluster/layer tables.
 
-Exit codes are the machine contract: 0 success, 1 a verified identity
-failed, 2 usage error, 3 a resource cap was hit or memory ran out, 141 (128 + SIGPIPE, as
-`cat` gives) the reader closed stdout.  `main` calls the handler each
+Exit codes are the machine contract: 0 success, 1 an identity `verify`
+checks failed (nothing else), 2 usage error, 3 a resource cap was hit or
+memory ran out, 141 (128 + SIGPIPE, as `cat` gives) the reader closed
+stdout.  `main` calls the handler each
 subcommand names and flushes stdout; a `RecursionError` or `MemoryError`
-from any of them is exit 3, a layer cache entry that fails its check
-(`dcb.CacheEntryError`) is exit 1, and a `BrokenPipeError` is exit 141 with
-nothing on stderr.
+from any of them is exit 3, and a `BrokenPipeError` is exit 141 with
+nothing on stderr.  The layer cache (`QCA_CACHE_DIR`) is write-only and
+never changes an exit code: a damaged file is rewritten silently, and a
+path that cannot be used is one warning.
 `verify` runs its suites one after another in this process, in `SUITES`
 order.
 
@@ -310,9 +312,6 @@ def main(argv=None) -> int:
         print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
               file=sys.stderr)
         return EXIT_RESOURCE
-    except dcb.CacheEntryError as exc:
-        print(f"error: layer cache {exc.path}: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ basis B[a] is stored in.  The dual PBW basis is an output and check view.
 triangularity on every element it builds, but the sigma condition only
 once per core and once for the p0/p1 facts; each element's eigenvalue is
 then derived from the p0/p1 steps (`_sigma_exponent`).  The on-disk layer
-cache is checked by comparing it with that build: B[a] is the one element
-meeting both conditions, so a cached entry passes them exactly when it
-equals the built one.  `verify layers` and `check_basis_conditions` check
-every element in full.
+cache is write-only: every layer is built and checked, and its file is only
+made to hold that build's bytes, never read back into an element.
+`verify layers` and `check_basis_conditions` check every element in full.
 The frozen powers come from the basis too: `p_power` is B[0,k,0,k] or
 B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
 
@@ -201,11 +200,10 @@ def layer_table(k: int) -> LayerTable:
     Every layer is built, with triangularity checked on every element and
     the sigma condition by `_sigma_exponent`: one full check per core, then
     integer arithmetic along the p0/p1 steps, which must give -N(a).  With
-    QCA_CACHE_DIR set, the layer's cache file is then compared with the
-    build (`_cache_matches`); a missing, unreadable or incomplete file is
-    written anew, a path that cannot be read or written (an `OSError`) is
-    one warning and a miss, and an entry that fails its conditions raises
-    `CacheEntryError`."""
+    QCA_CACHE_DIR set, `_save_layer` then makes the layer's cache file hold
+    the build's bytes, rewriting any other file silently; the file is never
+    read back.  A path that cannot be read or written (an `OSError`) is one
+    warning and a miss."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
         tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
@@ -217,8 +215,7 @@ def layer_table(k: int) -> LayerTable:
         cache_dir = os.environ.get("QCA_CACHE_DIR")
         if cache_dir:
             try:
-                if not _cache_matches(tab, cache_dir):
-                    _save_layer(tab, cache_dir)
+                _save_layer(tab, cache_dir)
             except OSError as exc:
                 print(f"warning: ignoring layer cache {_layer_path(k, cache_dir)}: {exc}",
                       file=sys.stderr)
@@ -284,66 +281,36 @@ def _layer_path(k: int, cache_dir) -> Path:
     return Path(cache_dir) / f"layer_{k}.json"
 
 
+def _layer_bytes(tab: LayerTable):
+    """The layer's cache file, `json.dumps` of its entries in key order, in
+    pieces of one entry each."""
+    yield b"["
+    for i, (a, e) in enumerate(sorted(tab.entries.items())):
+        yield (b", " if i else b"") + json.dumps({"a": list(a), "element": e.to_json_dict()}).encode()
+    yield b"]"
+
+
 def _save_layer(tab: LayerTable, cache_dir):
-    """Write the layer to its cache file atomically: the text goes to a
-    temporary file in the same directory, named for this process and
-    thread, and `os.replace` moves it into place, so concurrent writers
-    never leave a half-written file behind."""
+    """Make the layer's cache file hold `_layer_bytes(tab)`, compared piece
+    by piece and never parsed: a file that already holds them is left alone,
+    and any other is replaced by a temporary file in the same directory,
+    named for this process and thread, that `os.replace` moves into place,
+    so concurrent writers never leave a half-written file behind."""
     path = _layer_path(tab.k, cache_dir)
+    try:
+        with open(path, "rb") as f:
+            if all(f.read(len(piece)) == piece for piece in _layer_bytes(tab)) and not f.read(1):
+                return
+    except FileNotFoundError:
+        pass
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = [{"a": list(a), "element": e.to_json_dict()} for a, e in sorted(tab.entries.items())]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "x") as f:
-            f.write(json.dumps(data))
+        with open(tmp, "xb") as f:
+            f.writelines(_layer_bytes(tab))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # a no-op once the move succeeded
-
-
-class CacheEntryError(AssertionError):
-    """A well-formed entry of a layer cache file that fails the defining
-    conditions: the message is the failed check's, `path` names the file."""
-
-    def __init__(self, message, path):
-        super().__init__(message)
-        self.path = path
-
-
-def _cache_matches(tab: LayerTable, cache_dir) -> bool:
-    """Whether the cache file of the built, checked layer `tab` holds exactly
-    its elements; False, a miss, if the file is absent, unreadable or
-    incomplete, or names a key off the layer.
-
-    Each entry is parsed, compared with the build and dropped.  Only an
-    entry that differs, or whose key is not on the layer, gets
-    `check_basis_conditions`, after the whole file has parsed; the last
-    entry under a key counts.  One that fails raises `CacheEntryError`; an
-    entry on the layer that differs yet passes would contradict the
-    uniqueness of B[a], and raises too."""
-    path = _layer_path(tab.k, cache_dir)
-    if not path.exists():
-        return False
-    differing = {}  # a -> the file's element where it is not the build's, else None
-    try:
-        for item in json.loads(path.read_text()):
-            a = tuple(item["a"])
-            elem = pbw.PbwElement.from_json_dict(item["element"])
-            differing[a] = None if tab.entries.get(a) == elem else elem
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"warning: ignoring unreadable layer cache {path}: {exc}", file=sys.stderr)
-        return False
-    for a, elem in differing.items():
-        if elem is None:
-            continue
-        try:
-            check_basis_conditions(a, elem)
-        except AssertionError as exc:
-            raise CacheEntryError(str(exc), path) from exc
-        if a in tab.entries:
-            raise AssertionError(f"cached B[{a}] in {path} passes both conditions "
-                                 "but differs from the build")
-    return differing.keys() == tab.entries.keys()
 
 
 def b_element(a) -> pbw.PbwElement:
