@@ -99,13 +99,8 @@ def cmd_compute(args, parser) -> int:
     # leaves, checked before any build so that it never depends on earlier
     # requests; b_element recurses once per step, so a stripping as deep as
     # the recursion limit is refused here too
-    core, depth = a, sys.getrecursionlimit()
-    for _ in range(depth):
-        step = dcb._p_step(core)
-        if step is None:
-            break
-        core = step[1]
-    else:
+    core, depth = dcb._core(a), sys.getrecursionlimit()
+    if (sum(a) - sum(core)) // 2 >= depth:
         print(f"error: p0/p1 stripping deeper than {depth} steps", file=sys.stderr)
         return EXIT_RESOURCE
     x, w = core[0], core[3]

@@ -8,14 +8,14 @@ route to B[a]; `layer_table` and `expand_in_b_basis` are built on it.
 `compute_layer`, the triangular algorithm on a whole total-degree layer, is
 kept only as the oracle that `verify layers` and the tests check it
 against; the two share one back-substitution, `_peel`, in the monomial
-basis B[a] is stored in.  The dual PBW basis is an output and check view.
+basis B[a] is stored in.  The dual PBW basis is only an output view.
 
-`b_element` writes B[a] as q^e p1^s B[core] p0^r.  `layer_table` checks
-triangularity on every element it builds, but the sigma condition only
-once per core and once for the p0/p1 facts; each element's eigenvalue is
-then derived from the p0/p1 steps (`_sigma_exponent`).  The on-disk layer
-cache is write-only: every layer is built and checked, and its file is only
-made to hold that build's bytes, never read back into an element.
+`b_element` writes B[a] as q^e p1^s B[core] p0^r, core = `_core(a)`, and
+checks each p0/p1 step's sigma exponent where it builds it.  `layer_table`
+checks triangularity on every element's stored terms, and both conditions
+in full once per core.  The on-disk layer cache is write-only: every layer
+is built and checked, and its file is only made to hold that build's
+bytes, never read back into an element.
 `verify layers` and `check_basis_conditions` check every element in full.
 The frozen powers come from the basis too: `p_power` is B[0,k,0,k] or
 B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
@@ -34,8 +34,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import pbw
-from .qarith import (LaurentQ, add_into, cluster_terms, compare, diff_detail, entry, half_pow,
-                     lq_one, lq_zero, qpow, quantum_binom, split_antisymmetric)
+from .qarith import (add_into, cluster_terms, compare, diff_detail, entry, half_pow, lq_zero,
+                     qpow, quantum_binom, split_antisymmetric)
 
 Exp = tuple
 
@@ -141,19 +141,22 @@ def check_basis_conditions(a: Exp, elem: pbw.PbwElement):
 
 
 def _check_triangular(a: Exp, elem: pbw.PbwElement):
-    """Assert the triangularity condition: E[a] coefficient 1, the rest
-    supported strictly above a with coefficients in qZ[q]."""
-    coeffs = expand_in_dual_pbw(elem)
-    lead = coeffs.get(a)
-    if lead != lq_one():
-        raise AssertionError(f"B[{a}]: leading dual-PBW coefficient is {lead}, not 1")
-    for b, c in coeffs.items():
+    """Assert the triangularity condition (E[a] coefficient 1, the rest
+    strictly above a in qZ[q]) on the stored terms, as E[b] = q^(b(b)) u^b:
+    u^a carries q^(b(a)), any other u^b only even half-exponents of at least
+    2 b(b) + 2.  Messages give coefficients in the E scale."""
+    lead = elem.terms.get(a)
+    if lead != qpow(stat_b(a)):
+        shown = None if lead is None else lead * qpow(-stat_b(a))
+        raise AssertionError(f"B[{a}]: leading dual-PBW coefficient is {shown}, not 1")
+    for b, c in elem.terms.items():
         if b == a:
             continue
         if not order_leq(a, b):
             raise AssertionError(f"B[{a}]: support contains {b} outside S({a})")
-        if not (isinstance(c, LaurentQ) and c.in_q_zq()):
-            raise AssertionError(f"B[{a}]: coefficient {c} at {b} is not in qZ[q]")
+        low = 2 * stat_b(b) + 2
+        if not all(h >= low and h % 2 == 0 for h in c.terms):
+            raise AssertionError(f"B[{a}]: coefficient {c * qpow(-stat_b(b))} at {b} is not in qZ[q]")
 
 
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
@@ -197,21 +200,24 @@ _CHECKED_CORES: dict = {}       # core -> the b_element object that passed the f
 def layer_table(k: int) -> LayerTable:
     """Memoized `b_element`s of one layer.
 
-    Every layer is built, with triangularity checked on every element and
-    the sigma condition by `_sigma_exponent`: one full check per core, then
-    integer arithmetic along the p0/p1 steps, which must give -N(a).  With
-    QCA_CACHE_DIR set, `_save_layer` then makes the layer's cache file hold
-    the build's bytes, rewriting any other file silently; the file is never
-    read back.  A path that cannot be read or written (an `OSError`) is one
-    warning and a miss."""
+    Every layer is built, with triangularity checked on every element's
+    stored terms (no dual-PBW copy) and both conditions in full once per
+    core (`_core`); `b_element` has checked that each p0/p1 step takes the
+    sigma exponent from -N(core) to -N(a).  With QCA_CACHE_DIR set,
+    `_save_layer` then makes the layer's cache file hold the build's bytes,
+    rewriting any other file silently; the file is never read back.  A path
+    that cannot be read or written (an `OSError`) is one warning and a
+    miss."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
         tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
         for a, elem in tab:
             _check_triangular(a, elem)
-            e = _sigma_exponent(a)
-            if e != -stat_n(a):
-                raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
+            c = _core(a)
+            core = b_element(c)
+            if _CHECKED_CORES.get(c) is not core:
+                check_basis_conditions(c, core)
+                _CHECKED_CORES[c] = core
         cache_dir = os.environ.get("QCA_CACHE_DIR")
         if cache_dir:
             try:
@@ -221,6 +227,13 @@ def layer_table(k: int) -> LayerTable:
                       file=sys.stderr)
         _LAYER_TABLES[k] = tab
     return tab
+
+
+def _core(a: Exp) -> Exp:
+    """The core `b_element` strips a to: a minus r = min(a2, a0) steps p0
+    and s = min(a3, a1) steps p1."""
+    r, s = min(a[1], a[3]), min(a[0], a[2])
+    return (a[0] - s, a[1] - r, a[2] - s, a[3] - r)
 
 
 def _p_step(a: Exp):
@@ -250,31 +263,6 @@ def _p_facts():
             raise AssertionError(f"the p0/p1 fact table does not hold for {p}")
         out.append((eps, chi))
     return tuple(out)
-
-
-def _sigma_exponent(a: Exp) -> int:
-    """The e with sigma(B[a]) = q^e B[a], for B[a] as `b_element` builds it.
-
-    sigma is an anti-automorphism that bars coefficients, and p0, p1 are
-    sigma eigenvectors whose q-commutation with a homogeneous x is linear in
-    its root weight (`_p_facts`).  So B[a] = q^t B[c] p0 gives
-    e(a) = -2t + eps0 + e(c) + chi0(wt c), and B[a] = q^t p1 B[c] gives
-    e(a) = -2t + eps1 + e(c) - chi1(wt c).  The core's B gets the full check
-    once per process (again only if `b_element` hands back another object)
-    and contributes -N(core)."""
-    facts = _p_facts()
-    e = 0
-    while (step := _p_step(a)) is not None:
-        which, a, t = step
-        eps, (x, y) = facts[which]
-        w1, w2 = pbw.exp_root_weight(a)
-        chi = x * w1 + y * w2
-        e += -2 * t + eps + (chi if which == 0 else -chi)
-    core = b_element(a)
-    if _CHECKED_CORES.get(a) is not core:
-        check_basis_conditions(a, core)
-        _CHECKED_CORES[a] = core
-    return e - stat_n(a)
 
 
 def _layer_path(k: int, cache_dir) -> Path:
@@ -319,6 +307,12 @@ def b_element(a) -> pbw.PbwElement:
     (x, 0, 0, w), a quantum cluster monomial.
     Convention: any negative coordinate gives 0.
 
+    Each p0/p1 step checks its sigma exponent where it is built: sigma bars
+    coefficients and reverses products, so by `_p_facts` and
+    sigma(B[c]) = q^(-N(c)) B[c], the exponent of q^t B[c] p0 is
+    -2t + eps0 + chi0(wt c) - N(c), and of q^t p1 B[c] is
+    -2t + eps1 - chi1(wt c) - N(c); each must be -N(a).
+
     Every p0/p1 step and every near-diagonal step multiplies by a factor
     that q-commutes with each letter it passes (x p0, p1 x, x u0, x u1,
     u2 x, u3 x), so it is a `pbw.q_product` with the step's q^t folded in
@@ -335,6 +329,11 @@ def b_element(a) -> pbw.PbwElement:
     step = _p_step(a)
     if step is not None:
         which, c, t = step
+        eps, (x, y) = _p_facts()[which]
+        w1, w2 = pbw.exp_root_weight(c)
+        e = -2 * t + eps + (1 if which == 0 else -1) * (x * w1 + y * w2) - stat_n(c)
+        if e != -stat_n(a):
+            raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
         res = pbw.q_product(b_element(c), pbw.X_P0 if which == 0 else pbw.P1_X, t)
     elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
         res = dual_pbw(a)  # order-maximal shapes: B = E

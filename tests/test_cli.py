@@ -203,6 +203,12 @@ def test_refused_compute_builds_nothing(monkeypatch, capsys):
     code, out, err = run(["compute", "7", "1", "0", "3"], capsys)
     assert (code, out, err) == (3, "", "error: layer 9 exceeds cap 8\n")
     assert dcb._B_CACHE == {}
+    # a stripping exactly as deep as the recursion limit, split between p0 and p1
+    depth = sys.getrecursionlimit()
+    r, s = depth // 2, depth - depth // 2
+    code, out, err = run(["compute", str(s), str(r), str(s), str(r)], capsys)
+    assert (code, out, err) == (3, "", f"error: p0/p1 stripping deeper than {depth} steps\n")
+    assert dcb._B_CACHE == {}
 
 
 # the bounds each suite's runner reads ("n" for --n-max, "k" for --k-max)

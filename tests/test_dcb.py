@@ -205,7 +205,10 @@ def test_b_element_equals_the_straightened_build():
 
 @pytest.mark.parametrize("a", [(14, 0, 0, 14), (15, 2, 1, 16)])
 def test_near_diagonal_cores_and_p_steps_need_no_straightening(monkeypatch, a):
-    # (15,2,1,16) strips two p0's and one p1 down to the core (14,0,0,14)
+    # (15,2,1,16) strips two p0's and one p1 down to the core (14,0,0,14);
+    # the one-time check of the p0/p1 facts that a first p-step runs
+    # straightens, so it is run before the straightening memo is swapped
+    dcb._p_facts()
     monkeypatch.setattr(dcb, "_B_CACHE", {})
     monkeypatch.setattr(pbw, "_GEN_CACHE", {})
     dcb.b_element(a)
@@ -372,12 +375,6 @@ def _cold_layers(monkeypatch):
     dcb._p_facts.cache_clear()
 
 
-def _core(a):
-    """The core b_element strips a to: a minus min(a2, a0) p0's and min(a3, a1) p1's."""
-    m1, m0 = min(a[0], a[2]), min(a[1], a[3])
-    return (a[0] - m1, a[1] - m0, a[2] - m1, a[3] - m0)
-
-
 @pytest.mark.parametrize("k", [2, 4])
 def test_layer_table_refuses_a_core_with_the_wrong_eigenvalue(monkeypatch, k):
     # E[1,0,0,1] passes the triangular check but is no sigma eigenvector;
@@ -399,6 +396,84 @@ def test_layer_table_refuses_a_p_multiple_whose_lead_is_not_one(monkeypatch):
         dcb.layer_table(4)
 
 
+def _triangular_in_e(a, elem):
+    """The triangularity check in the dual PBW basis, as it read before it
+    moved to the stored terms; the reference for `dcb._check_triangular`."""
+    coeffs = dcb.expand_in_dual_pbw(elem)
+    lead = coeffs.get(a)
+    if lead != lq_one():
+        raise AssertionError(f"B[{a}]: leading dual-PBW coefficient is {lead}, not 1")
+    for b, c in coeffs.items():
+        if b == a:
+            continue
+        if not dcb.order_leq(a, b):
+            raise AssertionError(f"B[{a}]: support contains {b} outside S({a})")
+        if not (isinstance(c, qarith.LaurentQ) and c.in_q_zq()):
+            raise AssertionError(f"B[{a}]: coefficient {c} at {b} is not in qZ[q]")
+
+
+def _verdict(check, a, elem):
+    """None if `check` passes, else its message."""
+    try:
+        check(a, elem)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+# B[2,0,0,1] = q u3^2 u0 - (q^3 + q) u3 u2 u1 + q^5 u2^3, damaged one way each;
+# b(0,3,0,0) = 3, so q^5 is q^2 in the E scale
+_TRI = (2, 0, 0, 1)
+_DAMAGES = {
+    "outside-S": ({(3, 0, 0, 0): qpow(4)}, r"support contains \(3, 0, 0, 0\) outside S"),
+    "constant": ({(0, 3, 0, 0): qpow(3)}, r"coefficient 1 at \(0, 3, 0, 0\) is not in qZ\[q\]"),
+    "inverse-q": ({(0, 3, 0, 0): qpow(2)}, r"coefficient q\^-1 at \(0, 3, 0, 0\) is not in qZ\[q\]"),
+    "odd-half-power": ({(0, 3, 0, 0): qarith.half_pow(9)},
+                       r"coefficient q\^\(3/2\) at \(0, 3, 0, 0\) is not in qZ\[q\]"),
+    "wrong-lead": ({_TRI: qpow(2)}, r"leading dual-PBW coefficient is q, not 1"),
+    "missing-lead": ({_TRI: None}, r"leading dual-PBW coefficient is None, not 1"),
+}
+
+
+def _damaged(changes):
+    terms = dict(B(*_TRI).terms)
+    for b, c in changes.items():
+        if c is None:
+            del terms[b]
+        else:
+            terms[b] = c
+    return pbw.PbwElement(terms)
+
+
+@pytest.mark.parametrize("name", list(_DAMAGES))
+def test_triangular_check_refuses_each_damage(name):
+    changes, message = _DAMAGES[name]
+    bad = _damaged(changes)
+    with pytest.raises(AssertionError, match=re.escape(f"B[{_TRI}]: ") + message) as exc:
+        dcb._check_triangular(_TRI, bad)
+    assert str(exc.value) == _verdict(_triangular_in_e, _TRI, bad)
+
+
+def test_triangular_check_agrees_with_the_e_view_on_layers():
+    for k in range(12):
+        for a in dcb.layer_exponents(k):
+            elem = B(*a)
+            assert _verdict(dcb._check_triangular, a, elem) is None, a
+            assert _verdict(_triangular_in_e, a, elem) is None, a
+
+
+def test_basis_checks_never_expand_in_the_dual_pbw_basis(monkeypatch):
+    # E is an output view: neither a cold layer_table nor the full check uses it
+    def refuse(x):
+        raise AssertionError("expand_in_dual_pbw called")
+
+    _cold_layers(monkeypatch)
+    monkeypatch.setattr(dcb, "expand_in_dual_pbw", refuse)
+    for k in range(9):
+        for a, elem in dcb.layer_table(k):
+            dcb.check_basis_conditions(a, elem)
+
+
 def test_layer_table_refuses_a_wrong_derived_exponent(monkeypatch):
     # a p0 eigenvalue off by one makes every p0-multiple's exponent miss -N(a)
     _cold_layers(monkeypatch)
@@ -415,10 +490,27 @@ def test_p_facts_refuse_a_wrong_table(monkeypatch):
         dcb._p_facts()
 
 
-def test_derived_sigma_exponent_is_minus_n():
-    for k in range(12):
-        for a in dcb.layer_exponents(k):
-            assert dcb._sigma_exponent(a) == -dcb.stat_n(a), a
+def test_core_is_where_the_p_step_walk_ends():
+    exps = [a for k in range(15) for a in dcb.layer_exponents(k)]
+    for a in exps + [(0, 1200, 0, 1200), (5, 900, 3, 901)]:
+        c = a
+        while (step := dcb._p_step(c)) is not None:
+            c = step[1]
+        assert dcb._core(a) == c, a
+
+
+@pytest.mark.parametrize("which, a", [(0, (0, 1, 0, 1)), (1, (1, 0, 1, 0))], ids=["p0", "p1"])
+def test_b_element_checks_each_p_step(monkeypatch, which, a):
+    # a p0 (p1) eigenvalue off by one: the first p-step b_element builds
+    # misses -N(a), with no layer_table involved
+    _cold_layers(monkeypatch)
+    facts = list(dcb._p_facts())
+    eps, chi = facts[which]
+    facts[which] = (eps + 1, chi)
+    monkeypatch.setattr(dcb, "_p_facts", lambda: tuple(facts))
+    with pytest.raises(AssertionError, match=re.escape(f"B[{a}]: derived sigma exponent")):
+        dcb.b_element(a)
+    assert dcb._B_CACHE == {}
 
 
 def test_cold_layer_table_runs_sigma_once_per_core(monkeypatch):
@@ -434,7 +526,7 @@ def test_cold_layer_table_runs_sigma_once_per_core(monkeypatch):
         _cold_layers(monkeypatch)
         calls.clear()
         tab = dcb.layer_table(k)
-        cores = {_core(a) for a in dcb.layer_exponents(k)}
+        cores = {dcb._core(a) for a in dcb.layer_exponents(k)}
         # one sigma per distinct core, plus sigma(p0) and sigma(p1)
         assert len(calls) <= len(cores) + 2, (k, len(calls), len(cores))
         calls.clear()
@@ -562,7 +654,7 @@ def test_cached_layer_table_runs_sigma_once_per_core(tmp_path, monkeypatch):
         monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
         calls.clear()
         assert dcb.layer_table(k).entries == want[k]
-        cores = {_core(a) for a in dcb.layer_exponents(k)}
+        cores = {dcb._core(a) for a in dcb.layer_exponents(k)}
         assert len(calls) <= len(cores) + 2, (k, len(calls), len(cores))
     assert _file_state(tmp_path) == filled  # a hit writes nothing
 
