@@ -38,7 +38,8 @@ EXIT_RESOURCE = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
 # each verify suite: its default bounds (--n-max / --k-max override them; a
-# bound the suite does not read stays None) and its runner, run(n_max, k_max,
+# bound the suite does not read stays None, and naming it for that suite
+# alone is a usage error) and its runner, run(n_max, k_max,
 # seed, mode) -> entries.  A runner looks its checks up as module attributes
 # when it runs, so a check rebound on its module after import is the one called.
 _SUITE_TABLE = {
@@ -164,6 +165,14 @@ def cmd_verify(args, parser) -> int:
     if args.mode is not None and args.suite not in ("serre", "all"):
         print(f"error: --mode applies to the serre suite, not {args.suite}", file=sys.stderr)
         return EXIT_USAGE
+    if args.suite != "all":
+        defaults = _SUITE_TABLE[args.suite][0]
+        unread = [flag for flag, key in (("--n-max", "n_max"), ("--k-max", "k_max"))
+                  if getattr(args, key) is not None and key not in defaults]
+        if unread:
+            print(f"error: the {args.suite} suite reads no {' or '.join(unread)}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     names = list(SUITES) if args.suite == "all" else [args.suite]
     params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
               "mode": args.mode}

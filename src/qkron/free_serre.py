@@ -10,22 +10,37 @@ Exact mode maps an element by the quantum shuffle map (`shuffle_image`),
 an algebra map into the quantum shuffle algebra whose kernel is exactly the
 Serre ideal (Rosso 1998; Leclerc 2004): x is a member iff its image is 0.
 Probabilistic mode, kept as an independent oracle, is finite linear
-algebra over the spanning set {w * S * w' : S in {S1, S2}} of the weight
-component: S2 is S1 with the letters swapped, and a row joins the words
-onto S (`_serre_row`).  It evaluates every row at several seeded points
-q = t modulo the prime p = 2^61 - 1 (`PRIME`), with t drawn from
-[2, p - 1], and eliminates the rows over the field GF(p) with monic
-pivots.  Each word is keyed once per weight by an int that orders the
-words of one length as tuples do.  Membership is reported iff every
-evaluation succeeds.
+algebra over the weight component I_w of the ideal, spanned by
+{u * S * u' : S in {S1, S2}} (`spanning_set`; S2 is S1 with the letters
+swapped, and a row joins the words onto S, `_serre_row`).  It works at
+several seeded points q = t modulo the prime p = 2^61 - 1 (`PRIME`), with
+t drawn from [2, p - 1], over the field GF(p) with monic pivots, and
+reports membership iff every evaluation succeeds.
 
-Over Q(q), x is a member iff its row leaves the rank r of the span
-unchanged.  A wrong answer at one point needs a nonzero r x r minor of the
-span, or (r + 1) x (r + 1) minor with x, to vanish at q = t modulo p: t is
-a root mod p of that minor times a power of q, a polynomial over Z of
-degree at most 4 r + e (a span row's exponents lie in [-2, 2], e is the
-exponent span of x; 2784 at (7,5)), or p divides all of its coefficients.
-A uniform t hits such a root with probability at most (4 r + e) / (p - 2)
+At each point the echelon basis of I_w is built up the weight grid
+(a, b) <= w (`_grid_echelon`).  A spanning row u * S * u' with u' = u'' c
+nonempty is (u * S * u'') c, so
+
+    I_(a,b) = I_(a-1,b) E1 + I_(a,b-1) E2 + span{u * S : S at the right end}.
+
+A word x_0 ... x_(n-1) is keyed by sum x_i 2^i (`_word_key`), from its
+last letter: keys order the words of one length as their reversals do,
+appending a letter c is the shift key(u c) = key(u) + c 2^(len u), and
+key(u S) = key(u) + key(S) 2^(len u).  The pivots of the two neighbouring
+cells, shifted by E1 and E2, are already an echelon basis, because the
+two blocks end in different letters and so have disjoint keys; only the
+rows u * S are reduced against them.  S1 and S2 are evaluated once per
+point.
+
+The grid spans, at q = t, exactly the space the evaluated spanning rows
+span, so the bound below is the one for eliminating those rows.  Over
+Q(q), x is a member iff its row leaves the rank r of the span unchanged.
+A wrong answer at one point needs a nonzero r x r minor of the span, or
+(r + 1) x (r + 1) minor with x, to vanish at q = t modulo p: t is a root
+mod p of that minor times a power of q, a polynomial over Z of degree at
+most 4 r + e (a span row's exponents lie in [-2, 2], e is the exponent
+span of x; 2784 at (7,5)), or p divides all of its coefficients.  A
+uniform t hits such a root with probability at most (4 r + e) / (p - 2)
 < 2^-49 (Schwartz 1980; Zippel 1979).
 
 Words are tuples over the alphabet {1, 2} (the letters E1, E2); the weight
@@ -173,10 +188,10 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
     quantum Serre ideal, up to total weight `DEFAULT_WEIGHT_CAP`.
 
     mode "exact" asks whether `shuffle_image(x)` is zero; "probabilistic"
-    eliminates the rows of the weight component's spanning set modulo
-    `PRIME` at `PROBABILISTIC_POINTS` seeded values of q and reports
-    membership iff all evaluations succeed.  The default picks exact for
-    total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
+    reduces x against the echelon basis of the ideal's weight component
+    modulo `PRIME` (`_grid_echelon`) at `PROBABILISTIC_POINTS` seeded
+    values of q and reports membership iff all evaluations succeed.  The
+    default picks exact for total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
     """
     if mode not in (None, "exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -273,17 +288,13 @@ def _reduce(row, basis):
 
 
 def _word_key(word) -> int:
-    """sum x_i 2^(n-1-i) over the letters x_i of a word of length n: an int
-    that orders the words of one length as their tuples do."""
+    """sum x_i 2^i over the letters x_i of a word: an int that orders the
+    words of one length as their reversals do, with
+    key(u c) = key(u) + c 2^(len u)."""
     k = 0
-    for c in word:
+    for c in reversed(word):
         k = 2 * k + c
     return k
-
-
-def _keyed(terms) -> dict:
-    """A coefficient dict with each word replaced by its `_word_key`."""
-    return {_word_key(k): c for k, c in terms.items()}
 
 
 def _probabilistic_points(seed) -> list:
@@ -298,28 +309,42 @@ def _probabilistic_points(seed) -> list:
     return points
 
 
-def _echelon_at(span_terms, t) -> dict:
-    """The echelon basis over GF(PRIME) of the span rows at q = t: lead key
-    -> monic pivot row.  Each row is reduced in span order and, if anything
-    is left, scaled to lead 1 and stored."""
-    basis = {}
-    for terms in span_terms:
-        row = _reduce(_eval_row(terms, t), basis)
-        if row:
-            lead = max(row)
-            inv = pow(row[lead], -1, PRIME)
-            basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
-    return basis
+def _grid_echelon(w, t) -> dict:
+    """The echelon basis over GF(PRIME) of the ideal's weight component w
+    at q = t: lead key -> monic pivot row.  Built cell by cell over the
+    grid (a, b) <= w: the pivots of (a-1, b) and (a, b-1) shifted by the
+    appended E1 and E2, then each row u * S reduced against them and, if
+    anything is left, scaled to lead 1 and stored."""
+    relators = [(s.weight(), _eval_row({_word_key(k): c for k, c in s.terms.items()}, t))
+                for s in serre_relators()]
+    grid = {}
+    for a in range(w[0] + 1):
+        for b in range(w[1] + 1):
+            basis = {}
+            for c, prev in ((E1, grid.get((a - 1, b))), (E2, grid.get((a, b - 1)))):
+                if prev:
+                    shift = c << (a + b - 1)
+                    for lead, row in prev.items():
+                        basis[lead + shift] = {k + shift: v for k, v in row.items()}
+            for (r1, r2), s in relators:
+                if a < r1 or b < r2:
+                    continue
+                n = a + b - r1 - r2
+                for u in words_of_weight(a - r1, b - r2):
+                    ku = _word_key(u)
+                    row = _reduce({(k << n) + ku: v for k, v in s.items()}, basis)
+                    if row:
+                        lead = max(row)
+                        inv = pow(row[lead], -1, PRIME)
+                        basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
+            grid[a, b] = basis
+    return grid[w]
 
 
 def _membership_probabilistic(x, w, seed) -> MembershipResult:
-    span = spanning_set(w)
-    if not span:
-        return MembershipResult(False, "probabilistic", w)
-    span_terms = [_keyed(elem.terms) for _label, elem in span]
-    x_terms = _keyed(x.terms)
+    x_terms = {_word_key(k): c for k, c in x.terms.items()}
     for t in _probabilistic_points(seed):
-        if _reduce(_eval_row(x_terms, t), _echelon_at(span_terms, t)):
+        if _reduce(_eval_row(x_terms, t), _grid_echelon(w, t)):
             return MembershipResult(False, "probabilistic", w)
     return MembershipResult(True, "probabilistic", w)
 

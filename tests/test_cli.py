@@ -327,6 +327,19 @@ def test_verify_mode_on_a_suite_without_modes_exits_2(suite, mode, monkeypatch, 
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("suite, flag", [
+    (name, flag) for name, (defaults, _) in cli._SUITE_TABLE.items()
+    for flag, key in (("--n-max", "n_max"), ("--k-max", "k_max")) if key not in defaults])
+def test_verify_bound_a_suite_does_not_read_exits_2(suite, flag, monkeypatch, capsys):
+    def fail(name, params):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    code, out, err = run(["verify", suite, flag, "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: the {suite} suite reads no {flag}\n"
+
+
 # with stdout block-buffered, all but layer 8 fit in the buffer and fail at main's
 # flush; layer 8 fails in a print
 @pytest.mark.parametrize("argv", [["compute", "1", "0", "1", "0"],

@@ -227,25 +227,79 @@ def _kostant_count(n1, n2):
     return ways[n1][n2]
 
 
+def _keyed(terms) -> dict:
+    """A coefficient dict with each word replaced by its `_word_key`."""
+    return {fs._word_key(k): c for k, c in terms.items()}
+
+
+def _flat_echelon(rows, t) -> dict:
+    """The reference elimination: the echelon basis over GF(PRIME) of keyed
+    rows at q = t, each row reduced in order and, if anything is left,
+    stored scaled to lead 1."""
+    basis = {}
+    for terms in rows:
+        row = fs._reduce(fs._eval_row(terms, t), basis)
+        if row:
+            lead = max(row)
+            inv = pow(row[lead], -1, fs.PRIME)
+            basis[lead] = {k: v * inv % fs.PRIME for k, v in row.items()}
+    return basis
+
+
+def _assert_monic_echelon(basis):
+    for lead, row in basis.items():
+        assert lead == max(row) and row[lead] == 1
+        assert all(0 < v < fs.PRIME for v in row.values())
+
+
 @pytest.mark.parametrize("w, rank", [((5, 3), 35), ((6, 4), 162), ((7, 5), 693)])
 def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
     # the quotient by the Serre ideal is U^+ of affine sl2, whose weight
     # component has the Kostant partition count as its dimension; the ideal
     # component, the rank of the span, is what is left of the words
     assert rank == len(fs.words_of_weight(*w)) - _kostant_count(*w)
-    span_terms = [fs._keyed(e.terms) for _, e in fs.spanning_set(w)]
+    span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
     for t in fs._probabilistic_points(0):
-        basis = fs._echelon_at(span_terms, t)
+        basis = _flat_echelon(span_terms, t)
         assert len(basis) == rank, t
-        for lead, row in basis.items():
-            assert lead == max(row) and row[lead] == 1
-            assert all(0 < v < fs.PRIME for v in row.values())
+        _assert_monic_echelon(basis)
+
+
+def test_grid_echelon_rank_in_every_cell_up_to_7_5():
+    for t in fs._probabilistic_points(0):
+        for a in range(8):
+            for b in range(6):
+                basis = fs._grid_echelon((a, b), t)
+                assert len(basis) == len(fs.words_of_weight(a, b)) - _kostant_count(a, b), (a, b)
+                _assert_monic_echelon(basis)
+
+
+@pytest.mark.parametrize("w", [(5, 3), (6, 4), (7, 5), (5, 5), (8, 4)])
+def test_grid_echelon_spans_the_spanning_rows(w):
+    # the grid and the reference elimination over the spanning rows give
+    # the same space at each point: equal rank, and each basis reduces the
+    # other's rows to zero
+    span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
+    for t in fs._probabilistic_points(0):
+        grid, flat = fs._grid_echelon(w, t), _flat_echelon(span_terms, t)
+        assert len(grid) == len(flat) == len(fs.words_of_weight(*w)) - _kostant_count(*w)
+        assert not any(fs._reduce(dict(row), flat) for row in grid.values())
+        assert not any(fs._reduce(fs._eval_row(terms, t), grid) for terms in span_terms)
 
 
 def test_word_keys_order_words_of_one_length():
-    words = sorted(fs.words_of_weight(5, 4))
-    keys = [fs._word_key(u) for u in words]
-    assert keys == sorted(keys) and len(set(keys)) == len(words)
+    # keys order the words of one length as their reversals do; appending a
+    # letter c to u adds c 2^len(u), and joining v onto u adds key(v) 2^len(u)
+    words = fs.words_of_weight(5, 4)
+    assert sorted(words, key=fs._word_key) == sorted(words, key=lambda u: u[::-1])
+    assert len({fs._word_key(u) for u in words}) == len(words)
+    rng = random.Random(43)
+    for _ in range(50):
+        u = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8)))
+        v = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8)))
+        for c in (1, 2):
+            assert fs._word_key(u + (c,)) == fs._word_key(u) + c * 2 ** len(u)
+        assert fs._word_key(u + v) == fs._word_key(u) + fs._word_key(v) * 2 ** len(u)
 
 
 def test_probabilistic_points_are_distinct_field_elements_fixed_by_the_seed():
@@ -304,9 +358,9 @@ def test_shuffle_kernel_is_the_ideal_at_5_3():
     # q = 2, so the kernel is no larger than the ideal's 35 dimensions
     w = (5, 3)
     assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
-    images = [fs._keyed(fs.shuffle_image(fs.FreeElement.word(u)).terms)
+    images = [_keyed(fs.shuffle_image(fs.FreeElement.word(u)).terms)
               for u in fs.words_of_weight(*w)]
-    assert len(fs._echelon_at(images, 2)) == _kostant_count(*w) == 21
+    assert len(_flat_echelon(images, 2)) == _kostant_count(*w) == 21
 
 
 def test_exact_decides_the_large_differences():
