@@ -171,11 +171,6 @@ def var(name: str, e: int = 1) -> CPoly:
     return CPoly({tuple(exp): 1})
 
 
-def u_monomial(a) -> CPoly:
-    """The commutative monomial U3^a3 U2^a2 U1^a1 U0^a0 for (a3,a2,a1,a0)."""
-    return CPoly({(a[0], a[1], a[2], a[3], 0, 0): 1})
-
-
 U3, U2, U1, U0 = (var("U3"), var("U2"), var("U1"), var("U0"))
 P0_SYM, P1_SYM = var("P0"), var("P1")
 

@@ -4,7 +4,11 @@ verification suites, and print cluster/layer tables.
 Exit codes are the machine contract: 0 success, 1 an identity `verify`
 checks failed (nothing else), 2 usage error, 3 a resource cap was hit or
 memory ran out, 141 (128 + SIGPIPE, as `cat` gives) the reader closed
-stdout.  `main` calls the handler each
+stdout.  A request whose first argument names a command goes straight to
+that command's parser (`build_parser` keeps them in the map `commands` on
+the parser it returns), with the namespace the top-level parser would pass
+it; the top-level parser reads every other request: no argument, `-h`, an
+unknown command or `--`.  `main` calls the handler each
 subcommand names and flushes stdout; a `RecursionError` or `MemoryError`
 from any of them is exit 3, and a `BrokenPipeError` is exit 141 with
 nothing on stderr.  The layer cache (`QCA_CACHE_DIR`) is write-only and
@@ -144,8 +148,7 @@ def cmd_product(args, parser) -> int:
         print(f"error: product lives on layer {k} > --max-layer {args.max_layer}",
               file=sys.stderr)
         return EXIT_RESOURCE
-    coeffs = dcb.expand_in_b_basis(dcb.b_element(a) * dcb.b_element(b))
-    items = sorted(coeffs.items(), reverse=True)
+    items = sorted(dcb.b_product(a, b).items(), reverse=True)
     if args.format == "json":
         print(json.dumps({"a": list(a), "b": list(b),
                           "terms": [{"c": list(e), "coef": str(v)} for e, v in items]}))
@@ -281,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=("text", "json", "latex"), default="text")
     t.add_argument("--max-layer", type=int, default=8)
     t.set_defaults(handler=cmd_table)
+    p.commands = {"compute": c, "product": pr, "verify": v, "table": t}
     return p
 
 
@@ -293,7 +297,10 @@ def main(argv=None) -> int:
         # looked up by name at the call, so a wrapped `build_parser` is the one run
         _PARSER = build_parser()
     parser = _PARSER
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    args, extra = (parser.parse_known_args(argv) if sub is None
+                   else sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
     if args.command == "table" and args.range is None:
         extra = [x for x in extra if x != "--"]
         if len(extra) != 1:

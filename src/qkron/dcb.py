@@ -249,6 +249,16 @@ def _p_step(a: Exp):
     return None
 
 
+def _p_exponent(a: Exp) -> int:
+    """The e with B[a] = q^e p1^s B[_core(a)] p0^r, the sum of the q^t of
+    `_p_step`'s walk: the j-th of the r steps p0 has t = a2 + 2a1 + 3a0 - 4j,
+    the j-th of the s steps p1 then t = 3a3 + 2(a2 - r) + a1 - 4j."""
+    a3, a2, a1, a0 = a
+    r, s = min(a2, a0), min(a3, a1)
+    return (r * (a2 + 2 * a1 + 3 * a0) - 2 * r * (r + 1)
+            + s * (3 * a3 + 2 * (a2 - r) + a1) - 2 * s * (s + 1))
+
+
 @lru_cache(maxsize=None)
 def _p_facts():
     """((eps0, chi0), (eps1, chi1)), checked once per process: sigma(p) =
@@ -376,6 +386,33 @@ def b_element(a) -> pbw.PbwElement:
 def expand_in_b_basis(x: pbw.PbwElement) -> dict:
     """Coefficients d_a with x = sum d_a B[a], by `_peel` on x's terms."""
     return _peel(dict(x.terms), b_element)
+
+
+def b_product(a: Exp, b: Exp) -> dict:
+    """Coefficients d_g with B[a] B[b] = sum d_g B[g], a and b in N^4,
+    through the p0/p1-stripped cores.
+
+    B[a] = q^E(a) p1^S B[c] p0^R with c = `_core(a)`, E = `_p_exponent`, and
+    B[b] = q^E(b) p1^S' B[c'] p0^R' likewise.  Moving p0^R past p1^S'
+    (p0 p1 = q^-4 p1 p0, `pbw.P0_P1_COMMUTE`), B[c] past p1^S' and p0^R
+    past B[c'] (`_p_facts`) gives B[a] B[b] = q^X p1^(S+S') B[c] B[c'] p0^(R+R'), with
+    X = E(a) + E(b) - 4RS' + R chi0(wt c') - S' chi1(wt c).  Each term B[f]
+    of the core product then goes to p1^(S+S') B[f] p0^(R+R') =
+    q^(E(f) - E(g)) B[g], g = f + (S+S')(1,0,1,0) + (R+R')(0,1,0,1), since g
+    strips to f's core.  `expand_in_b_basis(b_element(a) * b_element(b))`
+    is the oracle the tests check this against."""
+    (_, (x0, y0)), (_, (x1, y1)) = _p_facts()
+    c, d = _core(a), _core(b)
+    (w1, w2), (v1, v2) = pbw.exp_root_weight(c), pbw.exp_root_weight(d)
+    (s, r), (s2, r2) = (a[0] - c[0], a[1] - c[1]), (b[0] - d[0], b[1] - d[1])
+    x = (_p_exponent(a) + _p_exponent(b) + pbw.P0_P1_COMMUTE * r * s2
+         + r * (x0 * v1 + y0 * v2) - s2 * (x1 * w1 + y1 * w2))
+    m, n = s + s2, r + r2
+    out = {}
+    for f, v in expand_in_b_basis(b_element(c) * b_element(d)).items():
+        g = (f[0] + m, f[1] + n, f[2] + m, f[3] + n)
+        out[g] = v * qpow(x + _p_exponent(f) - _p_exponent(g))
+    return out
 
 
 # -- verification suites -------------------------------------------------------

@@ -262,15 +262,15 @@ class PbwElement(Terms):
         return _element(_horner(terms, 3, {}))
 
     def specialize_q1(self):
-        """Image in the commutative polynomial ring Z[U0..U3] at q = 1."""
+        """Image in the commutative polynomial ring Z[U0..U3] at q = 1: the
+        term c u^a goes to c(1) U^a, the key a + (0, 0) in `classical.VARS`
+        order, and a term with c(1) = 0 to nothing."""
         from . import classical
 
-        out = {}
-        for a, c in self.terms.items():
-            if not c.is_integral():
-                raise ValueError("element has odd half-powers of q; no q = 1 image")
-            add_into(out, classical.u_monomial(a).terms, c.at_q1())
-        return classical.CPoly._raw(out)
+        if not self.is_integral():
+            raise ValueError("element has odd half-powers of q; no q = 1 image")
+        at1 = ((a + (0, 0), c.at_q1()) for a, c in self.terms.items())
+        return classical.CPoly._raw({e: v for e, v in at1 if v})
 
     # -- text and JSON forms --------------------------------------------------
 

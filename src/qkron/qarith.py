@@ -324,11 +324,6 @@ class LaurentQ(Terms):
         """True iff the element lies in Z[q, q^(-1)] (all keys even)."""
         return all(h % 2 == 0 for h in self.terms)
 
-    def in_q_zq(self) -> bool:
-        """True iff the element lies in qZ[q]: only strictly positive
-        integral powers of q."""
-        return all(h >= 2 and h % 2 == 0 for h in self.terms)
-
     def constant_term(self):
         return self.terms.get(0, 0)
 

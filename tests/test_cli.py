@@ -399,6 +399,40 @@ def test_u0_power_past_u3_answers_in_three_terms(argv, want, capsys):
     assert time.time() - t0 < 2
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["product", "0", "30", "0", "30", "30", "0", "30", "0", "--max-layer", "200"],
+     "B[0,30,0,30]*B[30,0,30,0] = (q^-5400)*B[30,30,30,30]"),
+    (["product", "507", "0", "500", "2", "0", "0", "0", "0", "--max-layer", "2000"],
+     "B[507,0,500,2]*B[0,0,0,0] = B[507,0,500,2]"),
+], ids=["p1-p0-powers", "p1-power"])
+def test_product_of_p_powers_answers_through_the_cores(argv, want, capsys):
+    import time
+
+    t0 = time.time()
+    assert run(argv, capsys) == (0, want + "\n", "")
+    assert time.time() - t0 < 2
+
+
+_P8 = ["1", "0", "0", "0", "0", "0", "0", "1"]
+
+# requests at the edges of the dispatch: no command, help, unknown or
+# abbreviated commands, `--`, bad choices and counts, negative ranges and
+# trailing extras; (argv, expected exit code)
+_DISPATCH_EDGES = [
+    ([], 2), (["-h"], 0), (["bogus"], 2), (["comp", "1", "0", "0", "1"], 2),
+    (["--", "compute", "1", "0", "0", "1"], 2), (["-x", "compute", "1", "0", "0", "1"], 2),
+    (["compute", "1", "0", "0", "1", "-h"], 0), (["compute", "-h"], 0), (["product", "--help"], 0),
+    (["compute", "1", "0", "0", "1", "--format", "yaml"], 2),
+    (["product", *_P8, "--format", "latex"], 2), (["verify", "nosuch"], 2),
+    (["table", "grid", "1..2"], 2), (["compute", "1", "0", "0"], 2), (["product", *_P8[:7]], 2),
+    (["compute", "1", "0", "0", "x"], 2), (["table", "layer", "-1..2"], 2),
+    (["table", "layer", "0..2"], 0), (["table", "cluster", "-2..1"], 0),
+    (["table", "cluster", "--", "-2..1"], 0), (["compute", "--", "1", "0", "0", "1"], 0),
+    (["compute", "1", "0", "0", "1", "extra"], 2), (["product", *_P8, "--bogus"], 2),
+    (["table", "layer", "1", "2"], 2), (["verify", "serre", "--k-max", "2"], 2),
+]
+
+
 def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     """One process serving a sequence of requests prints what a fresh
     interpreter prints for each, and builds the parser once."""
@@ -410,11 +444,13 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
         (["table", "cluster", "-3..1", "--bogus"], 2),
         (["table", "cluster", "-3..1"], 0),
         (["verify", "recursions"], 0),
-    ]
+    ] + _DISPATCH_EDGES
     built = []
     real_build = cli.build_parser
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    # usage and help wrap at the same width in both processes, terminal or not
+    monkeypatch.setenv("COLUMNS", "80")
     outputs = []
     for argv, want_code in sequence:
         try:
@@ -423,7 +459,7 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
             code = exc.code
         got = capsys.readouterr()
         want = subprocess.run([sys.executable, "-m", "qkron.cli", *argv],
-                              capture_output=True, text=True, env=_ENV)
+                              capture_output=True, text=True, env=dict(_ENV, COLUMNS="80"))
         assert code == want.returncode == want_code, argv
         assert (got.out, got.err) == (want.stdout, want.stderr), argv
         outputs.append(got.out)
@@ -431,6 +467,29 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     assert outputs[1].strip() == str(dcb.b_element((2, 0, 0, 1)))
     assert json.loads(outputs[4])["ok"] is True
     assert len(built) == 1
+
+
+def test_known_commands_skip_the_top_level_parser(monkeypatch, capsys):
+    # a request naming a command goes straight to that command's parser; the
+    # top-level parser still reads no argument, help and an unknown command
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert cli.main(["compute", "0", "0", "0", "0"]) == 0
+    reached = []
+
+    def refuse(args=None, namespace=None):
+        reached.append(args)
+        raise RuntimeError("top-level parser reached")
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    for argv in (["compute", "1", "0", "0", "1"], ["product", *_P8, "--format", "json"],
+                 ["verify", "recursions", "--n-max", "1"], ["table", "cluster", "-2..1"]):
+        assert cli.main(argv) == 0, argv
+    assert reached == []
+    for argv in ([], ["-h"], ["bogus"]):
+        with pytest.raises(RuntimeError, match="top-level parser reached"):
+            cli.main(argv)
+    assert reached == [[], ["-h"], ["bogus"]]
+    capsys.readouterr()
 
 
 def test_failing_q1_cross_check_carries_a_witness(monkeypatch):

@@ -396,6 +396,11 @@ def test_layer_table_refuses_a_p_multiple_whose_lead_is_not_one(monkeypatch):
         dcb.layer_table(4)
 
 
+def _in_q_zq(c):
+    """c lies in qZ[q]: only strictly positive integral powers of q."""
+    return all(h >= 2 and h % 2 == 0 for h in c.terms)
+
+
 def _triangular_in_e(a, elem):
     """The triangularity check in the dual PBW basis, as it read before it
     moved to the stored terms; the reference for `dcb._check_triangular`."""
@@ -408,7 +413,7 @@ def _triangular_in_e(a, elem):
             continue
         if not dcb.order_leq(a, b):
             raise AssertionError(f"B[{a}]: support contains {b} outside S({a})")
-        if not (isinstance(c, qarith.LaurentQ) and c.in_q_zq()):
+        if not (isinstance(c, qarith.LaurentQ) and _in_q_zq(c)):
             raise AssertionError(f"B[{a}]: coefficient {c} at {b} is not in qZ[q]")
 
 
@@ -491,12 +496,37 @@ def test_p_facts_refuse_a_wrong_table(monkeypatch):
 
 
 def test_core_is_where_the_p_step_walk_ends():
+    # and the closed-form q-power of the stripping is the sum of its steps' t
     exps = [a for k in range(15) for a in dcb.layer_exponents(k)]
-    for a in exps + [(0, 1200, 0, 1200), (5, 900, 3, 901)]:
-        c = a
+    for a in exps + [(0, 1200, 0, 1200), (5, 900, 3, 901), (507, 0, 500, 2)]:
+        c, e = a, 0
         while (step := dcb._p_step(c)) is not None:
-            c = step[1]
+            _, c, t = step
+            e += t
         assert dcb._core(a) == c, a
+        assert dcb._p_exponent(a) == e, a
+
+
+def _random_exp(rng, total):
+    """A uniform a in N^4 with total(a) = total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(3))
+    return (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], total - cuts[2])
+
+
+@pytest.mark.parametrize("seed, n, top, single", [(0, 300, 4, True), (1, 30, 18, False)],
+                         ids=["total-4-each", "total-18"])
+def test_b_product_matches_the_straightened_expansion(seed, n, top, single):
+    # the core route against the oracle expand_in_b_basis(B[a] B[b]): pairs
+    # with total <= 4 each, then pairs whose product lies on a layer <= 18
+    rng = random.Random(seed)
+    for _ in range(n):
+        if single:
+            ka, kb = rng.randint(0, top), rng.randint(0, top)
+        else:
+            ka = rng.randint(0, top)
+            kb = rng.randint(0, top - ka)
+        a, b = _random_exp(rng, ka), _random_exp(rng, kb)
+        assert dcb.b_product(a, b) == dcb.expand_in_b_basis(B(*a) * B(*b)), (a, b)
 
 
 @pytest.mark.parametrize("which, a", [(0, (0, 1, 0, 1)), (1, (1, 0, 1, 0))], ids=["p0", "p1"])
