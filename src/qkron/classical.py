@@ -8,6 +8,12 @@ The polynomial ring Z[U0..U3] sits inside as the elements with
 nonnegative exponents and no P symbols; `subs_p` eliminates the P symbols
 via P0 = U2 U0 - U1^2 and P1 = U3 U1 - U2^2.
 
+A product adds exponent vectors with `map(operator.add, ...)`, and a
+factor with one term is applied as a shift and scale of the other's terms,
+into a fresh dict, with no collision check.  The c_{n,a,b} table of
+`coefficient_polynomial` sums every coefficient over one list of the
+`cluster_terms`; there is no per-coefficient function.
+
 Cluster variables are indexed by their subscript: `cluster_variable(4)`
 is U_4.  The closed Laurent formula over the seed (U1, U2, P0, P1) covers
 subscripts >= 3; subscripts <= 0 use the symmetry swap U_i <-> U_{3-i},
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, sub
 
 from .qarith import Terms, add_into, cluster_terms, compare, entry, power_product
 
@@ -64,15 +71,21 @@ class CPoly(Terms):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, CPoly):
+            return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
             return CPoly._raw({})
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial c1 U^e1: shift and scale, no collisions possible
+            (e1, c1), = a.items()
+            return CPoly._raw({tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = out.get(e)
                 out[e] = c1 * c2 if v is None else v + c1 * c2
         return CPoly._raw({e: c for e, c in out.items() if c})
@@ -92,13 +105,19 @@ class CPoly(Terms):
 
     def subs_p(self) -> "CPoly":
         """Eliminate P0, P1 via the determinantal identities
-        P0 = U2 U0 - U1^2 and P1 = U3 U1 - U2^2."""
-        out = {}
+        P0 = U2 U0 - U1^2 and P1 = U3 U1 - U2^2.  Each term's P0 power is
+        a shift of p0^k; each P1 power multiplies, once, the sum of the
+        terms that carry it."""
+        by_p1 = {}
         for e, c in self.terms.items():
-            e0, e4, e5 = e[:4] + (0, 0), e[4], e[5]
+            e4, e5 = e[4], e[5]
             if e4 < 0 or e5 < 0:
                 raise ValueError("negative power of a frozen variable")
-            add_into(out, (CPoly._raw({e0: c}) * _p0_pow(e4) * _p1_pow(e5)).terms)
+            add_into(by_p1.setdefault(e5, {}),
+                     (CPoly._raw({e[:4] + (0, 0): c}) * _p0_pow(e4)).terms)
+        out = {}
+        for e5, terms in by_p1.items():
+            add_into(out, (CPoly._raw(terms) * _p1_pow(e5)).terms)
         return CPoly._raw(out)
 
     def swap(self) -> "CPoly":
@@ -147,12 +166,12 @@ class CPoly(Terms):
         quot = {}
         while rem:
             e = max(rem)
-            qe = tuple(x - y for x, y in zip(e, lead))
+            qe = tuple(map(sub, e, lead))
             qc, r = divmod(rem[e], lead_c)
             if r or any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
                 raise ValueError("not divisible")
             quot[qe] = qc
-            add_into(rem, {tuple(x + y for x, y in zip(qe, e2)): c2
+            add_into(rem, {tuple(map(add, qe, e2)): c2
                            for e2, c2 in other.terms.items()}, -qc)
         return CPoly._raw(quot)
 
@@ -250,23 +269,21 @@ def polynomial_form(n: int) -> CPoly:
     return z_poly() * polynomial_form(n - 1) - p1_poly() * p0_poly() * polynomial_form(n - 2)
 
 
-def cluster_coefficient(n: int, a: int, b: int) -> int:
-    """The coefficient c_{n,a,b} of U3^a U2^(n+2-2a+b) U1^(n-1-2b+a) U0^b
-    in U_{n+3}, as the alternating quadruple-binomial sum."""
-    return sum((-1) ** (k + l + a + b + 1) * c * binomial(n + 1 - k, a) * binomial(n - l, b)
-               for k, l, c in cluster_terms(n, binomial))
-
-
 def coefficient_polynomial(n: int) -> CPoly:
-    """U_{n+3} assembled directly from the c_{n,a,b} coefficients.
+    """U_{n+3} assembled directly from the coefficients c_{n,a,b} of
+    U3^a U2^(n+2-2a+b) U1^(n-1-2b+a) U0^b, each the alternating
+    quadruple-binomial sum over one list of the `cluster_terms` (k, l, c);
+    both binomial rows n + 1 - k and n - l are nonnegative there.
 
     Raises if a coefficient with an out-of-range monomial (negative
     exponent) is nonzero; their vanishing is exactly the combinatorial
     identity the formula asserts."""
+    terms = list(cluster_terms(n, binomial))
     out = {}
     for a in range(0, n + 2):
         for b in range(0, n + 1):
-            c = cluster_coefficient(n, a, b)
+            c = sum((-1) ** (k + l + a + b + 1) * t * comb(n + 1 - k, a) * comb(n - l, b)
+                    for k, l, t in terms)
             e2 = n + 2 - 2 * a + b
             e1 = n - 1 - 2 * b + a
             if e2 < 0 or e1 < 0:
@@ -274,7 +291,7 @@ def coefficient_polynomial(n: int) -> CPoly:
                     raise AssertionError(f"c_{{{n},{a},{b}}} = {c} on an invalid monomial")
                 continue
             if c:
-                add_into(out, {(a, e2, e1, b, 0, 0): c})
+                out[(a, e2, e1, b, 0, 0)] = c
     return CPoly._raw(out)
 
 
@@ -381,11 +398,12 @@ def quiver_figure_matrices():
     return initial, after_u0, after_u0_u1
 
 
-def linear_recursion_check(n_max: int) -> list:
+def linear_recursion_check(n_max: int, closed: dict) -> list:
     """Verify the three-term recursions: the coefficient-free
     U_{n+1} = T U_n - U_{n-1} with T = U3 U0 - U2 U1 over the (U0, U1)
     seed, the coefficient version U_{k+1} = z U_k - P1 P0 U_{k-1} for
-    k >= 4, and the identity defining z."""
+    k >= 4, and the identity defining z.  closed[k] is
+    `cluster_variable(k).subs_p()` for 3 <= k <= n_max + 1."""
     report = []
     cfr = {n: coefficient_free_cluster(n) for n in range(0, n_max + 2)}
     t = (1 + cfr[0] ** 2 + cfr[1] ** 2).exact_div(cfr[0] * cfr[1])
@@ -396,10 +414,9 @@ def linear_recursion_check(n_max: int) -> list:
     pp = p1_poly() * p0_poly()
     # the closed formula with P eliminated, not `polynomial_form`, which
     # is built by this recursion
-    us = {k: cluster_variable(k).subs_p() for k in range(3, n_max + 2)}
     for k in range(4, n_max + 1):
         report.append(compare("classical", k, "U_{k+1} = z U_k - P1 P0 U_{k-1}",
-                              us[k + 1], z * us[k] - pp * us[k - 1]))
+                              closed[k + 1], z * closed[k] - pp * closed[k - 1]))
     report.append(compare("classical", 0, "z = U3 U0 - U2 U1", z_laurent().subs_p(), z))
     return report
 
@@ -430,9 +447,12 @@ def verify_classical(n_max: int = 10) -> list:
         report.append(entry("classical", n,
                             "c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish", ok))
 
+    # the closed formula with P eliminated, once per n for both checks below
+    n_rec = min(n_max, 9)
+    closed = {n: cluster_variable(n).subs_p() for n in range(3, max(n_max, n_rec + 1) + 1)}
     ok = True
     for n in range(4, n_max + 1):
-        u = cluster_variable(n).subs_p()
+        u = closed[n]
         ok = ok and u.is_polynomial() and not u.uses_p_symbols() and u == polynomial_form(n)
     report.append(entry("classical", 0, "polynomiality of U_n in U3,U2,U1,U0", ok))
 
@@ -443,7 +463,7 @@ def verify_classical(n_max: int = 10) -> list:
     report.append(entry("classical", 0,
                         "coefficient-free closed formula agrees with the P = 1 specialization", ok))
 
-    report.extend(linear_recursion_check(min(n_max, 9)))
+    report.extend(linear_recursion_check(n_rec, closed))
     z = z_poly()
     pp = p1_poly() * p0_poly()
 

@@ -75,6 +75,8 @@ class FreeElement(Terms):
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
+        if not isinstance(other, FreeElement):
+            return NotImplemented
         out = {}
         for w1, c1 in self.terms.items():
             add_into(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)

@@ -16,6 +16,8 @@ holds among abstract torus monomials over L(n).
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from . import dcb, pbw
 from .qarith import (LaurentQ, Terms, add_into, compare, diff_detail, entry, half_pow, lq_one,
                      power_product)
@@ -136,16 +138,14 @@ class TorusElement(Terms):
     def __mul__(self, other):
         if self._operand(other) is None:
             return NotImplemented
-        L = l_matrix(self.n)
+        # L is skew, so sum_{i>j} (a_i b_j - a_j b_i) L_ij = a^T L b: the
+        # row a^T L once per left monomial, one dot product per right one
+        cols = tuple(zip(*l_matrix(self.n)))
         out = {}
         for a, ca in self.terms.items():
-            row = {}
-            for b, cb in other.terms.items():
-                h = 0
-                for i in range(4):
-                    for j in range(i):
-                        h += (a[i] * b[j] - a[j] * b[i]) * L[i][j]
-                row[tuple(x + y for x, y in zip(a, b))] = cb * half_pow(h)
+            a_l = [sum(map(mul, a, col)) for col in cols]
+            row = {tuple(map(add, a, b)): cb * half_pow(sum(map(mul, a_l, b)))
+                   for b, cb in other.terms.items()}
             add_into(out, row, ca)
         return self._like(out)
 

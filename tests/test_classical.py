@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from qkron import classical as cl
-from qkron import dcb, qarith
+from qkron import dcb, free_serre, pbw, qarith, qseed
 
 
 def test_binomial():
@@ -311,3 +312,139 @@ def test_cluster_table_repeats_from_the_memo(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "U_11 (polynomial) = " in outs[0]
+
+
+def _reference_product(x, y):
+    """x * y by the plain double loop over both term lists."""
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_cpoly(rng, n_terms):
+    """n_terms terms (fewer if keys repeat): U exponents in -3..3, P
+    exponents in 0..2, nonzero coefficients in -3..3."""
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(rng.randint(-3, 3) for _ in range(4)) + (rng.randint(0, 2), rng.randint(0, 2))
+        terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return cl.CPoly(terms)
+
+
+def test_products_match_the_double_loop():
+    # term counts 0..6 put the one-term factor on either side and the empty
+    # CPoly among the operands
+    rng = random.Random(5)
+    seen_one_term = [False, False]
+    for _ in range(400):
+        x, y = _random_cpoly(rng, rng.randint(0, 6)), _random_cpoly(rng, rng.randint(0, 6))
+        want = _reference_product(x, y)
+        got = x * y
+        assert got.terms == want, (x, y)
+        assert 0 not in got.terms.values()
+        seen_one_term[0] |= len(x.terms) == 1 < len(y.terms)
+        seen_one_term[1] |= len(y.terms) == 1 < len(x.terms)
+    assert all(seen_one_term)
+    x = _random_cpoly(rng, 5)
+    assert (x * cl.CPoly()).terms == (cl.CPoly() * x).terms == {}
+    assert x * 3 == 3 * x == cl.CPoly(_reference_product(x, cl.const(3)))
+    assert (x * 0).terms == (0 * x).terms == {}
+
+
+def test_products_that_cancel_store_no_zero_coefficient():
+    # the cross terms cancel: (U1 + U2 P0)(U1 - U2 P0) = U1^2 - U2^2 P0^2
+    s, d = cl.U1 + cl.U2 * cl.P0_SYM, cl.U1 - cl.U2 * cl.P0_SYM
+    assert (s * d).terms == {(0, 0, 2, 0, 0, 0): 1, (0, 2, 0, 0, 2, 0): -1}
+    u, v = cl.cluster_variable(6), cl.cluster_variable(5)
+    assert (u * v).terms == _reference_product(u, v)
+
+
+def test_one_term_factor_is_a_shift_into_a_fresh_dict():
+    # a monomial factor on either side writes a new dict, so the memoized
+    # cluster variable is never aliased or changed
+    u = cl.cluster_variable(7)
+    before = dict(u.terms)
+    for mono in (cl.CPoly({(0, -1, 2, 0, 1, 0): -2}), cl.const(1)):
+        for got in (mono * u, u * mono):
+            assert got.terms is not u.terms
+            assert got.terms == _reference_product(mono, u)
+            got.terms.clear()
+    assert cl.cluster_variable(7) is u
+    assert u.terms == before
+
+
+def test_exact_div_undoes_a_product():
+    rng = random.Random(11)
+    for _ in range(150):
+        x, y = _random_cpoly(rng, rng.randint(1, 5)), _random_cpoly(rng, rng.randint(1, 4))
+        assert (x * y).exact_div(y) == x, (x, y)
+    for n in range(3, 9):
+        u, v = cl.cluster_variable(n), cl.cluster_variable(n + 1)
+        assert (u * v).exact_div(v) == u
+
+
+def test_subs_p_matches_the_term_by_term_substitution():
+    # subs_p shifts p0^k per term and multiplies each P1 power once
+    rng = random.Random(17)
+    p0, p1 = cl.p0_poly(), cl.p1_poly()
+    for _ in range(150):
+        x = _random_cpoly(rng, rng.randint(0, 7))
+        want = cl.CPoly()
+        for e, c in x.terms.items():
+            want += cl.CPoly({e[:4] + (0, 0): c}) * p0 ** e[4] * p1 ** e[5]
+        assert x.subs_p() == want, x
+    with pytest.raises(ValueError, match="negative power"):
+        cl.CPoly({(0, 0, 0, 0, 1, -1): 1}).subs_p()
+
+
+def test_coefficient_polynomial_matches_the_quadruple_sum():
+    # c_{n,a,b} = sum over k + l <= n or (k, l) = (n + 1, 0) of
+    # (-1)^(k+l+a+b+1) C(n-k, l) C(n+1-l, k) C(n+1-k, a) C(n-l, b), one
+    # coefficient at a time; every one off the monomial range vanishes
+    for n in range(11):
+        want = {}
+        for a in range(n + 2):
+            for b in range(n + 1):
+                c = 0
+                for k in range(n + 2):
+                    for l in range(n + 1):
+                        if k + l <= n or (k, l) == (n + 1, 0):
+                            c += ((-1) ** (k + l + a + b + 1) * cl.binomial(n - k, l)
+                                  * comb(n + 1 - l, k) * comb(n + 1 - k, a) * comb(n - l, b))
+                e2, e1 = n + 2 - 2 * a + b, n - 1 - 2 * b + a
+                if e2 < 0 or e1 < 0:
+                    assert c == 0, (n, a, b)
+                elif c:
+                    want[(a, e2, e1, b, 0, 0)] = c
+        assert cl.coefficient_polynomial(n).terms == want, n
+
+
+def test_coefficient_polynomial_raises_on_an_out_of_range_coefficient(monkeypatch):
+    # a single term (k, l, c) = (0, 0, 1) gives c_{n,0,n} = +-1 on U1^(-n-1)
+    monkeypatch.setattr(cl, "cluster_terms", lambda m, binom: iter([(0, 0, 1)]))
+    with pytest.raises(AssertionError, match="invalid monomial"):
+        cl.coefficient_polynomial(3)
+    assert not all(e["ok"] for e in cl.verify_classical(5))
+
+
+_MIXED_OPERANDS = [
+    pytest.param(lambda: cl.U1, lambda: pbw.generator(0), id="CPoly-PbwElement"),
+    pytest.param(lambda: cl.U1, lambda: free_serre.FreeElement.word((1, 2)), id="CPoly-FreeElement"),
+    pytest.param(lambda: cl.U1, lambda: qseed.torus_gen(3, 0), id="CPoly-TorusElement"),
+    pytest.param(lambda: cl.U1, lambda: qarith.qpow(1), id="CPoly-LaurentQ"),
+    pytest.param(lambda: free_serre.FreeElement.word((1, 2)), lambda: pbw.generator(0),
+                 id="FreeElement-PbwElement"),
+    pytest.param(lambda: free_serre.FreeElement.word((1, 2)), lambda: qseed.torus_gen(3, 0),
+                 id="FreeElement-TorusElement"),
+]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["ab", "ba"])
+@pytest.mark.parametrize("left, right", _MIXED_OPERANDS)
+def test_products_of_different_algebras_raise(left, right, swap):
+    x, y = (right(), left()) if swap else (left(), right())
+    with pytest.raises(TypeError):
+        x * y

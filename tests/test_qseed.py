@@ -120,3 +120,32 @@ def test_l_and_b_compatible():
         L = qseed.l_matrix(n)
         prod = [[sum(B[k][i] * L[k][j] for k in range(4)) for j in range(4)] for i in range(2)]
         assert prod == [[-2, 0, 0, 0], [0, -2, 0, 0]]
+
+
+def _reference_torus_product(x, y):
+    """x * y by the docstring's double sum: q^((1/2) sum_{i>j} (a_i b_j -
+    a_j b_i) L_ij) x^(a+b) for every pair of terms."""
+    L = qseed.l_matrix(x.n)
+    out = qseed.TorusElement(x.n)
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            h = sum((a[i] * b[j] - a[j] * b[i]) * L[i][j] for i in range(4) for j in range(i))
+            out += qseed.TorusElement(x.n, {tuple(u + v for u, v in zip(a, b)): ca * cb * half_pow(h)})
+    return out
+
+
+def test_torus_product_matches_the_double_sum():
+    # the product reads a^T L b; pin it against the skew double sum
+    rng = random.Random(23)
+
+    def element(n):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            a = tuple(rng.randint(-3, 3) for _ in range(4))
+            terms[a] = qarith.LaurentQ({rng.randint(-5, 5): rng.choice((-2, -1, 1, 3))})
+        return qseed.TorusElement(n, terms)
+
+    for n in range(3, 8):
+        for _ in range(40):
+            x, y = element(n), element(n)
+            assert x * y == _reference_torus_product(x, y), (n, x, y)
