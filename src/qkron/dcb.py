@@ -19,6 +19,8 @@ bytes, never read back into an element.
 `verify layers` and `check_basis_conditions` check every element in full.
 The frozen powers come from the basis too: `p_power` is B[0,k,0,k] or
 B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
+The recursion and product suites check the strings they print: each of
+`RECURSIONS` and `PRODUCTS` is read by `qarith.identities`.
 
 Exponent tuples are (a3, a2, a1, a0) throughout.
 """
@@ -34,12 +36,10 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import pbw
-from .qarith import (add_into, cluster_terms, compare, diff_detail, entry, half_pow, lq_zero,
-                     qpow, quantum_binom, split_antisymmetric)
+from .qarith import (add_into, cluster_terms, compare, diff_detail, entry, half_pow, identities,
+                     lq_zero, qpow, quantum_binom, split_antisymmetric)
 
 Exp = tuple
-
-_U = [pbw.generator(i) for i in range(4)]
 
 
 def stat_n(a: Exp) -> int:
@@ -418,90 +418,51 @@ def b_product(a: Exp, b: Exp) -> dict:
 # -- verification suites -------------------------------------------------------
 
 
+# the eighth recursion, the right-multiplied dual of the seventh, has its
+# middle index forced to n-1 by degree (its printed companion drops a -1)
+RECURSIONS = ((1, None, (
+    "B[n,0,0,n-1] = q^(n-1) u3 B[n-1,0,0,n-1] - q^(2n-1) u2 B[n-1,0,1,n-2]",
+    "B[n,0,0,n-1] = q^(3n-3) B[n-1,0,0,n-1] u3 - q^(2n-3) B[n-1,0,1,n-2] u2",
+    "B[n-1,0,0,n] = q^(n-1) B[n-1,0,0,n-1] u0 - q^(2n-1) B[n-2,1,0,n-1] u1",
+    "B[n-1,0,0,n] = q^(3n-3) u0 B[n-1,0,0,n-1] - q^(2n-3) u1 B[n-2,1,0,n-1]",
+    "B[n,0,0,n] = q^(n-1) B[n,0,0,n-1] u0 - q^(2n) B[n-1,1,0,n-1] u1",
+    "B[n,0,0,n] = q^(3n-1) u0 B[n,0,0,n-1] - q^(2n-2) u1 B[n-1,1,0,n-1]",
+    "B[n,0,0,n] = q^(n-1) u3 B[n-1,0,0,n] - q^(2n) u2 B[n-1,0,1,n-1]",
+    "B[n,0,0,n] = q^(3n-1) B[n-1,0,0,n] u3 - q^(2n-2) B[n-1,0,1,n-1] u2")),)
+
+PRODUCTS = ((1, None, (
+    "B[n,0,0,n-1] B[1,0,0,1] = q^(3-4n) B[n+1,0,0,n] + q^(4-4n) B[n,1,1,n-1]",
+    "B[1,0,0,1] B[n,0,0,n-1] = q^(1-4n) B[n+1,0,0,n] + q^(-4n) B[n,1,1,n-1]",
+    "B[n,0,0,n] B[1,0,0,1] = q^(-4n) (B[n+1,0,0,n+1] + B[n,1,1,n])",
+    "B[1,0,0,1] B[n,0,0,n] = q^(-4n) (B[n+1,0,0,n+1] + B[n,1,1,n])")),)
+
+
+def _names() -> dict:
+    """What the printed identities' symbols stand for, read when a suite runs."""
+    return {"B": b_element, **{f"u{i}": pbw.generator(i) for i in range(4)}}
+
+
 def verify_recursions(n_max: int) -> list:
-    """The eight printed one-step recursion identities, for 1 <= n <= n_max."""
-    B = b_element
-    u0, u1, u2, u3 = _U
-    report = []
-    for n in range(1, n_max + 1):
-        checks = [
-            ("B[n,0,0,n-1] = q^(n-1) u3 B[n-1,0,0,n-1] - q^(2n-1) u2 B[n-1,0,1,n-2]",
-             B((n, 0, 0, n - 1)),
-             (u3 * B((n - 1, 0, 0, n - 1))).scale_qpow(n - 1)
-             - (u2 * B((n - 1, 0, 1, n - 2))).scale_qpow(2 * n - 1)),
-            ("B[n,0,0,n-1] = q^(3n-3) B[n-1,0,0,n-1] u3 - q^(2n-3) B[n-1,0,1,n-2] u2",
-             B((n, 0, 0, n - 1)),
-             (B((n - 1, 0, 0, n - 1)) * u3).scale_qpow(3 * n - 3)
-             - (B((n - 1, 0, 1, n - 2)) * u2).scale_qpow(2 * n - 3)),
-            ("B[n-1,0,0,n] = q^(n-1) B[n-1,0,0,n-1] u0 - q^(2n-1) B[n-2,1,0,n-1] u1",
-             B((n - 1, 0, 0, n)),
-             (B((n - 1, 0, 0, n - 1)) * u0).scale_qpow(n - 1)
-             - (B((n - 2, 1, 0, n - 1)) * u1).scale_qpow(2 * n - 1)),
-            ("B[n-1,0,0,n] = q^(3n-3) u0 B[n-1,0,0,n-1] - q^(2n-3) u1 B[n-2,1,0,n-1]",
-             B((n - 1, 0, 0, n)),
-             (u0 * B((n - 1, 0, 0, n - 1))).scale_qpow(3 * n - 3)
-             - (u1 * B((n - 2, 1, 0, n - 1))).scale_qpow(2 * n - 3)),
-            ("B[n,0,0,n] = q^(n-1) B[n,0,0,n-1] u0 - q^(2n) B[n-1,1,0,n-1] u1",
-             B((n, 0, 0, n)),
-             (B((n, 0, 0, n - 1)) * u0).scale_qpow(n - 1)
-             - (B((n - 1, 1, 0, n - 1)) * u1).scale_qpow(2 * n)),
-            ("B[n,0,0,n] = q^(3n-1) u0 B[n,0,0,n-1] - q^(2n-2) u1 B[n-1,1,0,n-1]",
-             B((n, 0, 0, n)),
-             (u0 * B((n, 0, 0, n - 1))).scale_qpow(3 * n - 1)
-             - (u1 * B((n - 1, 1, 0, n - 1))).scale_qpow(2 * n - 2)),
-            ("B[n,0,0,n] = q^(n-1) u3 B[n-1,0,0,n] - q^(2n) u2 B[n-1,0,1,n-1]",
-             B((n, 0, 0, n)),
-             (u3 * B((n - 1, 0, 0, n))).scale_qpow(n - 1)
-             - (u2 * B((n - 1, 0, 1, n - 1))).scale_qpow(2 * n)),
-            # right-multiplied dual of the preceding form; the middle index
-            # is forced to n-1 by degree (its printed companion drops a -1)
-            ("B[n,0,0,n] = q^(3n-1) B[n-1,0,0,n] u3 - q^(2n-2) B[n-1,0,1,n-1] u2",
-             B((n, 0, 0, n)),
-             (B((n - 1, 0, 0, n)) * u3).scale_qpow(3 * n - 1)
-             - (B((n - 1, 0, 1, n - 1)) * u2).scale_qpow(2 * n - 2)),
-        ]
-        for name, lhs, rhs in checks:
-            report.append(compare("recursions", n, name, lhs, rhs))
-    return report
+    """The eight printed one-step recursions, `RECURSIONS`, for 1 <= n <= n_max."""
+    return identities("recursions", RECURSIONS, n_max, _names())
 
 
 def verify_products(n_max: int) -> list:
-    """The four product expansions, their n = 0 tail cases, and the
-    commutativity of B[1,0,0,1] with the diagonal family."""
-    B = b_element
-    report = []
-    b11 = B((1, 0, 0, 1))
-    for n in range(1, n_max + 1):
-        cases = [
-            ("B[n,0,0,n-1] B[1,0,0,1] = q^(3-4n) B[n+1,0,0,n] + q^(4-4n) B[n,1,1,n-1]",
-             B((n, 0, 0, n - 1)) * b11,
-             B((n + 1, 0, 0, n)).scale_qpow(3 - 4 * n) + B((n, 1, 1, n - 1)).scale_qpow(4 - 4 * n)),
-            ("B[1,0,0,1] B[n,0,0,n-1] = q^(1-4n) B[n+1,0,0,n] + q^(-4n) B[n,1,1,n-1]",
-             b11 * B((n, 0, 0, n - 1)),
-             B((n + 1, 0, 0, n)).scale_qpow(1 - 4 * n) + B((n, 1, 1, n - 1)).scale_qpow(-4 * n)),
-            ("B[n,0,0,n] B[1,0,0,1] = q^(-4n) (B[n+1,0,0,n+1] + B[n,1,1,n])",
-             B((n, 0, 0, n)) * b11,
-             (B((n + 1, 0, 0, n + 1)) + B((n, 1, 1, n))).scale_qpow(-4 * n)),
-            ("B[1,0,0,1] B[n,0,0,n] = q^(-4n) (B[n+1,0,0,n+1] + B[n,1,1,n])",
-             b11 * B((n, 0, 0, n)),
-             (B((n + 1, 0, 0, n + 1)) + B((n, 1, 1, n))).scale_qpow(-4 * n)),
-        ]
-        for name, lhs, rhs in cases:
-            report.append(compare("products", n, name, lhs, rhs))
+    """The four product expansions with B[1,0,0,1], `PRODUCTS`, for
+    1 <= n <= n_max, their n = 0 tail cases, and the commutativity of
+    B[1,0,0,1] with the diagonal family."""
+    report = identities("products", PRODUCTS, n_max, _names())
+    b00, b11 = b_element((0, 0, 0, 0)), b_element((1, 0, 0, 1))
     # the diagonal equations also make sense and hold for n = 0: the
     # correction term is q^(6n-4) p1 B[n-1,0,0,n-1] p0, whose core index
     # goes negative and kills it
-    lhs = B((0, 0, 0, 0)) * b11
-    rhs = B((1, 0, 0, 1))
     report.append(compare("products", 0,
-                          "B[0,0,0,0] B[1,0,0,1] = B[1,0,0,1] + (vanishing core)", lhs, rhs))
+                          "B[0,0,0,0] B[1,0,0,1] = B[1,0,0,1] + (vanishing core)", b00 * b11, b11))
     report.append(compare("products", 0,
-                          "B[1,0,0,1] B[0,0,0,0] = B[1,0,0,1] + (vanishing core)",
-                          b11 * B((0, 0, 0, 0)), rhs))
+                          "B[1,0,0,1] B[0,0,0,0] = B[1,0,0,1] + (vanishing core)", b11 * b00, b11))
     for n in range(0, n_max + 1):
-        lhs = b11 * B((n, 0, 0, n))
-        rhs = B((n, 0, 0, n)) * b11
-        report.append(compare("products", n, "B[1,0,0,1] commutes with B[n,0,0,n]", lhs, rhs))
+        bn = b_element((n, 0, 0, n))
+        report.append(compare("products", n, "B[1,0,0,1] commutes with B[n,0,0,n]", b11 * bn, bn * b11))
     return report
 
 

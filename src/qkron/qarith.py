@@ -40,7 +40,11 @@ their own binomial.
 :func:`entry` is the one builder of a verify report entry
 ``{suite, n, identity, ok[, detail]}``, and :func:`compare` the entry for
 an identity between two elements, whose failure carries the
-:func:`diff_detail` witness.
+:func:`diff_detail` witness.  :func:`identity` is the entry for a printed
+identity ``lhs = rhs``, checked as it is printed: :func:`parse_identity`
+reads the text, with indices and exponents integer polynomials in n read
+by one regex, and both sides are evaluated with the symbols the suite
+names.  :func:`identities` runs a table of them, parsing each text once.
 
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
@@ -554,6 +558,131 @@ def compare(suite, n, identity, lhs, rhs) -> dict:
     """The entry for lhs == rhs; a failing one carries `diff_detail`."""
     ok = lhs == rhs
     return entry(suite, n, identity, ok, None if ok else diff_detail(lhs, rhs))
+
+
+_POLY_TERM = re.compile(r"([+-]?)(\d*)(n?)(?:\^(\d+))?")
+_EXP = r"-?\d+|n|\([^()]*\)"
+_IDX = r"[^],(){}]*"
+_ID_TOKEN = re.compile(rf"\s*(?:(?:B\[(?P<B>{_IDX}(?:,{_IDX}){{3}})\]|X_(?P<X>n|\d+|\{{[^{{}}]*\}})"
+                       rf"|q\^(?P<q>{_EXP})|(?P<name>u[0-3]|p[01]|Y_?[01]))(?:\^(?P<pow>{_EXP}))?"
+                       r"|(?P<op>[-+=()]))")
+
+
+def _poly(s: str):
+    """The integer polynomial in n written s, such as ``2n^2-6n+8``, or
+    ``(s)`` or ``{s}``, as a function of n."""
+    s, out, pos = s[1:-1] if s[:1] in ("(", "{") else s, {}, 0
+    while pos < len(s) or not out:
+        m = _POLY_TERM.match(s, pos)
+        sign, c, var, k = m.groups()
+        if not (c or var) or (pos and not sign) or (k and not var):
+            raise ValueError(f"cannot read index {s!r}")
+        k = int(k or 1) if var else 0
+        out[k] = out.get(k, 0) + int(sign + (c or "1"))
+        pos = m.end()
+    return lambda n, t=tuple(out.items()): sum(c * n ** k for k, c in t)
+
+
+def parse_identity(text: str):
+    """The two sides of the printed identity ``lhs = rhs``, each a list of
+    (sign, factors) terms; ValueError on any other text.
+
+    A term is a product of juxtaposed factors: ``B[i,i,i,i]``, ``X_n`` and
+    ``X_{i}``; the names ``u0..u3``, ``p0``, ``p1``, ``Y0``/``Y_0`` and
+    ``Y1``/``Y_1``; the scalar ``q^e``; and a sum in parentheses.  Every
+    factor but a sum takes a power ``^e``.  Indices and exponents are
+    integer polynomials in n: ``n``, an int, or any other in parentheses,
+    such as ``(2n^2-6n+8)``."""
+    toks, pos = [], 0
+    while pos < len(text):
+        m = _ID_TOKEN.match(text, pos)
+        if m is None:
+            raise ValueError(f"cannot read {text[pos:]!r} in identity {text!r}")
+        kind, v = next((g, v) for g, v in m.groupdict().items() if v is not None)
+        v = (v.replace("_", "") if kind in ("name", "op")
+             else tuple(map(_poly, v.split(","))) if kind == "B" else _poly(v))
+        toks.append((kind, v, m.group("pow") and _poly(m.group("pow"))))
+        pos = m.end()
+    toks.append(("op", None, None))
+    pos = 0
+
+    def expect(v):
+        nonlocal pos
+        if toks[pos][1] != v:
+            raise ValueError(f"cannot read identity {text!r} at its token {pos}")
+        pos += 1
+
+    def sum_():
+        nonlocal pos
+        terms = []
+        while True:
+            sign = -1 if toks[pos][1] == "-" else 1
+            pos += toks[pos][1] in ("+", "-")
+            factors = []
+            while toks[pos][0] != "op" or toks[pos][1] == "(":
+                kind, v, k = toks[pos]
+                pos += 1
+                if v == "(":
+                    kind, v = "(", sum_()
+                    expect(")")
+                factors.append((kind, v, k))
+            if all(kind == "q" for kind, _, _ in factors):
+                raise ValueError(f"a term of identity {text!r} has no algebra factor")
+            terms.append((sign, factors))
+            if toks[pos][1] not in ("+", "-"):
+                return terms
+
+    lhs = sum_()
+    expect("=")
+    rhs = sum_()
+    expect(None)
+    return lhs, rhs
+
+
+def _value(terms, n: int, names):
+    """A side of a parsed identity at n: ``B`` and ``X`` call names["B"] and
+    names["X"] with their index, a name bound to a function (a p-power) is
+    called with its exponent, and q^e is the scalar `qpow` (e)."""
+    total = None
+    for sign, factors in terms:
+        x = None
+        for kind, v, k in factors:
+            k = k(n) if k else 1
+            if kind == "(":
+                v = _value(v, n, names)
+            elif kind == "q":
+                v = qpow(v(n))
+            elif kind == "name":
+                v = names[v]
+            else:
+                v = names[kind](tuple(p(n) for p in v) if kind == "B" else v(n))
+            if callable(v):
+                v = v(k)
+            elif k != 1:
+                v = v ** k
+            x = v if x is None else x * v
+        x = x if sign > 0 else -x
+        total = x if total is None else total + x
+    return total
+
+
+def identity(suite, n, text, names, sides=None) -> dict:
+    """The `compare` entry for the printed identity text at n, its symbols
+    read in names; sides is its `parse_identity`, if the caller has it."""
+    lhs, rhs = sides or parse_identity(text)
+    return compare(suite, n, text, _value(lhs, n, names), _value(rhs, n, names))
+
+
+def identities(suite, table, n_max, names) -> list:
+    """The entries of a table of (first n, last n or None for n_max, texts)
+    rows: row by row, n ascending, then text by text; each text is parsed
+    once."""
+    out = []
+    for lo, hi, texts in table:
+        parsed = [(text, parse_identity(text)) for text in texts]
+        for n in range(lo, (n_max if hi is None else hi) + 1):
+            out += [identity(suite, n, text, names, sides) for text, sides in parsed]
+    return out
 
 
 def split_antisymmetric(x: LaurentQ) -> LaurentQ:

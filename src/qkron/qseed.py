@@ -9,9 +9,10 @@ The rescaled variables are
     Y_0 = q^-2 p0,  Y_1 = q^-2 p1
 
 and the exchange relation is certified in two steps: the cleared identity
-X_{n+2} X_n = q^-2 X_{n+1}^2 + q^(-2n^2+6n-3) Y_1^n Y_0^(n-3) holds in the
-algebra (which has no inverses), and the torus identity with X_n^(-1)
-holds among abstract torus monomials over L(n).
+(the last of `EXCHANGE`) holds in the algebra, which has no inverses, and
+the torus identity with X_n^(-1) holds among abstract torus monomials over
+L(n).  `QUASI_COMMUTATION` and `EXCHANGE` are checked as they are printed,
+by `qarith.identities`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from operator import add, mul
 
 from . import dcb, pbw
-from .qarith import (LaurentQ, Terms, add_into, compare, diff_detail, entry, half_pow, lq_one,
-                     power_product)
+from .qarith import (LaurentQ, Terms, add_into, compare, diff_detail, entry, half_pow, identities,
+                     lq_one, power_product)
 
 
 def x_var(n: int) -> pbw.PbwElement:
@@ -52,55 +53,41 @@ def l_matrix(n: int):
     )
 
 
+QUASI_COMMUTATION = (
+    (0, 0, ("Y0 Y1 = q^-4 Y1 Y0",)),
+    (3, None, ("X_n X_{n+1} = q^2 X_{n+1} X_n",
+               "X_n Y_0 = q^(2n-2) Y_0 X_n",
+               "X_n Y_1 = q^(-2n+8) Y_1 X_n",
+               "X_{n+1} Y_0 = q^(2n) Y_0 X_{n+1}",
+               "X_{n+1} Y_1 = q^(-2n+6) Y_1 X_{n+1}")),
+    (1, None, ("B[n,0,0,n-1] B[n+1,0,0,n] = q^2 B[n+1,0,0,n] B[n,0,0,n-1]",)),
+)
+
+EXCHANGE = (
+    (2, None, ("B[n+1,0,0,n] B[n-1,0,0,n-2] = q^2 B[n,0,0,n-1]^2 + q^(2n^2-6n+8) p1^(n+1) p0^(n-2)",)),
+    (3, None, ("X_{n+2} X_n = q^-2 X_{n+1}^2 + q^(-2n^2+6n-3) Y_1^n Y_0^(n-3)",)),
+)
+
+
+def _names() -> dict:
+    """What the printed identities' symbols stand for, read when a suite
+    runs; p0^k and p1^k come from `dcb.p_power`."""
+    p_power = dcb.p_power
+    return {"B": dcb.b_element, "X": x_var, "Y0": y0_var(), "Y1": y1_var(),
+            "p0": lambda k: p_power(0, k), "p1": lambda k: p_power(1, k)}
+
+
 def verify_quasi_commutation(n_max: int) -> list:
-    """All six pairwise commutations of the seed variables for 3 <= n <= n_max,
-    plus the unrescaled q-commutation of adjacent quantized cluster variables
-    for 1 <= n <= n_max."""
-    report = []
-    y0, y1 = y0_var(), y1_var()
-    report.append(compare("qseed", 0, "Y0 Y1 = q^-4 Y1 Y0", y0 * y1, (y1 * y0).scale_qpow(-4)))
-    for n in range(3, n_max + 1):
-        xn, xn1 = x_var(n), x_var(n + 1)
-        checks = [
-            ("X_n X_{n+1} = q^2 X_{n+1} X_n", xn * xn1, (xn1 * xn).scale_qpow(2)),
-            ("X_n Y_0 = q^(2n-2) Y_0 X_n", xn * y0, (y0 * xn).scale_qpow(2 * n - 2)),
-            ("X_n Y_1 = q^(-2n+8) Y_1 X_n", xn * y1, (y1 * xn).scale_qpow(-2 * n + 8)),
-            ("X_{n+1} Y_0 = q^(2n) Y_0 X_{n+1}", xn1 * y0, (y0 * xn1).scale_qpow(2 * n)),
-            ("X_{n+1} Y_1 = q^(-2n+6) Y_1 X_{n+1}", xn1 * y1, (y1 * xn1).scale_qpow(-2 * n + 6)),
-        ]
-        for name, lhs, rhs in checks:
-            report.append(compare("qseed", n, name, lhs, rhs))
-    for n in range(1, n_max + 1):
-        lhs = dcb.b_element((n, 0, 0, n - 1)) * dcb.b_element((n + 1, 0, 0, n))
-        rhs = (dcb.b_element((n + 1, 0, 0, n)) * dcb.b_element((n, 0, 0, n - 1))).scale_qpow(2)
-        report.append(compare("qseed", n,
-                              "B[n,0,0,n-1] B[n+1,0,0,n] = q^2 B[n+1,0,0,n] B[n,0,0,n-1]",
-                              lhs, rhs))
-    return report
+    """`QUASI_COMMUTATION`: the six pairwise commutations of the seed
+    variables for 3 <= n <= n_max (Y0 Y1 once), and the unrescaled
+    q-commutation of adjacent quantized cluster variables for 1 <= n <= n_max."""
+    return identities("qseed", QUASI_COMMUTATION, n_max, _names())
 
 
 def verify_quantum_exchange(n_max: int) -> list:
-    """The quantum exchange relation, unrescaled (n >= 2) and in the
-    multiplied-through rescaled form (n >= 3)."""
-    report = []
-    for n in range(2, n_max + 1):
-        lhs = dcb.b_element((n + 1, 0, 0, n)) * dcb.b_element((n - 1, 0, 0, n - 2))
-        sq = dcb.b_element((n, 0, 0, n - 1))
-        rhs = (sq * sq).scale_qpow(2) \
-            + (dcb.p_power(1, n + 1) * dcb.p_power(0, n - 2)).scale_qpow(2 * n * n - 6 * n + 8)
-        report.append(compare("qseed", n,
-                              "B[n+1,0,0,n] B[n-1,0,0,n-2] = q^2 B[n,0,0,n-1]^2 "
-                              "+ q^(2n^2-6n+8) p1^(n+1) p0^(n-2)",
-                              lhs, rhs))
-    for n in range(3, n_max + 1):
-        lhs = x_var(n + 2) * x_var(n)
-        x1 = x_var(n + 1)
-        rhs = (x1 * x1).scale_qpow(-2) \
-            + (y1_var() ** n * y0_var() ** (n - 3)).scale_qpow(-2 * n * n + 6 * n - 3)
-        report.append(compare("qseed", n,
-                              "X_{n+2} X_n = q^-2 X_{n+1}^2 + q^(-2n^2+6n-3) Y_1^n Y_0^(n-3)",
-                              lhs, rhs))
-    return report
+    """`EXCHANGE`: the quantum exchange relation, unrescaled (n >= 2) and in
+    the multiplied-through rescaled form (n >= 3)."""
+    return identities("qseed", EXCHANGE, n_max, _names())
 
 
 class TorusElement(Terms):

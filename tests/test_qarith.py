@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qkron import classical, dcb, free_serre, pbw, qseed
+from qkron import classical, dcb, free_serre, pbw, qarith, qseed
 from qkron.qarith import (
     LaurentQ,
     Terms,
@@ -360,3 +360,80 @@ def test_tracer_wraps_and_restores_methods(monkeypatch):
     finally:
         tracer.uninstall()
     assert LaurentQ.__dict__["__add__"] is add
+
+
+IDENTITY_TABLES = {"dcb.RECURSIONS": (dcb, "RECURSIONS"), "dcb.PRODUCTS": (dcb, "PRODUCTS"),
+                   "qseed.QUASI_COMMUTATION": (qseed, "QUASI_COMMUTATION"),
+                   "qseed.EXCHANGE": (qseed, "EXCHANGE")}
+
+
+def test_every_printed_identity_parses():
+    # a string the evaluator cannot read fails here, not when a report is built
+    texts = [t for module, attr in IDENTITY_TABLES.values()
+             for _, _, ts in getattr(module, attr) for t in ts]
+    assert len(texts) == len(set(texts)) == 21
+    for t in texts:
+        lhs, rhs = qarith.parse_identity(t)
+        assert lhs and rhs
+
+
+@pytest.mark.parametrize("text", [
+    "B[n,0,0,n] = u5 B[n,0,0,n-1]",                 # an unknown token
+    "B[n,0,0,n] = q^(-4n) (B[n+1,0,0,n+1] + B[n,1,1,n]",
+    "B[n,0,0,n] = B[n+1,0,0,n+1] + B[n,1,1,n])",
+    "B[m,0,0,n] = u0",                               # an index naming m, not n
+    "B[n/2,0,0,n] = u0",
+    "B[2*n,0,0,n] = u0",
+    "X_n = q^(n/2) X_n",
+    "__import__('os') = u0",
+    "B[n,0,0] = u0",                                 # three indices
+    "q^2 = u0",                                      # a term with no algebra factor
+    "u0 u1",                                         # no '='
+    "u0 = u1 = u2",
+    "(u0 + u1)^2 = u2",                              # a power of a sum
+])
+def test_parse_identity_refuses_malformed_text(text):
+    with pytest.raises(ValueError):
+        qarith.parse_identity(text)
+
+
+def test_identity_reads_each_symbol_from_names():
+    # B and X are called with their index, a p-power with its exponent, the
+    # other names are looked up, and q^e scales; at n = 4, Y_0 = q^-2 p0 and
+    # X_2 = q^(-1/2) u2
+    seen = []
+    names = {"B": lambda a: seen.append(a) or dcb.b_element(a),
+             "X": lambda i: seen.append(i) or qseed.x_var(i),
+             "p0": lambda k: seen.append(k) or dcb.p_power(0, k),
+             "Y0": qseed.y0_var(), "u2": pbw.generator(2)}
+    text = "B[n,0,0,n-1] p0^(n-2) + X_{n-2}^2 = q^(2n-4) B[n,0,0,n-1] Y_0^(n-2) + q^-1 u2^2"
+    assert qarith.identity("t", 4, text, names) == {"suite": "t", "n": 4, "identity": text,
+                                                    "ok": True}
+    assert seen == [(4, 0, 0, 3), 2, 2, (4, 0, 0, 3)]
+
+
+@pytest.mark.parametrize("module, attr, old, new", [
+    (dcb, "RECURSIONS", "q^(2n-1)", "q^(2n-3)"),
+    (qseed, "QUASI_COMMUTATION", "q^-4", "q^-2"),
+])
+def test_a_changed_identity_string_fails_only_its_entries(module, attr, old, new, monkeypatch):
+    # each suite checks the string it prints: one edited string fails its own
+    # entries, each with a witness, and no other entry
+    table = getattr(module, attr)
+    text = next(t for _, _, ts in table for t in ts if old in t)
+    changed = text.replace(old, new, 1)
+    monkeypatch.setattr(module, attr, tuple((lo, hi, tuple(changed if t == text else t for t in ts))
+                                            for lo, hi, ts in table))
+    verify = {"RECURSIONS": dcb.verify_recursions,
+              "QUASI_COMMUTATION": qseed.verify_quasi_commutation}[attr]
+    report = verify(4)
+    bad = [e for e in report if not e["ok"]]
+    assert bad and {e["identity"] for e in bad} == {changed}
+    assert all(e["detail"].startswith("first differing monomial ") for e in bad)
+    assert all("detail" not in e for e in report if e["ok"])
+    if module is qseed:
+        y0, y1 = qseed.y0_var(), qseed.y1_var()
+        assert bad[0]["detail"] == qarith.diff_detail(y0 * y1, (y1 * y0).scale_qpow(-2))
+    else:
+        # at n = 1 the changed term's B[0,0,1,-1] is zero, so only n >= 2 fail
+        assert [e["n"] for e in bad] == [2, 3, 4]
