@@ -12,11 +12,20 @@ basis B[a] is stored in.  The dual PBW basis is only an output view.
 
 `b_element` writes B[a] as q^e p1^s B[core] p0^r, core = `_core(a)`, and
 checks each p0/p1 step's sigma exponent where it builds it.  `layer_table`
-checks triangularity on every element's stored terms, and both conditions
-in full once per core.  The on-disk layer cache is write-only: every layer
-is built and checked, and its file is only made to hold that build's
-bytes, never read back into an element.
-`verify layers` and `check_basis_conditions` check every element in full.
+checks triangularity on every element's stored terms, and certifies the
+sigma eigenvalue of each distinct core from the structure that built it,
+factor cores first, straightening no sigma (`_certify_core`):
+- an order-maximal core must be the single term E[c], and its closed-form
+  exponent -2b(c) + 2(3c3 + 2c2 + c1) - 2(c3c2 + c2c1 + c1c0) must be -N(c);
+- a near-diagonal core, built by row 1, 3 or 5 of `RECURSIONS`, must
+  satisfy the mirrored row 2, 4 or 6, onto which sigma maps the first;
+- a cluster monomial q^(-h/2) B[c]^(d-j) B[c']^j is checked in `b_element`:
+  h - (d-j)N(c) - jN(c') - lam j(d-j) must be -N(a), with
+  B[c] B[c'] = q^lam B[c'] B[c] checked once per pair (`_quasi_commutation`).
+The on-disk layer cache is write-only: every layer is built and checked,
+and its file is only made to hold that build's bytes, never read back into
+an element.  `verify layers` and `check_basis_conditions`, which the tests
+and CI run, check both conditions on every element in full, sigma included.
 The frozen powers come from the basis too: `p_power` is B[0,k,0,k] or
 B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
 The recursion and product suites check the strings they print: each of
@@ -37,7 +46,7 @@ from pathlib import Path
 
 from . import pbw
 from .qarith import (add_into, cluster_terms, compare, diff_detail, entry, half_pow, identities,
-                     lq_zero, qpow, quantum_binom, split_antisymmetric)
+                     lq_zero, parse_identity, qpow, quantum_binom, split_antisymmetric)
 
 Exp = tuple
 
@@ -194,30 +203,34 @@ def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
 # memo tables; idempotent writes keep concurrent use deterministic
 _LAYER_TABLES: dict = {}
 _B_CACHE: dict = {}
-_CHECKED_CORES: dict = {}       # core -> the b_element object that passed the full check
+_CHECKED_CORES: dict = {}       # core -> the b_element object `_certify_core` certified
 
 
 def layer_table(k: int) -> LayerTable:
     """Memoized `b_element`s of one layer.
 
-    Every layer is built, with triangularity checked on every element's
-    stored terms (no dual-PBW copy) and both conditions in full once per
-    core (`_core`); `b_element` has checked that each p0/p1 step takes the
-    sigma exponent from -N(core) to -N(a).  With QCA_CACHE_DIR set,
-    `_save_layer` then makes the layer's cache file hold the build's bytes,
-    rewriting any other file silently; the file is never read back.  A path
-    that cannot be read or written (an `OSError`) is one warning and a
-    miss."""
+    Every layer is built and checked without straightening sigma.  The
+    sigma eigenvalue of each distinct core (`_core`) is certified once per
+    process from the structure that built it, its factor cores first
+    (`_certify_core`): an order-maximal core is the single term E[c] with a
+    closed-form exponent, a near-diagonal core satisfies the mirrored row
+    of `RECURSIONS`, and a cluster monomial had its exponent derived by
+    `b_element`.  `b_element` has checked that each p0/p1 step takes the
+    exponent from -N(core) to -N(a), and triangularity is checked on every
+    element's stored terms (no dual-PBW copy).  `verify layers`, the tests
+    and CI check both conditions on every element in full.  With
+    QCA_CACHE_DIR set, `_save_layer` then makes the layer's cache file hold
+    the build's bytes, rewriting any other file silently; the file is never
+    read back.  A path that cannot be read or written (an `OSError`) is one
+    warning and a miss."""
     tab = _LAYER_TABLES.get(k)
     if tab is None:
-        tab = LayerTable(k, {a: b_element(a) for a in layer_exponents(k)})
+        exps = layer_exponents(k)
+        for c in sorted({_core(a) for a in exps}):
+            _certify_core(c)
+        tab = LayerTable(k, {a: b_element(a) for a in exps})
         for a, elem in tab:
             _check_triangular(a, elem)
-            c = _core(a)
-            core = b_element(c)
-            if _CHECKED_CORES.get(c) is not core:
-                check_basis_conditions(c, core)
-                _CHECKED_CORES[c] = core
         cache_dir = os.environ.get("QCA_CACHE_DIR")
         if cache_dir:
             try:
@@ -227,6 +240,68 @@ def layer_table(k: int) -> LayerTable:
                       file=sys.stderr)
         _LAYER_TABLES[k] = tab
     return tab
+
+
+def _certify_core(c: Exp):
+    """Certify sigma(B[c]) = q^(-N(c)) B[c] for the core c from the
+    structure `b_element` builds it by, straightening no sigma.  Each
+    certificate takes its factors to be eigenvectors, so the cores of
+    c's factors are certified first; the certified object is kept in
+    `_CHECKED_CORES`.
+
+    - Order-maximal: B[c] must be the single term q^(b(c)) u^c, whose
+      reversed word takes c3 c2 + c2 c1 + c1 c0 swaps at distance one, so
+      its exponent -2b(c) + 2(3c3 + 2c2 + c1) - 2(c3c2 + c2c1 + c1c0) must
+      be -N(c).
+    - Near-diagonal, built by row 1, 3 or 5 of `RECURSIONS`: sigma sends
+      sign q^t B[f] u_i to sign q^(-t + 2i - N(f)) u_i B[f] (and a left
+      factor to the right), so the mirrored row 2, 4 or 6 must carry these
+      terms times q^N(c), and B[c] must equal it: two single-generator
+      products.
+    - Cluster monomial: `b_element` derived its exponent as it built it.
+    """
+    done = _CHECKED_CORES.get(c)
+    if done is not None and done is b_element(c):
+        return
+    if _order_maximal(c):
+        c3, c2, c1, c0 = c
+        x = b_element(c)
+        e = -2 * stat_b(c) + 2 * (3 * c3 + 2 * c2 + c1) - 2 * (c3 * c2 + c2 * c1 + c1 * c0)
+        if x.terms != {c: qpow(stat_b(c))} or e != -stat_n(c):
+            raise _uncertified(c, f"it is not the single term E[{c}] with sigma exponent {-stat_n(c)}")
+    elif abs(c[0] - c[3]) <= 1:
+        n, r = _near_diagonal_row(c)
+        (_, _, built), (text, _, mirror) = _ROWS[r], _ROWS[r + 1]
+        for *_, f in built:
+            _certify_core(_core(_at(f, n)))
+        x, want = b_element(c), pbw.zero()
+        for (sign, t, i, left, f), (sign2, t2, i2, left2, f2) in zip(built, mirror):
+            f = _at(f, n)
+            if ((sign2, i2, left2, _at(f2, n)) != (sign, i, not left, f)
+                    or t2(n) != stat_n(c) - t(n) + 2 * i - stat_n(f)):
+                raise _uncertified(c, f"sigma does not map its recursion onto {text!r} at n = {n}")
+            g, y = pbw.generator(i), b_element(f)
+            y = (g * y if left2 else y * g).scale_qpow(t2(n))
+            want = want + y if sign > 0 else want - y
+        if x != want:
+            raise _uncertified(c, f"{text!r} fails at n = {n}: {diff_detail(x, want)}")
+    else:
+        for f in _cluster_factors(c)[:2]:
+            _certify_core(f)
+        x = b_element(c)
+    _CHECKED_CORES[c] = x
+
+
+def _uncertified(c: Exp, why: str) -> AssertionError:
+    return AssertionError(f"B[{c}] is not certified a sigma eigenvector with eigenvalue "
+                          f"q^{-stat_n(c)}: {why}")
+
+
+def _order_maximal(a: Exp) -> bool:
+    """a is maximal in the order, and B[a] = E[a]: a1 = a0 = 0, a3 = a0 = 0
+    or a3 = a2 = 0."""
+    a3, a2, a1, a0 = a
+    return (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0)
 
 
 def _core(a: Exp) -> Exp:
@@ -311,6 +386,80 @@ def _save_layer(tab: LayerTable, cache_dir):
         tmp.unlink(missing_ok=True)  # a no-op once the move succeeded
 
 
+# the eighth recursion, the right-multiplied dual of the seventh, has its
+# middle index forced to n-1 by degree (its printed companion drops a -1)
+RECURSIONS = ((1, None, (
+    "B[n,0,0,n-1] = q^(n-1) u3 B[n-1,0,0,n-1] - q^(2n-1) u2 B[n-1,0,1,n-2]",
+    "B[n,0,0,n-1] = q^(3n-3) B[n-1,0,0,n-1] u3 - q^(2n-3) B[n-1,0,1,n-2] u2",
+    "B[n-1,0,0,n] = q^(n-1) B[n-1,0,0,n-1] u0 - q^(2n-1) B[n-2,1,0,n-1] u1",
+    "B[n-1,0,0,n] = q^(3n-3) u0 B[n-1,0,0,n-1] - q^(2n-3) u1 B[n-2,1,0,n-1]",
+    "B[n,0,0,n] = q^(n-1) B[n,0,0,n-1] u0 - q^(2n) B[n-1,1,0,n-1] u1",
+    "B[n,0,0,n] = q^(3n-1) u0 B[n,0,0,n-1] - q^(2n-2) u1 B[n-1,1,0,n-1]",
+    "B[n,0,0,n] = q^(n-1) u3 B[n-1,0,0,n] - q^(2n) u2 B[n-1,0,1,n-1]",
+    "B[n,0,0,n] = q^(3n-1) B[n-1,0,0,n] u3 - q^(2n-2) B[n-1,0,1,n-1] u2")),)
+
+
+def _recursion_row(text: str):
+    """A row of `RECURSIONS` as `b_element` and `_certify_core` read it:
+    (text, lhs, terms), lhs the left side's index and each term
+    (sign, t, i, left, f) the term sign q^t u_i B[f] (left) or
+    sign q^t B[f] u_i, with t and the coordinates of lhs and f functions
+    of n."""
+    ((_, ((_, lhs, _),)),), rhs = parse_identity(text)
+    terms = []
+    for sign, ((_, t, _), x, y) in rhs:
+        left = x[0] == "name"
+        (_, u, _), (_, f, _) = (x, y) if left else (y, x)
+        terms.append((sign, t, int(u[1]), left, f))
+    return text, lhs, tuple(terms)
+
+
+# rows 1..6, read once at import: b_element builds a near-diagonal core by
+# row 1, 3 or 5, and `_certify_core` checks it against the next row, its mirror
+_ROWS = tuple(_recursion_row(text) for text in RECURSIONS[0][2][:6])
+# the q_product rules of the factors those rows multiply by
+_GEN_RULES = {(0, False): pbw.X_U0, (1, False): pbw.X_U1, (2, True): pbw.U2_X, (3, True): pbw.U3_X}
+
+
+def _at(index, n: int) -> Exp:
+    return tuple(p(n) for p in index)
+
+
+def _near_diagonal_row(a: Exp):
+    """n and the index r of the row of `_ROWS` that builds the core
+    a = (x, 0, 0, w), |x - w| <= 1: B[n,0,0,n-1], B[n-1,0,0,n] or
+    B[n,0,0,n], n = max(x, w)."""
+    n = max(a[0], a[3])
+    return n, next(r for r in (0, 2, 4) if _at(_ROWS[r][1], n) == a)
+
+
+def _cluster_factors(a: Exp):
+    """(c, c', d, j) for a cluster-monomial core a = (x, 0, 0, w),
+    |x - w| = d >= 2: B[a] is B[c]^(d-j) B[c']^j up to a power of q, with
+    c, c' = c + (1, 0, 0, 1) adjacent cluster variables."""
+    x, w = a[0], a[3]
+    d = abs(x - w)
+    m, j = divmod(min(x, w), d)
+    c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
+    return c, (c[0] + 1, 0, 0, c[3] + 1), d, j
+
+
+@lru_cache(maxsize=None)
+def _quasi_commutation(c: Exp) -> int:
+    """The lam with B[c] B[c'] = q^lam B[c'] B[c], c' = c + (1, 0, 0, 1),
+    checked once per adjacent pair of cluster variables and process."""
+    c2 = (c[0] + 1, 0, 0, c[3] + 1)
+    x, y = b_element(c), b_element(c2)
+    xy, yx = x * y, y * x
+    # the power of q read off one monomial, then checked on all; an odd h
+    # (1 when xy lacks the monomial) refuses the pair
+    k = max(yx.terms)
+    h = min(xy.terms[k].terms) - min(yx.terms[k].terms) if k in xy.terms else 1
+    if h % 2 or xy != yx.scale(half_pow(h)):
+        raise AssertionError(f"B[{c}] and B[{c2}] do not quasi-commute")
+    return h // 2
+
+
 def b_element(a) -> pbw.PbwElement:
     """B[a]: strip p0/p1 factors, then either a frozen dual-PBW core, the
     one-step recursions on near-diagonal cores, or, on any other core
@@ -321,7 +470,12 @@ def b_element(a) -> pbw.PbwElement:
     coefficients and reverses products, so by `_p_facts` and
     sigma(B[c]) = q^(-N(c)) B[c], the exponent of q^t B[c] p0 is
     -2t + eps0 + chi0(wt c) - N(c), and of q^t p1 B[c] is
-    -2t + eps1 - chi1(wt c) - N(c); each must be -N(a).
+    -2t + eps1 - chi1(wt c) - N(c); each must be -N(a).  A cluster
+    monomial q^(-h/2) B[c]^(d-j) B[c']^j is checked the same way: with
+    B[c] B[c'] = q^lam B[c'] B[c] (`_quasi_commutation`), its exponent
+    h - (d-j) N(c) - j N(c') - lam j (d-j) must be -N(a).  The near-diagonal
+    cores, built by rows 1, 3 and 5 of `RECURSIONS`, and the order-maximal
+    ones are certified by `_certify_core`, which `layer_table` runs.
 
     Every p0/p1 step and every near-diagonal step multiplies by a factor
     that q-commutes with each letter it passes (x p0, p1 x, x u0, x u1,
@@ -335,7 +489,6 @@ def b_element(a) -> pbw.PbwElement:
     hit = _B_CACHE.get(a)
     if hit is not None:
         return hit
-    a3, a2, a1, a0 = a
     step = _p_step(a)
     if step is not None:
         which, c, t = step
@@ -345,40 +498,32 @@ def b_element(a) -> pbw.PbwElement:
         if e != -stat_n(a):
             raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
         res = pbw.q_product(b_element(c), pbw.X_P0 if which == 0 else pbw.P1_X, t)
-    elif (a1 == 0 and a0 == 0) or (a3 == 0 and a0 == 0) or (a3 == 0 and a2 == 0):
-        res = dual_pbw(a)  # order-maximal shapes: B = E
+    elif _order_maximal(a):
+        res = dual_pbw(a)  # B = E
+    elif abs(a[0] - a[3]) <= 1:
+        # core shape (x, 0, 0, w) with x, w >= 1 and |x - w| <= 1
+        n, r = _near_diagonal_row(a)
+        res = pbw.zero()
+        for sign, t, i, left, f in _ROWS[r][2]:
+            x = pbw.q_product(b_element(_at(f, n)), _GEN_RULES[i, left], t(n))
+            res = res + x if sign > 0 else res - x
     else:
-        # core shape (x, 0, 0, w) with x, w >= 1
-        x, w = a3, a0
-        qp = pbw.q_product
-        if x == w:
-            n = x
-            res = qp(b_element((n, 0, 0, n - 1)), pbw.X_U0, n - 1) \
-                - qp(b_element((n - 1, 1, 0, n - 1)), pbw.X_U1, 2 * n)
-        elif x == w + 1:
-            n = x
-            res = qp(b_element((n - 1, 0, 0, n - 1)), pbw.U3_X, n - 1) \
-                - qp(b_element((n - 1, 0, 1, n - 2)), pbw.U2_X, 2 * n - 1)
-        elif w == x + 1:
-            n = w
-            res = qp(b_element((n - 1, 0, 0, n - 1)), pbw.X_U0, n - 1) \
-                - qp(b_element((n - 2, 1, 0, n - 1)), pbw.X_U1, 2 * n - 1)
-        else:
-            # the quantum cluster monomial in two adjacent cluster variables
-            # c and c + (1, 0, 0, 1), divided by its E[a] coefficient q^(h/2);
-            # B[c]^(d-j) B[c']^j is built one right factor at a time, so that
-            # each product straightens by a single cluster variable
-            d = abs(x - w)
-            m, j = divmod(min(x, w), d)
-            c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
-            res, step = b_element(c) ** (d - j), b_element((c[0] + 1, 0, 0, c[3] + 1))
-            for _ in range(j):
-                res = res * step
-            lead = res.terms.get(a, lq_zero()) * qpow(-stat_b(a))
-            h = min(lead.terms, default=0)
-            if lead != half_pow(h):
-                raise AssertionError(f"B[{a}]: cluster monomial has leading coefficient {lead}")
-            res = res.scale(half_pow(-h))
+        # the quantum cluster monomial in two adjacent cluster variables
+        # c and c', divided by its E[a] coefficient q^(h/2); B[c]^(d-j)
+        # B[c']^j is built one right factor at a time, so that each product
+        # straightens by a single cluster variable
+        c, c2, d, j = _cluster_factors(a)
+        res, step = b_element(c) ** (d - j), b_element(c2)
+        for _ in range(j):
+            res = res * step
+        lead = res.terms.get(a, lq_zero()) * qpow(-stat_b(a))
+        h = min(lead.terms, default=0)
+        if lead != half_pow(h):
+            raise AssertionError(f"B[{a}]: cluster monomial has leading coefficient {lead}")
+        e = h - (d - j) * stat_n(c) - j * stat_n(c2) - (_quasi_commutation(c) * j * (d - j) if j else 0)
+        if e != -stat_n(a):
+            raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
+        res = res.scale(half_pow(-h))
     _B_CACHE[a] = res
     return res
 
@@ -417,18 +562,6 @@ def b_product(a: Exp, b: Exp) -> dict:
 
 # -- verification suites -------------------------------------------------------
 
-
-# the eighth recursion, the right-multiplied dual of the seventh, has its
-# middle index forced to n-1 by degree (its printed companion drops a -1)
-RECURSIONS = ((1, None, (
-    "B[n,0,0,n-1] = q^(n-1) u3 B[n-1,0,0,n-1] - q^(2n-1) u2 B[n-1,0,1,n-2]",
-    "B[n,0,0,n-1] = q^(3n-3) B[n-1,0,0,n-1] u3 - q^(2n-3) B[n-1,0,1,n-2] u2",
-    "B[n-1,0,0,n] = q^(n-1) B[n-1,0,0,n-1] u0 - q^(2n-1) B[n-2,1,0,n-1] u1",
-    "B[n-1,0,0,n] = q^(3n-3) u0 B[n-1,0,0,n-1] - q^(2n-3) u1 B[n-2,1,0,n-1]",
-    "B[n,0,0,n] = q^(n-1) B[n,0,0,n-1] u0 - q^(2n) B[n-1,1,0,n-1] u1",
-    "B[n,0,0,n] = q^(3n-1) u0 B[n,0,0,n-1] - q^(2n-2) u1 B[n-1,1,0,n-1]",
-    "B[n,0,0,n] = q^(n-1) u3 B[n-1,0,0,n] - q^(2n) u2 B[n-1,0,1,n-1]",
-    "B[n,0,0,n] = q^(3n-1) B[n-1,0,0,n] u3 - q^(2n-2) B[n-1,0,1,n-1] u2")),)
 
 PRODUCTS = ((1, None, (
     "B[n,0,0,n-1] B[1,0,0,1] = q^(3-4n) B[n+1,0,0,n] + q^(4-4n) B[n,1,1,n-1]",

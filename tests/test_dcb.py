@@ -1,6 +1,8 @@
+import functools
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -373,6 +375,9 @@ def _cold_layers(monkeypatch):
     monkeypatch.setattr(dcb, "_B_CACHE", {})
     monkeypatch.setattr(dcb, "_CHECKED_CORES", {})
     dcb._p_facts.cache_clear()
+    # a fresh quasi-commutation memo, so that no test sees another's pairs
+    monkeypatch.setattr(dcb, "_quasi_commutation",
+                        functools.lru_cache(maxsize=None)(dcb._quasi_commutation.__wrapped__))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -385,6 +390,102 @@ def test_layer_table_refuses_a_core_with_the_wrong_eigenvalue(monkeypatch, k):
                         lambda a: dcb.dual_pbw(a) if a == (1, 0, 0, 1) else real(a))
     with pytest.raises(AssertionError, match="sigma eigenvector"):
         dcb.layer_table(k)
+
+
+def _patched(monkeypatch, a, elem):
+    """A cold process whose b_element gives elem at a."""
+    real = dcb.b_element
+    _cold_layers(monkeypatch)
+    monkeypatch.setattr(dcb, "b_element", lambda x: elem if x == a else real(x))
+
+
+def test_layer_table_refuses_a_deeper_near_diagonal_core(monkeypatch):
+    # E[3,0,0,2] is not B[3,0,0,2]: it fails the mirrored row 2 at n = 3
+    _patched(monkeypatch, (3, 0, 0, 2), dcb.dual_pbw((3, 0, 0, 2)))
+    with pytest.raises(AssertionError, match=re.escape(
+            "B[(3, 0, 0, 2)] is not certified a sigma eigenvector with eigenvalue q^-2: "
+            "'B[n,0,0,n-1] = q^(3n-3) B[n-1,0,0,n-1] u3 - q^(2n-3) B[n-1,0,1,n-2] u2' "
+            "fails at n = 3: first differing monomial")):
+        dcb.layer_table(5)
+
+
+def test_layer_table_refuses_an_order_maximal_core_with_an_extra_term(monkeypatch):
+    # u^(0,1,0,2) has the weight of u^(0,0,2,1); the certificate runs before
+    # the triangular check would see it outside S(a)
+    a = (0, 0, 2, 1)
+    _patched(monkeypatch, a, dcb.dual_pbw(a) + dcb.dual_pbw((0, 1, 0, 2)).scale_qpow(2))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"B[{a}] is not certified a sigma eigenvector with eigenvalue q^{-dcb.stat_n(a)}: "
+            f"it is not the single term E[{a}]")):
+        dcb.layer_table(3)
+
+
+@pytest.mark.parametrize("k, f", [(3, (1, 0, 0, 1)), (4, (1, 0, 0, 2))], ids=["near-diagonal", "cluster"])
+def test_layer_table_certifies_the_factor_cores_first(monkeypatch, k, f):
+    # layer 3 has no core (1,0,0,1), but its cores (2,0,0,1) and (1,0,0,2)
+    # are built from B[1,0,0,1]; layer 4 has no core (1,0,0,2), but its
+    # cluster monomial B[1,0,0,3] is built from it: the factor's certificate
+    # is the one that fails
+    _patched(monkeypatch, f, dcb.dual_pbw(f))
+    assert f not in {dcb._core(a) for a in dcb.layer_exponents(k)}
+    with pytest.raises(AssertionError, match=re.escape(f"B[{f}] is not certified")):
+        dcb.layer_table(k)
+
+
+def test_layer_table_refuses_a_mirrored_row_sigma_does_not_give(monkeypatch):
+    # row 6 with q^(3n-3) for q^(3n-1) is not sigma of row 5 times q^N
+    _cold_layers(monkeypatch)
+    text = dcb.RECURSIONS[0][2][5].replace("q^(3n-1)", "q^(3n-3)")
+    monkeypatch.setattr(dcb, "_ROWS", dcb._ROWS[:5] + (dcb._recursion_row(text),))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"B[(1, 0, 0, 1)] is not certified a sigma eigenvector with eigenvalue q^4: "
+            f"sigma does not map its recursion onto {text!r} at n = 1")):
+        dcb.layer_table(2)
+
+
+@pytest.mark.parametrize("damage", ["lam", "h"])
+def test_b_element_derives_each_cluster_monomial_exponent(monkeypatch, damage):
+    # B[5,0,0,3] = q^(-h/2) B[2,0,0,1] B[3,0,0,2]: a lam of the wrong sign, or
+    # an E[a] coefficient read one power of q off, misses -N(a)
+    _cold_layers(monkeypatch)
+    if damage == "lam":
+        lam = dcb._quasi_commutation
+        monkeypatch.setattr(dcb, "_quasi_commutation", lambda c: -lam(c))
+    else:
+        stat_b = dcb.stat_b
+        monkeypatch.setattr(dcb, "stat_b", lambda a: stat_b(a) + (a == (5, 0, 0, 3)))
+    with pytest.raises(AssertionError, match=re.escape("B[(5, 0, 0, 3)]: derived sigma exponent")):
+        dcb.b_element((5, 0, 0, 3))
+
+
+def test_adjacent_cluster_variables_quasi_commute():
+    # B[c] B[c'] = q^lam B[c'] B[c], c' = c + (1,0,0,1): lam = 2 on the
+    # (m+1,0,0,m) family and -2 on (m,0,0,m+1)
+    for m in range(3):
+        for c, lam in (((m + 1, 0, 0, m), 2), ((m, 0, 0, m + 1), -2)):
+            c2 = (c[0] + 1, 0, 0, c[3] + 1)
+            assert dcb._quasi_commutation(c) == lam
+            assert B(*c) * B(*c2) == (B(*c2) * B(*c)).scale_qpow(lam)
+
+
+def test_quasi_commutation_refuses_a_pair_that_does_not_quasi_commute(monkeypatch):
+    _patched(monkeypatch, (2, 0, 0, 1), dcb.dual_pbw((2, 0, 0, 1)))
+    with pytest.raises(AssertionError, match=re.escape(
+            "B[(1, 0, 0, 0)] and B[(2, 0, 0, 1)] do not quasi-commute")):
+        dcb._quasi_commutation((1, 0, 0, 0))
+
+
+def test_core_certificates_agree_with_the_full_check(monkeypatch):
+    # every core of layers 0..12 is certified, and passes both conditions in full
+    _cold_layers(monkeypatch)
+    for k in range(13):
+        dcb.layer_table(k)
+    cores = {dcb._core(a) for k in range(13) for a in dcb.layer_exponents(k)}
+    assert len(cores) > 250
+    assert cores <= set(dcb._CHECKED_CORES)
+    for c, x in dcb._CHECKED_CORES.items():
+        assert x is B(*c)
+        dcb.check_basis_conditions(c, x)
 
 
 def test_layer_table_refuses_a_p_multiple_whose_lead_is_not_one(monkeypatch):
@@ -543,26 +644,32 @@ def test_b_element_checks_each_p_step(monkeypatch, which, a):
     assert dcb._B_CACHE == {}
 
 
-def test_cold_layer_table_runs_sigma_once_per_core(monkeypatch):
+def _sigma_callers(monkeypatch):
+    """The name of the function behind each later call of PbwElement.sigma."""
     sigma = pbw.PbwElement.sigma
-    calls = []
+    callers = []
 
     def counting(self):
-        calls.append(self)
+        callers.append(sys._getframe(1).f_code.co_name)
         return sigma(self)
 
     monkeypatch.setattr(pbw.PbwElement, "sigma", counting)
-    for k in range(9):
+    return callers
+
+
+def test_cold_layer_table_runs_sigma_only_on_p0_and_p1(monkeypatch):
+    # every core's eigenvalue is certified without sigma: the only sigma left
+    # is the one-time check of sigma(p0) and sigma(p1) in _p_facts
+    callers = _sigma_callers(monkeypatch)
+    for k in range(12):
         _cold_layers(monkeypatch)
-        calls.clear()
+        callers.clear()
         tab = dcb.layer_table(k)
-        cores = {dcb._core(a) for a in dcb.layer_exponents(k)}
-        # one sigma per distinct core, plus sigma(p0) and sigma(p1)
-        assert len(calls) <= len(cores) + 2, (k, len(calls), len(cores))
-        calls.clear()
+        assert set(callers) <= {"_p_facts"} and len(callers) <= 2, (k, callers)
+        callers.clear()
         dcb._LAYER_TABLES.clear()
         assert dcb.layer_table(k).entries == tab.entries
-        assert calls == []  # a rebuild in the same process reuses every check
+        assert callers == []  # a rebuild in the same process reuses every check
 
 
 def test_layer_disk_cache(tmp_path, monkeypatch):
@@ -663,29 +770,21 @@ def _file_state(directory):
             for p in sorted(directory.iterdir())}
 
 
-def test_cached_layer_table_runs_sigma_once_per_core(tmp_path, monkeypatch):
+def test_cached_layer_table_runs_sigma_only_on_p0_and_p1(tmp_path, monkeypatch):
     # a read from a filled cache builds and checks the layer as a cold one
-    # does, then compares the file with it: no sigma per cached element
+    # does, then compares the file with it: no sigma but _p_facts' two
     _cold_layers(monkeypatch)
     monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
-    want = {k: dcb.layer_table(k).entries for k in range(9)}
+    want = {k: dcb.layer_table(k).entries for k in range(12)}
     filled = _file_state(tmp_path)
-    assert sorted(filled) == sorted(f"layer_{k}.json" for k in range(9))
-    sigma = pbw.PbwElement.sigma
-    calls = []
-
-    def counting(self):
-        calls.append(self)
-        return sigma(self)
-
-    monkeypatch.setattr(pbw.PbwElement, "sigma", counting)
-    for k in range(9):
+    assert sorted(filled) == sorted(f"layer_{k}.json" for k in range(12))
+    callers = _sigma_callers(monkeypatch)
+    for k in range(12):
         _cold_layers(monkeypatch)
         monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
-        calls.clear()
+        callers.clear()
         assert dcb.layer_table(k).entries == want[k]
-        cores = {dcb._core(a) for a in dcb.layer_exponents(k)}
-        assert len(calls) <= len(cores) + 2, (k, len(calls), len(cores))
+        assert set(callers) <= {"_p_facts"} and len(callers) <= 2, (k, callers)
     assert _file_state(tmp_path) == filled  # a hit writes nothing
 
 
