@@ -36,7 +36,6 @@ Exponent tuples are (a3, a2, a1, a0) throughout.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import sys
@@ -153,19 +152,25 @@ def _check_triangular(a: Exp, elem: pbw.PbwElement):
     """Assert the triangularity condition (E[a] coefficient 1, the rest
     strictly above a in qZ[q]) on the stored terms, as E[b] = q^(b(b)) u^b:
     u^a carries q^(b(a)), any other u^b only even half-exponents of at least
-    2 b(b) + 2.  Messages give coefficients in the E scale."""
+    2 b(b) + 2 = sum x(x - 1) + 2 over b's coordinates.  The order and that
+    bound are `order_leq` and `stat_b` written out in integer arithmetic.
+    Messages give coefficients in the E scale."""
     lead = elem.terms.get(a)
     if lead != qpow(stat_b(a)):
         shown = None if lead is None else lead * qpow(-stat_b(a))
         raise AssertionError(f"B[{a}]: leading dual-PBW coefficient is {shown}, not 1")
+    a3, a2, a1, a0 = a
     for b, c in elem.terms.items():
         if b == a:
             continue
-        if not order_leq(a, b):
+        b3, b2, b1, b0 = b
+        s, r = a3 - b3, a0 - b0
+        if s < 0 or r < 0 or b2 - a2 != 2 * s - r or b1 - a1 != 2 * r - s:
             raise AssertionError(f"B[{a}]: support contains {b} outside S({a})")
-        low = 2 * stat_b(b) + 2
-        if not all(h >= low and h % 2 == 0 for h in c.terms):
-            raise AssertionError(f"B[{a}]: coefficient {c * qpow(-stat_b(b))} at {b} is not in qZ[q]")
+        low = b3 * (b3 - 1) + b2 * (b2 - 1) + b1 * (b1 - 1) + b0 * (b0 - 1) + 2
+        for h in c.terms:
+            if h < low or h & 1:
+                raise AssertionError(f"B[{a}]: coefficient {c * qpow(-stat_b(b))} at {b} is not in qZ[q]")
 
 
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
@@ -355,20 +360,30 @@ def _layer_path(k: int, cache_dir) -> Path:
 
 
 def _layer_bytes(tab: LayerTable):
-    """The layer's cache file, `json.dumps` of its entries in key order, in
-    pieces of one entry each."""
+    """The layer's cache file in pieces of one entry each: the bytes of
+    `json.dumps` of [{"a": list(a), "element": B[a].to_json_dict()}, ...] in
+    key order, each entry written by one format around its coefficients'
+    text.  That text needs no JSON escape, since the coefficient grammar
+    writes only ASCII digits, spaces and ``q^()/*+-``; the tests and CI
+    check these bytes against `json.dumps`."""
     yield b"["
-    for i, (a, e) in enumerate(sorted(tab.entries.items())):
-        yield (b", " if i else b"") + json.dumps({"a": list(a), "element": e.to_json_dict()}).encode()
+    sep = ""
+    for a, e in sorted(tab.entries.items()):
+        terms = ", ".join(['{"exp": [%d, %d, %d, %d], "coef": "%s"}' % (*b, c)
+                           for b, c in sorted(e.terms.items(), reverse=True)])
+        yield ('%s{"a": [%d, %d, %d, %d], "element": {"terms": [%s]}}' % (sep, *a, terms)).encode()
+        sep = ", "
     yield b"]"
 
 
 def _save_layer(tab: LayerTable, cache_dir):
-    """Make the layer's cache file hold `_layer_bytes(tab)`, compared piece
-    by piece and never parsed: a file that already holds them is left alone,
-    and any other is replaced by a temporary file in the same directory,
-    named for this process and thread, that `os.replace` moves into place,
-    so concurrent writers never leave a half-written file behind."""
+    """Make the layer's cache file hold `_layer_bytes(tab)`, the bytes
+    `json.dumps` would write, compared piece by piece, so the whole file is
+    never held in memory, and never parsed: a file that already holds them
+    is left alone, and any other is replaced by a temporary file in the same
+    directory, named for this process and thread, that `os.replace` moves
+    into place, so concurrent writers never leave a half-written file
+    behind."""
     path = _layer_path(tab.k, cache_dir)
     try:
         with open(path, "rb") as f:
@@ -483,10 +498,14 @@ def b_element(a) -> pbw.PbwElement:
     and straightens nothing; only the cluster-monomial cores multiply with
     `PbwElement.__mul__`.
     """
-    a = tuple(int(x) for x in a)
-    if any(x < 0 for x in a):
-        return pbw.zero()
-    hit = _B_CACHE.get(a)
+    # a memo hit on a tuple skips the normalization: only normalized tuples
+    # of nonnegative ints are stored, and an equal tuple normalizes to its key
+    hit = _B_CACHE.get(a) if type(a) is tuple else None
+    if hit is None:
+        a = tuple(int(x) for x in a)
+        if any(x < 0 for x in a):
+            return pbw.zero()
+        hit = _B_CACHE.get(a)
     if hit is not None:
         return hit
     step = _p_step(a)

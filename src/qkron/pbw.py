@@ -35,7 +35,9 @@ is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
 weights, which multiplication preserves.
 
 A product by a factor that q-commutes with every letter it passes needs
-no straightening: `q_product` applies it as a table of monomial rules.
+no straightening: `q_product` applies it as a table of monomial rules,
+on the int kernel: each rule adds its shifted copy of x through
+`_add_shifted`, and the result's LaurentQ coefficients are built once.
 With b = (b3, b2, b1, b0) and u^b the normal monomial,
 
     u^b p0 = q^(-2b0-2b1) u^(b+(0,1,0,1)) - q^(2-2b0) u^(b+(0,0,2,0))
@@ -56,7 +58,7 @@ word, with no memo table beyond the straightening memo.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, add_into, entry, lq_one, power_product, qpow, split_signed
+from .qarith import LaurentQ, Terms, entry, lq_one, power_product, qpow, split_signed
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -427,17 +429,16 @@ def q_product(x: PbwElement, rules, t: int = 0) -> PbwElement:
     passes, without straightening: x p0 (`X_P0`), p1 x (`P1_X`), x u0
     (`X_U0`), x u1 (`X_U1`), u2 x (`U2_X`) or u3 x (`U3_X`).  A rule
     (d, h, m, w) sends the coefficient c of u^b to c m q^(h/2 + t + w.b) at
-    u^(b + d)."""
+    u^(b + d).  Each rule's copy of x is added into one kernel sum by
+    `_add_shifted`, where two rules meet on a monomial, and `_element` wraps
+    its coefficients once."""
     out = {}
     for (d3, d2, d1, d0), h, m, (w3, w2, w1, w0) in rules:
         h += 2 * t
-        part = {}
         for (b3, b2, b1, b0), c in x.terms.items():
-            s = h + 2 * (w3 * b3 + w2 * b2 + w1 * b1 + w0 * b0)
-            part[(b3 + d3, b2 + d2, b1 + d1, b0 + d0)] = \
-                LaurentQ._raw({k + s: m * v for k, v in c.terms.items()})
-        add_into(out, part)
-    return PbwElement._raw(out)
+            _add_shifted(out, (b3 + d3, b2 + d2, b1 + d1, b0 + d0), c.terms,
+                         h + 2 * (w3 * b3 + w2 * b2 + w1 * b1 + w0 * b0), m)
+    return _element(out)
 
 
 X_P0 = _q_rules(p0(), P0_COMMUTE, right=True)

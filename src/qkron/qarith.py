@@ -27,8 +27,9 @@ derived from ``_mono(key, latex)`` (most of them through
 :func:`power_product`).  ``LaurentQ`` looks the names of q^(h/2) up in a
 bounded table, ``_Q_NAMES``, instead of rebuilding them per term.  The
 sign, the coefficient and the unit are ``_render``'s: an int-coefficient
-sum (``LaurentQ``, ``CPoly``) is one list comprehension and one join, and
-a Laurent coefficient is written by that same path.
+sum (``LaurentQ``, ``CPoly``) is one list comprehension and one join, a
+sum of one int-coefficient term (most often a power of q) is written
+directly, and a Laurent coefficient is written by those same paths.
 :func:`split_signed` is its inverse, which ``LaurentQ.parse`` and
 ``PbwElement.parse`` share.
 
@@ -197,10 +198,18 @@ class Terms:
         ``1`` for the unit); a coefficient 1 is dropped, and the sign comes
         out when every coefficient is negative.  A sum's coefficients are
         all ints or all Laurent polynomials; each term is written with its
-        sign, and the first term's ``+`` is dropped at the end."""
+        sign, and the first term's ``+`` is dropped at the end.  A single
+        term with an int coefficient, such as a power of q, is written
+        directly: ``m``, ``-m`` or ``3*m``, the same text as the general
+        path."""
         if not self.terms:
             return "0"
         name = self._names(latex)
+        if len(self.terms) == 1:
+            (k, c), = self.terms.items()
+            if type(c) is int:
+                one, tail = name(k)
+                return one if c == 1 else "-" + one if c == -1 else f"{c}{tail}"
         items = sorted(self.terms.items(), reverse=True)
         plus, minus = ("+", "-") if latex else ("+ ", "- ")
         if type(items[0][1]) is int:

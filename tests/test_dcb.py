@@ -16,6 +16,16 @@ def B(*a):
     return dcb.b_element(a)
 
 
+def test_b_element_memo_hit_and_normalization():
+    x = B(1, 0, 0, 1)
+    assert B(1, 0, 0, 1) is x                      # a hit is the memo's own object
+    assert dcb.b_element([1, 0, 0, 1]) is x        # any other sequence is normalized first
+    assert dcb.b_element(iter((1, 0, 0, 1))) is x
+    for a in ((1, 0, -1, 1), [0, -2, 0, 0]):
+        assert dcb.b_element(a) == pbw.zero()
+    assert (1, 0, -1, 1) not in dcb._B_CACHE
+
+
 def test_stats():
     assert dcb.stat_n((1, 0, 0, 0)) == -6
     assert dcb.stat_n((0, 0, 0, 1)) == 0
@@ -560,6 +570,18 @@ def test_triangular_check_refuses_each_damage(name):
     assert str(exc.value) == _verdict(_triangular_in_e, _TRI, bad)
 
 
+def test_triangular_check_agrees_with_the_e_view_on_each_added_term():
+    # q E[b] added to B[a], for each b of a's layer and the two next to it:
+    # the coefficient is in qZ[q], so only the order can refuse it
+    for k in range(5):
+        for a in dcb.layer_exponents(k):
+            elem = B(*a)
+            for b in (b for j in (k - 1, k, k + 1) for b in dcb.layer_exponents(j)):
+                if b not in elem.terms:
+                    bad = elem + pbw.monomial(b, qpow(dcb.stat_b(b) + 1))
+                    assert _verdict(dcb._check_triangular, a, bad) == _verdict(_triangular_in_e, a, bad)
+
+
 def test_triangular_check_agrees_with_the_e_view_on_layers():
     for k in range(12):
         for a in dcb.layer_exponents(k):
@@ -799,7 +821,7 @@ def test_layer_cache_is_never_parsed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pbw.PbwElement, "from_json_dict", refuse)
     monkeypatch.setattr(qarith.LaurentQ, "parse", refuse)
-    monkeypatch.setattr(dcb.json, "loads", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
     for k in range(9):
         _cold_layers(monkeypatch)
         monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
@@ -808,8 +830,33 @@ def test_layer_cache_is_never_parsed(tmp_path, monkeypatch):
 
 
 def _layer_items(k):
-    return [{"a": list(a), "element": e.to_json_dict()}
-            for a, e in sorted(dcb.layer_table(k).entries.items())]
+    return _json_items(dcb.layer_table(k))
+
+
+def _json_items(tab):
+    """The entries the cache file of tab holds, as `json.dumps` takes them."""
+    return [{"a": list(a), "element": e.to_json_dict()} for a, e in sorted(tab.entries.items())]
+
+
+# coefficients and keys the layers 0..9 may not show: a half power, an
+# all-negative sum, the unit, multi-digit ints and exponents, and no entry
+_HAND_MADE = {
+    "hand-made": dcb.LayerTable(22, {
+        (12, 0, 0, 10): pbw.PbwElement({(12, 0, 0, 10): lq_one(),
+                                        (11, 2, 0, 9): qarith.half_pow(-3) * 1234,
+                                        (10, 4, 0, 8): qpow(2) * -12 - qpow(-1) - qarith.half_pow(7)}),
+        (0, 0, 0, 22): pbw.PbwElement({(0, 0, 0, 22): qarith.LaurentQ({0: 10, 5: -40, -11: 7})}),
+        (0, 0, 1, 21): pbw.PbwElement({(0, 0, 1, 21): lq_one() * -1, (0, 1, 0, 21): lq_one()}),
+    }),
+    "empty": dcb.LayerTable(3, {}),
+}
+
+
+@pytest.mark.parametrize("tab", [*range(10), *_HAND_MADE])
+def test_layer_bytes_are_json_dumps(tab):
+    # the cache writer formats each entry itself; json.dumps is its oracle
+    tab = dcb.layer_table(tab) if isinstance(tab, int) else _HAND_MADE[tab]
+    assert b"".join(dcb._layer_bytes(tab)) == json.dumps(_json_items(tab)).encode()
 
 
 def _extra_key(items):

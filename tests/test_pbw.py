@@ -378,6 +378,22 @@ def test_word_product_equals_multiply():
         assert direct == step
 
 
+@pytest.mark.parametrize("b", [(0, 0, 2, 0), (1, 2, 3, 1)])
+def test_q_product_drops_a_monomial_where_two_rules_cancel(b):
+    # under x -> x p0, c u^b goes to c q^(-2b0-2b1) u^(b+(0,1,0,1)) by the
+    # first rule, and c' u^b', b' = b + (0,1,-2,1), to -c' q^(-2b0) at the
+    # same monomial by the second; c' = c q^(-2b1) cancels it
+    b3, b2, b1, b0 = b
+    c = qpow(1) * 3 + half_pow(-1)
+    x = pbw.PbwElement({b: c, (b3, b2 + 1, b1 - 2, b0 + 1): c * qpow(-2 * b1)})
+    meet = (b3, b2 + 1, b1, b0 + 1)
+    for t in (-2, 0, 5):
+        got = pbw.q_product(x, pbw.X_P0, t)
+        assert got and meet not in got.terms
+        assert all(all(c.terms.values()) for c in got.terms.values())
+        assert got == (x * pbw.p0()).scale_qpow(t)
+
+
 def test_q_product_rules_match_straightening():
     rng = random.Random(17)
     # under x -> x p0 the images of u1^2 and q^-4 u2 u0 meet at u2 u1^2 u0
