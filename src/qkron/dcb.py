@@ -10,6 +10,24 @@ kept only as the oracle that `verify layers` and the tests check it
 against; the two share one back-substitution, `_peel`, in the monomial
 basis B[a] is stored in.  The dual PBW basis is only an output view.
 
+The reversal tau (`pbw.PbwElement.tau`), the Q(q)-linear anti-automorphism
+with tau(u_i) = u_(3-i), maps B[a] to B[rev a], rev(a3,a2,a1,a0) =
+(a0,a1,a2,a3), since tau(B[a]) satisfies both defining conditions of
+B[rev a]:
+1. tau(u^a) = u^(rev a) and b(rev a) = b(a), so tau(E[a]) = E[rev a];
+2. tau swaps the two generators (-1,2,-1,0) and (0,-1,2,-1) of the order
+   cone, so it maps the span of qZ[q] E[b] over b above a onto the same over
+   b above rev a (it leaves coefficients alone, so qZ[q] stays qZ[q]);
+3. sigma tau and tau sigma are both Q-linear automorphisms that invert q,
+   and they agree on u_i up to q^(6-4i), so on anything of total t and
+   second root-weight coordinate alpha2 = 3a3 + 2a2 + a1 up to
+   q^(6t - 4 alpha2) (`_tau_facts` checks both facts on the generators);
+   sigma(B[a]) = q^(-N(a)) B[a] then gives sigma(tau B[a]) =
+   q^(6t - 4 alpha2 - N(a)) tau B[a], and 6t - 4 alpha2 = N(a) - N(rev a).
+`b_element` therefore builds B[a] only when the core `_core(a)` = (x,.,.,w)
+has x >= w, and returns tau(B[rev a]) otherwise: `_core(rev a)` is
+rev `_core(a)`.
+
 `b_element` writes B[a] as q^e p1^s B[core] p0^r, core = `_core(a)`, and
 checks each p0/p1 step's sigma exponent where it builds it.  `layer_table`
 checks triangularity on every element's stored terms, and certifies the
@@ -17,8 +35,10 @@ sigma eigenvalue of each distinct core from the structure that built it,
 factor cores first, straightening no sigma (`_certify_core`):
 - an order-maximal core must be the single term E[c], and its closed-form
   exponent -2b(c) + 2(3c3 + 2c2 + c1) - 2(c3c2 + c2c1 + c1c0) must be -N(c);
-- a near-diagonal core, built by row 1, 3 or 5 of `RECURSIONS`, must
-  satisfy the mirrored row 2, 4 or 6, onto which sigma maps the first;
+- any other core (x,0,0,w) with x < w is tau(B[rev c]), so certifying
+  rev c certifies it;
+- a near-diagonal core, built by row 1 or 5 of `RECURSIONS`, must satisfy
+  the mirrored row 2 or 6, onto which sigma maps the first;
 - a cluster monomial q^(-h/2) B[c]^(d-j) B[c']^j is checked in `b_element`:
   h - (d-j)N(c) - jN(c') - lam j(d-j) must be -N(a), with
   B[c] B[c'] = q^lam B[c'] B[c] checked once per pair (`_quasi_commutation`).
@@ -218,7 +238,8 @@ def layer_table(k: int) -> LayerTable:
     sigma eigenvalue of each distinct core (`_core`) is certified once per
     process from the structure that built it, its factor cores first
     (`_certify_core`): an order-maximal core is the single term E[c] with a
-    closed-form exponent, a near-diagonal core satisfies the mirrored row
+    closed-form exponent, a core (x, 0, 0, w) with x < w is tau of the
+    certified B[rev c], a near-diagonal core satisfies the mirrored row
     of `RECURSIONS`, and a cluster monomial had its exponent derived by
     `b_element`.  `b_element` has checked that each p0/p1 step takes the
     exponent from -N(core) to -N(a), and triangularity is checked on every
@@ -258,9 +279,12 @@ def _certify_core(c: Exp):
       reversed word takes c3 c2 + c2 c1 + c1 c0 swaps at distance one, so
       its exponent -2b(c) + 2(3c3 + 2c2 + c1) - 2(c3c2 + c2c1 + c1c0) must
       be -N(c).
-    - Near-diagonal, built by row 1, 3 or 5 of `RECURSIONS`: sigma sends
+    - Any other core (x, 0, 0, w) with x < w: `b_element` built it as
+      tau(B[rev c]) and derived its exponent through `_tau_facts`, so rev c
+      is certified instead, with no product of its own.
+    - Near-diagonal, built by row 1 or 5 of `RECURSIONS`: sigma sends
       sign q^t B[f] u_i to sign q^(-t + 2i - N(f)) u_i B[f] (and a left
-      factor to the right), so the mirrored row 2, 4 or 6 must carry these
+      factor to the right), so the mirrored row 2 or 6 must carry these
       terms times q^N(c), and B[c] must equal it: two single-generator
       products.
     - Cluster monomial: `b_element` derived its exponent as it built it.
@@ -274,7 +298,10 @@ def _certify_core(c: Exp):
         e = -2 * stat_b(c) + 2 * (3 * c3 + 2 * c2 + c1) - 2 * (c3 * c2 + c2 * c1 + c1 * c0)
         if x.terms != {c: qpow(stat_b(c))} or e != -stat_n(c):
             raise _uncertified(c, f"it is not the single term E[{c}] with sigma exponent {-stat_n(c)}")
-    elif abs(c[0] - c[3]) <= 1:
+    elif c[0] < c[3]:
+        _certify_core(c[::-1])
+        x = b_element(c)
+    elif c[0] - c[3] <= 1:
         n, r = _near_diagonal_row(c)
         (_, _, built), (text, _, mirror) = _ROWS[r], _ROWS[r + 1]
         for *_, f in built:
@@ -355,6 +382,23 @@ def _p_facts():
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _tau_facts():
+    """chi, checked once per process: tau(u_i u_j) = u_(3-j) u_(3-i) on all
+    16 generator pairs, and sigma(tau(u_i)) = q^(6-4i) tau(sigma(u_i)) with
+    6 - 4i = chi . (root weight of u_i), so sigma tau x = q^(chi . w) tau sigma x
+    for any x of root weight w."""
+    u = [pbw.generator(i) for i in range(4)]
+    chi = (6, -10)  # solved on u0, u1: weights (1, 0), (2, 1)
+    for i, (w1, w2) in enumerate(pbw.ROOT_WEIGHT):
+        e = 6 - 4 * i
+        if (any((u[i] * u[j]).tau() != u[3 - j] * u[3 - i] for j in range(4))
+                or u[i].tau().sigma() != u[i].sigma().tau().scale_qpow(e)
+                or chi[0] * w1 + chi[1] * w2 != e):
+            raise AssertionError("the tau fact table does not hold")
+    return chi
+
+
 def _layer_path(k: int, cache_dir) -> Path:
     return Path(cache_dir) / f"layer_{k}.json"
 
@@ -430,7 +474,8 @@ def _recursion_row(text: str):
 
 
 # rows 1..6, read once at import: b_element builds a near-diagonal core by
-# row 1, 3 or 5, and `_certify_core` checks it against the next row, its mirror
+# row 1 or 5, and `_certify_core` checks it against the next row, its mirror;
+# rows 3 and 4, tau of rows 1 and 2, build nothing
 _ROWS = tuple(_recursion_row(text) for text in RECURSIONS[0][2][:6])
 # the q_product rules of the factors those rows multiply by
 _GEN_RULES = {(0, False): pbw.X_U0, (1, False): pbw.X_U1, (2, True): pbw.U2_X, (3, True): pbw.U3_X}
@@ -442,21 +487,19 @@ def _at(index, n: int) -> Exp:
 
 def _near_diagonal_row(a: Exp):
     """n and the index r of the row of `_ROWS` that builds the core
-    a = (x, 0, 0, w), |x - w| <= 1: B[n,0,0,n-1], B[n-1,0,0,n] or
-    B[n,0,0,n], n = max(x, w)."""
-    n = max(a[0], a[3])
-    return n, next(r for r in (0, 2, 4) if _at(_ROWS[r][1], n) == a)
+    a = (x, 0, 0, w), x - w = 1 or 0: B[n,0,0,n-1] or B[n,0,0,n], n = x.
+    Row 3, which builds B[n-1,0,0,n], is tau of row 1 and builds nothing."""
+    n = a[0]
+    return n, next(r for r in (0, 4) if _at(_ROWS[r][1], n) == a)
 
 
 def _cluster_factors(a: Exp):
     """(c, c', d, j) for a cluster-monomial core a = (x, 0, 0, w),
-    |x - w| = d >= 2: B[a] is B[c]^(d-j) B[c']^j up to a power of q, with
-    c, c' = c + (1, 0, 0, 1) adjacent cluster variables."""
-    x, w = a[0], a[3]
-    d = abs(x - w)
-    m, j = divmod(min(x, w), d)
-    c = (m + 1, 0, 0, m) if x > w else (m, 0, 0, m + 1)
-    return c, (c[0] + 1, 0, 0, c[3] + 1), d, j
+    x - w = d >= 2: B[a] is B[c]^(d-j) B[c']^j up to a power of q, with
+    c = (m + 1, 0, 0, m), c' = c + (1, 0, 0, 1) adjacent cluster variables."""
+    d = a[0] - a[3]
+    m, j = divmod(a[3], d)
+    return (m + 1, 0, 0, m), (m + 2, 0, 0, m + 1), d, j
 
 
 @lru_cache(maxsize=None)
@@ -476,20 +519,23 @@ def _quasi_commutation(c: Exp) -> int:
 
 
 def b_element(a) -> pbw.PbwElement:
-    """B[a]: strip p0/p1 factors, then either a frozen dual-PBW core, the
-    one-step recursions on near-diagonal cores, or, on any other core
-    (x, 0, 0, w), a quantum cluster monomial.
+    """B[a]: tau(B[rev a]) when a's core (x, ., ., w) has x < w; otherwise
+    strip p0/p1 factors, then either a frozen dual-PBW core, the one-step
+    recursions on near-diagonal cores, or, on any other core (x, 0, 0, w),
+    a quantum cluster monomial.
     Convention: any negative coordinate gives 0.
 
     Each p0/p1 step checks its sigma exponent where it is built: sigma bars
     coefficients and reverses products, so by `_p_facts` and
     sigma(B[c]) = q^(-N(c)) B[c], the exponent of q^t B[c] p0 is
     -2t + eps0 + chi0(wt c) - N(c), and of q^t p1 B[c] is
-    -2t + eps1 - chi1(wt c) - N(c); each must be -N(a).  A cluster
-    monomial q^(-h/2) B[c]^(d-j) B[c']^j is checked the same way: with
+    -2t + eps1 - chi1(wt c) - N(c); each must be -N(a).  A mirrored element
+    is checked the same way: by `_tau_facts`, the exponent of tau(B[rev a])
+    is chi(wt rev a) - N(rev a), which must be -N(a).  So is a cluster
+    monomial q^(-h/2) B[c]^(d-j) B[c']^j: with
     B[c] B[c'] = q^lam B[c'] B[c] (`_quasi_commutation`), its exponent
     h - (d-j) N(c) - j N(c') - lam j (d-j) must be -N(a).  The near-diagonal
-    cores, built by rows 1, 3 and 5 of `RECURSIONS`, and the order-maximal
+    cores, built by rows 1 and 5 of `RECURSIONS`, and the order-maximal
     ones are certified by `_certify_core`, which `layer_table` runs.
 
     Every p0/p1 step and every near-diagonal step multiplies by a factor
@@ -508,8 +554,17 @@ def b_element(a) -> pbw.PbwElement:
         hit = _B_CACHE.get(a)
     if hit is not None:
         return hit
+    core = _core(a)
     step = _p_step(a)
-    if step is not None:
+    if core[0] < core[3]:
+        b = a[::-1]
+        x, y = _tau_facts()
+        w1, w2 = pbw.exp_root_weight(b)
+        e = x * w1 + y * w2 - stat_n(b)
+        if e != -stat_n(a):
+            raise AssertionError(f"B[{a}]: derived sigma exponent {e} != -N(a) = {-stat_n(a)}")
+        res = b_element(b).tau()
+    elif step is not None:
         which, c, t = step
         eps, (x, y) = _p_facts()[which]
         w1, w2 = pbw.exp_root_weight(c)
@@ -519,8 +574,8 @@ def b_element(a) -> pbw.PbwElement:
         res = pbw.q_product(b_element(c), pbw.X_P0 if which == 0 else pbw.P1_X, t)
     elif _order_maximal(a):
         res = dual_pbw(a)  # B = E
-    elif abs(a[0] - a[3]) <= 1:
-        # core shape (x, 0, 0, w) with x, w >= 1 and |x - w| <= 1
+    elif a[0] - a[3] <= 1:
+        # core shape (x, 0, 0, w) with w >= 1 and x - w = 0 or 1
         n, r = _near_diagonal_row(a)
         res = pbw.zero()
         for sign, t, i, left, f in _ROWS[r][2]:

@@ -53,7 +53,10 @@ tables are derived from those constants (`_q_rules`).
 The anti-automorphism sigma reverses every word.  It straightens the
 reversed words of all terms together by Horner's rule on their last
 letter, so one pass over the trie of the words replaces a pass over each
-word, with no memo table beyond the straightening memo.
+word, with no memo table beyond the straightening memo.  The
+anti-automorphism tau, tau(u_i) = u_(3-i) and tau(q) = q, keeps the three
+relations and sends each normal monomial to a normal monomial, so it is a
+relabelling of keys.
 """
 
 from __future__ import annotations
@@ -262,6 +265,14 @@ class PbwElement(Terms):
         terms = [(a, {4 * (3 * a[0] + 2 * a[1] + a[2]) - h: m for h, m in c.terms.items()})
                  for a, c in self.terms.items()]
         return _element(_horner(terms, 3, {}))
+
+    def tau(self) -> "PbwElement":
+        """The Q(q)-linear anti-automorphism with tau(u_i) = u_(3-i): it
+        reverses each word and renames each letter u_i to u_(3-i), so it
+        sends the normal monomial u^a to the normal monomial u^(rev a),
+        rev(a3, a2, a1, a0) = (a0, a1, a2, a3), and straightens nothing.
+        The result shares this element's coefficients."""
+        return PbwElement._raw({a[::-1]: c for a, c in self.terms.items()})
 
     def specialize_q1(self):
         """Image in the commutative polynomial ring Z[U0..U3] at q = 1: the

@@ -385,6 +385,7 @@ def _cold_layers(monkeypatch):
     monkeypatch.setattr(dcb, "_B_CACHE", {})
     monkeypatch.setattr(dcb, "_CHECKED_CORES", {})
     dcb._p_facts.cache_clear()
+    dcb._tau_facts.cache_clear()
     # a fresh quasi-commutation memo, so that no test sees another's pairs
     monkeypatch.setattr(dcb, "_quasi_commutation",
                         functools.lru_cache(maxsize=None)(dcb._quasi_commutation.__wrapped__))
@@ -430,12 +431,12 @@ def test_layer_table_refuses_an_order_maximal_core_with_an_extra_term(monkeypatc
         dcb.layer_table(3)
 
 
-@pytest.mark.parametrize("k, f", [(3, (1, 0, 0, 1)), (4, (1, 0, 0, 2))], ids=["near-diagonal", "cluster"])
+@pytest.mark.parametrize("k, f", [(3, (1, 0, 0, 1)), (4, (2, 0, 0, 1))], ids=["near-diagonal", "cluster"])
 def test_layer_table_certifies_the_factor_cores_first(monkeypatch, k, f):
-    # layer 3 has no core (1,0,0,1), but its cores (2,0,0,1) and (1,0,0,2)
-    # are built from B[1,0,0,1]; layer 4 has no core (1,0,0,2), but its
-    # cluster monomial B[1,0,0,3] is built from it: the factor's certificate
-    # is the one that fails
+    # layer 3 has no core (1,0,0,1), but its core (2,0,0,1) is built from
+    # B[1,0,0,1], and its core (1,0,0,2) is tau of B[2,0,0,1]; layer 4 has
+    # no core (2,0,0,1), but its cluster monomial B[3,0,0,1] is built from
+    # it: the factor's certificate is the one that fails
     _patched(monkeypatch, f, dcb.dual_pbw(f))
     assert f not in {dcb._core(a) for a in dcb.layer_exponents(k)}
     with pytest.raises(AssertionError, match=re.escape(f"B[{f}] is not certified")):
@@ -470,12 +471,15 @@ def test_b_element_derives_each_cluster_monomial_exponent(monkeypatch, damage):
 
 def test_adjacent_cluster_variables_quasi_commute():
     # B[c] B[c'] = q^lam B[c'] B[c], c' = c + (1,0,0,1): lam = 2 on the
-    # (m+1,0,0,m) family and -2 on (m,0,0,m+1)
+    # (m+1,0,0,m) family and -2 on (m,0,0,m+1), whose pair tau maps onto
+    # the lam = 2 pair reversed
     for m in range(3):
         for c, lam in (((m + 1, 0, 0, m), 2), ((m, 0, 0, m + 1), -2)):
             c2 = (c[0] + 1, 0, 0, c[3] + 1)
             assert dcb._quasi_commutation(c) == lam
             assert B(*c) * B(*c2) == (B(*c2) * B(*c)).scale_qpow(lam)
+        c, c2 = (m, 0, 0, m + 1), (m + 1, 0, 0, m + 2)
+        assert (B(*c) * B(*c2)).tau() == B(m + 2, 0, 0, m + 1) * B(m + 1, 0, 0, m)
 
 
 def test_quasi_commutation_refuses_a_pair_that_does_not_quasi_commute(monkeypatch):
@@ -611,6 +615,46 @@ def test_layer_table_refuses_a_wrong_derived_exponent(monkeypatch):
         dcb.layer_table(2)
 
 
+def test_mirrored_elements_match_the_oracle(monkeypatch):
+    # b_element returns tau(B[rev a]) when a's core (x,.,.,w) has x < w;
+    # compute_layer never mirrors, so it checks that half on its own
+    _cold_layers(monkeypatch)
+    mirrored = 0
+    for k in range(9):
+        tab = dcb.compute_layer(k, check=False)
+        for a, elem in tab:
+            c = dcb._core(a)
+            if c[0] < c[3]:
+                mirrored += 1
+                assert dcb.b_element(a) == elem, a
+                assert elem.tau() == B(*a[::-1]), a
+    assert mirrored == 150  # of the 495 elements of layers 0..8
+
+
+def test_tau_is_an_anti_automorphism_that_relabels_keys():
+    x = B(2, 0, 0, 1)
+    assert x.tau().tau() == x
+    assert all(x.tau().terms[a[::-1]] is c for a, c in x.terms.items())  # coefficients shared
+    rng = random.Random(5)
+    exps = [a for k in range(5) for a in dcb.layer_exponents(k)]
+    for _ in range(40):
+        x, y = B(*rng.choice(exps)), B(*rng.choice(exps))
+        assert (x * y).tau() == y.tau() * x.tau()
+
+
+@pytest.mark.parametrize("damage", ["tau-keeps-a", "sigma-of-u0"])
+def test_tau_facts_refuse_a_damaged_fact(monkeypatch, damage):
+    _cold_layers(monkeypatch)
+    if damage == "tau-keeps-a":
+        monkeypatch.setattr(pbw.PbwElement, "tau", lambda self: pbw.PbwElement._raw(dict(self.terms)))
+    else:
+        sigma = pbw.PbwElement.sigma
+        monkeypatch.setattr(pbw.PbwElement, "sigma",
+                            lambda self: sigma(self).scale_qpow(1 if self == u0 else 0))
+    with pytest.raises(AssertionError, match="the tau fact table does not hold"):
+        dcb._tau_facts()
+
+
 def test_p_facts_refuse_a_wrong_table(monkeypatch):
     _cold_layers(monkeypatch)
     monkeypatch.setattr(pbw, "P1_SIGMA", 4)
@@ -679,15 +723,23 @@ def _sigma_callers(monkeypatch):
     return callers
 
 
+def _fact_table_sigmas_only(callers):
+    """Every sigma was one of the one-time fact checks: sigma(p0) and
+    sigma(p1) in _p_facts, and the eight of the generators in _tau_facts."""
+    return (set(callers) <= {"_p_facts", "_tau_facts"}
+            and callers.count("_p_facts") <= 2 and callers.count("_tau_facts") <= 8)
+
+
 def test_cold_layer_table_runs_sigma_only_on_p0_and_p1(monkeypatch):
     # every core's eigenvalue is certified without sigma: the only sigma left
-    # is the one-time check of sigma(p0) and sigma(p1) in _p_facts
+    # is the one-time check of sigma(p0) and sigma(p1) in _p_facts, and of
+    # sigma on the four generators in _tau_facts
     callers = _sigma_callers(monkeypatch)
     for k in range(12):
         _cold_layers(monkeypatch)
         callers.clear()
         tab = dcb.layer_table(k)
-        assert set(callers) <= {"_p_facts"} and len(callers) <= 2, (k, callers)
+        assert _fact_table_sigmas_only(callers), (k, callers)
         callers.clear()
         dcb._LAYER_TABLES.clear()
         assert dcb.layer_table(k).entries == tab.entries
@@ -794,7 +846,7 @@ def _file_state(directory):
 
 def test_cached_layer_table_runs_sigma_only_on_p0_and_p1(tmp_path, monkeypatch):
     # a read from a filled cache builds and checks the layer as a cold one
-    # does, then compares the file with it: no sigma but _p_facts' two
+    # does, then compares the file with it: no sigma but the fact tables'
     _cold_layers(monkeypatch)
     monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
     want = {k: dcb.layer_table(k).entries for k in range(12)}
@@ -806,7 +858,7 @@ def test_cached_layer_table_runs_sigma_only_on_p0_and_p1(tmp_path, monkeypatch):
         monkeypatch.setenv("QCA_CACHE_DIR", str(tmp_path))
         callers.clear()
         assert dcb.layer_table(k).entries == want[k]
-        assert set(callers) <= {"_p_facts"} and len(callers) <= 2, (k, callers)
+        assert _fact_table_sigmas_only(callers), (k, callers)
     assert _file_state(tmp_path) == filled  # a hit writes nothing
 
 
