@@ -32,6 +32,18 @@ two blocks end in different letters and so have disjoint keys; only the
 rows u * S are reduced against them.  S1 and S2 are evaluated once per
 point.
 
+A cell stops reducing its rows u * S, taken in ascending order of their
+largest key, once it holds comb(a + b, a) - K(a, b) pivots, where K is the
+Kostant partition count (`_kostant_table`): the quotient by the ideal is
+U_q^+ of affine sl2, whose weight component (a, b) has dimension K(a, b)
+(Lusztig, Introduction to Quantum Groups, 33; Kac, Infinite-dimensional
+Lie algebras, 1), so over Q(q) the ideal's component has that rank.
+Specializing q = t only lowers the rank of the spanning rows, and every
+pivot lies in their span at q = t; so a cell that reaches the count spans
+exactly what they span, and one that does not reduces them all.  A wrong
+count could only leave a subspace, withholding a "member" verdict but
+never granting one.
+
 The grid spans, at q = t, exactly the space the evaluated spanning rows
 span, so the bound below is the one for eliminating those rows.  Over
 Q(q), x is a member iff its row leaves the rank r of the span unchanged.
@@ -51,7 +63,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import comb
 
 from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow, quantum_int
 
@@ -271,21 +285,27 @@ def _eval_row(terms, t) -> dict:
 
 
 def _reduce(row, basis):
-    """Reduce a row modulo `PRIME` against an echelon basis of monic pivots,
-    in place, and return it.  A key the row lacks gets -c * v, which is
-    nonzero modulo the prime, so only a key the row has can cancel."""
-    while row:
-        lead = max(row)
-        piv = basis.get(lead)
-        if piv is None:
-            return row
-        c = row[lead]
-        for k, v in piv.items():
-            v = (row.get(k, 0) - c * v) % PRIME
-            if v:
-                row[k] = v
-            else:
-                del row[k]
+    """Reduce a row modulo `PRIME` against an echelon basis of monic pivots
+    and return what is left, values in [1, PRIME - 1].  Leads come off a
+    heap of the row's keys in descending order, since a pivot adds only
+    keys below its lead; a value is taken modulo the prime only when it
+    leads, and a lead that is 0 there is dropped."""
+    keys = [-k for k in row]
+    heapify(keys)
+    while keys:
+        lead = -heappop(keys)
+        c = row[lead] % PRIME
+        if c:
+            piv = basis.get(lead)
+            if piv is None:
+                return {k: v % PRIME for k, v in row.items() if v % PRIME}
+            for k, v in piv.items():
+                if k in row:
+                    row[k] -= c * v
+                else:
+                    row[k] = -c * v
+                    heappush(keys, -k)
+        del row[lead]
     return row
 
 
@@ -297,6 +317,22 @@ def _word_key(word) -> int:
     for c in reversed(word):
         k = 2 * k + c
     return k
+
+
+def _kostant_table(w) -> list:
+    """K[a][b] for (a, b) <= w: the partitions of a a1 + b a2 into the
+    positive roots of A1^(1), a1 + n d, a2 + n d (n >= 0) and n d (n >= 1)
+    with d = a1 + a2, counted by one pass per root."""
+    n1, n2 = w
+    roots = [(n + 1, n) for n in range(n1)] + [(n, n + 1) for n in range(n2)]
+    roots += [(n, n) for n in range(1, min(n1, n2) + 1)]
+    ways = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    ways[0][0] = 1
+    for r1, r2 in roots:
+        for i in range(r1, n1 + 1):
+            for j in range(r2, n2 + 1):
+                ways[i][j] += ways[i - r1][j - r2]
+    return ways
 
 
 def _probabilistic_points(seed) -> list:
@@ -315,10 +351,13 @@ def _grid_echelon(w, t) -> dict:
     """The echelon basis over GF(PRIME) of the ideal's weight component w
     at q = t: lead key -> monic pivot row.  Built cell by cell over the
     grid (a, b) <= w: the pivots of (a-1, b) and (a, b-1) shifted by the
-    appended E1 and E2, then each row u * S reduced against them and, if
-    anything is left, scaled to lead 1 and stored."""
+    appended E1 and E2, then the rows u * S in ascending order of their
+    largest key, each reduced against them and, if anything is left, scaled
+    to lead 1 and stored, until the cell holds its rank
+    comb(a + b, a) - K(a, b)."""
     relators = [(s.weight(), _eval_row({_word_key(k): c for k, c in s.terms.items()}, t))
                 for s in serre_relators()]
+    kostant = _kostant_table(w)
     grid = {}
     for a in range(w[0] + 1):
         for b in range(w[1] + 1):
@@ -328,17 +367,19 @@ def _grid_echelon(w, t) -> dict:
                     shift = c << (a + b - 1)
                     for lead, row in prev.items():
                         basis[lead + shift] = {k + shift: v for k, v in row.items()}
-            for (r1, r2), s in relators:
-                if a < r1 or b < r2:
-                    continue
-                n = a + b - r1 - r2
-                for u in words_of_weight(a - r1, b - r2):
-                    ku = _word_key(u)
-                    row = _reduce({(k << n) + ku: v for k, v in s.items()}, basis)
-                    if row:
-                        lead = max(row)
-                        inv = pow(row[lead], -1, PRIME)
-                        basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
+            rows = [{(k << (a + b - r1 - r2)) + _word_key(u): v for k, v in s.items()}
+                    for (r1, r2), s in relators if a >= r1 and b >= r2
+                    for u in words_of_weight(a - r1, b - r2)]
+            rows.sort(key=max)
+            rank = comb(a + b, a) - kostant[a][b]
+            for row in rows:
+                if len(basis) == rank:
+                    break
+                row = _reduce(row, basis)
+                if row:
+                    lead = max(row)
+                    inv = pow(row[lead], -1, PRIME)
+                    basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
             grid[a, b] = basis
     return grid[w]
 

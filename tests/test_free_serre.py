@@ -213,20 +213,6 @@ def test_full_straightening_report():
     assert time.time() - t0 < 300
 
 
-def _kostant_count(n1, n2):
-    """Partitions of n1 a1 + n2 a2 into the positive roots of A1^(1):
-    a1 + n d, a2 + n d (n >= 0) and n d (n >= 1), with d = a1 + a2."""
-    roots = [(n + 1, n) for n in range(n1)] + [(n, n + 1) for n in range(n2)]
-    roots += [(n, n) for n in range(1, min(n1, n2) + 1)]
-    ways = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-    ways[0][0] = 1
-    for r1, r2 in roots:
-        for i in range(r1, n1 + 1):
-            for j in range(r2, n2 + 1):
-                ways[i][j] += ways[i - r1][j - r2]
-    return ways[n1][n2]
-
-
 def _keyed(terms) -> dict:
     """A coefficient dict with each word replaced by its `_word_key`."""
     return {fs._word_key(k): c for k, c in terms.items()}
@@ -257,7 +243,7 @@ def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
     # the quotient by the Serre ideal is U^+ of affine sl2, whose weight
     # component has the Kostant partition count as its dimension; the ideal
     # component, the rank of the span, is what is left of the words
-    assert rank == len(fs.words_of_weight(*w)) - _kostant_count(*w)
+    assert rank == len(fs.words_of_weight(*w)) - fs._kostant_table(w)[w[0]][w[1]]
     span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
     for t in fs._probabilistic_points(0):
         basis = _flat_echelon(span_terms, t)
@@ -266,11 +252,12 @@ def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
 
 
 def test_grid_echelon_rank_in_every_cell_up_to_7_5():
+    kostant = fs._kostant_table((7, 5))
     for t in fs._probabilistic_points(0):
         for a in range(8):
             for b in range(6):
                 basis = fs._grid_echelon((a, b), t)
-                assert len(basis) == len(fs.words_of_weight(a, b)) - _kostant_count(a, b), (a, b)
+                assert len(basis) == len(fs.words_of_weight(a, b)) - kostant[a][b], (a, b)
                 _assert_monic_echelon(basis)
 
 
@@ -282,9 +269,42 @@ def test_grid_echelon_spans_the_spanning_rows(w):
     span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
     for t in fs._probabilistic_points(0):
         grid, flat = fs._grid_echelon(w, t), _flat_echelon(span_terms, t)
-        assert len(grid) == len(flat) == len(fs.words_of_weight(*w)) - _kostant_count(*w)
+        assert len(grid) == len(flat) == len(fs.words_of_weight(*w)) - fs._kostant_table(w)[w[0]][w[1]]
         assert not any(fs._reduce(dict(row), flat) for row in grid.values())
         assert not any(fs._reduce(fs._eval_row(terms, t), grid) for terms in span_terms)
+
+
+def _key_weight(k):
+    """The weight of the word whose `_word_key` is k: a word of length n has
+    a key in [2^n - 1, 2^(n+1) - 2], and its E2s are the bits of
+    k - (2^n - 1)."""
+    n = (k + 1).bit_length() - 1
+    b = bin(k + 1 - (1 << n)).count("1")
+    return n - b, b
+
+
+def test_grid_echelon_reduces_no_row_of_a_full_cell(monkeypatch):
+    # a cell stops reducing its rows u * S once it holds the Kostant rank:
+    # every row reduced meets a basis below its cell's rank, and some rows
+    # of (7, 5)'s grid are never reduced
+    w = (7, 5)
+    kostant = fs._kostant_table(w)
+    reduce, seen = fs._reduce, []
+
+    def spy(row, basis):
+        seen.append((_key_weight(max(row)), len(basis)))
+        return reduce(row, basis)
+
+    monkeypatch.setattr(fs, "_reduce", spy)
+    rows = sum(len(fs.words_of_weight(a - r1, b - r2))
+               for a in range(w[0] + 1) for b in range(w[1] + 1)
+               for r1, r2 in ((3, 1), (1, 3)) if a >= r1 and b >= r2)
+    for t in fs._probabilistic_points(0):
+        seen.clear()
+        assert len(fs._grid_echelon(w, t)) == 693
+        assert all(size < len(fs.words_of_weight(a, b)) - kostant[a][b]
+                   for (a, b), size in seen), t
+        assert len(seen) < rows
 
 
 def test_word_keys_order_words_of_one_length():
@@ -293,6 +313,7 @@ def test_word_keys_order_words_of_one_length():
     words = fs.words_of_weight(5, 4)
     assert sorted(words, key=fs._word_key) == sorted(words, key=lambda u: u[::-1])
     assert len({fs._word_key(u) for u in words}) == len(words)
+    assert all(_key_weight(fs._word_key(u)) == (5, 4) for u in words)
     rng = random.Random(43)
     for _ in range(50):
         u = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8)))
@@ -360,7 +381,7 @@ def test_shuffle_kernel_is_the_ideal_at_5_3():
     assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
     images = [_keyed(fs.shuffle_image(fs.FreeElement.word(u)).terms)
               for u in fs.words_of_weight(*w)]
-    assert len(_flat_echelon(images, 2)) == _kostant_count(*w) == 21
+    assert len(_flat_echelon(images, 2)) == fs._kostant_table(w)[5][3] == 21
 
 
 def test_exact_decides_the_large_differences():
