@@ -32,17 +32,16 @@ two blocks end in different letters and so have disjoint keys; only the
 rows u * S are reduced against them.  S1 and S2 are evaluated once per
 point.
 
-A cell stops reducing its rows u * S, taken in ascending order of their
-largest key, once it holds comb(a + b, a) - K(a, b) pivots, where K is the
-Kostant partition count (`_kostant_table`): the quotient by the ideal is
-U_q^+ of affine sl2, whose weight component (a, b) has dimension K(a, b)
-(Lusztig, Introduction to Quantum Groups, 33; Kac, Infinite-dimensional
-Lie algebras, 1), so over Q(q) the ideal's component has that rank.
-Specializing q = t only lowers the rank of the spanning rows, and every
-pivot lies in their span at q = t; so a cell that reaches the count spans
-exactly what they span, and one that does not reduces them all.  A wrong
-count could only leave a subspace, withholding a "member" verdict but
-never granting one.
+A cell skips the row u * S when u is the lead word of a pivot g of the
+cell wt(u) = (a, b) - wt(S), which is already built.  Every word of S ends
+in a letter and a spanning row times a word is a spanning row, so g * S
+lies in the shifted part; and u * S = g * S - sum c_u' u' * S with every
+key(u') < key(u), so induction on the key puts each skipped row in the
+span of the shifted part and the kept rows, at every t and in any row
+order (the normal-word rule of noncommutative Groebner bases; Bergman
+1978).  The kept rows that still reduce to zero come from the degree-3
+syzygies of U_q^+ of affine sl2, which start at weights (6,3) and (3,6)
+(Garland-Lepowsky 1976): 9 of the 223 rows (7,5)'s grid reduces.
 
 The grid spans, at q = t, exactly the space the evaluated spanning rows
 span, so the bound below is the one for eliminating those rows.  Over
@@ -65,7 +64,6 @@ import random
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb
 
 from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow, quantum_int
 
@@ -319,22 +317,6 @@ def _word_key(word) -> int:
     return k
 
 
-def _kostant_table(w) -> list:
-    """K[a][b] for (a, b) <= w: the partitions of a a1 + b a2 into the
-    positive roots of A1^(1), a1 + n d, a2 + n d (n >= 0) and n d (n >= 1)
-    with d = a1 + a2, counted by one pass per root."""
-    n1, n2 = w
-    roots = [(n + 1, n) for n in range(n1)] + [(n, n + 1) for n in range(n2)]
-    roots += [(n, n) for n in range(1, min(n1, n2) + 1)]
-    ways = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-    ways[0][0] = 1
-    for r1, r2 in roots:
-        for i in range(r1, n1 + 1):
-            for j in range(r2, n2 + 1):
-                ways[i][j] += ways[i - r1][j - r2]
-    return ways
-
-
 def _probabilistic_points(seed) -> list:
     """The `PROBABILISTIC_POINTS` distinct integers t in [2, PRIME - 1] that
     the seed draws, in the order drawn."""
@@ -351,13 +333,12 @@ def _grid_echelon(w, t) -> dict:
     """The echelon basis over GF(PRIME) of the ideal's weight component w
     at q = t: lead key -> monic pivot row.  Built cell by cell over the
     grid (a, b) <= w: the pivots of (a-1, b) and (a, b-1) shifted by the
-    appended E1 and E2, then the rows u * S in ascending order of their
-    largest key, each reduced against them and, if anything is left, scaled
-    to lead 1 and stored, until the cell holds its rank
-    comb(a + b, a) - K(a, b)."""
+    appended E1 and E2, then the rows u * S whose u is no pivot lead of the
+    cell (a, b) - wt S, in ascending order of their largest key, each
+    reduced against them and, if anything is left, scaled to lead 1 and
+    stored."""
     relators = [(s.weight(), _eval_row({_word_key(k): c for k, c in s.terms.items()}, t))
                 for s in serre_relators()]
-    kostant = _kostant_table(w)
     grid = {}
     for a in range(w[0] + 1):
         for b in range(w[1] + 1):
@@ -367,14 +348,12 @@ def _grid_echelon(w, t) -> dict:
                     shift = c << (a + b - 1)
                     for lead, row in prev.items():
                         basis[lead + shift] = {k + shift: v for k, v in row.items()}
-            rows = [{(k << (a + b - r1 - r2)) + _word_key(u): v for k, v in s.items()}
+            rows = [{(k << (a + b - r1 - r2)) + ku: v for k, v in s.items()}
                     for (r1, r2), s in relators if a >= r1 and b >= r2
-                    for u in words_of_weight(a - r1, b - r2)]
+                    for ku in map(_word_key, words_of_weight(a - r1, b - r2))
+                    if ku not in grid[a - r1, b - r2]]
             rows.sort(key=max)
-            rank = comb(a + b, a) - kostant[a][b]
             for row in rows:
-                if len(basis) == rank:
-                    break
                 row = _reduce(row, basis)
                 if row:
                     lead = max(row)
