@@ -9,6 +9,9 @@ relators.
 Exact mode maps an element by the quantum shuffle map (`shuffle_image`),
 an algebra map into the quantum shuffle algebra whose kernel is exactly the
 Serre ideal (Rosso 1998; Leclerc 2004): x is a member iff its image is 0.
+The map runs on the int kernel, word -> {half-exponent: int}, each
+inserted word merged by one `qarith.add_shifted`; exact membership only
+asks whether the result is empty.
 Probabilistic mode, kept as an independent oracle, is finite linear
 algebra over the weight component I_w of the ideal, spanned by
 {u * S * u' : S in {S1, S2}} (`spanning_set`; S2 is S1 with the letters
@@ -30,7 +33,10 @@ key(u S) = key(u) + key(S) 2^(len u).  The pivots of the two neighbouring
 cells, shifted by E1 and E2, are already an echelon basis, because the
 two blocks end in different letters and so have disjoint keys; only the
 rows u * S are reduced against them.  S1 and S2 are evaluated once per
-point.
+point, each row from a table of the powers of t it uses.  One grid per
+point, up to the componentwise-largest weight, serves every element decided
+together, each reduced against its own cell (`_members_probabilistic`): the
+suite's probabilistic relations share their five grids.
 
 A cell skips the row u * S when u is the lead word of a pivot g of the
 cell wt(u) = (a, b) - wt(S), which is already built.  Every word of S ends
@@ -65,13 +71,13 @@ from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .qarith import LaurentQ, Terms, add_into, half_pow, lq_one, qpow, quantum_int
+from .qarith import LaurentQ, Terms, add_into, add_shifted, lq_one, qpow, quantum_int
 
 E1, E2 = 1, 2
 
 
 def weight(word) -> tuple:
-    return (sum(1 for c in word if c == E1), sum(1 for c in word if c == E2))
+    return word.count(E1), word.count(E2)
 
 
 class FreeElement(Terms):
@@ -104,9 +110,6 @@ class FreeElement(Terms):
             elif w != ww:
                 return None
         return w
-
-    def is_homogeneous(self) -> bool:
-        return not self.terms or self.weight() is not None
 
     def _mono(self, word, latex):
         if latex:
@@ -201,26 +204,29 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
     """Decide membership of a weight-homogeneous element in the two-sided
     quantum Serre ideal, up to total weight `DEFAULT_WEIGHT_CAP`.
 
-    mode "exact" asks whether `shuffle_image(x)` is zero; "probabilistic"
-    reduces x against the echelon basis of the ideal's weight component
-    modulo `PRIME` (`_grid_echelon`) at `PROBABILISTIC_POINTS` seeded
-    values of q and reports membership iff all evaluations succeed.  The
-    default picks exact for total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
+    mode "exact" asks whether the shuffle map sends x to zero; otherwise
+    `_members_probabilistic` reduces x against the ideal's weight component
+    modulo `PRIME` at `PROBABILISTIC_POINTS` seeded values of q, membership
+    iff all evaluations succeed.  The default picks exact for total weight
+    <= `EXACT_DEFAULT_MAX_TOTAL`.
     """
-    if mode not in (None, "exact", "probabilistic"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not x:
-        return MembershipResult(True, mode or "exact", (0, 0))
+        return MembershipResult(True, _mode((0, 0), mode), (0, 0))
     w = x.weight()
     if w is None:
         raise ValueError("ideal membership needs a weight-homogeneous element")
+    if _mode(w, mode) == "exact":
+        return MembershipResult(not _shuffle(x.terms.items(), 0), "exact", w)
+    return _members_probabilistic([(x, w)], seed)[0]
+
+
+def _mode(w, mode) -> str:
+    """The mode that decides an element of weight w (`ideal_membership`)."""
+    if mode not in (None, "exact", "probabilistic"):
+        raise ValueError(f"unknown mode {mode!r}")
     if w[0] + w[1] > DEFAULT_WEIGHT_CAP:
         raise ValueError(f"weight {w} exceeds the cap {DEFAULT_WEIGHT_CAP}")
-    if mode is None:
-        mode = "exact" if w[0] + w[1] <= EXACT_DEFAULT_MAX_TOTAL else "probabilistic"
-    if mode == "exact":
-        return MembershipResult(not shuffle_image(x), "exact", w)
-    return _membership_probabilistic(x, w, seed)
+    return mode or ("exact" if w[0] + w[1] <= EXACT_DEFAULT_MAX_TOTAL else "probabilistic")
 
 
 def shuffle_image(x: FreeElement) -> FreeElement:
@@ -232,27 +238,25 @@ def shuffle_image(x: FreeElement) -> FreeElement:
     and (alpha_1, alpha_2) = -2.  Its kernel is exactly the Serre ideal.
     Terms are grouped by their first letter, as `pbw._horner` groups by
     the last one, so words that share a prefix share its insertions."""
-    return FreeElement._raw(_shuffle(list(x.terms.items()), 0))
+    return FreeElement._raw({v: LaurentQ._raw(c) for v, c in _shuffle(x.terms.items(), 0).items()})
 
 
 def _shuffle(terms, pos) -> dict:
     """Phi of the sum of c * word[pos:] over the pairs (word, c) in terms,
-    as a coefficient dict."""
+    as an int kernel sum word -> {half-exponent: int}."""
     out, groups = {}, {}
     for word, c in terms:
         if len(word) == pos:
-            add_into(out, {(): c})
+            add_shifted(out, (), c.terms, 0)
         else:
             groups.setdefault(word[pos], []).append((word, c))
     for i, part in groups.items():
         for v, c in _shuffle(part, pos + 1).items():
-            inserted = {}
             h = 0  # q^(h/2) = q^-(alpha_i, wt(v_1 ... v_k))
             for k in range(len(v) + 1):
-                add_into(inserted, {v[:k] + (i,) + v[k:]: half_pow(h)})
+                add_shifted(out, v[:k] + (i,) + v[k:], c, h)
                 if k < len(v):
                     h += -4 if v[k] == i else 4
-            add_into(out, inserted, c)
     return out
 
 
@@ -268,14 +272,18 @@ def expand_certificate(certificate) -> FreeElement:
 
 def _eval_row(terms, t) -> dict:
     """The row of LaurentQ coefficients at q = t modulo `PRIME`, zeros
-    dropped.  Raises ValueError on an odd half-exponent."""
+    dropped.  Raises ValueError on an odd half-exponent.  Each t^k is read
+    from a table over the exponents the row uses, with t^-1 computed once."""
+    hs = {h for c in terms.values() for h in c.terms}
+    if any(h % 2 for h in hs):
+        raise ValueError("cannot evaluate odd half-powers of q at an integer point")
+    inv = pow(t, -1, PRIME)
+    pw = {h: pow(t if h > 0 else inv, abs(h) // 2, PRIME) for h in hs}
     out = {}
     for k, c in terms.items():
         v = 0
         for h, a in c.terms.items():
-            if h % 2:
-                raise ValueError("cannot evaluate odd half-powers of q at an integer point")
-            v += a * pow(t, h // 2, PRIME)
+            v += a * pw[h]
         v %= PRIME
         if v:
             out[k] = v
@@ -330,9 +338,9 @@ def _probabilistic_points(seed) -> list:
 
 
 def _grid_echelon(w, t) -> dict:
-    """The echelon basis over GF(PRIME) of the ideal's weight component w
-    at q = t: lead key -> monic pivot row.  Built cell by cell over the
-    grid (a, b) <= w: the pivots of (a-1, b) and (a, b-1) shifted by the
+    """The echelon bases over GF(PRIME) of the ideal's weight components
+    (a, b) <= w at q = t: (a, b) -> {lead key: monic pivot row}.  Built
+    cell by cell: the pivots of (a-1, b) and (a, b-1) shifted by the
     appended E1 and E2, then the rows u * S whose u is no pivot lead of the
     cell (a, b) - wt S, in ascending order of their largest key, each
     reduced against them and, if anything is left, scaled to lead 1 and
@@ -360,15 +368,22 @@ def _grid_echelon(w, t) -> dict:
                     inv = pow(row[lead], -1, PRIME)
                     basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
             grid[a, b] = basis
-    return grid[w]
+    return grid
 
 
-def _membership_probabilistic(x, w, seed) -> MembershipResult:
-    x_terms = {_word_key(k): c for k, c in x.terms.items()}
+def _members_probabilistic(xw, seed) -> list:
+    """The probabilistic MembershipResult of each pair (x, weight of x) in
+    xw, from one grid per point; an x that fails is not reduced again."""
+    rows = [({_word_key(k): c for k, c in x.terms.items()}, w) for x, w in xw]
+    top = tuple(map(max, zip(*(w for _, w in rows))))
+    live = set(range(len(rows)))
     for t in _probabilistic_points(seed):
-        if _reduce(_eval_row(x_terms, t), _grid_echelon(w, t)):
-            return MembershipResult(False, "probabilistic", w)
-    return MembershipResult(True, "probabilistic", w)
+        if not live:
+            break
+        grid = _grid_echelon(top, t)
+        live = {i for i in live if not _reduce(_eval_row(rows[i][0], t), grid[rows[i][1]])}
+        del grid  # the next point's grid is built with this one freed
+    return [MembershipResult(i in live, "probabilistic", w) for i, (_, w) in enumerate(rows)]
 
 
 # -- the six straightening relations -------------------------------------------
@@ -397,10 +412,14 @@ def straightening_differences():
 
 def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0) -> list:
     """Decide all six straightening relations as members of the quantum
-    Serre ideal; returns one report entry per relation."""
+    Serre ideal; returns one report entry per relation.  The relations
+    decided probabilistically are decided together, one grid per point."""
+    diffs = [(name, d, d.weight()) for name, d in straightening_differences()]
+    prob = iter(_members_probabilistic([(d, w) for _, d, w in diffs
+                                        if _mode(w, mode) == "probabilistic"], seed))
     report = []
-    for name, diff in straightening_differences():
-        res = ideal_membership(diff, mode=mode, seed=seed)
+    for name, d, w in diffs:
+        res = next(prob) if _mode(w, mode) == "probabilistic" else ideal_membership(d, "exact")
         report.append({"relation": name, "weight": list(res.weight),
                        "mode": res.mode, "member": res.member})
     return report

@@ -20,15 +20,15 @@ exponent,
 
 The straightening kernel computes with ints only.  A kernel sum holds
 one dict per normal monomial, u^b -> {half-exponent h: m}, the terms
-m q^(h/2) u^b; the one accumulate `_add_shifted` adds a whole coefficient
-dict, shifted by a q-power and scaled by an int, into the entry of one u^b,
-and drops an entry that cancels to nothing.  Its memo `_GEN_CACHE` maps
-each pair (a, j) asked for, and no other, to the rules (b, h, m) of u^a u_j;
-each rule is applied once per monomial of a sum.  `PbwElement.__mul__`
-reads the left factor's coefficient dicts as they are, and `_element`
-wraps each dict of the result as a LaurentQ.  x * y straightens once per
-u3^b3 u2^b2 prefix of y's terms and applies each tail u1^b1 u0^b0 as a
-shift, since it swaps letters at distance one only.
+m q^(h/2) u^b; the one accumulate, `qarith.add_shifted`, adds a whole
+coefficient dict, shifted by a q-power and scaled by an int, into the entry
+of one u^b, and drops an entry that cancels to nothing.  Its memo
+`_GEN_CACHE` maps each pair (a, j) asked for, and no other, to the rules
+(b, h, m) of u^a u_j; each rule is applied once per monomial of a sum.
+`PbwElement.__mul__` reads the left factor's coefficient dicts as they
+are, and `_element` wraps each dict of the result as a LaurentQ.  x * y
+straightens once per u3^b3 u2^b2 prefix of y's terms and applies each tail
+u1^b1 u0^b0 as a shift, since it swaps letters at distance one only.
 
 Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
@@ -37,7 +37,7 @@ weights, which multiplication preserves.
 A product by a factor that q-commutes with every letter it passes needs
 no straightening: `q_product` applies it as a table of monomial rules,
 on the int kernel: each rule adds its shifted copy of x through
-`_add_shifted`, and the result's LaurentQ coefficients are built once.
+`add_shifted`, and the result's LaurentQ coefficients are built once.
 With b = (b3, b2, b1, b0) and u^b the normal monomial,
 
     u^b p0 = q^(-2b0-2b1) u^(b+(0,1,0,1)) - q^(2-2b0) u^(b+(0,0,2,0))
@@ -61,7 +61,7 @@ relabelling of keys.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, entry, lq_one, power_product, qpow, split_signed
+from .qarith import LaurentQ, Terms, add_shifted, entry, lq_one, power_product, qpow, split_signed
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -91,24 +91,6 @@ def _inc(a: Exp, i: int) -> Exp:
 _GEN_CACHE: dict = {}
 
 
-def _add_shifted(out: dict, b: Exp, c: dict, s: int, m: int = 1) -> None:
-    """Add m q^(s/2) c u^b into out, b -> {half-exponent: int}, in place, for
-    c a dict half-exponent -> int; store no zero and no emptied monomial."""
-    o = out.get(b)
-    if o is None:
-        out[b] = {h + s: m * v for h, v in c.items()}
-        return
-    for h, v in c.items():
-        h += s
-        v = o.get(h, 0) + m * v
-        if v:
-            o[h] = v
-        else:
-            del o[h]
-    if not o:
-        del out[b]
-
-
 def _element(terms: dict) -> "PbwElement":
     """The PbwElement of a kernel sum: its LaurentQ coefficients are built
     here, at the kernel's boundary."""
@@ -121,13 +103,13 @@ def _terms_times_gen(terms: dict, j: int, out=None) -> dict:
         out = {}
     for a, c in terms.items():
         for b, h, m in _mono_times_gen(a, j):
-            _add_shifted(out, b, c, h, m)
+            add_shifted(out, b, c, h, m)
     return out
 
 
 def _add_g(out: dict, b: Exp, n: int, h: int = 0, m: int = 1) -> None:
     """Add m q^(h/2) g(n) u^b into out, g(n) = q^(-2(n-1)) (q^(-2n) - 1)."""
-    _add_shifted(out, b, {4 - 8 * n: 1, 4 - 4 * n: -1}, h, m)
+    add_shifted(out, b, {4 - 8 * n: 1, 4 - 4 * n: -1}, h, m)
 
 
 def _mono_times_gen(a: Exp, j: int) -> tuple:
@@ -173,7 +155,7 @@ def _horner(terms: list, i: int, out: dict) -> dict:
         return out
     if i == 1:
         for (_, _, a1, a0), c in terms:
-            _add_shifted(out, (0, 0, a1, a0), c, 2 * _ADJ * a0 * a1)
+            add_shifted(out, (0, 0, a1, a0), c, 2 * _ADJ * a0 * a1)
         return out
     s = _slot(i)
     groups = {}
@@ -229,7 +211,7 @@ class PbwElement(Terms):
             for (a3, a2, a1, a0), ct in t.items():
                 b = (a3, a2, a1 + b1, a0 + b0)
                 for h, m in c.terms.items():
-                    _add_shifted(out, b, ct, h + s * a0, m)
+                    add_shifted(out, b, ct, h + s * a0, m)
         return _element(out)
 
     # -- structure ----------------------------------------------------------
@@ -441,14 +423,14 @@ def q_product(x: PbwElement, rules, t: int = 0) -> PbwElement:
     (`X_U0`), x u1 (`X_U1`), u2 x (`U2_X`) or u3 x (`U3_X`).  A rule
     (d, h, m, w) sends the coefficient c of u^b to c m q^(h/2 + t + w.b) at
     u^(b + d).  Each rule's copy of x is added into one kernel sum by
-    `_add_shifted`, where two rules meet on a monomial, and `_element` wraps
+    `add_shifted`, where two rules meet on a monomial, and `_element` wraps
     its coefficients once."""
     out = {}
     for (d3, d2, d1, d0), h, m, (w3, w2, w1, w0) in rules:
         h += 2 * t
         for (b3, b2, b1, b0), c in x.terms.items():
-            _add_shifted(out, (b3 + d3, b2 + d2, b1 + d1, b0 + d0), c.terms,
-                         h + 2 * (w3 * b3 + w2 * b2 + w1 * b1 + w0 * b0), m)
+            add_shifted(out, (b3 + d3, b2 + d2, b1 + d1, b0 + d0), c.terms,
+                        h + 2 * (w3 * b3 + w2 * b2 + w1 * b1 + w0 * b0), m)
     return _element(out)
 
 

@@ -15,8 +15,10 @@ key: sums, scaling (also by q^k), powers, hashing, repr and the text forms.
 subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
 coefficient is ever stored.  Only ``LaurentQ.__add__`` keeps its own, and
-so does the straightening kernel: ``pbw._add_shifted`` merges a monomial's
-int coefficient dict, half-exponent -> int, with no LaurentQ in between.
+so do the two int kernels, the straightening in ``pbw`` and the quantum
+shuffle map in ``free_serre``: :func:`add_shifted` merges a key's int
+coefficient dict, half-exponent -> int, shifted by a power of q and scaled
+by an int, with no LaurentQ in between.
 
 The canonical text form of a sum is one grammar, written only by
 ``Terms._render``: terms in decreasing key order, written ``a - b + c``
@@ -75,6 +77,25 @@ def add_into(out: dict, terms: dict, c=None) -> dict:
         elif w is not None:
             del out[k]
     return out
+
+
+def add_shifted(out: dict, key, c: dict, s: int, m: int = 1) -> None:
+    """Add m q^(s/2) c at key into out, key -> {half-exponent: int}, in
+    place, for c a dict half-exponent -> int; store no zero and no emptied
+    key."""
+    o = out.get(key)
+    if o is None:
+        out[key] = {h + s: m * v for h, v in c.items()}
+        return
+    for h, v in c.items():
+        h += s
+        v = o.get(h, 0) + m * v
+        if v:
+            o[h] = v
+        else:
+            del o[h]
+    if not o:
+        del out[key]
 
 
 class Terms:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from qkron import free_serre as fs
-from qkron.qarith import LaurentQ, half_pow, lq_one, qpow, quantum_int
+from qkron.qarith import LaurentQ, add_into, half_pow, lq_one, qpow, quantum_int
 
 
 def test_relators():
@@ -131,16 +131,31 @@ def _rational_row_mod_p(terms, t):
 
 def test_integer_rows_match_the_rational_evaluation():
     # the whole (5, 3) span, a slice of the (6, 4) span, and the six
-    # straightening differences, whose coefficients reach negative powers,
-    # also times 6 q^-3; at small points and at a drawn one
+    # straightening differences, whose coefficients reach negative powers
+    # ((7, 5)'s half-exponents run from -24 to 0), also times 6 q^-3; rows
+    # with positive and negative exponents, contiguous and with gaps; at
+    # small points and at a drawn one
     rows = [e for _, e in fs.spanning_set((5, 3))]
     rows += [e for _, e in fs.spanning_set((6, 4))[::4]]
     rows += [d.scale(c) for _, d in fs.straightening_differences() for c in (1, 6 * qpow(-3))]
+    d75 = next(d for _, d in fs.straightening_differences() if d.weight() == (7, 5))
+    hs = {h for c in d75.terms.values() for h in c.terms}
+    assert (min(hs), max(hs)) == (-24, 0)
+    rng = random.Random(5)
+    for spread in (3, 40):
+        rows.append(fs.FreeElement({
+            fs.words_of_weight(3, 2)[i]: LaurentQ({2 * rng.randint(-spread, spread): rng.randint(-9, 9)
+                                                   for _ in range(4)})
+            for i in range(10)}))
+    rows.append(fs.FreeElement({(1,): qpow(3) - 2 + qpow(-5), (2,): qpow(7) * 4}))
+    assert any(h > 0 for e in rows[-3:] for c in e.terms.values() for h in c.terms)
     for t in (2, 3, 97, fs._probabilistic_points(0)[0]):
         for elem in rows:
             assert fs._eval_row(elem.terms, t) == _rational_row_mod_p(elem.terms, t)
     with pytest.raises(ValueError):
         fs._eval_row({(1,): half_pow(1)}, 2)
+    with pytest.raises(ValueError):
+        fs._eval_row({(1,): qpow(-2), (2,): qpow(4) + half_pow(-3)}, 2)
 
 
 def test_membership_trivial_cases():
@@ -213,6 +228,65 @@ def test_full_straightening_report():
     assert time.time() - t0 < 300
 
 
+def _count_grids(monkeypatch) -> list:
+    """Patch `_grid_echelon` to record the weight and point of each build."""
+    grid_echelon, builds = fs._grid_echelon, []
+
+    def spy(w, t):
+        builds.append((w, t))
+        return grid_echelon(w, t)
+
+    monkeypatch.setattr(fs, "_grid_echelon", spy)
+    return builds
+
+
+@pytest.mark.parametrize("mode", [None, "exact", "probabilistic"])
+def test_one_grid_per_point_serves_every_probabilistic_relation(monkeypatch, mode):
+    # one grid per point, up to (7, 5), whether two relations (by default)
+    # or all six (probabilistic mode) take that route; none in exact mode
+    builds = _count_grids(monkeypatch)
+    report = fs.verify_straightening_mod_serre(mode=mode)
+    assert all(e["member"] for e in report)
+    expected = [] if mode == "exact" else [((7, 5), t) for t in fs._probabilistic_points(0)]
+    assert builds == expected
+
+
+@pytest.mark.parametrize("mode", [None, "probabilistic"])
+def test_a_non_member_fails_alone_and_is_not_reduced_again(monkeypatch, mode):
+    # the (6, 4) difference, changed on its lead word, is reported a
+    # non-member; the other five entries are as before, and after its first
+    # point it is not evaluated again: each point evaluates S1, S2 and the
+    # relations still live
+    before = fs.verify_straightening_mod_serre(mode=mode)
+    diffs = fs.straightening_differences()
+    changed = [(name, d + fs.FreeElement.word(max(d.terms)) if d.weight() == (6, 4) else d)
+               for name, d in diffs]
+    monkeypatch.setattr(fs, "straightening_differences", lambda: changed)
+    builds = _count_grids(monkeypatch)
+    eval_row, evals = fs._eval_row, []
+    monkeypatch.setattr(fs, "_eval_row", lambda terms, t: evals.append(t) or eval_row(terms, t))
+    after = fs.verify_straightening_mod_serre(mode=mode)
+    assert len(builds) == fs.PROBABILISTIC_POINTS
+    live = sum(e["mode"] == "probabilistic" for e in before)
+    assert len(evals) == fs.PROBABILISTIC_POINTS * (2 + live) - (fs.PROBABILISTIC_POINTS - 1)
+    for b, a in zip(before, after):
+        if tuple(b["weight"]) == (6, 4):
+            assert (b["member"], a["member"]) == (True, False)
+            assert {**a, "member": True} == b
+        else:
+            assert a == b
+
+
+def test_single_membership_builds_its_own_weight_until_it_fails(monkeypatch):
+    builds = _count_grids(monkeypatch)
+    d = next(d for _, d in fs.straightening_differences() if d.weight() == (6, 4))
+    assert fs.ideal_membership(d, mode="probabilistic", seed=1).member
+    assert builds == [((6, 4), t) for t in fs._probabilistic_points(1)]
+    builds.clear()
+    assert not fs.ideal_membership(d + fs.FreeElement.word(max(d.terms)), mode="probabilistic").member
+    assert builds == [((6, 4), fs._probabilistic_points(0)[0])]
+
+
 def _keyed(terms) -> dict:
     """A coefficient dict with each word replaced by its `_word_key`."""
     return {fs._word_key(k): c for k, c in terms.items()}
@@ -270,9 +344,10 @@ def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
 def test_grid_echelon_rank_in_every_cell_up_to_7_5():
     kostant = _kostant_table((7, 5))
     for t in fs._probabilistic_points(0):
+        grid = fs._grid_echelon((7, 5), t)
         for a in range(8):
             for b in range(6):
-                basis = fs._grid_echelon((a, b), t)
+                basis = grid[a, b]
                 assert len(basis) == len(fs.words_of_weight(a, b)) - kostant[a][b], (a, b)
                 _assert_monic_echelon(basis)
 
@@ -284,7 +359,7 @@ def test_grid_echelon_spans_the_spanning_rows(w):
     # other's rows to zero
     span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
     for t in fs._probabilistic_points(0):
-        grid, flat = fs._grid_echelon(w, t), _flat_echelon(span_terms, t)
+        grid, flat = fs._grid_echelon(w, t)[w], _flat_echelon(span_terms, t)
         assert len(grid) == len(flat) == len(fs.words_of_weight(*w)) - _kostant_table(w)[w[0]][w[1]]
         assert not any(fs._reduce(dict(row), flat) for row in grid.values())
         assert not any(fs._reduce(fs._eval_row(terms, t), grid) for terms in span_terms)
@@ -315,8 +390,8 @@ def test_grid_echelon_reduces_only_rows_whose_left_word_is_no_lead(monkeypatch):
 
     monkeypatch.setattr(fs, "_reduce", spy)
     for t in fs._probabilistic_points(0):
-        grid = {(a, b): fs._grid_echelon((a, b), t)
-                for a in range(w[0] + 1) for b in range(w[1] + 1)}
+        seen.clear()
+        grid = fs._grid_echelon(w, t)
         skipped = 0
         for (a, b), basis in grid.items():
             for s in relators:
@@ -328,8 +403,7 @@ def test_grid_echelon_reduces_only_rows_whose_left_word_is_no_lead(monkeypatch):
                         skipped += 1
                         row = fs._eval_row(_keyed(fs._serre_row(u, s, ()).terms), t)
                         assert not reduce(row, basis), (t, (a, b), u)
-        seen.clear()
-        assert len(fs._grid_echelon(w, t)) == 693
+        assert len(grid[w]) == 693
         assert (len(seen), seen.count(False), skipped) == (223, 9, 147), t
 
 
@@ -388,6 +462,45 @@ def test_cross_oracle_with_normal_form():
             assert fs.ideal_membership(diff, mode="exact").member, letters
             assert fs.ideal_membership(diff, mode="probabilistic").member, letters
     assert (nonzero, probabilistic) == (28, 18)
+
+
+def _laurent_shuffle(terms, pos) -> dict:
+    """The reference shuffle map on LaurentQ coefficients: Phi of the sum of
+    c * word[pos:] over the pairs (word, c), each inserted word built as a
+    one-term sum times its q-power."""
+    out, groups = {}, {}
+    for word, c in terms:
+        if len(word) == pos:
+            add_into(out, {(): c})
+        else:
+            groups.setdefault(word[pos], []).append((word, c))
+    for i, part in groups.items():
+        for v, c in _laurent_shuffle(part, pos + 1).items():
+            inserted = {}
+            h = 0  # q^(h/2) = q^-(alpha_i, wt(v_1 ... v_k))
+            for k in range(len(v) + 1):
+                add_into(inserted, {v[:k] + (i,) + v[k:]: half_pow(h)})
+                if k < len(v):
+                    h += -4 if v[k] == i else 4
+            add_into(out, inserted, c)
+    return out
+
+
+def test_int_shuffle_matches_the_laurent_reference():
+    # the six differences, each also changed on its lead word (a
+    # non-member), both relators, and seeded random elements of words up
+    # to total 8
+    elems = list(fs.serre_relators())
+    for _, d in fs.straightening_differences():
+        elems += [d, d + fs.FreeElement.word(max(d.terms))]
+    rng = random.Random(8)
+    for _ in range(40):
+        elems.append(fs.FreeElement({
+            tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8))):
+                qpow(rng.randint(-4, 4)) * rng.choice((-3, -1, 1, 2)) + rng.randint(-1, 1)
+            for _ in range(rng.randint(1, 6))}))
+    for x in elems:
+        assert fs.shuffle_image(x) == fs.FreeElement._raw(_laurent_shuffle(list(x.terms.items()), 0))
 
 
 def test_shuffle_image_of_relators_and_a_commutator():
