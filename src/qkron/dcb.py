@@ -463,7 +463,8 @@ def _recursion_row(text: str):
     (text, lhs, terms), lhs the left side's index and each term
     (sign, t, i, left, f) the term sign q^t u_i B[f] (left) or
     sign q^t B[f] u_i, with t and the coordinates of lhs and f functions
-    of n."""
+    of n (every row's q-power names n, so it reads as q^e, not as a
+    constant)."""
     ((_, ((_, lhs, _),)),), rhs = parse_identity(text)
     terms = []
     for sign, ((_, t, _), x, y) in rhs:
@@ -646,7 +647,7 @@ PRODUCTS = ((1, None, (
 
 def _names() -> dict:
     """What the printed identities' symbols stand for, read when a suite runs."""
-    return {"B": b_element, **{f"u{i}": pbw.generator(i) for i in range(4)}}
+    return {"B": b_element, **pbw.U_POWERS}
 
 
 def verify_recursions(n_max: int) -> list:

@@ -61,7 +61,7 @@ relabelling of keys.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, add_shifted, entry, lq_one, power_product, qpow, split_signed
+from .qarith import LaurentQ, Terms, add_shifted, entry, lq_one, power_product, qpow, read
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -289,44 +289,9 @@ class PbwElement(Terms):
 
     @classmethod
     def parse(cls, s: str) -> "PbwElement":
-        """Parse the canonical text form produced by ``str``."""
-        s = s.strip()
-        if s == "0":
-            return cls()
-        out = {}
-        for neg, tok in split_signed(s):
-            coef, mono = _parse_term(tok)
-            c = -coef if neg else coef
-            prev = out.get(mono)
-            out[mono] = c if prev is None else prev + c
-        return cls(out)
-
-
-def _parse_term(tok: str):
-    """One term ``(c)*m`` or ``m``: the coefficient c is the text between the
-    leading ``(`` and the last ``)``, since no monomial name has one."""
-    coef = _ONE
-    rest = tok
-    if tok.startswith("("):
-        end = tok.rfind(")")
-        if end < 0:
-            raise ValueError(f"unclosed coefficient in term {tok!r}")
-        coef = LaurentQ.parse(tok[1:end])
-        rest = tok[end + 1:].lstrip("*")
-    a = [0, 0, 0, 0]
-    rest = rest.strip()
-    if rest and rest != "1":
-        for factor in rest.split("*"):
-            factor = factor.strip()
-            if "^" in factor:
-                name, e = factor.split("^")
-                e = int(e)
-            else:
-                name, e = factor, 1
-            if not name.startswith("u") or name[1:] not in "0123":
-                raise ValueError(f"bad generator {factor!r}")
-            a[_slot(int(name[1:]))] += e
-    return coef, tuple(a)
+        """Parse the canonical text form produced by ``str`` (`qarith.read`);
+        a word is multiplied out, so it need not be in normal order."""
+        return read(s, U_POWERS, one())
 
 
 # -- constructors -------------------------------------------------------------
@@ -357,6 +322,11 @@ def monomial(a: Exp, coef=None) -> PbwElement:
     if any(e < 0 for e in a):
         raise ValueError("negative exponent")
     return PbwElement({tuple(a): coef if coef is not None else _ONE})
+
+
+# the generators' names for `qarith.read`: u_i^k, called with its exponent k
+U_POWERS = {f"u{i}": lambda k, s=_slot(i): monomial(_ZERO_EXP[:s] + (k,) + _ZERO_EXP[s + 1:])
+            for i in range(4)}
 
 
 def p0() -> PbwElement:

@@ -32,8 +32,8 @@ sign, the coefficient and the unit are ``_render``'s: an int-coefficient
 sum (``LaurentQ``, ``CPoly``) is one list comprehension and one join, a
 sum of one int-coefficient term (most often a power of q) is written
 directly, and a Laurent coefficient is written by those same paths.
-:func:`split_signed` is its inverse, which ``LaurentQ.parse`` and
-``PbwElement.parse`` share.
+The one reader of that form is the identity reader below, through
+:func:`read`.
 
 :func:`cluster_terms` is the one index set of the paper's explicit formula
 for the quantized cluster variables, a double sum over k + l <= n or
@@ -45,9 +45,22 @@ their own binomial.
 an identity between two elements, whose failure carries the
 :func:`diff_detail` witness.  :func:`identity` is the entry for a printed
 identity ``lhs = rhs``, checked as it is printed: :func:`parse_identity`
-reads the text, with indices and exponents integer polynomials in n read
-by one regex, and both sides are evaluated with the symbols the suite
-names.  :func:`identities` runs a table of them, parsing each text once.
+reads the text and both sides are evaluated by ``_value`` with the symbols
+the suite names.  :func:`identities` runs a table of them, parsing each
+text once.
+
+One grammar serves the printed identities and the canonical text form.  A
+sum is terms joined by ``+`` and ``-``; a term is a product of factors,
+juxtaposed or joined by ``*``: ``B[i,i,i,i]``, ``X_n``, ``X_{i}``, the
+names ``u0..u3``, ``p0``, ``p1``, ``Y0``/``Y_0`` and ``Y1``/``Y_1``, each
+with a power ``^e`` or not; the scalars ``q``, ``q^e``, ``q^(h/2)`` (h an
+int) and an int; and a sum in parentheses.  Indices and exponents e are
+integer polynomials in n: ``n``, an int, or any other in parentheses, such
+as ``(2n^2-6n+8)``, read by one regex.  An identity is two sums joined by
+``=``, and each of its terms needs an algebra factor.  :func:`read` is one
+sum with no n, evaluated with a ring's names and unit:
+``LaurentQ.parse`` has no names, ``PbwElement.parse`` the powers of
+u0..u3, so a word is multiplied out in the algebra.
 
 A Laurent polynomial is stored sparsely as a dict mapping a *half-exponent*
 h (a plain int) to a nonzero int coefficient; the key h stands for
@@ -392,59 +405,8 @@ class LaurentQ(Terms):
 
     @classmethod
     def parse(cls, s: str) -> "LaurentQ":
-        """Parse the canonical text form produced by ``str``."""
-        s = s.strip()
-        if s == "0":
-            return _ZERO
-        out = {}
-        for neg, tok in split_signed(s):
-            m = _TERM_RE.fullmatch(tok)
-            if not m:
-                raise ValueError(f"cannot parse Laurent term {tok!r}")
-            coef = m.group("coef")
-            c = int(coef) if coef else 1
-            if m.group("q") is None:
-                h = 0
-            elif m.group("half") is not None:
-                h = int(m.group("half"))
-            elif m.group("int") is not None:
-                h = 2 * int(m.group("int"))
-            else:
-                h = 2
-            out[h] = out.get(h, 0) + (-c if neg else c)
-        return cls(out)
-
-
-_TERM_RE = re.compile(
-    r"(?:(?P<coef>\d+)(?:\s*\*\s*)?)?"
-    r"(?P<q>q(?:\^(?:\((?P<half>-?\d+)/2\)|(?P<int>-?\d+)))?)?"
-)
-
-
-_SIGN_RE = re.compile(r" ([+-]) ")
-
-
-def split_signed(s: str) -> list:
-    """The inverse of ``Terms._render``'s text join: split s on each
-    top-level `` + `` or `` - `` (outside parentheses) into
-    (negative, term) pairs, a leading ``-`` being the first term's sign.
-    Raises ValueError on an empty term."""
-    pieces = _SIGN_RE.split(s)
-    tok, neg = pieces[0], pieces[0].startswith("-")
-    if neg:
-        tok = tok[1:]
-    out = []
-    for i in range(1, len(pieces), 2):
-        if tok.count("(") != tok.count(")"):
-            # the sign is inside parentheses, within this term
-            tok = f"{tok} {pieces[i]} {pieces[i + 1]}"
-            continue
-        out.append((neg, tok.strip()))
-        tok, neg = pieces[i + 1], pieces[i] == "-"
-    out.append((neg, tok.strip()))
-    if not all(t for _, t in out):
-        raise ValueError(f"empty term in signed sum {s!r}")
-    return out
+        """Parse the canonical text form produced by ``str`` (see `read`)."""
+        return read(s, {}, _ONE)
 
 
 class _QNames(dict):
@@ -593,9 +555,12 @@ def compare(suite, n, identity, lhs, rhs) -> dict:
 _POLY_TERM = re.compile(r"([+-]?)(\d*)(n?)(?:\^(\d+))?")
 _EXP = r"-?\d+|n|\([^()]*\)"
 _IDX = r"[^],(){}]*"
-_ID_TOKEN = re.compile(rf"\s*(?:(?:B\[(?P<B>{_IDX}(?:,{_IDX}){{3}})\]|X_(?P<X>n|\d+|\{{[^{{}}]*\}})"
-                       rf"|q\^(?P<q>{_EXP})|(?P<name>u[0-3]|p[01]|Y_?[01]))(?:\^(?P<pow>{_EXP}))?"
-                       r"|(?P<op>[-+=()]))")
+_ID_TOKEN = re.compile(rf"(?:B\[(?P<B>{_IDX}(?:,{_IDX}){{3}})\]|X_(?P<X>n|\d+|\{{[^{{}}]*\}})"
+                       rf"|(?P<name>u[0-3]|p[01]|Y_?[01]))(?:\^(?P<pow>{_EXP}))?|(?P<op>[-+=()*])"
+                       rf"|(?P<c>\d+|q\^\(-?\d+/2\)|q\^-?\d+|q(?!\^))|(?P<q>q\^(?:{_EXP}))")
+# the text of each token of a string, or of a character that starts none
+_SPLIT = re.compile(r"\s*(" + re.sub(r"\(\?P<\w+>", "(?:", _ID_TOKEN.pattern) + r"|\S)")
+_ENDS = ("+", "-", "=", ")", None)  # the tokens that end a term
 
 
 def _poly(s: str):
@@ -610,69 +575,97 @@ def _poly(s: str):
         k = int(k or 1) if var else 0
         out[k] = out.get(k, 0) + int(sign + (c or "1"))
         pos = m.end()
-    return lambda n, t=tuple(out.items()): sum(c * n ** k for k, c in t)
+    return lambda n, t=tuple(out.items()): sum(c * n ** k if k else c for k, c in t)
 
 
-def parse_identity(text: str):
-    """The two sides of the printed identity ``lhs = rhs``, each a list of
-    (sign, factors) terms; ValueError on any other text.
+# kind -> a token's value: a constant c (int, q, q^k, q^(h/2)) is itself, q^e the exponent e
+_TOKEN_VALUE = {"B": lambda v: tuple(map(_poly, v.split(","))), "X": _poly,
+                "c": lambda v: int(v) if v[0] != "q" else half_pow(int(v[3:-3])) if v[-1] == ")"
+                else qpow(int(v[2:] or 1)),
+                "q": lambda v: _poly(v[2:]), "name": lambda v: v.replace("_", "")}
 
-    A term is a product of juxtaposed factors: ``B[i,i,i,i]``, ``X_n`` and
-    ``X_{i}``; the names ``u0..u3``, ``p0``, ``p1``, ``Y0``/``Y_0`` and
-    ``Y1``/``Y_1``; the scalar ``q^e``; and a sum in parentheses.  Every
-    factor but a sum takes a power ``^e``.  Indices and exponents are
-    integer polynomials in n: ``n``, an int, or any other in parentheses,
-    such as ``(2n^2-6n+8)``."""
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _ID_TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"cannot read {text[pos:]!r} in identity {text!r}")
-        kind, v = next((g, v) for g, v in m.groupdict().items() if v is not None)
-        v = (v.replace("_", "") if kind in ("name", "op")
-             else tuple(map(_poly, v.split(","))) if kind == "B" else _poly(v))
-        toks.append((kind, v, m.group("pow") and _poly(m.group("pow"))))
-        pos = m.end()
-    toks.append(("op", None, None))
-    pos = 0
 
-    def expect(v):
+@lru_cache(maxsize=4096)
+def _token(t: str):
+    """The token t as (kind, value, power), an operator's kind being itself."""
+    m = _ID_TOKEN.fullmatch(t)
+    if m is None:
+        raise ValueError(f"cannot read token {t!r}")
+    kind, v = next((g, v) for g, v in m.groupdict().items() if v is not None)
+    return (t, t, None) if kind == "op" else (kind, _TOKEN_VALUE[kind](v), m["pow"] and _poly(m["pow"]))
+
+
+def _sides(text: str) -> list:
+    """The sums that text writes in the grammar of the module docstring,
+    split at each ``=``, each a list of (sign, factors) terms; ValueError
+    on any other text."""
+    toks, pos = [_token(t) for t in _SPLIT.findall(text)] + [(None, None, None)], 0
+
+    def factor():
         nonlocal pos
-        if toks[pos][1] != v:
-            raise ValueError(f"cannot read identity {text!r} at its token {pos}")
+        kind, v, k = toks[pos]
         pos += 1
+        if kind == "(":
+            v = sum_()
+            if toks[pos][0] != ")":
+                raise ValueError(f"unclosed parenthesis in {text!r}")
+            pos += 1
+        elif kind in _ENDS or kind == "*":
+            raise ValueError(f"cannot read {text!r} at its token {pos - 1}")
+        return kind, v, k
 
     def sum_():
         nonlocal pos
         terms = []
         while True:
-            sign = -1 if toks[pos][1] == "-" else 1
-            pos += toks[pos][1] in ("+", "-")
-            factors = []
-            while toks[pos][0] != "op" or toks[pos][1] == "(":
-                kind, v, k = toks[pos]
-                pos += 1
-                if v == "(":
-                    kind, v = "(", sum_()
-                    expect(")")
-                factors.append((kind, v, k))
-            if all(kind == "q" for kind, _, _ in factors):
-                raise ValueError(f"a term of identity {text!r} has no algebra factor")
+            sign = -1 if toks[pos][0] == "-" else 1
+            pos += toks[pos][0] in ("+", "-")
+            factors = [factor()]
+            while toks[pos][0] not in _ENDS:
+                pos += toks[pos][0] == "*"
+                factors.append(factor())
             terms.append((sign, factors))
-            if toks[pos][1] not in ("+", "-"):
+            if toks[pos][0] not in ("+", "-"):
                 return terms
 
-    lhs = sum_()
-    expect("=")
-    rhs = sum_()
-    expect(None)
-    return lhs, rhs
+    sides = [sum_()]
+    while toks[pos][0] == "=":
+        pos += 1
+        sides.append(sum_())
+    if toks[pos][0] is not None:
+        raise ValueError(f"cannot read {text!r} at its token {pos}")
+    return sides
 
 
-def _value(terms, n: int, names):
-    """A side of a parsed identity at n: ``B`` and ``X`` call names["B"] and
-    names["X"] with their index, a name bound to a function (a p-power) is
-    called with its exponent, and q^e is the scalar `qpow` (e)."""
+def parse_identity(text: str):
+    """The two sides of the printed identity ``lhs = rhs`` (see `_sides`);
+    ValueError on any other text, and on a term with no algebra factor."""
+    def scalar(terms):  # whether a term, at any depth, has scalar factors only
+        return any(all(k in ("c", "q") for k, _, _ in f) or any(k == "(" and scalar(v) for k, v, _ in f)
+                   for _, f in terms)
+    sides = _sides(text)
+    if len(sides) != 2 or any(map(scalar, sides)):
+        raise ValueError(f"{text!r} is not one identity lhs = rhs, each term with an algebra factor")
+    return tuple(sides)
+
+
+def read(text: str, names, one):
+    """The element that text, one sum of `_sides` with no n, writes in the
+    ring whose unit is one, by `_value` with names; ValueError otherwise."""
+    sides = _sides(text)
+    if len(sides) != 1:
+        raise ValueError(f"{text!r} is an identity, not an element")
+    try:
+        return _value(sides[0], None, names, one)
+    except TypeError as e:  # n, which has no value here, or a sum across rings
+        raise ValueError(f"cannot read {text!r} as one element: {e}") from e
+
+
+def _value(terms, n, names, one=None):
+    """A parsed sum at n: ``B`` and ``X`` call names["B"] and names["X"] with
+    their index, a name bound to a function (a power of p0, p1 or u_i) is
+    called with its exponent, q^e is `qpow` (e) and a constant itself; a term
+    that comes out a scalar, such as ``(q)*1``, is taken times one, if given."""
     total = None
     for sign, factors in terms:
         x = None
@@ -682,16 +675,19 @@ def _value(terms, n: int, names):
                 v = _value(v, n, names)
             elif kind == "q":
                 v = qpow(v(n))
-            elif kind == "name":
-                v = names[v]
-            else:
-                v = names[kind](tuple(p(n) for p in v) if kind == "B" else v(n))
+            elif kind != "c":
+                f = names.get(v if kind == "name" else kind)
+                if f is None:
+                    raise ValueError(f"no {v if kind == 'name' else kind} in this ring")
+                v = f if kind == "name" else f(tuple(p(n) for p in v) if kind == "B" else v(n))
             if callable(v):
                 v = v(k)
             elif k != 1:
                 v = v ** k
             x = v if x is None else x * v
         x = x if sign > 0 else -x
+        if one is not None and type(x) is not type(one):
+            x = one.scale(x)
         total = x if total is None else total + x
     return total
 

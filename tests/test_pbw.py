@@ -347,8 +347,11 @@ def test_render_parse_json():
     assert str(pbw.one()) == "1"
     assert str(pbw.zero()) == "0"
     rng = random.Random(14)
-    for _ in range(15):
-        x = rand_element(rng)
+    basis = [e for k in range(9) for e in dcb.layer_table(k).entries.values()]
+    assert len(basis) == 495
+    # B[12,0,0,30] is 105 kB of text
+    basis += [dcb.b_element((12, 0, 0, 30)), dcb.b_element((3, 2, 1, 4))]
+    for x in [rand_element(rng) for _ in range(15)] + basis:
         assert pbw.PbwElement.parse(str(x)) == x
         assert pbw.PbwElement.from_json_dict(x.to_json_dict()) == x
 
@@ -358,6 +361,17 @@ def test_parse_roundtrip_odd_half_steps():
 
     x = (u3 * u3 * u0).scale(half_pow(-7)) + u2.scale(half_pow(3) + half_pow(-1))
     assert pbw.PbwElement.parse(str(x)) == x
+
+
+@pytest.mark.parametrize("text, word, t", [("u0*u3", (0, 3), 0), ("(q)*u0*u0*u1", (0, 0, 1), 1)])
+def test_parse_multiplies_a_word_out_of_normal_order(text, word, t):
+    # u0*u3 = (q^-2)*u3*u0 + (-1 + q^-4)*u2*u1, not u3*u0
+    assert pbw.PbwElement.parse(text) == pbw.word_product(word).scale_qpow(t)
+
+
+def test_parse_refuses_a_negative_power():
+    with pytest.raises(ValueError):
+        pbw.PbwElement.parse("u3^-1")
 
 
 def test_parse_takes_the_coefficient_up_to_the_last_parenthesis():

@@ -259,11 +259,21 @@ def test_text_forms_match_the_term_by_term_oracle():
 
 @pytest.mark.parametrize("cls, s", [(pbw.PbwElement, ""), (LaurentQ, ""), (LaurentQ, "1 +"),
                                     (LaurentQ, "1 + + q"), (LaurentQ, "-"),
-                                    (pbw.PbwElement, "u0 - ")],
+                                    (pbw.PbwElement, "u0 - "),
+                                    # names foreign to the ring, n, and a doubled product sign
+                                    (LaurentQ, "u0"), (LaurentQ, "q^n"),
+                                    (pbw.PbwElement, "B[1,0,0,1]"), (pbw.PbwElement, "p0"),
+                                    (pbw.PbwElement, "X_3"), (pbw.PbwElement, "u0 * * u1")],
                          ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
 def test_parse_rejects_empty_terms(cls, s):
     with pytest.raises(ValueError):
         cls.parse(s)
+
+
+def test_a_term_with_no_algebra_factor_is_refused_in_identities_only():
+    assert LaurentQ.parse("q^2 + 1") == qpow(2) + 1
+    with pytest.raises(ValueError):
+        qarith.parse_identity("q^2 = u0")
 
 
 def test_eval_q():
