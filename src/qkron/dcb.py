@@ -8,7 +8,12 @@ route to B[a]; `layer_table` and `expand_in_b_basis` are built on it.
 `compute_layer`, the triangular algorithm on a whole total-degree layer, is
 kept only as the oracle that `verify layers` and the tests check it
 against; the two share one back-substitution, `_peel`, in the monomial
-basis B[a] is stored in.  The dual PBW basis is only an output view.
+basis B[a] is stored in.  It runs on the int kernel of `pbw`, one dict
+half-exponent -> int per monomial, merged by `qarith.add_shifted`:
+`compute_layer` takes sigma(E[a]) from the kernel, peels it and adds each
+phi_b B[b] there, and `expand_in_b_basis` peels a copy of x's coefficient
+dicts; LaurentQ coefficients are built only for what they return.  The
+dual PBW basis is only an output view.
 
 The reversal tau (`pbw.PbwElement.tau`), the Q(q)-linear anti-automorphism
 with tau(u_i) = u_(3-i), maps B[a] to B[rev a], rev(a3,a2,a1,a0) =
@@ -64,8 +69,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import pbw
-from .qarith import (add_into, cluster_terms, compare, diff_detail, entry, half_pow, identities,
-                     lq_zero, parse_identity, qpow, quantum_binom, split_antisymmetric)
+from .qarith import (LaurentQ, add_into, add_shifted, cluster_terms, compare, diff_detail, entry,
+                     half_pow, identities, lq_zero, parse_identity, qpow, quantum_binom,
+                     split_antisymmetric)
 
 Exp = tuple
 
@@ -139,11 +145,14 @@ def _linear_extension(block, seed=None):
 
 
 def _peel(work: dict, element_of) -> dict:
-    """Back-substitution: consume the monomial-keyed `work`, always taking
-    its order-lowest key b (largest a3 + a0, which nothing else in `work`
-    can reach), and return the d_b with work = sum d_b B[b], in peel order.
+    """Back-substitution on the int kernel: consume the kernel sum `work`,
+    u^b -> {half-exponent h: m}, always taking its order-lowest key b
+    (largest a3 + a0, which nothing else in `work` can reach), and return
+    the d_b, each a dict h -> m, with work = sum d_b B[b], in peel order.
     `element_of(b)` is B[b], or None if unknown; its u^b coefficient must be
-    q^(b(b)), so d_b = work[b] q^(-b(b)) and subtracting d_b B[b] cancels b."""
+    q^(b(b)), so d_b = work[b] q^(-b(b)) and subtracting d_b B[b] by
+    `add_shifted` cancels b.  Every dict of `work` is an accumulation
+    target, so none may be the coefficient dict of an element."""
     out = {}
     while work:
         b = max(work, key=lambda e: (e[0] + e[3], e))
@@ -152,10 +161,12 @@ def _peel(work: dict, element_of) -> dict:
             raise AssertionError(f"back-substitution hit unknown B[{b}]")
         s = stat_b(b)
         lead = elem.terms.get(b)
-        if lead != qpow(s):
+        if lead is None or lead.terms != {2 * s: 1}:
             raise AssertionError(f"back-substitution: B[{b}] has u^{b} coefficient {lead}, not q^{s}")
-        d = out[b] = work[b] * qpow(-s)
-        add_into(work, elem.terms, -d)
+        d = out[b] = {h - 2 * s: m for h, m in work[b].items()}
+        for h, m in d.items():
+            for g, c in elem.terms.items():
+                add_shifted(work, g, c.terms, h, -m)
         if b in work:
             raise AssertionError(f"back-substitution: u^{b} did not cancel")
     return out
@@ -194,12 +205,14 @@ def _check_triangular(a: Exp, elem: pbw.PbwElement):
 
 
 def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
-    """Compute every B[a] on the layer total(a) = k by backward induction.
+    """Compute every B[a] on the layer total(a) = k by backward induction,
+    on the int kernel: B[a] = E[a] + sum phi_b B[b].
 
     Asserts the E[a] coefficient q^(-N(a)) of sigma(E[a]), writes the rest
-    in the already-computed B[b] by `_peel`, and splits each coefficient via
-    the antisymmetric decomposition: B[a] = E[a] + sum phi_b B[b].  Any
-    assertion failure here is a finding, not something to patch over.
+    in the already-computed B[b] by `_peel`, splits each q^N(a) d_b via the
+    antisymmetric decomposition and adds phi_b B[b] by `add_shifted`; each
+    B[a] is wrapped once, by `pbw._element`.  Any assertion failure here is
+    a finding, not something to patch over.
     """
     entries = {}
     blocks = {}
@@ -207,19 +220,21 @@ def compute_layer(k: int, seed=None, check: bool = True) -> LayerTable:
         blocks.setdefault(pbw.exp_root_weight(a), []).append(a)
     for w in sorted(blocks):
         for a in _linear_extension(blocks[w], seed=seed):
-            t = dict(dual_pbw(a).sigma().terms)
-            lead = t.pop(a, lq_zero()) * qpow(-stat_b(a))
-            if lead != qpow(-stat_n(a)):
-                raise AssertionError(
-                    f"sigma(E[{a}]): leading coefficient {lead} != q^{-stat_n(a)}")
-            terms = {a: qpow(stat_b(a))}
+            s, n = stat_b(a), stat_n(a)
+            t = pbw._sigma_kernel([(a, {2 * s: 1})])
+            lead = t.pop(a, {})
+            if lead != {2 * (s - n): 1}:
+                shown = LaurentQ._raw({h - 2 * s: m for h, m in lead.items()})
+                raise AssertionError(f"sigma(E[{a}]): leading coefficient {shown} != q^{-n}")
+            terms = {a: {2 * s: 1}}
             for b, d in _peel(t, entries.get).items():
                 if not order_leq(a, b):
                     raise AssertionError(f"sigma(E[{a}]) reached {b} outside S({a})")
-                phi = split_antisymmetric(qpow(stat_n(a)) * d)
-                if phi:
-                    add_into(terms, entries[b].terms, phi)
-            elem = pbw.PbwElement._raw(terms)
+                phi = split_antisymmetric(LaurentQ._raw({h + 2 * n: m for h, m in d.items()}))
+                for h, m in phi.terms.items():
+                    for g, c in entries[b].terms.items():
+                        add_shifted(terms, g, c.terms, h, m)
+            elem = pbw._element(terms)
             if check:
                 check_basis_conditions(a, elem)
             entries[a] = elem
@@ -604,8 +619,10 @@ def b_element(a) -> pbw.PbwElement:
 
 
 def expand_in_b_basis(x: pbw.PbwElement) -> dict:
-    """Coefficients d_a with x = sum d_a B[a], by `_peel` on x's terms."""
-    return _peel(dict(x.terms), b_element)
+    """Coefficients d_a with x = sum d_a B[a], by `_peel` on a copy of x's
+    coefficient dicts (the peel subtracts into them in place)."""
+    out = _peel({a: dict(c.terms) for a, c in x.terms.items()}, b_element)
+    return {b: LaurentQ._raw(d) for b, d in out.items()}
 
 
 def b_product(a: Exp, b: Exp) -> dict:

@@ -28,7 +28,11 @@ of one u^b, and drops an entry that cancels to nothing.  Its memo
 `PbwElement.__mul__` reads the left factor's coefficient dicts as they
 are, and `_element` wraps each dict of the result as a LaurentQ.  x * y
 straightens once per u3^b3 u2^b2 prefix of y's terms and applies each tail
-u1^b1 u0^b0 as a shift, since it swaps letters at distance one only.
+u1^b1 u0^b0 as a shift, since it swaps letters at distance one only.  When
+y is one term u^b and every u^a of x ends at or before the first letter of
+u^b, each word is already in normal order, u^a u^b = u^(a+b), and nothing
+is straightened: that is how `PbwElement.parse` reads a normal-ordered
+word, one power of a letter at a time.
 
 Exponent vectors are tuples (a3, a2, a1, a0).  The root weight of slot i
 is (i+1, i) in the (alpha1, alpha2) coordinates, and products add root
@@ -173,6 +177,15 @@ def _horner(terms: list, i: int, out: dict) -> dict:
     return out
 
 
+def _sigma_kernel(terms: list) -> dict:
+    """sigma of the sum of c u^a over the pairs (a, c) in terms, c a dict
+    half-exponent -> int, as a new kernel sum: m q^(h/2) u^a goes to
+    m q^(h'/2) times the reversed word, h' = 4(3a3 + 2a2 + a1) - h, and the
+    reversed words are straightened together by `_horner`."""
+    return _horner([(a, {4 * (3 * a[0] + 2 * a[1] + a[2]) - h: m for h, m in c.items()})
+                    for a, c in terms], 3, {})
+
+
 class PbwElement(Terms):
     """A linear combination of normal-ordered monomials in u0..u3.
 
@@ -190,11 +203,23 @@ class PbwElement(Terms):
         """x * y straightens x u3^e once for each e up to the largest b3 of
         y, and extends each by u2 once per b2 within that b3's terms.  The
         tail u1^b1 u0^b0 of u^b only swaps letters at distance one, so it is
-        a shift: u^a u1^b1 u0^b0 = q^(_ADJ a0 b1) u^(a + (0, 0, b1, b0))."""
+        a shift: u^a u1^b1 u0^b0 = q^(_ADJ a0 b1) u^(a + (0, 0, b1, b0)).
+        A one-term y whose words with x are all in normal order is a
+        relabelling of x's keys, sharing its coefficients when y's is 1."""
         if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         if not isinstance(other, PbwElement):
             return NotImplemented
+        if len(other.terms) == 1:
+            # a word already in normal order, each u^a ending at or before
+            # the first letter of u^b, is u^(a+b) with coefficient 1
+            (b, c), = other.terms.items()
+            f = next((s for s in range(4) if b[s]), 3)
+            if not any(any(a[f + 1:]) for a in self.terms):
+                b3, b2, b1, b0 = b
+                one = c.terms == _ONE.terms
+                return PbwElement._raw({(a3 + b3, a2 + b2, a1 + b1, a0 + b0): ca if one else ca * c
+                                        for (a3, a2, a1, a0), ca in self.terms.items()})
         # t3 is x u3^e3 and t is x u3^e3 u2^e2, walked in (b3, b2) order
         t3 = {a: c.terms for a, c in self.terms.items()}
         t, e3, e2 = t3, 0, 0
@@ -243,10 +268,7 @@ class PbwElement(Terms):
         The reversed words are straightened together by Horner's rule on
         their last letter (see `_horner`), so words that share a prefix
         share its straightening."""
-        # m q^(h/2) u^a goes to m q^(h'/2) times the reversed word, h' = 4(3a3 + 2a2 + a1) - h
-        terms = [(a, {4 * (3 * a[0] + 2 * a[1] + a[2]) - h: m for h, m in c.terms.items()})
-                 for a, c in self.terms.items()]
-        return _element(_horner(terms, 3, {}))
+        return _element(_sigma_kernel([(a, c.terms) for a, c in self.terms.items()]))
 
     def tau(self) -> "PbwElement":
         """The Q(q)-linear anti-automorphism with tau(u_i) = u_(3-i): it

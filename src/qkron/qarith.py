@@ -15,10 +15,12 @@ key: sums, scaling (also by q^k), powers, hashing, repr and the text forms.
 subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
 coefficient is ever stored.  Only ``LaurentQ.__add__`` keeps its own, and
-so do the two int kernels, the straightening in ``pbw`` and the quantum
-shuffle map in ``free_serre``: :func:`add_shifted` merges a key's int
-coefficient dict, half-exponent -> int, shifted by a power of q and scaled
-by an int, with no LaurentQ in between.
+so do the three int kernels, the straightening in ``pbw``, the quantum
+shuffle map in ``free_serre`` and the back-substitution in ``dcb``:
+:func:`add_shifted` merges a key's int coefficient dict, half-exponent ->
+int, shifted by a power of q and scaled by an int, with no LaurentQ in
+between.  It adds into the target's dicts in place, so a dict that a
+LaurentQ wraps is never a target, only a source.
 
 The canonical text form of a sum is one grammar, written only by
 ``Terms._render``: terms in decreasing key order, written ``a - b + c``
@@ -371,9 +373,6 @@ class LaurentQ(Terms):
         """True iff the element lies in Z[q, q^(-1)] (all keys even)."""
         return all(h % 2 == 0 for h in self.terms)
 
-    def constant_term(self):
-        return self.terms.get(0, 0)
-
     def at_q1(self):
         """Evaluate at q = 1 (the sum of all coefficients)."""
         return sum(self.terms.values())
@@ -389,10 +388,6 @@ class LaurentQ(Terms):
                 raise ValueError("cannot evaluate odd half-powers of q at a rational point")
             total += c * t ** (h // 2)
         return total
-
-    def positive_part(self) -> "LaurentQ":
-        """Truncation to strictly positive exponents of q^(1/2)."""
-        return LaurentQ._raw({h: c for h, c in self.terms.items() if h > 0})
 
     # -- text form ----------------------------------------------------------
 
@@ -715,14 +710,16 @@ def split_antisymmetric(x: LaurentQ) -> LaurentQ:
     """Solve x = phi(q) - phi(q^(-1)) for phi in qZ[q].
 
     Requires x integral in q, with zero constant term and bar(x) = -x;
-    the solution is the positive-exponent truncation.  A violation signals
-    a bug in the dual-canonical computation, so it is raised rather than
-    repaired.
+    the solution is the positive-exponent truncation.  The last two
+    conditions and the truncation are read off x's half-exponent dict.  A
+    violation signals a bug in the dual-canonical computation, so it is
+    raised rather than repaired.
     """
+    t = x.terms
     if not x.is_integral():
         raise ValueError("antisymmetric split: element has odd half-exponents")
-    if x.constant_term():
+    if 0 in t:
         raise ValueError("antisymmetric split: nonzero constant term")
-    if x.bar() != -x:
+    if any(t.get(-h) != -m for h, m in t.items()):
         raise ValueError("antisymmetric split: element is not bar-antisymmetric")
-    return x.positive_part()
+    return LaurentQ._raw({h: m for h, m in t.items() if h > 0})

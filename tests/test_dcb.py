@@ -297,11 +297,15 @@ def test_expand_in_b_basis_reassembles_products():
 
 @pytest.mark.parametrize("lead", [2, None])
 def test_peel_rejects_an_expansion_whose_lead_is_not_one(lead):
-    # back-substitution against a tampered B[1,0,1,0]: its u^b coefficient
-    # q^(b(b)) doubled, or dropped, must raise rather than loop
+    # back-substitution on the int kernel against a tampered B[1,0,1,0]: its
+    # u^b coefficient q^(b(b)) doubled, or dropped, must raise rather than loop
     a = (1, 0, 1, 0)
     good = B(*a)
-    assert dcb._peel(dict(good.terms), {a: good}.get) == {a: lq_one()}
+
+    def work():  # a kernel sum of its own, since the peel subtracts into it
+        return {b: dict(c.terms) for b, c in good.terms.items()}
+
+    assert dcb._peel(work(), {a: good}.get) == {a: {0: 1}}
     terms = dict(good.terms)
     if lead is None:
         del terms[a]
@@ -309,7 +313,45 @@ def test_peel_rejects_an_expansion_whose_lead_is_not_one(lead):
         terms[a] = qpow(dcb.stat_b(a)) * lead
     bad = pbw.PbwElement(terms)
     with pytest.raises(AssertionError, match="back-substitution"):
-        dcb._peel(dict(good.terms), {a: bad}.get)
+        dcb._peel(work(), {a: bad}.get)
+
+
+def test_back_substitution_changes_no_element_it_reads(monkeypatch):
+    # `_peel` subtracts into the dicts of its work in place: the expanded
+    # element and every B[b] the peel reads, memoized or built by
+    # compute_layer, must come out with the text they went in with
+    layers = [a for k in range(5) for a in dcb.layer_exponents(k)]
+    for a in layers:
+        B(*a)
+    memo = {id(e): str(e) for e in dcb._B_CACHE.values()}
+    peel, read = dcb._peel, {}
+
+    def recording(work, element_of):
+        def of(b):
+            e = element_of(b)
+            if e is not None:
+                read.setdefault(id(e), (e, str(e)))
+            return e
+        return peel(work, of)
+
+    monkeypatch.setattr(dcb, "_peel", recording)
+    # B[a] itself, B[a] times 1 (which shares B[a]'s coefficients), its
+    # mirror (tau shares them too), and straightened products
+    xs = [B(1, 0, 0, 1), B(2, 0, 1, 0) * B(0, 0, 0, 0), B(1, 0, 1, 0).tau(),
+          B(1, 0, 0, 1) * B(0, 1, 1, 0), u3 * u0]
+    texts = [str(x) for x in xs]
+    for x in xs:
+        dcb.expand_in_b_basis(x)
+    for a, b in [((1, 0, 0, 1), (1, 0, 0, 1)), ((2, 0, 0, 1), (0, 1, 1, 0)),
+                 ((1, 1, 0, 1), (0, 0, 0, 0)), ((0, 1, 0, 1), (1, 0, 1, 0))]:
+        dcb.b_product(a, b)
+    for k in range(5):
+        dcb.compute_layer(k)
+    assert all(e["ok"] for e in dcb.verify_layers(4))
+    assert [str(x) for x in xs] == texts
+    assert len(read) > len(layers)
+    assert [a for a in layers if str(B(*a)) != memo[id(B(*a))]] == []
+    assert [e for e, text in read.values() if str(e) != memo.get(id(e), text)] == []
 
 
 def test_back_substitution_never_expands_in_the_dual_pbw_basis(monkeypatch):

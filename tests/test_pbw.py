@@ -369,6 +369,25 @@ def test_parse_multiplies_a_word_out_of_normal_order(text, word, t):
     assert pbw.PbwElement.parse(text) == pbw.word_product(word).scale_qpow(t)
 
 
+def test_parse_reads_a_normal_ordered_word_without_straightening(monkeypatch):
+    # each word of the canonical form is in normal order, so reading it
+    # straightens nothing; a product by one term whose words are not in
+    # normal order still does
+    xs = [dcb.b_element((3, 2, 1, 4)), dcb.b_element((12, 0, 0, 30)), (u3 * u0).scale_qpow(3)]
+    texts = [str(x) for x in xs]
+    want = u0 * u3
+
+    def refuse(*args):
+        raise AssertionError("straightened")
+
+    monkeypatch.setattr(pbw, "_terms_times_gen", refuse)
+    assert [pbw.PbwElement.parse(t) for t in texts] == xs
+    assert (u3 * u3) * u2 == pbw.monomial((2, 1, 0, 0))
+    assert (u2 * u0) * pbw.one() == pbw.monomial((0, 1, 0, 1))
+    monkeypatch.undo()
+    assert pbw.PbwElement.parse("u0*u3") == want != pbw.monomial((1, 0, 0, 1))
+
+
 def test_parse_refuses_a_negative_power():
     with pytest.raises(ValueError):
         pbw.PbwElement.parse("u3^-1")

@@ -109,10 +109,14 @@ def test_split_antisymmetric():
     assert split_antisymmetric(lq_zero()) == lq_zero()
     x = 2 * qpow(1) - 2 * qpow(-1) + qpow(4) - qpow(-4)
     assert split_antisymmetric(x) == 2 * qpow(1) + qpow(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not bar-antisymmetric"):
         split_antisymmetric(qpow(1) + qpow(-1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not bar-antisymmetric"):
+        split_antisymmetric(qpow(2) - qpow(-1))
+    with pytest.raises(ValueError, match="odd half-exponents"):
         split_antisymmetric(half_pow(1) - half_pow(-1))
+    with pytest.raises(ValueError, match="constant term"):
+        split_antisymmetric(qpow(1) - qpow(-1) + 1)
     with pytest.raises(TypeError):
         LaurentQ({2: Fraction(1, 2), -2: Fraction(-1, 2)})
 
