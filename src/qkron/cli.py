@@ -59,9 +59,7 @@ _SUITE_TABLE = {
     "pbw-expansion": ({"n_max": 3}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
     "classical": ({"n_max": 10}, lambda n, k, seed, mode:
                   classical.verify_classical(n) + _classical_cross_checks()),
-    "qseed": ({"n_max": 5}, lambda n, k, seed, mode:
-              qseed.verify_quasi_commutation(n) + qseed.verify_quantum_exchange(n)
-              + qseed.verify_bz_exchange(n) + qseed.verify_algebra_matches_l(min(n, 6))),
+    "qseed": ({"n_max": 5}, lambda n, k, seed, mode: qseed.verify_qseed(n)),
 }
 SUITES = tuple(_SUITE_TABLE)
 

@@ -41,7 +41,9 @@ weights, which multiplication preserves.
 A product by a factor that q-commutes with every letter it passes needs
 no straightening: `q_product` applies it as a table of monomial rules,
 on the int kernel: each rule adds its shifted copy of x through
-`add_shifted`, and the result's LaurentQ coefficients are built once.
+`add_shifted` (`_q_into`, which a caller that keeps kernel sums, such as
+`dcb.times_b`, calls itself), and the result's LaurentQ coefficients are
+built once.
 With b = (b3, b2, b1, b0) and u^b the normal monomial,
 
     u^b p0 = q^(-2b0-2b1) u^(b+(0,1,0,1)) - q^(2-2b0) u^(b+(0,0,2,0))
@@ -101,13 +103,14 @@ def _element(terms: dict) -> "PbwElement":
     return PbwElement._raw({b: LaurentQ._raw(c) for b, c in terms.items()})
 
 
-def _terms_times_gen(terms: dict, j: int, out=None) -> dict:
-    """Add (the kernel sum terms) * u_j into out (a new dict if None)."""
+def _terms_times_gen(terms: dict, j: int, out=None, s: int = 0, k: int = 1) -> dict:
+    """Add k q^(s/2) (the kernel sum terms) * u_j into out (a new dict if
+    None)."""
     if out is None:
         out = {}
     for a, c in terms.items():
         for b, h, m in _mono_times_gen(a, j):
-            add_shifted(out, b, c, h, m)
+            add_shifted(out, b, c, h + s, k * m)
     return out
 
 
@@ -412,18 +415,23 @@ def _q_rules(f: PbwElement, exps, right: bool) -> tuple:
 def q_product(x: PbwElement, rules, t: int = 0) -> PbwElement:
     """q^t times x times a factor that q-commutes with every letter it
     passes, without straightening: x p0 (`X_P0`), p1 x (`P1_X`), x u0
-    (`X_U0`), x u1 (`X_U1`), u2 x (`U2_X`) or u3 x (`U3_X`).  A rule
-    (d, h, m, w) sends the coefficient c of u^b to c m q^(h/2 + t + w.b) at
-    u^(b + d).  Each rule's copy of x is added into one kernel sum by
-    `add_shifted`, where two rules meet on a monomial, and `_element` wraps
-    its coefficients once."""
-    out = {}
+    (`X_U0`), x u1 (`X_U1`), u2 x (`U2_X`) or u3 x (`U3_X`), by `_q_into`
+    on x's coefficient dicts; `_element` wraps the result once."""
+    return _element(_q_into({}, {b: c.terms for b, c in x.terms.items()}, rules, t))
+
+
+def _q_into(out: dict, terms: dict, rules, t: int = 0, k: int = 1) -> dict:
+    """Add k q^t times (the kernel sum terms) times the factor of `rules`
+    into out, and return out.  A rule (d, h, m, w) sends the coefficient c
+    of u^b to c k m q^(h/2 + t + w.b) at u^(b + d); each rule's copy is
+    added by `add_shifted`, where two rules meet on a monomial."""
     for (d3, d2, d1, d0), h, m, (w3, w2, w1, w0) in rules:
         h += 2 * t
-        for (b3, b2, b1, b0), c in x.terms.items():
-            add_shifted(out, (b3 + d3, b2 + d2, b1 + d1, b0 + d0), c.terms,
+        m *= k
+        for (b3, b2, b1, b0), c in terms.items():
+            add_shifted(out, (b3 + d3, b2 + d2, b1 + d1, b0 + d0), c,
                         h + 2 * (w3 * b3 + w2 * b2 + w1 * b1 + w0 * b0), m)
-    return _element(out)
+    return out
 
 
 X_P0 = _q_rules(p0(), P0_COMMUTE, right=True)

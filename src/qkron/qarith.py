@@ -48,8 +48,10 @@ an identity between two elements, whose failure carries the
 :func:`diff_detail` witness.  :func:`identity` is the entry for a printed
 identity ``lhs = rhs``, checked as it is printed: :func:`parse_identity`
 reads the text and both sides are evaluated by ``_value`` with the symbols
-the suite names.  :func:`identities` runs a table of them, parsing each
-text once.
+the suite names, and with the suite's product for the factors of a term
+(``*`` unless the suite passes one).  :func:`identities` runs a table of
+them, parsing each text once.  ``_value`` merges the terms of a sum into
+one coefficient dict, so reading a sum of m terms takes time linear in m.
 
 One grammar serves the printed identities and the canonical text form.  A
 sum is terms joined by ``+`` and ``-``; a term is a product of factors,
@@ -75,7 +77,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul
 
 
 def add_into(out: dict, terms: dict, c=None) -> dict:
@@ -656,18 +659,20 @@ def read(text: str, names, one):
         raise ValueError(f"cannot read {text!r} as one element: {e}") from e
 
 
-def _value(terms, n, names, one=None):
+def _value(terms, n, names, one=None, product=mul):
     """A parsed sum at n: ``B`` and ``X`` call names["B"] and names["X"] with
     their index, a name bound to a function (a power of p0, p1 or u_i) is
     called with its exponent, q^e is `qpow` (e) and a constant itself; a term
-    that comes out a scalar, such as ``(q)*1``, is taken times one, if given."""
-    total = None
+    that comes out a scalar, such as ``(q)*1``, is taken times one, if given.
+    The factors of a term, and a power of one factor, are multiplied by
+    product, left to right.  The terms are summed by `_sum`."""
+    xs = []
     for sign, factors in terms:
         x = None
         for kind, v, k in factors:
             k = k(n) if k else 1
             if kind == "(":
-                v = _value(v, n, names)
+                v = _value(v, n, names, product=product)
             elif kind == "q":
                 v = qpow(v(n))
             elif kind != "c":
@@ -678,31 +683,50 @@ def _value(terms, n, names, one=None):
             if callable(v):
                 v = v(k)
             elif k != 1:
-                v = v ** k
-            x = v if x is None else x * v
+                v = v ** k if k < 2 else reduce(product, (v,) * k)
+            x = v if x is None else product(x, v)
         x = x if sign > 0 else -x
         if one is not None and type(x) is not type(one):
             x = one.scale(x)
-        total = x if total is None else total + x
-    return total
+        xs.append(x)
+    return _sum(xs)
 
 
-def identity(suite, n, text, names, sides=None) -> dict:
+def _sum(xs):
+    """The sum of the terms xs: a single term itself.  When they are all of
+    one `Terms` type with a unit, or ints, their coefficients merge into one
+    dict by `add_into`, and the sum is wrapped once; any other mix is summed
+    by ``+``, which raises TypeError for a sum across rings."""
+    if len(xs) == 1:
+        return xs[0]
+    kind = next((type(x) for x in xs if not isinstance(x, int)), None)
+    if (kind is None or not issubclass(kind, Terms) or kind._scalar(1) is None
+            or not all(type(x) is kind or isinstance(x, int) for x in xs)):
+        return reduce(add, xs)
+    acc = {}
+    for x in xs:
+        add_into(acc, (kind._scalar(x) if isinstance(x, int) else x).terms)
+    return kind._raw(acc)
+
+
+def identity(suite, n, text, names, sides=None, product=mul) -> dict:
     """The `compare` entry for the printed identity text at n, its symbols
-    read in names; sides is its `parse_identity`, if the caller has it."""
+    read in names and its factors multiplied by product; sides is its
+    `parse_identity`, if the caller has it."""
     lhs, rhs = sides or parse_identity(text)
-    return compare(suite, n, text, _value(lhs, n, names), _value(rhs, n, names))
+    return compare(suite, n, text, _value(lhs, n, names, product=product),
+                   _value(rhs, n, names, product=product))
 
 
-def identities(suite, table, n_max, names) -> list:
+def identities(suite, table, n_max, names, product=mul) -> list:
     """The entries of a table of (first n, last n or None for n_max, texts)
     rows: row by row, n ascending, then text by text; each text is parsed
-    once."""
+    once, and every factor product and power is taken by product."""
     out = []
     for lo, hi, texts in table:
         parsed = [(text, parse_identity(text)) for text in texts]
         for n in range(lo, (n_max if hi is None else hi) + 1):
-            out += [identity(suite, n, text, names, sides) for text, sides in parsed]
+            out += [identity(suite, n, text, names, sides, product) for text, sides in parsed]
     return out
 
 

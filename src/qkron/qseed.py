@@ -12,7 +12,12 @@ and the exchange relation is certified in two steps: the cleared identity
 (the last of `EXCHANGE`) holds in the algebra, which has no inverses, and
 the torus identity with X_n^(-1) holds among abstract torus monomials over
 L(n).  `QUASI_COMMUTATION` and `EXCHANGE` are checked as they are printed,
-by `qarith.identities`.
+by `qarith.identities`, with the product of one suite run (`_run`): a
+product of two basis elements, each up to a power of q, walks the right
+factor's construction (`dcb.times_b`), with one table per left factor that
+lives as long as the run, so a product met again, or one that an earlier
+walk passed through, is looked up.  `verify_qseed` runs the whole suite,
+and `verify_algebra_matches_l` as well, on one run.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ def x_var(n: int) -> pbw.PbwElement:
         raise ValueError("negative cluster index not materialized in the algebra")
     if n < 3:
         return pbw.generator(n).scale(half_pow(-1))
-    return dcb.b_element((n - 2, 0, 0, n - 3)).scale(half_pow(-((2 * n - 5) ** 2)))
+    f, h = _x_index(n)
+    return dcb.b_element(f).scale(half_pow(h))
+
+
+def _x_index(n: int):
+    """(f, h) with X_n = q^(h/2) B[f], for n >= 3."""
+    return (n - 2, 0, 0, n - 3), -((2 * n - 5) ** 2)
 
 
 def y0_var() -> pbw.PbwElement:
@@ -69,25 +80,62 @@ EXCHANGE = (
 )
 
 
-def _names() -> dict:
-    """What the printed identities' symbols stand for, read when a suite
-    runs; p0^k and p1^k come from `dcb.p_power`."""
-    p_power = dcb.p_power
-    return {"B": dcb.b_element, "X": x_var, "Y0": y0_var(), "Y1": y1_var(),
-            "p0": lambda k: p_power(0, k), "p1": lambda k: p_power(1, k)}
+def _run() -> tuple:
+    """The names and the product of one suite run.  The names say what the
+    printed identities' symbols stand for; p0^k and p1^k come from
+    `dcb.p_power`.  B[f] and X_n = q^(h/2) B[f] (n >= 3) are the run's
+    atoms, and so is q^(j/2) times an atom.  The product of two atoms
+    q^(h/2) B[a] and q^(k/2) B[f] is `dcb.times_b(B[a], f, tables[a])`
+    scaled by q^((h+k)/2), with one table per left atom a, kept for the
+    run; any other product is ``*``."""
+    atoms, tables = {}, {}
+
+    def atom(f, h=0):
+        x = dcb.b_element(f)
+        if h:
+            x = x.scale(half_pow(h))
+        atoms[id(x)] = (x, f, h)  # the entry keeps x, and with it its id
+        return x
+
+    def product(x, y):
+        ax, ay = atoms.get(id(x)), atoms.get(id(y))
+        if ay is not None and isinstance(x, LaurentQ) and len(x.terms) == 1:
+            (h, c), = x.terms.items()
+            if c == 1:  # q^(h/2) times an atom is an atom
+                return atom(ay[1], ay[2] + h)
+        if ax is None or ay is None:
+            return x * y
+        (_, a, h), (_, f, k) = ax, ay
+        xy = dcb.times_b(dcb.b_element(a), f, tables.setdefault(a, {}))
+        return xy.scale(half_pow(h + k)) if h + k else xy
+
+    names = {"B": atom, "X": lambda n: atom(*_x_index(n)) if n >= 3 else x_var(n),
+             "Y0": y0_var(), "Y1": y1_var(),
+             "p0": lambda k: dcb.p_power(0, k), "p1": lambda k: dcb.p_power(1, k)}
+    return names, product
 
 
-def verify_quasi_commutation(n_max: int) -> list:
+def verify_qseed(n_max: int) -> list:
+    """The `verify qseed` suite: the four checks below, up to n_max (the
+    algebra's witness of L up to 6), sharing one `_run`."""
+    run = _run()
+    return (verify_quasi_commutation(n_max, run) + verify_quantum_exchange(n_max, run)
+            + verify_bz_exchange(n_max) + verify_algebra_matches_l(min(n_max, 6), run))
+
+
+def verify_quasi_commutation(n_max: int, run=None) -> list:
     """`QUASI_COMMUTATION`: the six pairwise commutations of the seed
     variables for 3 <= n <= n_max (Y0 Y1 once), and the unrescaled
-    q-commutation of adjacent quantized cluster variables for 1 <= n <= n_max."""
-    return identities("qseed", QUASI_COMMUTATION, n_max, _names())
+    q-commutation of adjacent quantized cluster variables for 1 <= n <= n_max;
+    run is a `_run` (a new one if None)."""
+    return identities("qseed", QUASI_COMMUTATION, n_max, *(run or _run()))
 
 
-def verify_quantum_exchange(n_max: int) -> list:
+def verify_quantum_exchange(n_max: int, run=None) -> list:
     """`EXCHANGE`: the quantum exchange relation, unrescaled (n >= 2) and in
-    the multiplied-through rescaled form (n >= 3)."""
-    return identities("qseed", EXCHANGE, n_max, _names())
+    the multiplied-through rescaled form (n >= 3); run is a `_run` (a new
+    one if None)."""
+    return identities("qseed", EXCHANGE, n_max, *(run or _run()))
 
 
 class TorusElement(Terms):
@@ -231,21 +279,22 @@ def verify_bz_exchange(n_max: int) -> list:
     return report
 
 
-def verify_algebra_matches_l(n_max: int) -> list:
+def verify_algebra_matches_l(n_max: int, run=None) -> list:
     """The algebra is a faithful witness of the torus relations: every
     pairwise commutation of (X_n, X_{n+1}, Y_0, Y_1) carries exactly the
-    exponent L(n)_ij."""
+    exponent L(n)_ij; the products are run's (a new `_run` if None)."""
     report = []
     names = ("X_n", "X_{n+1}", "Y_0", "Y_1")
+    symbols, product = run or _run()
     for n in range(3, n_max + 1):
-        gens = [x_var(n), x_var(n + 1), y0_var(), y1_var()]
+        gens = [symbols["X"](n), symbols["X"](n + 1), y0_var(), y1_var()]
         L = l_matrix(n)
         detail = None
         for i in range(4):
             for j in range(4):
                 if i == j:
                     continue
-                lhs, rhs = gens[i] * gens[j], (gens[j] * gens[i]).scale_qpow(L[i][j])
+                lhs, rhs = product(gens[i], gens[j]), product(gens[j], gens[i]).scale_qpow(L[i][j])
                 if detail is None and lhs != rhs:
                     detail = f"{names[i]} {names[j]}: {diff_detail(lhs, rhs)}"
         report.append(entry("qseed", n, "pairwise commutations match L(n)", detail is None, detail))

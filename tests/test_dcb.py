@@ -738,6 +738,73 @@ def test_b_product_matches_the_straightened_expansion(seed, n, top, single):
         assert dcb.b_product(a, b) == dcb.expand_in_b_basis(B(*a) * B(*b)), (a, b)
 
 
+# times_b's left factors: layers 0..3 and the cluster variables B[n,0,0,n-1],
+# n <= 5; its right factors: the near-diagonal cores (n,0,0,n) and
+# (n,0,0,n-1), n <= 6, and each one's p0 and p1 multiple
+_TIMES_B_X = [a for k in range(4) for a in dcb.layer_exponents(k)] + [(n, 0, 0, n - 1) for n in range(1, 6)]
+_TIMES_B_F = [(c[0] + s, c[1] + r, c[2] + s, c[3] + r)
+              for n in range(1, 7) for c in ((n, 0, 0, n), (n, 0, 0, n - 1))
+              for s, r in ((0, 0), (1, 0), (0, 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def _times_b_oracle(a, f):
+    return B(*a) * B(*f)
+
+
+@pytest.mark.parametrize("walk_all", [False, True], ids=["cutoff", "walk-all"])
+def test_times_b_matches_the_product(monkeypatch, walk_all):
+    # x B[f] by the walk against the oracle x * b_element(f), with a fresh
+    # table per product, then with one table per x reused over every f;
+    # walk-all lowers the cutoff so that every x and every core walks
+    if walk_all:
+        monkeypatch.setattr(dcb, "_WALK_TERMS", 1)
+        monkeypatch.setattr(dcb, "_WALK_N", 1)
+    for a in _TIMES_B_X:
+        x, table = B(*a), {}
+        want = {f: _times_b_oracle(a, f) for f in _TIMES_B_F}
+        for f in _TIMES_B_F:
+            assert dcb.times_b(x, f, {}) == want[f], (a, f)
+        for f in reversed(_TIMES_B_F):
+            assert dcb.times_b(x, f, table) == want[f], (a, f)
+        assert set(table) <= {c for n in range(1, 7) for c in ((n, 0, 0, n), (n, 0, 0, n - 1))}
+
+
+def test_times_b_walks_a_large_product():
+    # x B[f] straightens no product past the cores below the cutoff (the
+    # cores' certificates, which multiply by one generator, are run first)
+    x, f = B(5, 0, 0, 4), (8, 0, 1, 7)  # f = (1,0,1,0) + (7,0,0,7)
+    for n in range(2, 8):
+        dcb._certify_core((n, 0, 0, n - 1))
+    calls = []
+    mul = pbw.PbwElement.__mul__
+
+    def counted(self, other):
+        calls.append(max(other.terms))
+        return mul(self, other)
+
+    want = x * B(*f)
+    table = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pbw.PbwElement, "__mul__", counted)
+        assert dcb.times_b(x, f, table) == want
+    assert len(x.terms) >= dcb._WALK_TERMS and calls
+    assert all(sum(b) <= 2 for b in calls), calls
+    assert (7, 0, 0, 7) in table and (7, 0, 0, 6) in table
+
+
+def test_times_b_propagates_a_failed_certificate(monkeypatch):
+    # B[n,0,0,n-1] is walked by row 2 only once `_certify_core` accepts it
+    def refuse(c):
+        raise AssertionError(f"B[{c}] refused")
+
+    monkeypatch.setattr(dcb, "_certify_core", refuse)
+    x = B(5, 0, 0, 4)
+    for f in ((4, 0, 0, 3), (4, 0, 0, 4), (3, 1, 0, 4)):
+        with pytest.raises(AssertionError, match=r"B\[\(\d, 0, 0, \d\)\] refused"):
+            dcb.times_b(x, f, {})
+
+
 @pytest.mark.parametrize("which, a", [(0, (0, 1, 0, 1)), (1, (1, 0, 1, 0))], ids=["p0", "p1"])
 def test_b_element_checks_each_p_step(monkeypatch, which, a):
     # a p0 (p1) eigenvalue off by one: the first p-step b_element builds

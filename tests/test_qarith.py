@@ -274,6 +274,28 @@ def test_parse_rejects_empty_terms(cls, s):
         cls.parse(s)
 
 
+def test_a_long_sum_is_read_in_one_accumulation(monkeypatch):
+    # 2000 terms, bare and in parentheses, read exactly with no LaurentQ sum
+    # per term: their coefficients merge into one dict; a sum across rings
+    # is still refused
+    x = LaurentQ({h: (h % 7 + 1) * (1 if h % 3 else -1) for h in range(-2000, 2000, 2)})
+    adds = []
+    add = LaurentQ.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(LaurentQ, "__add__", counted)
+    monkeypatch.setattr(LaurentQ, "__radd__", counted)
+    assert LaurentQ.parse(str(x)) == x
+    elem = pbw.PbwElement({(1, 0, 0, 2): x, (0, 0, 0, 0): x * 3})
+    assert pbw.PbwElement.parse(str(elem)) == elem
+    assert len(x.terms) == 2000 and adds == []
+    with pytest.raises(ValueError, match="cannot read"):
+        pbw.PbwElement.parse("(u0 + q)*u1")
+
+
 def test_a_term_with_no_algebra_factor_is_refused_in_identities_only():
     assert LaurentQ.parse("q^2 + 1") == qpow(2) + 1
     with pytest.raises(ValueError):

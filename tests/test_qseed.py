@@ -53,6 +53,23 @@ def test_failing_entries_carry_a_witness(monkeypatch):
     assert qseed.verify_algebra_matches_l(3)[0]["detail"].startswith("X_{n+1} Y_1: first differing monomial ")
 
 
+def test_a_wrong_cluster_variable_fails_quasi_commutation(monkeypatch):
+    # a wrong B[5,0,0,4] that its core certificate passes (the cores the
+    # products walk are certified before it is patched in): the products
+    # walk the construction of their right factor, so the wrong element
+    # comes in as a left factor, and each failing entry names a witness
+    dcb._certify_core((6, 0, 0, 5))
+    wrong = dcb.b_element((5, 0, 0, 4)).scale_qpow(1)
+    monkeypatch.setitem(dcb._B_CACHE, (5, 0, 0, 4), wrong)
+    monkeypatch.setitem(dcb._CHECKED_CORES, (5, 0, 0, 4), wrong)
+    rep = qseed.verify_quasi_commutation(5)
+    bad = [e for e in rep if not e["ok"]]
+    assert bad and all(("detail" in e) != e["ok"] for e in rep)
+    assert {(e["identity"], e["n"]) for e in bad} == {
+        ("B[n,0,0,n-1] B[n+1,0,0,n] = q^2 B[n+1,0,0,n] B[n,0,0,n-1]", n) for n in (4, 5)}
+    assert all(e["detail"].startswith("first differing monomial ") for e in bad)
+
+
 def test_quantum_exchange():
     assert all(e["ok"] for e in qseed.verify_quantum_exchange(4))
 
