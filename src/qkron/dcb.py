@@ -56,6 +56,13 @@ B[k,0,k,0] up to a power of q, and nothing here straightens p0^k or p1^k.
 The recursion and product suites check the strings they print: each of
 `RECURSIONS` and `PRODUCTS` is read by `qarith.identities`.
 
+`_row_sum(r, n, y_of)`, the one reader of the rows of `RECURSIONS`, adds
+up row r at n on the int kernel, y_of(g) standing for B[g]: a generator
+that q-commutes with each letter it passes (x u0, x u1, u2 x, u3 x) by
+`pbw._q_into`, u2 or u3 on the right by straightening one letter, and u0
+or u1 on the left (only in row 6) by the general product.  `b_element`
+builds by it, `_certify_core` checks by it and `times_b` walks by it.
+
 `times_b(x, f, table)` is x B[f] by walking the construction of B[f] with
 every factor on the right, so that it is a chain of right products by one
 generator, p0 or p1 on x B[g] for smaller g, never a product by all of B[f]:
@@ -64,33 +71,32 @@ generator, p0 or p1 on x B[g] for smaller g, never a product by all of B[f]:
   x p1 = q^(-chi1(wt x)) p1 x (`_p_facts`), so it needs a homogeneous x,
   then is `P1_X`;
 - B[n,0,0,n] is walked by row 5 of `RECURSIONS`, its construction, whose
-  u0 and u1 on the right are `X_U0` and `X_U1`;
+  u0 and u1 stand on the right;
 - B[n,0,0,n-1] is built by row 1, whose u3 and u2 stand on the left, so it
-  is walked by its mirror, row 2, which straightens one letter u3 or u2
-  on the right (`pbw._terms_times_gen`).  The built element satisfies row 2
-  only as far as `_certify_core` has checked it, so the walk certifies the
-  core first, and a refused certificate propagates;
-- the base case is x * b_element(g): on a tau core, a cluster-monomial core,
-  an order-maximal core and a near-diagonal core (n, 0, 0, .) with
-  n < _WALK_N, and on all of B[f] when x has fewer than _WALK_TERMS terms
-  or is inhomogeneous.
+  is walked by its mirror, row 2, whose u3 and u2 stand on the right.  The
+  built element satisfies row 2 only as far as `_certify_core` has checked
+  it, so the walk certifies the core first, and a refused certificate
+  propagates;
+- the base case is x * b_element(g): on a tau core, a cluster-monomial core
+  and an order-maximal core, and on all of B[f] when x has fewer than
+  _WALK_TERMS terms or is inhomogeneous.
 The table maps each near-diagonal core g that the walk reaches to x B[g],
 so each is built once however many rows reach it.  The caller owns it and
-passes it again only with the same x: `b_product` and `_quasi_commutation`
-pass a new one per product, and the `verify qseed` suite one per left
-factor for its run; no table outlives its caller.  The cutoff was measured
-on single products with a fresh table (2 cores, Python 3.11): a left factor
-of 6 terms lost 1.6-2.1x to x * b_element(f) on every core up to n = 11,
-one of 9 terms lost up to 1.35x below n = 9 and won above, and from 13
-terms the walk won from n = 5, 1.6-2.3x at n = 7..11 and 8x on
-B[12,0,0,12] B[13,0,0,12].  Walking the cores down to (2, 0, 0, 1) beat
-stopping higher, since each core below the stop costs a full product.
+passes it again only with the same x: `b_product`, `_quasi_commutation`
+and the cluster monomials of `b_element` pass a new one per product, and
+the `verify qseed` suite one per left factor for its run; no table
+outlives its caller.  The cutoff was measured on single products with a
+fresh table (2 cores, Python 3.11): a left factor of 6 terms lost
+1.6-2.1x to x * b_element(f) on every core up to n = 11, one of 9 terms
+lost up to 1.35x below n = 9 and won above, and from 13 terms the walk won
+from n = 5, 1.6-2.3x at n = 7..11 and 8x on B[12,0,0,12] B[13,0,0,12].
 
 Exponent tuples are (a3, a2, a1, a0) throughout.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 import sys
@@ -330,8 +336,8 @@ def _certify_core(c: Exp):
     - Near-diagonal, built by row 1 or 5 of `RECURSIONS`: sigma sends
       sign q^t B[f] u_i to sign q^(-t + 2i - N(f)) u_i B[f] (and a left
       factor to the right), so the mirrored row 2 or 6 must carry these
-      terms times q^N(c), and B[c] must equal it: two single-generator
-      products.
+      terms times q^N(c), and B[c] must equal its `_row_sum`: two
+      single-generator products.
     - Cluster monomial: `b_element` derived its exponent as it built it.
     """
     done = _CHECKED_CORES.get(c)
@@ -349,17 +355,13 @@ def _certify_core(c: Exp):
     elif c[0] - c[3] <= 1:
         n, r = _near_diagonal_row(c)
         (_, _, built), (text, _, mirror) = _ROWS[r], _ROWS[r + 1]
-        for *_, f in built:
-            _certify_core(_core(_at(f, n)))
-        x, want = b_element(c), pbw.zero()
         for (sign, t, i, left, f), (sign2, t2, i2, left2, f2) in zip(built, mirror):
             f = _at(f, n)
+            _certify_core(_core(f))
             if ((sign2, i2, left2, _at(f2, n)) != (sign, i, not left, f)
                     or t2(n) != stat_n(c) - t(n) + 2 * i - stat_n(f)):
                 raise _uncertified(c, f"sigma does not map its recursion onto {text!r} at n = {n}")
-            g, y = pbw.generator(i), b_element(f)
-            y = (g * y if left2 else y * g).scale_qpow(t2(n))
-            want = want + y if sign > 0 else want - y
+        x, want = b_element(c), pbw._element(_row_sum(r + 1, n, _b_kernel))
         if x != want:
             raise _uncertified(c, f"{text!r} fails at n = {n}: {diff_detail(x, want)}")
     else:
@@ -519,11 +521,11 @@ def _recursion_row(text: str):
     return text, lhs, tuple(terms)
 
 
-# rows 1..6, read once at import: b_element builds a near-diagonal core by
-# row 1 or 5, and `_certify_core` checks it against the next row, its mirror;
-# rows 3 and 4, tau of rows 1 and 2, build nothing
+# rows 1..6, read once at import and only by `_row_sum`: b_element builds a
+# near-diagonal core by row 1 or 5, and `_certify_core` checks it against the
+# next row, its mirror; rows 3 and 4, tau of rows 1 and 2, build nothing
 _ROWS = tuple(_recursion_row(text) for text in RECURSIONS[0][2][:6])
-# the q_product rules of the factors those rows multiply by
+# the q_product rules of the factors that q-commute on their side
 _GEN_RULES = {(0, False): pbw.X_U0, (1, False): pbw.X_U1, (2, True): pbw.U2_X, (3, True): pbw.U3_X}
 
 
@@ -537,6 +539,28 @@ def _near_diagonal_row(a: Exp):
     Row 3, which builds B[n-1,0,0,n], is tau of row 1 and builds nothing."""
     n = a[0]
     return n, next(r for r in (0, 4) if _at(_ROWS[r][1], n) == a)
+
+
+def _row_sum(r: int, n: int, y_of) -> dict:
+    """The kernel sum of row r of `_ROWS` at n, y_of(g) the kernel sum
+    standing for B[g], by the three rules of the module docstring."""
+    out = {}
+    for sign, t, i, left, g in _ROWS[r][2]:
+        y, e = y_of(_at(g, n)), t(n)
+        rule = _GEN_RULES.get((i, left))
+        if rule is not None:
+            pbw._q_into(out, y, rule, e, sign)
+        elif not left:
+            pbw._terms_times_gen(y, i, out, 2 * e, sign)
+        else:
+            for b, c in (pbw.generator(i) * pbw._element(y)).terms.items():
+                add_shifted(out, b, c.terms, 2 * e, sign)
+    return out
+
+
+def _b_kernel(g: Exp) -> dict:
+    """B[g] as a kernel sum, sharing its coefficient dicts: read it only."""
+    return {b: c.terms for b, c in b_element(g).terms.items()}
 
 
 def _cluster_factors(a: Exp):
@@ -585,17 +609,18 @@ def b_element(a) -> pbw.PbwElement:
     cores, built by rows 1 and 5 of `RECURSIONS`, and the order-maximal
     ones are certified by `_certify_core`, which `layer_table` runs.
 
-    Every p0/p1 step and every near-diagonal step multiplies by a factor
-    that q-commutes with each letter it passes (x p0, p1 x, x u0, x u1,
-    u2 x, u3 x), so it is a `pbw.q_product` with the step's q^t folded in
-    and straightens nothing; only the cluster-monomial cores multiply with
-    `PbwElement.__mul__`.
+    A p0/p1 step (x p0, p1 x) is a `pbw.q_product` with its q^t folded in,
+    and a near-diagonal core the `_row_sum` of row 1 or 5, whose generators
+    q-commute too: neither straightens anything.  A cluster monomial is
+    built one right factor at a time by `times_b`.
     """
     # a memo hit on a tuple skips the normalization: only normalized tuples
     # of nonnegative ints are stored, and an equal tuple normalizes to its key
     hit = _B_CACHE.get(a) if type(a) is tuple else None
     if hit is None:
-        a = tuple(int(x) for x in a)
+        a = tuple(map(operator.index, a))
+        if len(a) != 4:
+            raise ValueError(f"B[a] needs 4 coordinates, not {len(a)}: {a}")
         if any(x < 0 for x in a):
             return pbw.zero()
         hit = _B_CACHE.get(a)
@@ -624,19 +649,15 @@ def b_element(a) -> pbw.PbwElement:
     elif a[0] - a[3] <= 1:
         # core shape (x, 0, 0, w) with w >= 1 and x - w = 0 or 1
         n, r = _near_diagonal_row(a)
-        res = pbw.zero()
-        for sign, t, i, left, f in _ROWS[r][2]:
-            x = pbw.q_product(b_element(_at(f, n)), _GEN_RULES[i, left], t(n))
-            res = res + x if sign > 0 else res - x
+        res = pbw._element(_row_sum(r, n, _b_kernel))
     else:
         # the quantum cluster monomial in two adjacent cluster variables
         # c and c', divided by its E[a] coefficient q^(h/2); B[c]^(d-j)
-        # B[c']^j is built one right factor at a time, so that each product
-        # straightens by a single cluster variable
+        # B[c']^j is built one right factor at a time, each a `times_b`
         c, c2, d, j = _cluster_factors(a)
-        res, step = b_element(c) ** (d - j), b_element(c2)
-        for _ in range(j):
-            res = res * step
+        res = b_element(c)
+        for f in (c,) * (d - j - 1) + (c2,) * j:
+            res = times_b(res, f, {})
         lead = res.terms.get(a, lq_zero()) * qpow(-stat_b(a))
         h = min(lead.terms, default=0)
         if lead != half_pow(h):
@@ -649,11 +670,8 @@ def b_element(a) -> pbw.PbwElement:
     return res
 
 
-# the cutoff of `times_b`: it walks only for an x of at least _WALK_TERMS
-# terms, and takes the base case on a near-diagonal core (n, 0, 0, .) with
-# n < _WALK_N
+# the cutoff of `times_b`: it walks only for an x of at least _WALK_TERMS terms
 _WALK_TERMS = 9
-_WALK_N = 2
 
 
 def times_b(x: pbw.PbwElement, f: Exp, table: dict) -> pbw.PbwElement:
@@ -670,42 +688,27 @@ def times_b(x: pbw.PbwElement, f: Exp, table: dict) -> pbw.PbwElement:
 
 
 def _walk(x: pbw.PbwElement, w, f: Exp, table: dict) -> dict:
-    """The kernel sum of x B[f], x of root weight w: f's p0/p1 steps are
-    stripped to its core, x B[core] is looked up in table, built by its
-    row of `RECURSIONS` or taken as the base case, and the steps are put
-    back on, each a `pbw._q_into` on the right (x B[c] p0) or on the left
-    after moving p1 past x (x p1 B[c] = q^(-chi1(w)) p1 x B[c], `_p_facts`)."""
-    steps = []
-    while (step := _p_step(f)) is not None:
-        steps.append(step)
-        f = step[1]
+    """The kernel sum of x B[f], x of root weight w: one p0/p1 step of f put
+    on x B[c] by `pbw._q_into`, after moving p1 past x (x p1 =
+    q^(-chi1(w)) p1 x, `_p_facts`), or a near-diagonal core from table or
+    its `_row_sum`, or the base case."""
+    step = _p_step(f)
+    if step is not None:
+        which, c, t = step
+        if which == 1:
+            _, (_, (x1, y1)) = _p_facts()
+            t -= x1 * w[0] + y1 * w[1]
+        return pbw._q_into({}, _walk(x, w, c, table), pbw.X_P0 if which == 0 else pbw.P1_X, t)
     out = table.get(f)
     if out is None:
-        near = f[0] - f[3] in (0, 1) and not _order_maximal(f)
-        if not near or f[0] < _WALK_N:
-            out = {a: c.terms for a, c in (x * b_element(f)).terms.items()}
-        else:
-            # row 5 builds B[n,0,0,n]; B[n,0,0,n-1], built by row 1, is
-            # walked by its mirror, row 2, which it satisfies once certified
-            n, r = _near_diagonal_row(f)
-            if r == 0:
-                _certify_core(f)
-                r = 1
-            out = {}
-            for sign, t, i, left, g in _ROWS[r][2]:  # each generator u_i on the right
-                y = _walk(x, w, _at(g, n), table)
-                if i < 2:
-                    pbw._q_into(out, y, _GEN_RULES[i, left], t(n), sign)
-                else:
-                    pbw._terms_times_gen(y, i, out, 2 * t(n), sign)
-        if near:
-            table[f] = out
-    _, (_, (x1, y1)) = _p_facts()
-    for which, _, t in reversed(steps):
-        if which == 0:
-            out = pbw._q_into({}, out, pbw.X_P0, t)
-        else:
-            out = pbw._q_into({}, out, pbw.P1_X, t - x1 * w[0] - y1 * w[1])
+        if f[0] - f[3] not in (0, 1) or _order_maximal(f):
+            return {a: c.terms for a, c in (x * b_element(f)).terms.items()}
+        # row 5 builds B[n,0,0,n]; B[n,0,0,n-1], built by row 1, is walked
+        # by its mirror, row 2, which it satisfies once certified
+        n, r = _near_diagonal_row(f)
+        if r == 0:
+            _certify_core(f)
+        out = table[f] = _row_sum(r or 1, n, lambda g: _walk(x, w, g, table))
     return out
 
 
@@ -806,26 +809,19 @@ def verify_closed_formulas(n_max: int) -> list:
     """Both closed product formulas, for 0 <= n <= n_max."""
     report = []
     for n in range(0, n_max + 1):
-        lhs = _u_pow(2, n) * b_element((n + 1, 0, 0, n)) * _u_pow(1, n + 1)
-        acc = {}
-        for k, l, coef in cluster_terms(n, quantum_binom):
-            term = p_power(1, n + 1 - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
-            add_into(acc, term.terms, coef * qpow(f_exponent(n, k, l)))
-        rhs = pbw.PbwElement._raw(acc)
-        report.append(compare("closed-formulas", n,
-                              "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum", lhs, rhs))
-        lhs = _u_pow(2, n) * b_element((n, 0, 0, n)) * _u_pow(1, n)
-        acc = {}
-        for k in range(0, n + 1):
-            for l in range(0, n - k + 1):
-                coef = quantum_binom(n - k, l) * quantum_binom(n - l, k)
-                if not coef:
-                    continue
-                term = p_power(1, n - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
-                add_into(acc, term.terms, coef * qpow(g_exponent(n, k, l)))
-        rhs = pbw.PbwElement._raw(acc)
-        report.append(compare("closed-formulas", n,
-                              "u2^n B[n,0,0,n] u1^n = quantum Chebyshev sum", lhs, rhs))
+        chebyshev = [(k, l, quantum_binom(n - k, l) * quantum_binom(n - l, k))
+                     for k in range(n + 1) for l in range(n - k + 1)]
+        for m, terms, exponent, identity in (
+                (n + 1, cluster_terms(n, quantum_binom), f_exponent,
+                 "u2^n B[n+1,0,0,n] u1^(n+1) = quantum cluster sum"),
+                (n, chebyshev, g_exponent, "u2^n B[n,0,0,n] u1^n = quantum Chebyshev sum")):
+            lhs = _u_pow(2, n) * b_element((m, 0, 0, n)) * _u_pow(1, m)
+            acc = {}
+            for k, l, coef in terms:
+                if coef:
+                    term = p_power(1, m - k) * _u_pow(2, 2 * k) * _u_pow(1, 2 * l) * p_power(0, n - l)
+                    add_into(acc, term.terms, coef * qpow(exponent(n, k, l)))
+            report.append(compare("closed-formulas", n, identity, lhs, pbw.PbwElement._raw(acc)))
     return report
 
 

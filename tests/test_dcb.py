@@ -26,6 +26,16 @@ def test_b_element_memo_hit_and_normalization():
     assert (1, 0, -1, 1) not in dcb._B_CACHE
 
 
+@pytest.mark.parametrize("a, exc", [((1.5, 0, 0, 0), TypeError), (("1", 0, 0, 0), TypeError),
+                                    ((1, 0, 0), ValueError), ((1, 0, 0, 0, 2), ValueError),
+                                    ([1, 0, 0, -1, 0], ValueError)])
+def test_b_element_refuses_a_non_integer_or_wrong_length_index(a, exc):
+    # a coordinate is an integer by `operator.index`, not truncated by int(),
+    # and an index has four of them
+    with pytest.raises(exc):
+        dcb.b_element(a)
+
+
 def test_stats():
     assert dcb.stat_n((1, 0, 0, 0)) == -6
     assert dcb.stat_n((0, 0, 0, 1)) == 0
@@ -462,6 +472,17 @@ def test_layer_table_refuses_a_deeper_near_diagonal_core(monkeypatch):
         dcb.layer_table(5)
 
 
+def test_layer_table_refuses_a_deeper_imaginary_core(monkeypatch):
+    # E[3,0,0,3] is not B[3,0,0,3]: it fails the mirrored row 6 at n = 3,
+    # whose u0 and u1 stand on the left
+    _patched(monkeypatch, (3, 0, 0, 3), dcb.dual_pbw((3, 0, 0, 3)))
+    with pytest.raises(AssertionError, match=re.escape(
+            "B[(3, 0, 0, 3)] is not certified a sigma eigenvector with eigenvalue q^-12: "
+            "'B[n,0,0,n] = q^(3n-1) u0 B[n,0,0,n-1] - q^(2n-2) u1 B[n-1,1,0,n-1]' "
+            "fails at n = 3: first differing monomial")):
+        dcb.layer_table(6)
+
+
 def test_layer_table_refuses_an_order_maximal_core_with_an_extra_term(monkeypatch):
     # u^(0,1,0,2) has the weight of u^(0,0,2,1); the certificate runs before
     # the triangular check would see it outside S(a)
@@ -756,10 +777,9 @@ def _times_b_oracle(a, f):
 def test_times_b_matches_the_product(monkeypatch, walk_all):
     # x B[f] by the walk against the oracle x * b_element(f), with a fresh
     # table per product, then with one table per x reused over every f;
-    # walk-all lowers the cutoff so that every x and every core walks
+    # walk-all lowers the cutoff so that every x walks
     if walk_all:
         monkeypatch.setattr(dcb, "_WALK_TERMS", 1)
-        monkeypatch.setattr(dcb, "_WALK_N", 1)
     for a in _TIMES_B_X:
         x, table = B(*a), {}
         want = {f: _times_b_oracle(a, f) for f in _TIMES_B_F}
@@ -771,8 +791,9 @@ def test_times_b_matches_the_product(monkeypatch, walk_all):
 
 
 def test_times_b_walks_a_large_product():
-    # x B[f] straightens no product past the cores below the cutoff (the
-    # cores' certificates, which multiply by one generator, are run first)
+    # x B[f] straightens no product past the order-maximal cores the walk
+    # ends on (the cores' certificates, which multiply by one generator, are
+    # run first)
     x, f = B(5, 0, 0, 4), (8, 0, 1, 7)  # f = (1,0,1,0) + (7,0,0,7)
     for n in range(2, 8):
         dcb._certify_core((n, 0, 0, n - 1))
