@@ -8,11 +8,15 @@ The polynomial ring Z[U0..U3] sits inside as the elements with
 nonnegative exponents and no P symbols; `subs_p` eliminates the P symbols
 via P0 = U2 U0 - U1^2 and P1 = U3 U1 - U2^2.
 
-A product adds exponent vectors with `map(operator.add, ...)`, and a
-factor with one term is applied as a shift and scale of the other's terms,
-into a fresh dict, with no collision check.  The c_{n,a,b} table of
-`coefficient_polynomial` sums every coefficient over one list of the
-`cluster_terms`; there is no per-coefficient function.
+A product unpacks the six exponent slots of each left term once and adds
+them slot by slot to each right term's, with no tuple built per slot, and
+a factor with one term is applied as a shift and scale of the other's
+terms, into a fresh dict, with no collision check; `exact_div` adds a
+quotient term to the divisor's terms the same way.  The c_{n,a,b} table
+of `coefficient_polynomial` is summed over the `cluster_terms` in two
+binomial passes, over l and then over k; there is no per-coefficient
+function.  `verify_classical` builds the Chebyshev rows s_0..s_5 and
+t_0..t_5 once and checks the recursion on them.
 
 Cluster variables are indexed by their subscript: `cluster_variable(4)`
 is U_4.  The closed Laurent formula over the seed (U1, U2, P0, P1) covers
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from operator import add, sub
 
 from .qarith import Terms, add_into, cluster_terms, compare, entry, power_product
 
@@ -80,13 +83,15 @@ class CPoly(Terms):
             a, b = b, a
         if len(a) == 1:
             # a monomial c1 U^e1: shift and scale, no collisions possible
-            (e1, c1), = a.items()
-            return CPoly._raw({tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
+            ((x0, x1, x2, x3, x4, x5), c1), = a.items()
+            return CPoly._raw({(x0 + y0, x1 + y1, x2 + y2, x3 + y3, x4 + y4, x5 + y5): c1 * c2
+                               for (y0, y1, y2, y3, y4, y5), c2 in b.items()})
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e)
+        get = out.get
+        for (x0, x1, x2, x3, x4, x5), c1 in a.items():
+            for (y0, y1, y2, y3, y4, y5), c2 in b.items():
+                e = (x0 + y0, x1 + y1, x2 + y2, x3 + y3, x4 + y4, x5 + y5)
+                v = get(e)
                 out[e] = c1 * c2 if v is None else v + c1 * c2
         return CPoly._raw({e: c for e, c in out.items() if c})
 
@@ -162,17 +167,19 @@ class CPoly(Terms):
                for a, b in zip(zip(*self.terms), zip(*other.terms))]
         lead = max(other.terms)
         lead_c = other.terms[lead]
+        d0, d1, d2, d3, d4, d5 = lead
         rem = dict(self.terms)
         quot = {}
         while rem:
             e = max(rem)
-            qe = tuple(map(sub, e, lead))
+            qe = (e[0] - d0, e[1] - d1, e[2] - d2, e[3] - d3, e[4] - d4, e[5] - d5)
             qc, r = divmod(rem[e], lead_c)
             if r or any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
                 raise ValueError("not divisible")
             quot[qe] = qc
-            add_into(rem, {tuple(map(add, qe, e2)): c2
-                           for e2, c2 in other.terms.items()}, -qc)
+            x0, x1, x2, x3, x4, x5 = qe
+            add_into(rem, {(x0 + y0, x1 + y1, x2 + y2, x3 + y3, x4 + y4, x5 + y5): c2
+                           for (y0, y1, y2, y3, y4, y5), c2 in other.terms.items()}, -qc)
         return CPoly._raw(quot)
 
     def _mono(self, e, latex):
@@ -272,18 +279,29 @@ def polynomial_form(n: int) -> CPoly:
 def coefficient_polynomial(n: int) -> CPoly:
     """U_{n+3} assembled directly from the coefficients c_{n,a,b} of
     U3^a U2^(n+2-2a+b) U1^(n-1-2b+a) U0^b, each the alternating
-    quadruple-binomial sum over one list of the `cluster_terms` (k, l, c);
-    both binomial rows n + 1 - k and n - l are nonnegative there.
+    quadruple-binomial sum over the `cluster_terms` (k, l, t) of
+    (-1)^(k+l+a+b+1) t C(n+1-k, a) C(n-l, b); both binomial rows n + 1 - k
+    and n - l are nonnegative there.  The summand splits into a factor in
+    (l, b) and one in (k, a), so the sum takes two passes:
+    r[k][b] = sum_l (-1)^l t C(n-l, b) over the terms with that k, then
+    c_{n,a,b} = (-1)^(a+b+1) sum_k (-1)^k C(n+1-k, a) r[k][b].
 
     Raises if a coefficient with an out-of-range monomial (negative
     exponent) is nonzero; their vanishing is exactly the combinatorial
     identity the formula asserts."""
-    terms = list(cluster_terms(n, binomial))
+    r = {}
+    for k, l, t in cluster_terms(n, binomial):
+        row = r.setdefault(k, [0] * (n + 1))
+        t = -t if l % 2 else t
+        for b in range(n + 1):
+            row[b] += t * comb(n - l, b)
     out = {}
     for a in range(0, n + 2):
+        cols = [(-comb(n + 1 - k, a) if k % 2 else comb(n + 1 - k, a), row) for k, row in r.items()]
         for b in range(0, n + 1):
-            c = sum((-1) ** (k + l + a + b + 1) * t * comb(n + 1 - k, a) * comb(n - l, b)
-                    for k, l, t in terms)
+            c = sum(ca * row[b] for ca, row in cols)
+            if (a + b) % 2 == 0:
+                c = -c
             e2 = n + 2 - 2 * a + b
             e1 = n - 1 - 2 * b + a
             if e2 < 0 or e1 < 0:
@@ -317,21 +335,24 @@ def coefficient_free_cluster(n: int) -> CPoly:
 
 def chebyshev_basis_element(k: int, kind: str = "S") -> CPoly:
     """The Chebyshev-basis element s_k (kind "S") or t_k (kind "T") in
-    Z[U0..U3], computed through the three-term recursion
-    f_{k+1} = z f_k - P1 P0 f_{k-1} so no square roots appear."""
+    Z[U0..U3]: the last of `_chebyshev_rows(k, kind)`."""
     if k < 0:
         raise ValueError("needs k >= 0")
+    return _chebyshev_rows(k, kind)[k]
+
+
+def _chebyshev_rows(k_max: int, kind: str) -> list:
+    """[f_0, ..., f_{k_max}] for f = s (kind "S") or t (kind "T"), computed
+    through the three-term recursion f_{k+1} = z f_k - P1 P0 f_{k-1} from
+    f_0 = 1 (s) or 2 (t) and f_1 = z, so no square roots appear."""
     if kind not in ("S", "T"):
         raise ValueError("kind must be 'S' or 'T'")
     z = z_poly()
-    prev = const(1) if kind == "S" else const(2)
-    if k == 0:
-        return prev
-    cur = z
+    rows = [const(1) if kind == "S" else const(2), z]
     pp = p1_poly() * p0_poly()
-    for _ in range(k - 1):
-        prev, cur = cur, z * cur - pp * prev
-    return cur
+    while len(rows) <= k_max:
+        rows.append(z * rows[-1] - pp * rows[-2])
+    return rows[:k_max + 1]
 
 
 class ExchangeMatrix:
@@ -467,13 +488,13 @@ def verify_classical(n_max: int = 10) -> list:
     z = z_poly()
     pp = p1_poly() * p0_poly()
 
-    ok = (chebyshev_basis_element(0, "S") == const(1)
-          and chebyshev_basis_element(1, "S") == z
-          and chebyshev_basis_element(2, "S") == z ** 2 - pp)
+    rows = {kind: _chebyshev_rows(5, kind) for kind in ("S", "T")}
+    s = rows["S"]
+    ok = s[0] == const(1) and s[1] == z and s[2] == z ** 2 - pp
     for k in range(2, 5):
         for kind in ("S", "T"):
-            ok = ok and chebyshev_basis_element(k + 1, kind) == \
-                z * chebyshev_basis_element(k, kind) - pp * chebyshev_basis_element(k - 1, kind)
+            f = rows[kind]
+            ok = ok and f[k + 1] == z * f[k] - pp * f[k - 1]
     report.append(entry("classical", 0,
                         "Chebyshev basis elements satisfy s_{k+1} = z s_k - P1 P0 s_{k-1}", ok))
 

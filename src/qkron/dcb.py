@@ -614,10 +614,11 @@ def b_element(a) -> pbw.PbwElement:
     q-commute too: neither straightens anything.  A cluster monomial is
     built one right factor at a time by `times_b`.
     """
-    # a memo hit on a tuple skips the normalization: only normalized tuples
-    # of nonnegative ints are stored, and an equal tuple normalizes to its key
+    # a memo hit on a tuple of ints skips the normalization: only normalized
+    # tuples of nonnegative ints are stored, and an equal tuple of ints is
+    # its key; a float equals and hashes like an int, but must not index
     hit = _B_CACHE.get(a) if type(a) is tuple else None
-    if hit is None:
+    if hit is None or not (type(a[0]) is type(a[1]) is type(a[2]) is type(a[3]) is int):
         a = tuple(map(operator.index, a))
         if len(a) != 4:
             raise ValueError(f"B[a] needs 4 coordinates, not {len(a)}: {a}")

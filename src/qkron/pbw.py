@@ -483,11 +483,12 @@ def verify_normal_form(seed: int = 0) -> list:
     ok = True
     for _ in range(8):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
-        if (x * y) * z != x * (y * z):
+        xy = x * y
+        if xy * z != x * (y * z):
             ok = False
-        if (x * y).sigma() != y.sigma() * x.sigma() or x.sigma().sigma() != x:
+        if xy.sigma() != y.sigma() * x.sigma() or x.sigma().sigma() != x:
             ok = False
-        xw = (x * y).root_weight()
+        xw = xy.root_weight()
         if x.is_homogeneous() and y.is_homogeneous() and x and y and xw is None:
             ok = False
     report.append(entry("straightening", 0,

@@ -22,8 +22,6 @@ and `verify_algebra_matches_l` as well, on one run.
 
 from __future__ import annotations
 
-from operator import add, mul
-
 from . import dcb, pbw
 from .qarith import (LaurentQ, Terms, add_into, compare, diff_detail, entry, half_pow, identities,
                      lq_one, power_product)
@@ -34,9 +32,9 @@ def x_var(n: int) -> pbw.PbwElement:
     if n < 0:
         raise ValueError("negative cluster index not materialized in the algebra")
     if n < 3:
-        return pbw.generator(n).scale(half_pow(-1))
+        return _shifted(pbw.generator(n), -1)
     f, h = _x_index(n)
-    return dcb.b_element(f).scale(half_pow(h))
+    return _shifted(dcb.b_element(f), h)
 
 
 def _x_index(n: int):
@@ -87,13 +85,14 @@ def _run() -> tuple:
     atoms, and so is q^(j/2) times an atom.  The product of two atoms
     q^(h/2) B[a] and q^(k/2) B[f] is `dcb.times_b(B[a], f, tables[a])`
     scaled by q^((h+k)/2), with one table per left atom a, kept for the
-    run; any other product is ``*``."""
+    run; any other product is ``*``.  A power of q scales an atom or a
+    product by `_shifted`, with no Laurent product."""
     atoms, tables = {}, {}
 
     def atom(f, h=0):
         x = dcb.b_element(f)
         if h:
-            x = x.scale(half_pow(h))
+            x = _shifted(x, h)
         atoms[id(x)] = (x, f, h)  # the entry keeps x, and with it its id
         return x
 
@@ -107,12 +106,18 @@ def _run() -> tuple:
             return x * y
         (_, a, h), (_, f, k) = ax, ay
         xy = dcb.times_b(dcb.b_element(a), f, tables.setdefault(a, {}))
-        return xy.scale(half_pow(h + k)) if h + k else xy
+        return _shifted(xy, h + k) if h + k else xy
 
     names = {"B": atom, "X": lambda n: atom(*_x_index(n)) if n >= 3 else x_var(n),
              "Y0": y0_var(), "Y1": y1_var(),
              "p0": lambda k: dcb.p_power(0, k), "p1": lambda k: dcb.p_power(1, k)}
     return names, product
+
+
+def _shifted(x: pbw.PbwElement, h: int) -> pbw.PbwElement:
+    """q^(h/2) x: the half-exponents of each coefficient shifted by h, into
+    fresh dicts."""
+    return pbw._element({b: {e + h: v for e, v in c.terms.items()} for b, c in x.terms.items()})
 
 
 def verify_qseed(n_max: int) -> list:
@@ -174,13 +179,16 @@ class TorusElement(Terms):
         if self._operand(other) is None:
             return NotImplemented
         # L is skew, so sum_{i>j} (a_i b_j - a_j b_i) L_ij = a^T L b: the
-        # row a^T L once per left monomial, one dot product per right one
-        cols = tuple(zip(*l_matrix(self.n)))
+        # row a^T L once per left monomial, one dot product per right one,
+        # on the four slots unpacked once per left monomial
+        L = l_matrix(self.n)
         out = {}
-        for a, ca in self.terms.items():
-            a_l = [sum(map(mul, a, col)) for col in cols]
-            row = {tuple(map(add, a, b)): cb * half_pow(sum(map(mul, a_l, b)))
-                   for b, cb in other.terms.items()}
+        for (a0, a1, a2, a3), ca in self.terms.items():
+            r0, r1, r2, r3 = (a0 * L[0][j] + a1 * L[1][j] + a2 * L[2][j] + a3 * L[3][j]
+                              for j in range(4))
+            row = {(a0 + b0, a1 + b1, a2 + b2, a3 + b3):
+                   cb * half_pow(r0 * b0 + r1 * b1 + r2 * b2 + r3 * b3)
+                   for (b0, b1, b2, b3), cb in other.terms.items()}
             add_into(out, row, ca)
         return self._like(out)
 

@@ -404,7 +404,7 @@ def test_coefficient_polynomial_matches_the_quadruple_sum():
     # c_{n,a,b} = sum over k + l <= n or (k, l) = (n + 1, 0) of
     # (-1)^(k+l+a+b+1) C(n-k, l) C(n+1-l, k) C(n+1-k, a) C(n-l, b), one
     # coefficient at a time; every one off the monomial range vanishes
-    for n in range(11):
+    for n in range(15):
         want = {}
         for a in range(n + 2):
             for b in range(n + 1):

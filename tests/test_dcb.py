@@ -36,6 +36,20 @@ def test_b_element_refuses_a_non_integer_or_wrong_length_index(a, exc):
         dcb.b_element(a)
 
 
+def test_b_element_refuses_a_float_index_whatever_the_memo_holds():
+    # (1.0, 0, 0, 0) equals (1, 0, 0, 0) and hashes like it, so a memo hit
+    # must not answer for it: before and after the int index is memoized,
+    # the float is refused
+    with pytest.raises(TypeError):
+        dcb.b_element((1.0, 0, 0, 0))
+    assert dcb.b_element((1, 0, 0, 0)) == u3
+    assert (1, 0, 0, 0) in dcb._B_CACHE
+    for a in ((1.0, 0, 0, 0), (1, 0, 0, 0.0)):
+        with pytest.raises(TypeError):
+            dcb.b_element(a)
+    assert dcb.b_element((True, 0, 0, 0)) is dcb.b_element((1, 0, 0, 0))
+
+
 def test_stats():
     assert dcb.stat_n((1, 0, 0, 0)) == -6
     assert dcb.stat_n((0, 0, 0, 1)) == 0
