@@ -15,8 +15,9 @@ terms, into a fresh dict, with no collision check; `exact_div` adds a
 quotient term to the divisor's terms the same way.  The c_{n,a,b} table
 of `coefficient_polynomial` is summed over the `cluster_terms` in two
 binomial passes, over l and then over k; there is no per-coefficient
-function.  `verify_classical` builds the Chebyshev rows s_0..s_5 and
-t_0..t_5 once and checks the recursion on them.
+function.  `verify_classical` checks the Chebyshev rows s_0..s_5 and
+t_0..t_5 against the closed Dickson sums (`_dickson_rows`), not against the
+recursion that builds them, and the recursion on the sums.
 
 Cluster variables are indexed by their subscript: `cluster_variable(4)`
 is U_4.  The closed Laurent formula over the seed (U1, U2, P0, P1) covers
@@ -355,6 +356,25 @@ def _chebyshev_rows(k_max: int, kind: str) -> list:
     return rows[:k_max + 1]
 
 
+def _dickson_rows(k_max: int) -> dict:
+    """{"S": [s_0, ..., s_{k_max}], "T": [t_0, ..., t_{k_max}]} from the
+    closed Dickson sums s_k = sum_j (-1)^j C(k-j, j) z^(k-2j) (P1 P0)^j and
+    t_k, the same with each term times k/(k-j) (t_0 = 2), with no
+    recursion."""
+    z, pp = z_poly(), p1_poly() * p0_poly()
+    rows = {"S": [], "T": []}
+    for k in range(k_max + 1):
+        s, t = {}, {}
+        for j in range(k // 2 + 1):
+            term = (z ** (k - 2 * j) * pp ** j).terms
+            c = -comb(k - j, j) if j % 2 else comb(k - j, j)
+            add_into(s, term, c)
+            add_into(t, term, c * k // (k - j) if k else 2)
+        rows["S"].append(CPoly._raw(s))
+        rows["T"].append(CPoly._raw(t))
+    return rows
+
+
 class ExchangeMatrix:
     """An integer exchange matrix: one row per variable (mutable rows
     first), one column per mutable variable."""
@@ -488,13 +508,11 @@ def verify_classical(n_max: int = 10) -> list:
     z = z_poly()
     pp = p1_poly() * p0_poly()
 
-    rows = {kind: _chebyshev_rows(5, kind) for kind in ("S", "T")}
-    s = rows["S"]
-    ok = s[0] == const(1) and s[1] == z and s[2] == z ** 2 - pp
-    for k in range(2, 5):
-        for kind in ("S", "T"):
-            f = rows[kind]
-            ok = ok and f[k + 1] == z * f[k] - pp * f[k - 1]
+    # the rows against the closed sums, which satisfy the recursion
+    closed = _dickson_rows(5)
+    ok = all(_chebyshev_rows(5, kind) == f for kind, f in closed.items())
+    for f in closed.values():
+        ok = ok and all(f[k + 1] == z * f[k] - pp * f[k - 1] for k in range(1, 5))
     report.append(entry("classical", 0,
                         "Chebyshev basis elements satisfy s_{k+1} = z s_k - P1 P0 s_{k-1}", ok))
 

@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k-max", type=int, default=None)
     v.add_argument("--mode", choices=("exact", "probabilistic"), default=None,
                    help="serre only: exact (the kernel of the quantum shuffle map) or "
-                        "probabilistic (elimination modulo a prime at seeded points); "
+                        "probabilistic (the shuffle map at one seeded point modulo a prime); "
                         "default exact up to total weight 8")
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(handler=cmd_verify)
@@ -306,6 +306,8 @@ def main(argv=None) -> int:
         args.range = extra.pop()
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if getattr(args, "max_layer", 0) < 0:
+        parser.error("--max-layer must be at least 0")
     try:
         code = args.handler(args, parser)
         sys.stdout.flush()

@@ -6,59 +6,39 @@ the free algebra through the commutator construction of the generators,
 must lie in the two-sided ideal generated by the two degree-four Serre
 relators.
 
-Exact mode maps an element by the quantum shuffle map (`shuffle_image`),
-an algebra map into the quantum shuffle algebra whose kernel is exactly the
-Serre ideal (Rosso 1998; Leclerc 2004): x is a member iff its image is 0.
-The map runs on the int kernel, word -> {half-exponent: int}, each
-inserted word merged by one `qarith.add_shifted`; exact membership only
-asks whether the result is empty.
-Probabilistic mode, kept as an independent oracle, is finite linear
-algebra over the weight component I_w of the ideal, spanned by
-{u * S * u' : S in {S1, S2}} (`spanning_set`; S2 is S1 with the letters
-swapped, and a row joins the words onto S, `_serre_row`).  It works at
-several seeded points q = t modulo the prime p = 2^61 - 1 (`PRIME`), with
-t drawn from [2, p - 1], over the field GF(p) with monic pivots, and
-reports membership iff every evaluation succeeds.
+Both modes decide membership by the quantum shuffle map Phi
+(`shuffle_image`), an algebra map into the quantum shuffle algebra whose
+kernel is exactly the Serre ideal (Rosso 1998; Leclerc 2004): x is a member
+iff Phi(x) = 0.  Exact mode computes Phi(x) on the int kernel, word ->
+{half-exponent: int}, each inserted word merged by one `qarith.add_shifted`
+(`_shuffle`), and asks whether the result is empty.  Probabilistic mode
+evaluates Phi(x) at one seeded point q = t, drawn from [2, p - 1], modulo the
+prime p = 2^264 - 275 (`PRIME`), and reports membership iff every word's
+value is 0 there (`_shuffle_at`).  It walks the same recursion on int
+values, each word one int: the letters x_0 ... x_(n-1) as the bits
+sum (x_k - 1) 2^k under a leading 1 at bit n, so that inserting a letter at
+position k is two masks and a shift.
 
-At each point the echelon basis of I_w is built up the weight grid
-(a, b) <= w (`_grid_echelon`).  A spanning row u * S * u' with u' = u'' c
-nonempty is (u * S * u'') c, so
+A member always passes.  A non-member x passes with probability at most
+D / (p - 2), where D <= e + 132 and e, the span of x, is its largest minus
+its smallest q-exponent: below 2^-250 when e <= 2^13 and ||x||_1, the sum of
+the absolute values of x's integer coefficients, is below 2^235.  The six
+straightening relations have e <= 12 and ||x||_1 <= 2048.
 
-    I_(a,b) = I_(a-1,b) E1 + I_(a,b-1) E2 + span{u * S : S at the right end}.
-
-A word x_0 ... x_(n-1) is keyed by sum x_i 2^i (`_word_key`), from its
-last letter: keys order the words of one length as their reversals do,
-appending a letter c is the shift key(u c) = key(u) + c 2^(len u), and
-key(u S) = key(u) + key(S) 2^(len u).  The pivots of the two neighbouring
-cells, shifted by E1 and E2, are already an echelon basis, because the
-two blocks end in different letters and so have disjoint keys; only the
-rows u * S are reduced against them.  S1 and S2 are evaluated once per
-point, each row from a table of the powers of t it uses.  One grid per
-point, up to the componentwise-largest weight, serves every element decided
-together, each reduced against its own cell (`_members_probabilistic`): the
-suite's probabilistic relations share their five grids.
-
-A cell skips the row u * S when u is the lead word of a pivot g of the
-cell wt(u) = (a, b) - wt(S), which is already built.  Every word of S ends
-in a letter and a spanning row times a word is a spanning row, so g * S
-lies in the shifted part; and u * S = g * S - sum c_u' u' * S with every
-key(u') < key(u), so induction on the key puts each skipped row in the
-span of the shifted part and the kept rows, at every t and in any row
-order (the normal-word rule of noncommutative Groebner bases; Bergman
-1978).  The kept rows that still reduce to zero come from the degree-3
-syzygies of U_q^+ of affine sl2, which start at weights (6,3) and (3,6)
-(Garland-Lepowsky 1976): 9 of the 223 rows (7,5)'s grid reduces.
-
-The grid spans, at q = t, exactly the space the evaluated spanning rows
-span, so the bound below is the one for eliminating those rows.  Over
-Q(q), x is a member iff its row leaves the rank r of the span unchanged.
-A wrong answer at one point needs a nonzero r x r minor of the span, or
-(r + 1) x (r + 1) minor with x, to vanish at q = t modulo p: t is a root
-mod p of that minor times a power of q, a polynomial over Z of degree at
-most 4 r + e (a span row's exponents lie in [-2, 2], e is the exponent
-span of x; 2784 at (7,5)), or p divides all of its coefficients.  A
-uniform t hits such a root with probability at most (4 r + e) / (p - 2)
-< 2^-49 (Schwartz 1980; Zippel 1979).
+Proof.  Inserting the letter u_r of a word u = u_1 ... u_n past a letter
+u_s (s > r) of the image of its suffix contributes the factor
+q^-(alpha_(u_r), alpha_(u_s)): q^-2 for equal letters, q^2 for different
+ones.  So each term of Phi(u) is q^E v with coefficient 1, where E sums
+these factors' exponents over the pairs r < s the shuffle put out of
+order.  At weight (a, b), E lies in [-2 (C(a,2) + C(b,2)), 2 a b], an
+interval of length 2 C(n, 2) = n (n - 1).  Each coefficient of Phi(x) is
+therefore q^m P(q), for one m and a polynomial P over Z of degree at most
+D = e + n (n - 1), and n <= 12 under the weight cap.  Phi(u)_v counts the
+shuffles that carry u to v, at most a! b! <= 12! < 2^29 of them, so P's
+coefficients are below ||x||_1 2^29 < p in absolute value.  If
+Phi(x) != 0, some P is nonzero, hence nonzero modulo p, and a uniform t in
+[2, p - 1] is one of its at most D roots with probability at most
+D / (p - 2) (Schwartz 1980; Zippel 1979).
 
 Words are tuples over the alphabet {1, 2} (the letters E1, E2); the weight
 of a word is (#E1, #E2), additive under concatenation.
@@ -68,7 +48,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .qarith import LaurentQ, Terms, add_into, add_shifted, lq_one, qpow, quantum_int
@@ -192,12 +171,11 @@ MembershipResult = namedtuple("MembershipResult", "member mode weight")
 
 
 DEFAULT_WEIGHT_CAP = 12
-# The default split between the modes stays where the elimination put it:
-# the `verify serre` report and acceptance criterion 6 name each relation's
-# mode, exact through (5,3) and probabilistic at (6,4) and (7,5).
+# The default split between the modes is part of the report: `verify serre`
+# and acceptance criterion 6 name each relation's mode, exact through (5,3)
+# and probabilistic at (6,4) and (7,5).
 EXACT_DEFAULT_MAX_TOTAL = 8
-PROBABILISTIC_POINTS = 5
-PRIME = 2 ** 61 - 1  # the field of the probabilistic elimination
+PRIME = 2 ** 264 - 275  # the field of the probabilistic evaluation
 
 
 def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> MembershipResult:
@@ -205,10 +183,9 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
     quantum Serre ideal, up to total weight `DEFAULT_WEIGHT_CAP`.
 
     mode "exact" asks whether the shuffle map sends x to zero; otherwise
-    `_members_probabilistic` reduces x against the ideal's weight component
-    modulo `PRIME` at `PROBABILISTIC_POINTS` seeded values of q, membership
-    iff all evaluations succeed.  The default picks exact for total weight
-    <= `EXACT_DEFAULT_MAX_TOTAL`.
+    whether it does at the one value of q the seed draws
+    (`_probabilistic_point`), modulo `PRIME`.  The default picks exact for
+    total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
     """
     if not x:
         return MembershipResult(True, _mode((0, 0), mode), (0, 0))
@@ -217,7 +194,8 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
         raise ValueError("ideal membership needs a weight-homogeneous element")
     if _mode(w, mode) == "exact":
         return MembershipResult(not _shuffle(x.terms.items(), 0), "exact", w)
-    return _members_probabilistic([(x, w)], seed)[0]
+    image = _image_at(x, _probabilistic_point(seed))
+    return MembershipResult(not any(v % PRIME for v in image.values()), "probabilistic", w)
 
 
 def _mode(w, mode) -> str:
@@ -260,6 +238,51 @@ def _shuffle(terms, pos) -> dict:
     return out
 
 
+def _shuffle_at(terms, pos, down, up) -> dict:
+    """`_shuffle` at q = t modulo `PRIME`, for down = t^-2 and up = t^2:
+    Phi of the sum of c * word[pos:] over the pairs (word, c) in terms, c
+    an int, as bit-keyed word -> int, the values left unreduced."""
+    out, groups = {}, {}
+    for word, c in terms:
+        if len(word) == pos:
+            out[1] = out.get(1, 0) + c
+        else:
+            groups.setdefault(word[pos], []).append((word, c))
+    for i, part in groups.items():
+        bit = i - 1
+        # the factor for passing a letter: down if it equals i, else up
+        step = (up, down) if bit else (down, up)
+        for v, c in _shuffle_at(part, pos + 1, down, up).items():
+            low, high, k = 0, v, 0  # v = low + high 2^k: k letters passed
+            while True:
+                key = low | (((high << 1) | bit) << k)
+                out[key] = out.get(key, 0) + c
+                if high == 1:  # only the leading 1 is left
+                    break
+                b = high & 1
+                c = c * step[b] % PRIME
+                low |= b << k
+                high >>= 1
+                k += 1
+    return out
+
+
+def _probabilistic_point(seed) -> int:
+    """The integer t in [2, PRIME - 1] that the seed draws."""
+    return random.Random(seed).randint(2, PRIME - 1)
+
+
+def _image_at(x: FreeElement, t) -> dict:
+    """Phi(x) at q = t modulo `PRIME`, bit-keyed word -> unreduced int.
+    Raises ValueError on an odd half-exponent."""
+    hs = {h for c in x.terms.values() for h in c.terms}
+    if any(h % 2 for h in hs):
+        raise ValueError("cannot evaluate odd half-powers of q at an integer point")
+    pw = {h: pow(t, h // 2, PRIME) for h in hs}
+    terms = [(word, sum(a * pw[h] for h, a in c.terms.items())) for word, c in x.terms.items()]
+    return _shuffle_at(terms, 0, pow(t, -2, PRIME), t * t % PRIME)
+
+
 def expand_certificate(certificate) -> FreeElement:
     """sum coeff * (left * S * right) over the pairs
     ((relator index, left, right), coeff) of a certificate."""
@@ -268,122 +291,6 @@ def expand_certificate(certificate) -> FreeElement:
     for (ridx, left, right), coef in certificate:
         add_into(total, _serre_row(left, relators[ridx], right).terms, coef)
     return FreeElement._raw(total)
-
-
-def _eval_row(terms, t) -> dict:
-    """The row of LaurentQ coefficients at q = t modulo `PRIME`, zeros
-    dropped.  Raises ValueError on an odd half-exponent.  Each t^k is read
-    from a table over the exponents the row uses, with t^-1 computed once."""
-    hs = {h for c in terms.values() for h in c.terms}
-    if any(h % 2 for h in hs):
-        raise ValueError("cannot evaluate odd half-powers of q at an integer point")
-    inv = pow(t, -1, PRIME)
-    pw = {h: pow(t if h > 0 else inv, abs(h) // 2, PRIME) for h in hs}
-    out = {}
-    for k, c in terms.items():
-        v = 0
-        for h, a in c.terms.items():
-            v += a * pw[h]
-        v %= PRIME
-        if v:
-            out[k] = v
-    return out
-
-
-def _reduce(row, basis):
-    """Reduce a row modulo `PRIME` against an echelon basis of monic pivots
-    and return what is left, values in [1, PRIME - 1].  Leads come off a
-    heap of the row's keys in descending order, since a pivot adds only
-    keys below its lead; a value is taken modulo the prime only when it
-    leads, and a lead that is 0 there is dropped."""
-    keys = [-k for k in row]
-    heapify(keys)
-    while keys:
-        lead = -heappop(keys)
-        c = row[lead] % PRIME
-        if c:
-            piv = basis.get(lead)
-            if piv is None:
-                return {k: v % PRIME for k, v in row.items() if v % PRIME}
-            for k, v in piv.items():
-                if k in row:
-                    row[k] -= c * v
-                else:
-                    row[k] = -c * v
-                    heappush(keys, -k)
-        del row[lead]
-    return row
-
-
-def _word_key(word) -> int:
-    """sum x_i 2^i over the letters x_i of a word: an int that orders the
-    words of one length as their reversals do, with
-    key(u c) = key(u) + c 2^(len u)."""
-    k = 0
-    for c in reversed(word):
-        k = 2 * k + c
-    return k
-
-
-def _probabilistic_points(seed) -> list:
-    """The `PROBABILISTIC_POINTS` distinct integers t in [2, PRIME - 1] that
-    the seed draws, in the order drawn."""
-    rng = random.Random(seed)
-    points = []
-    while len(points) < PROBABILISTIC_POINTS:
-        t = rng.randint(2, PRIME - 1)
-        if t not in points:
-            points.append(t)
-    return points
-
-
-def _grid_echelon(w, t) -> dict:
-    """The echelon bases over GF(PRIME) of the ideal's weight components
-    (a, b) <= w at q = t: (a, b) -> {lead key: monic pivot row}.  Built
-    cell by cell: the pivots of (a-1, b) and (a, b-1) shifted by the
-    appended E1 and E2, then the rows u * S whose u is no pivot lead of the
-    cell (a, b) - wt S, in ascending order of their largest key, each
-    reduced against them and, if anything is left, scaled to lead 1 and
-    stored."""
-    relators = [(s.weight(), _eval_row({_word_key(k): c for k, c in s.terms.items()}, t))
-                for s in serre_relators()]
-    grid = {}
-    for a in range(w[0] + 1):
-        for b in range(w[1] + 1):
-            basis = {}
-            for c, prev in ((E1, grid.get((a - 1, b))), (E2, grid.get((a, b - 1)))):
-                if prev:
-                    shift = c << (a + b - 1)
-                    for lead, row in prev.items():
-                        basis[lead + shift] = {k + shift: v for k, v in row.items()}
-            rows = [{(k << (a + b - r1 - r2)) + ku: v for k, v in s.items()}
-                    for (r1, r2), s in relators if a >= r1 and b >= r2
-                    for ku in map(_word_key, words_of_weight(a - r1, b - r2))
-                    if ku not in grid[a - r1, b - r2]]
-            rows.sort(key=max)
-            for row in rows:
-                row = _reduce(row, basis)
-                if row:
-                    lead = max(row)
-                    inv = pow(row[lead], -1, PRIME)
-                    basis[lead] = {k: v * inv % PRIME for k, v in row.items()}
-            grid[a, b] = basis
-    return grid
-
-
-def _members_probabilistic(xw, seed) -> list:
-    """The probabilistic MembershipResult of each pair (x, weight of x) in
-    xw, from one grid per point; an x that fails is not reduced again."""
-    rows = [({_word_key(k): c for k, c in x.terms.items()}, w) for x, w in xw]
-    top = tuple(map(max, zip(*(w for _, w in rows))))
-    live = set(range(len(rows)))
-    for t in _probabilistic_points(seed):
-        if not live:
-            break
-        grid = _grid_echelon(top, t)
-        live = {i for i in live if not _reduce(_eval_row(rows[i][0], t), grid[rows[i][1]])}
-        del grid  # the next point's grid is built with this one freed
-    return [MembershipResult(i in live, "probabilistic", w) for i, (_, w) in enumerate(rows)]
 
 
 # -- the six straightening relations -------------------------------------------
@@ -412,14 +319,10 @@ def straightening_differences():
 
 def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0) -> list:
     """Decide all six straightening relations as members of the quantum
-    Serre ideal; returns one report entry per relation.  The relations
-    decided probabilistically are decided together, one grid per point."""
-    diffs = [(name, d, d.weight()) for name, d in straightening_differences()]
-    prob = iter(_members_probabilistic([(d, w) for _, d, w in diffs
-                                        if _mode(w, mode) == "probabilistic"], seed))
+    Serre ideal; returns one report entry per relation."""
     report = []
-    for name, d, w in diffs:
-        res = next(prob) if _mode(w, mode) == "probabilistic" else ideal_membership(d, "exact")
+    for name, d in straightening_differences():
+        res = ideal_membership(d, mode, seed)
         report.append({"relation": name, "weight": list(res.weight),
                        "mode": res.mode, "member": res.member})
     return report

@@ -180,15 +180,18 @@ class TorusElement(Terms):
             return NotImplemented
         # L is skew, so sum_{i>j} (a_i b_j - a_j b_i) L_ij = a^T L b: the
         # row a^T L once per left monomial, one dot product per right one,
-        # on the four slots unpacked once per left monomial
+        # on the four slots unpacked once per left monomial; cb's
+        # half-exponents are shifted by it, with no Laurent product
         L = l_matrix(self.n)
         out = {}
         for (a0, a1, a2, a3), ca in self.terms.items():
             r0, r1, r2, r3 = (a0 * L[0][j] + a1 * L[1][j] + a2 * L[2][j] + a3 * L[3][j]
                               for j in range(4))
-            row = {(a0 + b0, a1 + b1, a2 + b2, a3 + b3):
-                   cb * half_pow(r0 * b0 + r1 * b1 + r2 * b2 + r3 * b3)
-                   for (b0, b1, b2, b3), cb in other.terms.items()}
+            row = {}
+            for (b0, b1, b2, b3), cb in other.terms.items():
+                s = r0 * b0 + r1 * b1 + r2 * b2 + r3 * b3
+                row[a0 + b0, a1 + b1, a2 + b2, a3 + b3] = LaurentQ._raw(
+                    {h + s: v for h, v in cb.terms.items()})
             add_into(out, row, ca)
         return self._like(out)
 

@@ -197,6 +197,25 @@ def test_failing_identities_carry_a_witness(monkeypatch):
     assert all("detail" not in e for e in rep if e["ok"])
 
 
+@pytest.mark.parametrize("seed_t, step", [(lambda pp: cl.const(2) + pp, lambda pp: 0),
+                                          (lambda pp: cl.const(2), lambda pp: pp)],
+                         ids=["t0-plus-pp", "step-plus-pp"])
+def test_chebyshev_entry_checks_the_rows_against_the_closed_sums(monkeypatch, seed_t, step):
+    # rows built by the recursion from a wrong t_0 still satisfy it; the
+    # closed Dickson sums catch them, and rows built by a wrong recursion
+    z, pp = cl.z_poly(), cl.p1_poly() * cl.p0_poly()
+
+    def rows(k_max, kind):
+        f = [cl.const(1) if kind == "S" else seed_t(pp), z]
+        while len(f) <= k_max:
+            f.append(z * f[-1] - pp * f[-2] + step(pp))
+        return f[:k_max + 1]
+
+    monkeypatch.setattr(cl, "_chebyshev_rows", rows)
+    bad = [e["identity"] for e in cl.verify_classical(5) if not e["ok"]]
+    assert bad == ["Chebyshev basis elements satisfy s_{k+1} = z s_k - P1 P0 s_{k-1}"]
+
+
 def test_specialize_q1_cross_checks():
     for m in range(0, 4):
         b = dcb.b_element((m + 1, 0, 0, m))

@@ -165,6 +165,27 @@ def test_table_layer_cap_is_checked_before_any_layer(monkeypatch, capsys):
     assert (code, out, err) == (3, "", "error: layer 9 > --max-layer 8\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "1", "0", "0", "0", "--max-layer", "-5"],
+    ["product", "1", "0", "0", "0", "0", "0", "0", "1", "--max-layer", "-1"],
+    ["table", "layer", "0", "--max-layer", "-1"],
+    ["table", "cluster", "1", "--max-layer", "-1"],
+])
+def test_negative_max_layer_exits_2_before_any_work(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the usage check")
+
+    for attr in ("b_element", "b_product", "layer_table", "_core"):
+        monkeypatch.setattr(dcb, attr, refuse)
+    monkeypatch.setattr(classical, "cluster_variable", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip().splitlines()[-1] == "qkron: error: --max-layer must be at least 0"
+
+
 def test_table_cluster_negative_range(capsys):
     code, out, _ = run(["table", "cluster", "-20..20", "--format", "json"], capsys)
     assert code == 0

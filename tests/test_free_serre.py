@@ -120,24 +120,41 @@ def test_free_product_associative():
         assert (x * y) * z == x * (y * z)
 
 
-def _rational_row_mod_p(terms, t):
-    """The values of `eval_q` at q = t reduced modulo the prime, zeros
+def _bits(word) -> int:
+    """The bit key of a word, as `fs._shuffle_at` keys the words it
+    builds: sum (x_k - 1) 2^k over its letters x_k, plus 2^len."""
+    return sum((x - 1) << k for k, x in enumerate(word)) + (1 << len(word))
+
+
+def _rational_image_mod_p(image, t) -> dict:
+    """An exact image (`shuffle_image`), each coefficient evaluated by
+    `eval_q` at q = t and reduced modulo the prime, bit-keyed, zeros
     dropped."""
     p = fs.PRIME
-    vals = {k: c.eval_q(t) for k, c in terms.items()}
+    vals = {_bits(k): c.eval_q(t) for k, c in image.terms.items()}
     row = {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in vals.items()}
     return {k: v for k, v in row.items() if v}
 
 
+def _image_mod_p(x, t) -> dict:
+    """`fs._image_at(x, t)` reduced modulo the prime, zeros dropped."""
+    return {k: v % fs.PRIME for k, v in fs._image_at(x, t).items() if v % fs.PRIME}
+
+
 def test_integer_rows_match_the_rational_evaluation():
-    # the whole (5, 3) span, a slice of the (6, 4) span, and the six
-    # straightening differences, whose coefficients reach negative powers
-    # ((7, 5)'s half-exponents run from -24 to 0), also times 6 q^-3; rows
-    # with positive and negative exponents, contiguous and with gaps; at
-    # small points and at a drawn one
-    rows = [e for _, e in fs.spanning_set((5, 3))]
-    rows += [e for _, e in fs.spanning_set((6, 4))[::4]]
-    rows += [d.scale(c) for _, d in fs.straightening_differences() for c in (1, 6 * qpow(-3))]
+    # the point walk against the exact image evaluated by eval_q: slices of
+    # the (5, 3) and (6, 4) spans (images 0), the six straightening
+    # differences, whose coefficients reach negative powers ((7, 5)'s
+    # half-exponents run from -24 to 0), and those up to total 8 also times
+    # 6 q^-3 and changed on their lead word (images not 0); random rows with
+    # positive and negative exponents, contiguous and with gaps; at small
+    # points and at a drawn one
+    rows = [e for _, e in fs.spanning_set((5, 3))[::3]]
+    rows += [e for _, e in fs.spanning_set((6, 4))[::20]]
+    for _, d in fs.straightening_differences():
+        rows.append(d)
+        if sum(d.weight()) <= 8:
+            rows += [d.scale(6 * qpow(-3)), d + fs.FreeElement.word(max(d.terms))]
     d75 = next(d for _, d in fs.straightening_differences() if d.weight() == (7, 5))
     hs = {h for c in d75.terms.values() for h in c.terms}
     assert (min(hs), max(hs)) == (-24, 0)
@@ -148,14 +165,20 @@ def test_integer_rows_match_the_rational_evaluation():
                                                    for _ in range(4)})
             for i in range(10)}))
     rows.append(fs.FreeElement({(1,): qpow(3) - 2 + qpow(-5), (2,): qpow(7) * 4}))
-    assert any(h > 0 for e in rows[-3:] for c in e.terms.values() for h in c.terms)
-    for t in (2, 3, 97, fs._probabilistic_points(0)[0]):
-        for elem in rows:
-            assert fs._eval_row(elem.terms, t) == _rational_row_mod_p(elem.terms, t)
+    rows.append(fs.FreeElement({(): qpow(-2) * 5}))
+    assert any(h > 0 for e in rows[-4:] for c in e.terms.values() for h in c.terms)
+    images = [fs.shuffle_image(elem) for elem in rows]
+    for t in (2, 3, 97, fs._probabilistic_point(0)):
+        nonzero = 0
+        for elem, image in zip(rows, images):
+            want = _rational_image_mod_p(image, t)
+            assert _image_mod_p(elem, t) == want
+            nonzero += bool(want)
+        assert nonzero == 8, t
     with pytest.raises(ValueError):
-        fs._eval_row({(1,): half_pow(1)}, 2)
+        fs._image_at(fs.FreeElement({(1,): half_pow(1)}), 2)
     with pytest.raises(ValueError):
-        fs._eval_row({(1,): qpow(-2), (2,): qpow(4) + half_pow(-3)}, 2)
+        fs._image_at(fs.FreeElement({(1,): qpow(-2), (2,): qpow(4) + half_pow(-3)}), 2)
 
 
 def test_membership_trivial_cases():
@@ -228,47 +251,16 @@ def test_full_straightening_report():
     assert time.time() - t0 < 300
 
 
-def _count_grids(monkeypatch) -> list:
-    """Patch `_grid_echelon` to record the weight and point of each build."""
-    grid_echelon, builds = fs._grid_echelon, []
-
-    def spy(w, t):
-        builds.append((w, t))
-        return grid_echelon(w, t)
-
-    monkeypatch.setattr(fs, "_grid_echelon", spy)
-    return builds
-
-
-@pytest.mark.parametrize("mode", [None, "exact", "probabilistic"])
-def test_one_grid_per_point_serves_every_probabilistic_relation(monkeypatch, mode):
-    # one grid per point, up to (7, 5), whether two relations (by default)
-    # or all six (probabilistic mode) take that route; none in exact mode
-    builds = _count_grids(monkeypatch)
-    report = fs.verify_straightening_mod_serre(mode=mode)
-    assert all(e["member"] for e in report)
-    expected = [] if mode == "exact" else [((7, 5), t) for t in fs._probabilistic_points(0)]
-    assert builds == expected
-
-
 @pytest.mark.parametrize("mode", [None, "probabilistic"])
 def test_a_non_member_fails_alone_and_is_not_reduced_again(monkeypatch, mode):
     # the (6, 4) difference, changed on its lead word, is reported a
-    # non-member; the other five entries are as before, and after its first
-    # point it is not evaluated again: each point evaluates S1, S2 and the
-    # relations still live
+    # non-member; the other five entries are as before
     before = fs.verify_straightening_mod_serre(mode=mode)
     diffs = fs.straightening_differences()
     changed = [(name, d + fs.FreeElement.word(max(d.terms)) if d.weight() == (6, 4) else d)
                for name, d in diffs]
     monkeypatch.setattr(fs, "straightening_differences", lambda: changed)
-    builds = _count_grids(monkeypatch)
-    eval_row, evals = fs._eval_row, []
-    monkeypatch.setattr(fs, "_eval_row", lambda terms, t: evals.append(t) or eval_row(terms, t))
     after = fs.verify_straightening_mod_serre(mode=mode)
-    assert len(builds) == fs.PROBABILISTIC_POINTS
-    live = sum(e["mode"] == "probabilistic" for e in before)
-    assert len(evals) == fs.PROBABILISTIC_POINTS * (2 + live) - (fs.PROBABILISTIC_POINTS - 1)
     for b, a in zip(before, after):
         if tuple(b["weight"]) == (6, 4):
             assert (b["member"], a["member"]) == (True, False)
@@ -277,32 +269,42 @@ def test_a_non_member_fails_alone_and_is_not_reduced_again(monkeypatch, mode):
             assert a == b
 
 
-def test_single_membership_builds_its_own_weight_until_it_fails(monkeypatch):
-    builds = _count_grids(monkeypatch)
-    d = next(d for _, d in fs.straightening_differences() if d.weight() == (6, 4))
-    assert fs.ideal_membership(d, mode="probabilistic", seed=1).member
-    assert builds == [((6, 4), t) for t in fs._probabilistic_points(1)]
-    builds.clear()
-    assert not fs.ideal_membership(d + fs.FreeElement.word(max(d.terms)), mode="probabilistic").member
-    assert builds == [((6, 4), fs._probabilistic_points(0)[0])]
+P61 = 2 ** 61 - 1  # the field of the tests' own elimination
 
 
-def _keyed(terms) -> dict:
-    """A coefficient dict with each word replaced by its `_word_key`."""
-    return {fs._word_key(k): c for k, c in terms.items()}
+def _row_at(terms, t) -> dict:
+    """A row of LaurentQ coefficients, word -> coefficient, at q = t modulo
+    P61: bit-keyed (`_bits`), zeros dropped."""
+    out = {}
+    for word, c in terms.items():
+        assert all(h % 2 == 0 for h in c.terms)
+        v = sum(a * pow(t, h // 2, P61) for h, a in c.terms.items()) % P61
+        if v:
+            out[_bits(word)] = v
+    return out
 
 
-def _flat_echelon(rows, t) -> dict:
-    """The reference elimination: the echelon basis over GF(PRIME) of keyed
-    rows at q = t, each row reduced in order and, if anything is left,
-    stored scaled to lead 1."""
+def _flat_echelon(rows, p=P61) -> dict:
+    """The reference elimination: the echelon basis over GF(p) of the rows
+    (int key -> value mod p), each reduced in order against the pivots by
+    its largest key and, if anything is left, stored scaled to lead 1.
+    The rows are consumed."""
     basis = {}
-    for terms in rows:
-        row = fs._reduce(fs._eval_row(terms, t), basis)
-        if row:
+    for row in rows:
+        while row:
             lead = max(row)
-            inv = pow(row[lead], -1, fs.PRIME)
-            basis[lead] = {k: v * inv % fs.PRIME for k, v in row.items()}
+            piv = basis.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                basis[lead] = {k: v * inv % p for k, v in row.items()}
+                break
+            c = row[lead]
+            for k, v in piv.items():
+                v = (row.get(k, 0) - c * v) % p
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
     return basis
 
 
@@ -322,116 +324,54 @@ def _kostant_table(w) -> list:
     return ways
 
 
-def _assert_monic_echelon(basis):
-    for lead, row in basis.items():
-        assert lead == max(row) and row[lead] == 1
-        assert all(0 < v < fs.PRIME for v in row.values())
-
-
 @pytest.mark.parametrize("w, rank", [((5, 3), 35), ((6, 4), 162), ((7, 5), 693)])
 def test_integer_echelon_rank_is_words_less_kostant_count(w, rank):
     # the quotient by the Serre ideal is U^+ of affine sl2, whose weight
     # component has the Kostant partition count as its dimension; the ideal
-    # component, the rank of the span, is what is left of the words
+    # component, the rank of the span, is what is left of the words.  The
+    # rank at one point bounds the rank over Q(q) from below
     assert rank == len(fs.words_of_weight(*w)) - _kostant_table(w)[w[0]][w[1]]
-    span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
-    for t in fs._probabilistic_points(0):
-        basis = _flat_echelon(span_terms, t)
-        assert len(basis) == rank, t
-        _assert_monic_echelon(basis)
-
-
-def test_grid_echelon_rank_in_every_cell_up_to_7_5():
-    kostant = _kostant_table((7, 5))
-    for t in fs._probabilistic_points(0):
-        grid = fs._grid_echelon((7, 5), t)
-        for a in range(8):
-            for b in range(6):
-                basis = grid[a, b]
-                assert len(basis) == len(fs.words_of_weight(a, b)) - kostant[a][b], (a, b)
-                _assert_monic_echelon(basis)
-
-
-@pytest.mark.parametrize("w", [(5, 3), (6, 4), (7, 5), (5, 5), (8, 4)])
-def test_grid_echelon_spans_the_spanning_rows(w):
-    # the grid and the reference elimination over the spanning rows give
-    # the same space at each point: equal rank, and each basis reduces the
-    # other's rows to zero
-    span_terms = [_keyed(e.terms) for _, e in fs.spanning_set(w)]
-    for t in fs._probabilistic_points(0):
-        grid, flat = fs._grid_echelon(w, t)[w], _flat_echelon(span_terms, t)
-        assert len(grid) == len(flat) == len(fs.words_of_weight(*w)) - _kostant_table(w)[w[0]][w[1]]
-        assert not any(fs._reduce(dict(row), flat) for row in grid.values())
-        assert not any(fs._reduce(fs._eval_row(terms, t), grid) for terms in span_terms)
-
-
-def _key_weight(k):
-    """The weight of the word whose `_word_key` is k: a word of length n has
-    a key in [2^n - 1, 2^(n+1) - 2], and its E2s are the bits of
-    k - (2^n - 1)."""
-    n = (k + 1).bit_length() - 1
-    b = bin(k + 1 - (1 << n)).count("1")
-    return n - b, b
-
-
-def test_grid_echelon_reduces_only_rows_whose_left_word_is_no_lead(monkeypatch):
-    # a cell skips the row u * S when u is a pivot lead of the cell wt(u):
-    # every skipped row reduces to zero against its cell's final basis, and
-    # (7, 5)'s grid reduces the other 223 of its 370 rows, 9 of them to zero
-    # (the syzygies from (6, 3) on)
-    w = (7, 5)
-    relators = fs.serre_relators()
-    reduce, seen = fs._reduce, []
-
-    def spy(row, basis):
-        left = reduce(row, basis)
-        seen.append(bool(left))
-        return left
-
-    monkeypatch.setattr(fs, "_reduce", spy)
-    for t in fs._probabilistic_points(0):
-        seen.clear()
-        grid = fs._grid_echelon(w, t)
-        skipped = 0
-        for (a, b), basis in grid.items():
-            for s in relators:
-                r1, r2 = s.weight()
-                if a < r1 or b < r2:
-                    continue
-                for u in fs.words_of_weight(a - r1, b - r2):
-                    if fs._word_key(u) in grid[a - r1, b - r2]:
-                        skipped += 1
-                        row = fs._eval_row(_keyed(fs._serre_row(u, s, ()).terms), t)
-                        assert not reduce(row, basis), (t, (a, b), u)
-        assert len(grid[w]) == 693
-        assert (len(seen), seen.count(False), skipped) == (223, 9, 147), t
-
-
-def test_word_keys_order_words_of_one_length():
-    # keys order the words of one length as their reversals do; appending a
-    # letter c to u adds c 2^len(u), and joining v onto u adds key(v) 2^len(u)
-    words = fs.words_of_weight(5, 4)
-    assert sorted(words, key=fs._word_key) == sorted(words, key=lambda u: u[::-1])
-    assert len({fs._word_key(u) for u in words}) == len(words)
-    assert all(_key_weight(fs._word_key(u)) == (5, 4) for u in words)
-    rng = random.Random(43)
-    for _ in range(50):
-        u = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8)))
-        v = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8)))
-        for c in (1, 2):
-            assert fs._word_key(u + (c,)) == fs._word_key(u) + c * 2 ** len(u)
-        assert fs._word_key(u + v) == fs._word_key(u) + fs._word_key(v) * 2 ** len(u)
+    basis = _flat_echelon([_row_at(e.terms, 3) for _, e in fs.spanning_set(w)])
+    assert len(basis) == rank
+    for lead, row in basis.items():
+        assert lead == max(row) and row[lead] == 1
+        assert all(0 < v < P61 for v in row.values())
 
 
 def test_probabilistic_points_are_distinct_field_elements_fixed_by_the_seed():
-    for seed in range(20):
-        points = fs._probabilistic_points(seed)
-        assert len(set(points)) == len(points) == fs.PROBABILISTIC_POINTS
-        assert all(2 <= t <= fs.PRIME - 1 for t in points)
-        # drawn from the whole field, not from small integers
-        assert max(points) > 2 ** 32
-        assert points == fs._probabilistic_points(seed)
-    assert fs._probabilistic_points(0) != fs._probabilistic_points(1)
+    points = [fs._probabilistic_point(seed) for seed in range(20)]
+    assert len(set(points)) == len(points)
+    assert all(2 <= t <= fs.PRIME - 1 for t in points)
+    # drawn from the whole field, not from small integers
+    assert min(points) > 2 ** 200
+    assert points == [fs._probabilistic_point(seed) for seed in range(20)]
+
+
+def _strong_probable_prime(n, a) -> bool:
+    """Whether n passes the Miller-Rabin test to the base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_prime_is_a_strong_probable_prime_to_the_first_16_prime_bases():
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    assert fs.PRIME == 2 ** 264 - 275
+    assert all(_strong_probable_prime(fs.PRIME, a) for a in bases)
+    # the test tells a composite apart: 2^264 - 273, a multiple of 17
+    assert (fs.PRIME + 2) % 17 == 0
+    assert not all(_strong_probable_prime(fs.PRIME + 2, a) for a in bases)
+    # one point fails with probability at most D / (p - 2) < 2^-250 for
+    # D <= 2^13 + 132
+    assert (2 ** 13 + 132) * 2 ** 250 < fs.PRIME - 2
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -518,13 +458,27 @@ def test_shuffle_kernel_is_the_ideal_at_5_3():
     # q = 2, so the kernel is no larger than the ideal's 35 dimensions
     w = (5, 3)
     assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
-    images = [_keyed(fs.shuffle_image(fs.FreeElement.word(u)).terms)
+    images = [_row_at(fs.shuffle_image(fs.FreeElement.word(u)).terms, 2)
               for u in fs.words_of_weight(*w)]
-    assert len(_flat_echelon(images, 2)) == _kostant_table(w)[5][3] == 21
+    assert len(_flat_echelon(images)) == _kostant_table(w)[5][3] == 21
+
+
+def test_shuffle_kernel_is_the_ideal_at_6_4():
+    # as at (5, 3), with the images from the point walk at seed 0's point:
+    # rank 48 at one point bounds the rank over Q(q) from below, so the
+    # kernel has at most 210 - 48 = 162 dimensions, the span's rank
+    # (`test_integer_echelon_rank_is_words_less_kostant_count`); the kernel
+    # contains the ideal, so the two are equal, with no probability
+    w = (6, 4)
+    assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
+    t = fs._probabilistic_point(0)
+    images = [_image_mod_p(fs.FreeElement.word(u), t) for u in fs.words_of_weight(*w)]
+    assert len(images) == 210
+    assert len(_flat_echelon(images, fs.PRIME)) == _kostant_table(w)[6][4] == 48
 
 
 def test_exact_decides_the_large_differences():
-    # the weights the elimination could not finish in exact mode
+    # the weights the default leaves to the probabilistic mode
     for _, d in fs.straightening_differences():
         if d.weight() not in ((6, 4), (7, 5)):
             continue
