@@ -15,7 +15,13 @@ nothing on stderr.  The layer cache (`QCA_CACHE_DIR`) is write-only and
 never changes an exit code: a damaged file is rewritten silently, and a
 path that cannot be used is one warning.
 `verify` runs its suites one after another in this process, in `SUITES`
-order.
+order.  Each bound a suite reads has a limit, listed in `_SUITE_TABLE`: the
+largest value that, with the suite's other bound at its default, answered
+within a minute in 2 GB.  A bound past the limit of a suite it goes to (for
+`verify all`, of any suite that reads it) is exit 3 with one line on stderr,
+before any suite runs.  Each limit was measured alone, so a request with
+both of a suite's bounds at their limits, or `verify all` at the limits,
+may take minutes: it runs every suite and bound it names in turn.
 
 `main` may be called many times in one process, as the benchmark and the
 tests do.  Between calls it keeps only per-process memos that no request
@@ -41,34 +47,39 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
-# each verify suite: its default bounds (--n-max / --k-max override them; a
-# bound the suite does not read stays None, and naming it for that suite
-# alone is a usage error) and its runner, run(n_max, k_max,
-# seed, mode) -> entries.  A runner looks its checks up as module attributes
-# when it runs, so a check rebound on its module after import is the one called.
+# each verify suite: the bounds it reads, each (default, limit) (--n-max /
+# --k-max override the default, up to the limit; a bound the suite does not
+# read stays None, and naming it for that suite alone is a usage error) and
+# its runner, run(n_max, k_max, seed, mode) -> entries.  A limit is the
+# largest value that answered within 60 s under a 2 GB address-space limit,
+# each measured alone in a fresh interpreter with the suite's other bound at
+# its default (2 cores, Python 3.11.7); one more ran past 60 s or out of memory.
+# A runner looks its checks up as module attributes when it runs, so a
+# check rebound on its module after import is the one called.
 _SUITE_TABLE = {
     "straightening": ({}, lambda n, k, seed, mode: pbw.verify_normal_form(seed=seed)),
     "serre": ({}, lambda n, k, seed, mode:
               free_serre.verify_straightening_mod_serre(mode=mode, seed=seed)),
-    "layers": ({"k_max": 6},
+    "layers": ({"k_max": (6, 17)},
                lambda n, k, seed, mode: dcb.verify_layers(k, seeds=(seed + 1, seed + 2))),
-    "recursions": ({"n_max": 6}, lambda n, k, seed, mode: dcb.verify_recursions(n)),
-    "products": ({"n_max": 5}, lambda n, k, seed, mode: dcb.verify_products(n)),
-    "closed-formulas": ({"n_max": 4, "k_max": 6}, lambda n, k, seed, mode:
+    "recursions": ({"n_max": (6, 42)}, lambda n, k, seed, mode: dcb.verify_recursions(n)),
+    "products": ({"n_max": (5, 42)}, lambda n, k, seed, mode: dcb.verify_products(n)),
+    "closed-formulas": ({"n_max": (4, 16), "k_max": (6, 109)}, lambda n, k, seed, mode:
                         dcb.verify_closed_formulas(n) + dcb.verify_power_formulas(k)),
-    "pbw-expansion": ({"n_max": 3}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
-    "classical": ({"n_max": 10}, lambda n, k, seed, mode:
+    "pbw-expansion": ({"n_max": (3, 17)}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
+    "classical": ({"n_max": (10, 61)}, lambda n, k, seed, mode:
                   classical.verify_classical(n) + _classical_cross_checks()),
-    "qseed": ({"n_max": 5}, lambda n, k, seed, mode: qseed.verify_qseed(n)),
+    "qseed": ({"n_max": (5, 19)}, lambda n, k, seed, mode: qseed.verify_qseed(n)),
 }
+_BOUND_FLAGS = (("--n-max", "n_max"), ("--k-max", "k_max"))
 SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(name: str, params: dict) -> dict:
     """Run one named suite and wrap its entries with an aggregate flag."""
-    defaults, run = _SUITE_TABLE[name]
-    n_max, k_max = (defaults.get(key) if params.get(key) is None else params[key]
-                    for key in ("n_max", "k_max"))
+    bounds, run = _SUITE_TABLE[name]
+    n_max, k_max = (bounds[key][0] if params.get(key) is None and key in bounds
+                    else params.get(key) for key in ("n_max", "k_max"))
     entries = run(n_max, k_max, params.get("seed", 0), params.get("mode"))
     ok = all(e.get("ok", e.get("member", False)) for e in entries)
     return {"suite": name, "ok": ok, "entries": entries}
@@ -157,8 +168,8 @@ def cmd_product(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    negative = [flag for flag, v in (("--n-max", args.n_max), ("--k-max", args.k_max))
-                if v is not None and v < 0]
+    negative = [flag for flag, key in _BOUND_FLAGS
+                if getattr(args, key) is not None and getattr(args, key) < 0]
     if negative:
         # refused before any suite runs; some suites would index a table they never built
         print(f"error: {' and '.join(negative)} must be at least 0", file=sys.stderr)
@@ -167,14 +178,23 @@ def cmd_verify(args, parser) -> int:
         print(f"error: --mode applies to the serre suite, not {args.suite}", file=sys.stderr)
         return EXIT_USAGE
     if args.suite != "all":
-        defaults = _SUITE_TABLE[args.suite][0]
-        unread = [flag for flag, key in (("--n-max", "n_max"), ("--k-max", "k_max"))
-                  if getattr(args, key) is not None and key not in defaults]
+        bounds = _SUITE_TABLE[args.suite][0]
+        unread = [flag for flag, key in _BOUND_FLAGS
+                  if getattr(args, key) is not None and key not in bounds]
         if unread:
             print(f"error: the {args.suite} suite reads no {' or '.join(unread)}",
                   file=sys.stderr)
             return EXIT_USAGE
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    # refused before any suite runs: past its limit a suite answers in minutes or hours
+    for name in names:
+        bounds = _SUITE_TABLE[name][0]
+        for flag, key in _BOUND_FLAGS:
+            value = getattr(args, key)
+            if key in bounds and value is not None and value > bounds[key][1]:
+                print(f"error: {flag} {value} exceeds the {name} suite's limit {bounds[key][1]}",
+                      file=sys.stderr)
+                return EXIT_RESOURCE
     params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
               "mode": args.mode}
     results = [run_suite(n, params) for n in names]

@@ -23,7 +23,9 @@ A member always passes.  A non-member x passes with probability at most
 D / (p - 2), where D <= e + 132 and e, the span of x, is its largest minus
 its smallest q-exponent: below 2^-250 when e <= 2^13 and ||x||_1, the sum of
 the absolute values of x's integer coefficients, is below 2^235.  The six
-straightening relations have e <= 12 and ||x||_1 <= 2048.
+straightening relations have e <= 12 and ||x||_1 <= 2048.  An element outside
+these hypotheses is decided exactly by default, and refused with ValueError
+when probabilistic mode is asked for (`ideal_membership`).
 
 Proof.  Inserting the letter u_r of a word u = u_1 ... u_n past a letter
 u_s (s > r) of the image of its suffix contributes the factor
@@ -176,6 +178,9 @@ DEFAULT_WEIGHT_CAP = 12
 # and probabilistic at (6,4) and (7,5).
 EXACT_DEFAULT_MAX_TOTAL = 8
 PRIME = 2 ** 264 - 275  # the field of the probabilistic evaluation
+# the hypotheses of the one-point bound: span e <= MAX_SPAN, ||x||_1 < MAX_NORM
+MAX_SPAN = 2 ** 13
+MAX_NORM = 2 ** 235
 
 
 def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> MembershipResult:
@@ -185,17 +190,34 @@ def ideal_membership(x: FreeElement, mode: str | None = None, seed: int = 0) -> 
     mode "exact" asks whether the shuffle map sends x to zero; otherwise
     whether it does at the one value of q the seed draws
     (`_probabilistic_point`), modulo `PRIME`.  The default picks exact for
-    total weight <= `EXACT_DEFAULT_MAX_TOTAL`.
+    total weight <= `EXACT_DEFAULT_MAX_TOTAL`, and for any x outside the
+    hypotheses of the one-point bound (span e <= `MAX_SPAN`,
+    ||x||_1 < `MAX_NORM`); mode "probabilistic" raises ValueError on such an x.
     """
     if not x:
         return MembershipResult(True, _mode((0, 0), mode), (0, 0))
     w = x.weight()
     if w is None:
         raise ValueError("ideal membership needs a weight-homogeneous element")
-    if _mode(w, mode) == "exact":
-        return MembershipResult(not _shuffle(x.terms.items(), 0), "exact", w)
-    image = _image_at(x, _probabilistic_point(seed))
-    return MembershipResult(not any(v % PRIME for v in image.values()), "probabilistic", w)
+    if _mode(w, mode) == "probabilistic":
+        broken = _outside_bound(x)
+        if broken is None:
+            image = _image_at(x, _probabilistic_point(seed))
+            return MembershipResult(not any(v % PRIME for v in image.values()),
+                                    "probabilistic", w)
+        if mode == "probabilistic":
+            raise ValueError(f"the one-point bound does not hold: {broken}")
+    return MembershipResult(not _shuffle(x.terms.items(), 0), "exact", w)
+
+
+def _outside_bound(x: FreeElement):
+    """The hypothesis of the one-point bound that x breaks, or None."""
+    hs = [h for c in x.terms.values() for h in c.terms]
+    if max(hs) - min(hs) > 2 * MAX_SPAN:  # half-exponents: e is half their span
+        return "the span e exceeds 2^13"
+    if sum(abs(v) for c in x.terms.values() for v in c.terms.values()) >= MAX_NORM:
+        return "||x||_1 is not below 2^235"
+    return None
 
 
 def _mode(w, mode) -> str:
@@ -327,29 +349,3 @@ def verify_straightening_mod_serre(mode: str | None = None, seed: int = 0) -> li
                        "mode": res.mode, "member": res.member})
     return report
 
-
-def u_word_free_difference(letters) -> FreeElement:
-    """Cross-oracle against the normal-form calculus: for a word in the
-    u-generators, the free-algebra product of the scaled root vectors minus
-    the free-algebra image of its computed normal form.  The identity holds
-    in the quotient, so the difference must lie in the Serre ideal.
-
-    The rescaling u_i = v_i / (1 - q^-2)^(2i) contributes the same global
-    factor to both sides because the E2-count is constant across the normal
-    form, so it cancels and the W_i can be used throughout.
-    """
-    from . import pbw
-
-    ws = scaled_generators()
-    lhs = FreeElement({(): lq_one()})
-    for i in letters:
-        lhs = lhs * ws[i]
-    nf = pbw.word_product(letters)
-    rhs = {}
-    for a, c in nf.terms.items():
-        piece = FreeElement({(): lq_one()})
-        for gen_idx, e in zip((3, 2, 1, 0), a):
-            for _ in range(e):
-                piece = piece * ws[gen_idx]
-        add_into(rhs, piece.terms, c)
-    return lhs - FreeElement._raw(rhs)

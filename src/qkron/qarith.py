@@ -3,9 +3,9 @@
 Everything here is exact: Laurent polynomials in q^(1/2) with
 arbitrary-precision integer coefficients, quantum integers, binomials and
 factorials, and the bar involution q -> q^(-1).  There is no floating point
-anywhere, and the only rationals are the values of :meth:`LaurentQ.eval_q`,
-which is on no check's path: the probabilistic Serre check evaluates its
-rows modulo a prime (``free_serre``), and the tests keep it as an oracle.
+and no rational anywhere in the package: the one pointwise check, the
+probabilistic Serre check, evaluates at an integer point modulo a prime
+(``free_serre``).
 
 :class:`Terms` is the one sparse-sum format: a dict from monomial keys to
 nonzero coefficients, with the module operations that never look inside a
@@ -76,7 +76,6 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul
 
@@ -379,18 +378,6 @@ class LaurentQ(Terms):
     def at_q1(self):
         """Evaluate at q = 1 (the sum of all coefficients)."""
         return sum(self.terms.values())
-
-    def eval_q(self, t):
-        """Evaluate at q = t for a nonzero rational t; requires integrality."""
-        t = Fraction(t)
-        if not t:
-            raise ZeroDivisionError("evaluation point q = 0")
-        total = Fraction(0)
-        for h, c in self.terms.items():
-            if h % 2:
-                raise ValueError("cannot evaluate odd half-powers of q at a rational point")
-            total += c * t ** (h // 2)
-        return total
 
     # -- text form ----------------------------------------------------------
 

@@ -361,6 +361,43 @@ def test_verify_bound_a_suite_does_not_read_exits_2(suite, flag, monkeypatch, ca
     assert err == f"error: the {suite} suite reads no {flag}\n"
 
 
+_LIMITED = [(name, flag, key) for name, (bounds, _) in cli._SUITE_TABLE.items()
+            for flag, key in (("--n-max", "n_max"), ("--k-max", "k_max")) if key in bounds]
+
+
+@pytest.mark.parametrize("suite, flag, key", _LIMITED)
+def test_verify_past_a_suite_limit_exits_3_before_any_suite(suite, flag, key, monkeypatch,
+                                                            capsys):
+    ran = []
+
+    def record(name, params):
+        ran.append(name)
+        return {"suite": name, "ok": True, "entries": [{"ok": True}]}
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    limit = cli._SUITE_TABLE[suite][0][key][1]
+    code, out, err = run(["verify", suite, flag, str(limit + 1)], capsys)
+    assert (code, out, ran) == (3, "", [])
+    assert err == f"error: {flag} {limit + 1} exceeds the {suite} suite's limit {limit}\n"
+    # the limit itself is run
+    code, _, _ = run(["verify", suite, flag, str(limit)], capsys)
+    assert (code, ran) == (0, [suite])
+
+
+@pytest.mark.parametrize("flag, key", [("--n-max", "n_max"), ("--k-max", "k_max")])
+def test_verify_all_applies_each_suite_its_own_limit(flag, key, monkeypatch, capsys):
+    def fail(name, params):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    limits = [(bounds[key][1], name) for name, (bounds, _) in cli._SUITE_TABLE.items()
+              if key in bounds]
+    limit, name = min(limits)
+    code, out, err = run(["verify", "all", flag, str(limit + 1)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {flag} {limit + 1} exceeds the {name} suite's limit {limit}\n"
+
+
 # with stdout block-buffered, all but layer 8 fit in the buffer and fail at main's
 # flush; layer 8 fails in a print
 @pytest.mark.parametrize("argv", [["compute", "1", "0", "1", "0"],
@@ -465,6 +502,8 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
         (["table", "cluster", "-3..1", "--bogus"], 2),
         (["table", "cluster", "-3..1"], 0),
         (["verify", "recursions"], 0),
+        # past a suite's limit: one stderr line, before any suite runs
+        (["verify", "all", "--n-max", "100000"], 3),
     ] + _DISPATCH_EDGES
     built = []
     real_build = cli.build_parser

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ from itertools import product
 import pytest
 
 from qkron import free_serre as fs
+from qkron import pbw
 from qkron.qarith import LaurentQ, add_into, half_pow, lq_one, qpow, quantum_int
 
 
@@ -77,6 +79,20 @@ def printed_generators(t):
     return v0, v1, v2, v3
 
 
+def _eval_q(c, t):
+    """c at q = t for a nonzero rational t, as a Fraction; c must lie in
+    Z[q, q^(-1)]."""
+    t = Fraction(t)
+    if not t:
+        raise ZeroDivisionError("evaluation point q = 0")
+    total = Fraction(0)
+    for h, v in c.terms.items():
+        if h % 2:
+            raise ValueError("cannot evaluate odd half-powers of q at a rational point")
+        total += v * t ** (h // 2)
+    return total
+
+
 def test_scaled_generators_match():
     # [2]^i v_i is a Laurent polynomial in q with exponents in [-2i, 0] (each
     # of its i factors [2]A and [2]v1 has exponents in [-2, 0]); so agreeing
@@ -93,7 +109,7 @@ def test_scaled_generators_match():
         two = t + 1 / t
         for i, (v, w) in enumerate(zip(printed_generators(t), ws)):
             lhs = {word: c * two ** i for word, c in v.items()}
-            rhs = {word: c.eval_q(t) for word, c in w.terms.items()}
+            rhs = {word: _eval_q(c, t) for word, c in w.terms.items()}
             assert all(lhs.get(word, 0) == rhs.get(word, 0) for word in lhs.keys() | rhs.keys())
 
 
@@ -128,10 +144,10 @@ def _bits(word) -> int:
 
 def _rational_image_mod_p(image, t) -> dict:
     """An exact image (`shuffle_image`), each coefficient evaluated by
-    `eval_q` at q = t and reduced modulo the prime, bit-keyed, zeros
+    `_eval_q` at q = t and reduced modulo the prime, bit-keyed, zeros
     dropped."""
     p = fs.PRIME
-    vals = {_bits(k): c.eval_q(t) for k, c in image.terms.items()}
+    vals = {_bits(k): _eval_q(c, t) for k, c in image.terms.items()}
     row = {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in vals.items()}
     return {k: v for k, v in row.items() if v}
 
@@ -142,7 +158,7 @@ def _image_mod_p(x, t) -> dict:
 
 
 def test_integer_rows_match_the_rational_evaluation():
-    # the point walk against the exact image evaluated by eval_q: slices of
+    # the point walk against the exact image evaluated by _eval_q: slices of
     # the (5, 3) and (6, 4) spans (images 0), the six straightening
     # differences, whose coefficients reach negative powers ((7, 5)'s
     # half-exponents run from -24 to 0), and those up to total 8 also times
@@ -206,6 +222,24 @@ def test_membership_errors():
     with pytest.raises(ValueError):
         big = fs.FreeElement.word(tuple([1] * 10 + [2] * 6))
         fs.ideal_membership(big)
+
+
+def test_membership_outside_the_one_point_bound_is_decided_exactly():
+    # the (6, 4) relation takes the one-point route by default only under the
+    # bound's hypotheses (span e <= 2^13, ||x||_1 < 2^235); outside them it
+    # is decided exactly, and probabilistic mode refuses it, naming the
+    # hypothesis it breaks
+    d, = (d for _, d in fs.straightening_differences() if d.weight() == (6, 4))
+    assert fs.ideal_membership(d) == (True, "probabilistic", (6, 4))
+    assert fs.ideal_membership(d.scale(2 ** 200)) == (True, "probabilistic", (6, 4))
+    changed = d + fs.FreeElement.word(max(d.terms))
+    cases = ((d.scale(2 ** 240), True, "||x||_1 is not below 2^235"),
+             (d + d.scale_qpow(2 ** 14), True, "exceeds 2^13"),
+             (changed.scale(2 ** 240), False, "||x||_1 is not below 2^235"))
+    for x, member, broken in cases:
+        assert fs.ideal_membership(x) == (member, "exact", (6, 4))
+        with pytest.raises(ValueError, match=re.escape(broken)):
+            fs.ideal_membership(x, mode="probabilistic")
 
 
 def test_straightening_small_weights_exact():
@@ -385,6 +419,31 @@ def test_probabilistic_rejects_a_changed_coefficient(seed):
         assert not fs.ideal_membership(changed, mode="probabilistic", seed=seed).member
 
 
+def u_word_free_difference(letters) -> fs.FreeElement:
+    """Cross-oracle against the normal-form calculus: for a word in the
+    u-generators, the free-algebra product of the scaled root vectors minus
+    the free-algebra image of its computed normal form.  The identity holds
+    in the quotient, so the difference must lie in the Serre ideal.
+
+    The rescaling u_i = v_i / (1 - q^-2)^(2i) contributes the same global
+    factor to both sides because the E2-count is constant across the normal
+    form, so it cancels and the W_i can be used throughout.
+    """
+    ws = fs.scaled_generators()
+    lhs = fs.FreeElement({(): lq_one()})
+    for i in letters:
+        lhs = lhs * ws[i]
+    nf = pbw.word_product(letters)
+    rhs = {}
+    for a, c in nf.terms.items():
+        piece = fs.FreeElement({(): lq_one()})
+        for gen_idx, e in zip((3, 2, 1, 0), a):
+            for _ in range(e):
+                piece = piece * ws[gen_idx]
+        add_into(rhs, piece.terms, c)
+    return lhs - fs.FreeElement._raw(rhs)
+
+
 def test_cross_oracle_with_normal_form():
     # every word in the u-generators of length <= 3 and total weight <= 12
     # (u_i has weight (i + 1, i)); those above total weight 8 take the
@@ -394,7 +453,7 @@ def test_cross_oracle_with_normal_form():
         for letters in product(range(4), repeat=n):
             if sum(2 * i + 1 for i in letters) > 12:
                 continue
-            diff = fs.u_word_free_difference(letters)
+            diff = u_word_free_difference(letters)
             if not diff:
                 continue
             nonzero += 1

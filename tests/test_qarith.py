@@ -18,6 +18,7 @@ from qkron.qarith import (
     quantum_int,
     split_antisymmetric,
 )
+from test_free_serre import _eval_q
 
 
 def rand_laurent(rng, span=6, size=5):
@@ -303,9 +304,12 @@ def test_a_term_with_no_algebra_factor_is_refused_in_identities_only():
 
 
 def test_eval_q():
-    assert quantum_int(3).eval_q(2) == Fraction(4) + 1 + Fraction(1, 4)
+    # the rational evaluator of the Serre tests' oracles
+    assert _eval_q(quantum_int(3), 2) == Fraction(4) + 1 + Fraction(1, 4)
     with pytest.raises(ValueError):
-        half_pow(1).eval_q(2)
+        _eval_q(half_pow(1), 2)
+    with pytest.raises(ZeroDivisionError):
+        _eval_q(qpow(-1), 0)
 
 
 # one element of each sparse-sum type, built from two summands x and y,

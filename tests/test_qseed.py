@@ -152,17 +152,40 @@ def _reference_torus_product(x, y):
 
 
 def test_torus_product_matches_the_double_sum():
-    # the product reads a^T L b; pin it against the skew double sum
+    # the product reads a^T L b; pin it against the skew double sum, with
+    # one-term coefficients, and then with coefficients of up to three
+    # terms, each term m q^(h/2) of a left coefficient applied as a shift
+    # and a scale
     rng = random.Random(23)
 
-    def element(n):
+    def element(n, size=1):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             a = tuple(rng.randint(-3, 3) for _ in range(4))
-            terms[a] = qarith.LaurentQ({rng.randint(-5, 5): rng.choice((-2, -1, 1, 3))})
+            terms[a] = qarith.LaurentQ({rng.randint(-5, 5): rng.choice((-2, -1, 1, 3))
+                                        for _ in range(size)})
         return qseed.TorusElement(n, terms)
 
     for n in range(3, 8):
         for _ in range(40):
             x, y = element(n), element(n)
             assert x * y == _reference_torus_product(x, y), (n, x, y)
+    for n in range(3, 6):
+        for _ in range(40):
+            x, y = element(n, rng.randint(1, 3)), element(n, rng.randint(1, 3))
+            assert x * y == _reference_torus_product(x, y), (n, x, y)
+
+
+def test_bz_exchange_makes_six_laurent_products(monkeypatch):
+    # every torus coefficient here is +-q^(h/2), folded into the shift; the
+    # six products left are scale_qpow's, two per n
+    calls = []
+    mul = qarith.LaurentQ.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(qarith.LaurentQ, "__mul__", counted)
+    assert all(e["ok"] for e in qseed.verify_bz_exchange(5))
+    assert len(calls) == 6
