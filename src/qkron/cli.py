@@ -22,6 +22,10 @@ within a minute in 2 GB.  A bound past the limit of a suite it goes to (for
 before any suite runs.  Each limit was measured alone, so a request with
 both of a suite's bounds at their limits, or `verify all` at the limits,
 may take minutes: it runs every suite and bound it names in turn.
+This module imports at start every module that a command other than
+`verify` can reach: `qarith`, `pbw`, `dcb` and `classical`.  `free_serre`
+and `qseed` are imported by the suite runner that calls them, so a
+`compute`, `product` or `table` process never loads them.
 
 `main` may be called many times in one process, as the benchmark and the
 tests do.  Between calls it keeps only per-process memos that no request
@@ -38,7 +42,7 @@ import json
 import os
 import sys
 
-from . import classical, dcb, free_serre, pbw, qseed
+from . import classical, dcb, pbw
 from .qarith import compare
 
 EXIT_OK = 0
@@ -46,6 +50,20 @@ EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE
+
+
+# only `verify` runs free_serre and qseed, so their suites' runners import them
+def _serre(n, k, seed, mode):
+    from . import free_serre
+
+    return free_serre.verify_straightening_mod_serre(mode=mode, seed=seed)
+
+
+def _qseed(n, k, seed, mode):
+    from . import qseed
+
+    return qseed.verify_qseed(n)
+
 
 # each verify suite: the bounds it reads, each (default, limit) (--n-max /
 # --k-max override the default, up to the limit; a bound the suite does not
@@ -58,8 +76,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 # check rebound on its module after import is the one called.
 _SUITE_TABLE = {
     "straightening": ({}, lambda n, k, seed, mode: pbw.verify_normal_form(seed=seed)),
-    "serre": ({}, lambda n, k, seed, mode:
-              free_serre.verify_straightening_mod_serre(mode=mode, seed=seed)),
+    "serre": ({}, _serre),
     "layers": ({"k_max": (6, 17)},
                lambda n, k, seed, mode: dcb.verify_layers(k, seeds=(seed + 1, seed + 2))),
     "recursions": ({"n_max": (6, 42)}, lambda n, k, seed, mode: dcb.verify_recursions(n)),
@@ -69,7 +86,7 @@ _SUITE_TABLE = {
     "pbw-expansion": ({"n_max": (3, 17)}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
     "classical": ({"n_max": (10, 61)}, lambda n, k, seed, mode:
                   classical.verify_classical(n) + _classical_cross_checks()),
-    "qseed": ({"n_max": (5, 19)}, lambda n, k, seed, mode: qseed.verify_qseed(n)),
+    "qseed": ({"n_max": (5, 19)}, _qseed),
 }
 _BOUND_FLAGS = (("--n-max", "n_max"), ("--k-max", "k_max"))
 SUITES = tuple(_SUITE_TABLE)

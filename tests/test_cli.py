@@ -424,6 +424,48 @@ def test_cli_import_loads_no_worker_pool_or_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def test_only_verify_loads_free_serre_and_qseed():
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import qkron.cli as cli",
+        "def loaded():",
+        "    return sorted({'qkron.free_serre', 'qkron.qseed'} & set(sys.modules))",
+        "seen = []",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['compute', '2', '0', '0', '1', '--q1'],",
+        "                 ['product', '1', '0', '0', '0', '0', '0', '0', '1', '--format', 'json'],",
+        "                 ['table', 'cluster', '1..3'], ['table', 'layer', '3'],",
+        "                 ['verify', 'serre'], ['verify', 'qseed']):",
+        "        assert cli.main(argv) == 0, argv",
+        "        seen.append(loaded())",
+        "print(seen)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_ENV, check=True)
+    assert proc.stdout == (str([[]] * 4 + [["qkron.free_serre"]]
+                               + [["qkron.free_serre", "qkron.qseed"]]) + "\n")
+    # the runner's relative import, under -m as well
+    proc = subprocess.run([sys.executable, "-m", "qkron.cli", "verify", "serre"],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
+
+
+def test_deferred_suites_call_checks_rebound_on_their_modules(monkeypatch, capsys):
+    from qkron import free_serre, qseed
+    from qkron.qarith import entry
+
+    serre_fail = {"relation": "rebound", "weight": [1, 1], "mode": "exact", "member": False}
+    qseed_fail = entry("qseed", 3, "rebound", False)
+    monkeypatch.setattr(free_serre, "verify_straightening_mod_serre",
+                        lambda mode=None, seed=0: [serre_fail])
+    monkeypatch.setattr(qseed, "verify_bz_exchange", lambda n_max: [qseed_fail])
+    for suite, fail in (("serre", serre_fail), ("qseed", qseed_fail)):
+        code, out, _ = run(["verify", suite], capsys)
+        assert code == 1
+        entries = json.loads(out)["suites"][0]["entries"]
+        assert [e for e in entries if not e.get("ok", e.get("member"))] == [fail]
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "0", "1200", "0", "1200"],
     # the recursion through the near-diagonal cores (n,0,0,n), (n,0,0,n-1), (n-1,0,0,n)
