@@ -8,10 +8,13 @@ stdout.  A request whose first argument names a command goes straight to
 that command's parser (`build_parser` keeps them in the map `commands` on
 the parser it returns), with the namespace the top-level parser would pass
 it; the top-level parser reads every other request: no argument, `-h`, an
-unknown command or `--`.  `main` calls the handler each
-subcommand names and flushes stdout; a `RecursionError` or `MemoryError`
-from any of them is exit 3, and a `BrokenPipeError` is exit 141 with
-nothing on stderr.  The layer cache (`QCA_CACHE_DIR`) is write-only and
+unknown command or `--`.  `main` calls the handler each subcommand
+names, with that subcommand's parser, and flushes stdout; a usage error
+that `main` or a handler finds is that parser's error, so it prints
+``usage: qkron <command> ...`` and ``qkron <command>: error: ...`` as
+argparse's own errors for the command do.  A `RecursionError` or
+`MemoryError` from any handler is exit 3, and a `BrokenPipeError` is exit
+141 with nothing on stderr.  The layer cache (`QCA_CACHE_DIR`) is write-only and
 never changes an exit code: a damaged file is rewritten silently, and a
 path that cannot be used is one warning.
 `verify` runs its suites one after another in this process, in `SUITES`
@@ -141,13 +144,14 @@ def cmd_compute(args, parser) -> int:
     elem = dcb.b_element(a)
     out = {}
     if args.dual_pbw:
-        items = sorted(dcb.expand_in_dual_pbw(elem).items(), reverse=True)
+        d = dcb.expand_in_dual_pbw(elem)
+        keys = sorted(d, reverse=True)
         if args.format == "json":
-            out["dual_pbw"] = [{"exp": list(e), "coef": str(c)} for e, c in items]
+            out["dual_pbw"] = [{"exp": list(e), "coef": str(d[e])} for e in keys]
         else:
             latex = args.format == "latex"
-            print("\n".join([f"E[{','.join(map(str, e))}]: {c.to_latex() if latex else c}"
-                             for e, c in items]))
+            print("\n".join([f"E[{','.join(map(str, e))}]: {d[e].to_latex() if latex else d[e]}"
+                             for e in keys]))
     if args.q1:
         q1 = elem.specialize_q1()
         if args.format == "json":
@@ -174,12 +178,13 @@ def cmd_product(args, parser) -> int:
         print(f"error: product lives on layer {k} > --max-layer {args.max_layer}",
               file=sys.stderr)
         return EXIT_RESOURCE
-    items = sorted(dcb.b_product(a, b).items(), reverse=True)
+    d = dcb.b_product(a, b)
+    keys = sorted(d, reverse=True)
     if args.format == "json":
         print(json.dumps({"a": list(a), "b": list(b),
-                          "terms": [{"c": list(e), "coef": str(v)} for e, v in items]}))
+                          "terms": [{"c": list(e), "coef": str(d[e])} for e in keys]}))
     else:
-        parts = [f"({v})*{_bname(e)}" if v != 1 else _bname(e) for e, v in items]
+        parts = [f"({d[e]})*{_bname(e)}" if d[e] != 1 else _bname(e) for e in keys]
         print(f"{_bname(a)}*{_bname(b)} = " + (" + ".join(parts) if parts else "0"))
     return EXIT_OK
 
@@ -336,10 +341,12 @@ def main(argv=None) -> int:
     sub = parser.commands.get(argv[0]) if argv else None
     args, extra = (parser.parse_known_args(argv) if sub is None
                    else sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+    # the usage errors found past argparse name the command, as argparse's own do
+    parser = parser.commands[args.command]
     if args.command == "table" and args.range is None:
         extra = [x for x in extra if x != "--"]
         if len(extra) != 1:
-            parser.error("table: expected one range, N or N..M")
+            parser.error("expected one range, N or N..M")
         args.range = extra.pop()
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -138,8 +138,11 @@ def dual_pbw(a: Exp) -> pbw.PbwElement:
 
 
 def expand_in_dual_pbw(x: pbw.PbwElement) -> dict:
-    """Coefficients c_a with x = sum c_a E[a]."""
-    return {a: qpow(-stat_b(a)) * c for a, c in x.terms.items()}
+    """Coefficients c_a with x = sum c_a E[a]: x's coefficient at u^a with
+    its half-exponents shifted by -2b(a), since E[a] = q^(b(a)) u^a, with
+    no Laurent product."""
+    return {a: LaurentQ._raw({h - s: m for h, m in c.terms.items()})
+            for a, c in x.terms.items() for s in (2 * stat_b(a),)}
 
 
 class LayerTable:
@@ -454,14 +457,18 @@ def _layer_bytes(tab: LayerTable):
     """The layer's cache file in pieces of one entry each: the bytes of
     `json.dumps` of [{"a": list(a), "element": B[a].to_json_dict()}, ...] in
     key order, each entry written by one format around its coefficients'
-    text.  That text needs no JSON escape, since the coefficient grammar
-    writes only ASCII digits, spaces and ``q^()/*+-``; the tests and CI
-    check these bytes against `json.dumps`."""
+    text, its terms in decreasing key order as `to_json_dict` lists them;
+    both sort the keys, not the (key, coefficient) pairs.  That text needs
+    no JSON escape, since the coefficient grammar writes only ASCII digits,
+    spaces and ``q^()/*+-``; the tests and CI check these bytes against
+    `json.dumps`."""
     yield b"["
     sep = ""
-    for a, e in sorted(tab.entries.items()):
-        terms = ", ".join(['{"exp": [%d, %d, %d, %d], "coef": "%s"}' % (*b, c)
-                           for b, c in sorted(e.terms.items(), reverse=True)])
+    entries = tab.entries
+    for a in sorted(entries):
+        t = entries[a].terms
+        terms = ", ".join(['{"exp": [%d, %d, %d, %d], "coef": "%s"}' % (*b, t[b])
+                           for b in sorted(t, reverse=True)])
         yield ('%s{"a": [%d, %d, %d, %d], "element": {"terms": [%s]}}' % (sep, *a, terms)).encode()
         sep = ", "
     yield b"]"

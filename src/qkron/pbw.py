@@ -305,8 +305,8 @@ class PbwElement(Terms):
         return self._render(latex=True)
 
     def to_json_dict(self) -> dict:
-        return {"terms": [{"exp": list(a), "coef": str(c)}
-                          for a, c in sorted(self.terms.items(), reverse=True)]}
+        t = self.terms
+        return {"terms": [{"exp": list(a), "coef": str(t[a])} for a in sorted(t, reverse=True)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PbwElement":

@@ -30,11 +30,16 @@ with coefficient 1 and the text that follows any other int coefficient,
 derived from ``_mono(key, latex)`` (most of them through
 :func:`power_product`).  ``LaurentQ`` looks the names of q^(h/2) up in a
 bounded table, ``_Q_NAMES``, instead of rebuilding them per term.  The
-sign, the coefficient and the unit are ``_render``'s: an int-coefficient
-sum (``LaurentQ``, ``CPoly``) is one list comprehension and one join, a
-sum of one int-coefficient term (most often a power of q) is written
-directly, and a Laurent coefficient is written by those same paths.
-The one reader of that form is the identity reader below, through
+sign, the coefficient and the unit are ``_render``'s, written in one pass
+over a sum's keys, sorted once: an int-coefficient sum (``LaurentQ``,
+``CPoly``) is one list comprehension over the keys and one join, a sum of
+one int-coefficient term (most often a power of q) is written directly,
+and a Laurent coefficient is written by ``_render`` on it, whose private
+``negate`` writes an all-negative one with its sign outside the
+parentheses without building its negation.  Every listing of terms
+outside ``_render`` (the JSON forms, the layer cache, the CLI's dual-PBW
+and product tables) sorts the keys the same way, never the pairs.  The
+one reader of that form is the identity reader below, through
 :func:`read`.
 
 :func:`cluster_terms` is the one index set of the paper's explicit formula
@@ -227,7 +232,7 @@ class Terms:
         mono = self._mono
         return lambda k: _name_pair(mono(k, latex), latex)
 
-    def _render(self, latex=False):
+    def _render(self, latex=False, negate=False):
         """The canonical text form (LaTeX if latex): the terms in decreasing
         key order, written ``a - b + c`` (``a-b+c``); the empty sum is ``0``.
         A term is its coefficient times the monomial ``_names`` gives for its
@@ -235,35 +240,44 @@ class Terms:
         unit, a Laurent polynomial in parentheses (``(c)*m``, ``(c)m``, with
         ``1`` for the unit); a coefficient 1 is dropped, and the sign comes
         out when every coefficient is negative.  A sum's coefficients are
-        all ints or all Laurent polynomials; each term is written with its
-        sign, and the first term's ``+`` is dropped at the end.  A single
-        term with an int coefficient, such as a power of q, is written
-        directly: ``m``, ``-m`` or ``3*m``, the same text as the general
-        path."""
-        if not self.terms:
+        all ints or all Laurent polynomials.  The keys are sorted once, and
+        each term is written with its sign in one pass over them; the first
+        term's ``+`` is dropped at the end.  A single term with an int
+        coefficient, such as a power of q, is written directly: ``m``,
+        ``-m`` or ``3*m``, the same text as the general path.
+
+        negate (private, for int coefficients) writes -self by swapping the
+        signs as they are written: a Laurent coefficient whose sign comes
+        out is written by its own ``_render`` with negate, and no negated
+        copy is built."""
+        t = self.terms
+        if not t:
             return "0"
         name = self._names(latex)
-        if len(self.terms) == 1:
-            (k, c), = self.terms.items()
+        if len(t) == 1:
+            (k, c), = t.items()
             if type(c) is int:
+                if negate:
+                    c = -c
                 one, tail = name(k)
                 return one if c == 1 else "-" + one if c == -1 else f"{c}{tail}"
-        items = sorted(self.terms.items(), reverse=True)
+        keys = sorted(t, reverse=True)
         plus, minus = ("+", "-") if latex else ("+ ", "- ")
-        if type(items[0][1]) is int:
-            parts = [plus + one if c == 1 else minus + one if c == -1
-                     else f"{plus}{c}{tail}" if c > 0 else f"{minus}{-c}{tail}"
-                     for k, c in items for one, tail in (name(k),)]
+        if type(t[keys[0]]) is int:
+            up, down = (minus, plus) if negate else (plus, minus)
+            parts = [up + one if c == 1 else down + one if c == -1
+                     else f"{up}{c}{tail}" if c > 0 else f"{down}{-c}{tail}"
+                     for k in keys for c, (one, tail) in ((t[k], name(k)),)]
         else:
             parts = []
-            for k, c in items:
+            for k in keys:
+                c = t[k]
+                flip = max(c.terms.values()) < 0
                 one = name(k)[0]
-                neg = max(c.terms.values()) < 0
-                if neg:
-                    c = -c
-                parts.append((minus if neg else plus) + (
-                    one if c.terms == _ONE.terms
-                    else f"({c.to_latex()}){one}" if latex else f"({c})*{one}"))
+                parts.append((minus if flip else plus) + (
+                    one if c.terms == _UNITS[flip]
+                    else f"({c._render(True, flip)}){one}" if latex
+                    else f"({c._render(False, flip)})*{one}"))
         first = parts[0]
         parts[0] = first[len(plus):] if first[0] == "+" else "-" + first[len(minus):]
         return ("" if latex else " ").join(parts)
@@ -425,6 +439,7 @@ _Q_NAMES = (_QNames(False), _QNames(True))
 
 _ZERO = LaurentQ._raw({})
 _ONE = LaurentQ._raw({0: 1})
+_UNITS = (_ONE.terms, {0: -1})  # the terms of 1 and of -1
 
 
 def lq_zero() -> LaurentQ:

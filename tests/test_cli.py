@@ -183,7 +183,31 @@ def test_negative_max_layer_exits_2_before_any_work(argv, monkeypatch, capsys):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.strip().splitlines()[-1] == "qkron: error: --max-layer must be at least 0"
+    assert out.err.strip().splitlines()[-1] == f"qkron {argv[0]}: error: --max-layer must be at least 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "-1", "0", "0", "0"], "exponents must be non-negative"),
+    (["product", "0", "0", "0", "-1", "0", "0", "0", "0"], "exponents must be non-negative"),
+    (["table", "layer", "x"], "bad range 'x'; expected N or N..M"),
+    (["table", "cluster"], "expected one range, N or N..M"),
+    (["compute", "1", "0", "0", "0", "--max-layer", "-2"], "--max-layer must be at least 0"),
+])
+def test_usage_errors_name_their_subcommand(argv, message, capsys):
+    # a usage error that main finds prints the usage and prefix of the named
+    # command, as argparse's own error for that command (a bad --format) does
+    errs = []
+    for args in (argv, [argv[0], "--format", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        errs.append(out.err.splitlines())
+    ours, theirs = errs
+    assert ours[0].startswith(f"usage: qkron {argv[0]} [-h]")
+    assert ours[:-1] == theirs[:-1]
+    assert ours[-1] == f"qkron {argv[0]}: error: {message}"
+    assert theirs[-1].startswith(f"qkron {argv[0]}: error: argument --format")
 
 
 def test_table_cluster_negative_range(capsys):

@@ -262,6 +262,34 @@ def test_text_forms_match_the_term_by_term_oracle():
             _assert_renders_as_oracle(-y)
 
 
+def test_writer_and_dual_pbw_negate_and_multiply_no_coefficient(monkeypatch):
+    # an all-negative Laurent coefficient is written through _render's negate,
+    # and expand_in_dual_pbw shifts each coefficient's half-exponents, so
+    # neither builds a negated or a multiplied LaurentQ
+    long = quantum_binom(24, 12)
+    y = pbw.PbwElement({(0, 0, 0, 0): -long, (1, 0, 2, 0): -long * half_pow(3), (0, 1, 0, 0): -lq_one(),
+                        (2, 0, 0, 1): long, (0, 0, 0, 3): LaurentQ({2: -1, -5: 4}), (3, 0, 0, 0): lq_one()})
+    xs = [y, -y, long, -long, -lq_one()]
+    want = [(_oracle_render(x), _oracle_render(x, True)) for x in xs]
+    want_neg = [(_oracle_render(-x), _oracle_render(-x, True)) for x in xs[2:]]
+    want_json = [{"terms": [{"exp": list(a), "coef": _oracle_render(c)}
+                            for a, c in sorted(x.terms.items(), reverse=True)]} for x in xs[:2]]
+    b = dcb.b_element((14, 0, 0, 14))
+    want_dual = {a: qpow(-dcb.stat_b(a)) * c for a, c in b.terms.items()}
+    assert sum(len(c.terms) for c in want_dual.values()) == 3517
+
+    def refuse(*args):
+        raise AssertionError("a coefficient was negated or multiplied")
+
+    monkeypatch.setattr(Terms, "__neg__", refuse)
+    monkeypatch.setattr(LaurentQ, "__mul__", refuse)
+    monkeypatch.setattr(LaurentQ, "__rmul__", refuse)
+    assert [(str(x), x.to_latex()) for x in xs] == want
+    assert [(x._render(negate=True), x._render(True, True)) for x in xs[2:]] == want_neg
+    assert [x.to_json_dict() for x in xs[:2]] == want_json
+    assert dcb.expand_in_dual_pbw(b) == want_dual
+
+
 @pytest.mark.parametrize("cls, s", [(pbw.PbwElement, ""), (LaurentQ, ""), (LaurentQ, "1 +"),
                                     (LaurentQ, "1 + + q"), (LaurentQ, "-"),
                                     (pbw.PbwElement, "u0 - "),
