@@ -445,14 +445,6 @@ def exp_root_weight(a: Exp):
     return (4 * a3 + 3 * a2 + 2 * a1 + a0, 3 * a3 + 2 * a2 + a1)
 
 
-def word_product(letters) -> PbwElement:
-    """Straightened product u_{i_1} u_{i_2} ... for a letter sequence."""
-    t = {_ZERO_EXP: {0: 1}}
-    for i in letters:
-        t = _terms_times_gen(t, i)
-    return _element(t)
-
-
 def verify_normal_form(seed: int = 0) -> list:
     """Internal consistency of the normal-form calculus: the relation table,
     associativity over all generator triples and seeded random elements

@@ -3,8 +3,8 @@
 Everything here is exact: Laurent polynomials in q^(1/2) with
 arbitrary-precision integer coefficients, quantum integers, binomials and
 factorials, and the bar involution q -> q^(-1).  There is no floating point
-and no rational anywhere in the package: the one pointwise check, the
-probabilistic Serre check, evaluates at an integer point modulo a prime
+and no rational anywhere in the package: the Serre check evaluates at an
+integer point, 2^B over the integers or a drawn point modulo a prime
 (``free_serre``).
 
 :class:`Terms` is the one sparse-sum format: a dict from monomial keys to
@@ -15,11 +15,10 @@ key: sums, scaling (also by q^k), powers, hashing, repr and the text forms.
 subclass it.  :func:`add_into` is the one sparse accumulate: every merge of
 c * (a coefficient dict) into another goes through it, so that no zero
 coefficient is ever stored.  Only ``LaurentQ.__add__`` keeps its own, and
-so do the three int kernels, the straightening in ``pbw``, the quantum
-shuffle map in ``free_serre`` and the back-substitution in ``dcb``:
-:func:`add_shifted` merges a key's int coefficient dict, half-exponent ->
-int, shifted by a power of q and scaled by an int, with no LaurentQ in
-between.  It adds into the target's dicts in place, so a dict that a
+so do the two int kernels, the straightening in ``pbw`` and the
+back-substitution in ``dcb``: :func:`add_shifted` merges a key's int
+coefficient dict, half-exponent -> int, shifted by a power of q and scaled
+by an int, with no LaurentQ in between.  It adds into the target's dicts in place, so a dict that a
 LaurentQ wraps is never a target, only a source.
 
 The canonical text form of a sum is one grammar, written only by

@@ -2,13 +2,15 @@ import random
 import re
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import factorial
 
 import pytest
 
 from qkron import free_serre as fs
-from qkron import pbw
 from qkron.qarith import LaurentQ, add_into, half_pow, lq_one, qpow, quantum_int
+from test_pbw import word_product
 
 
 def test_relators():
@@ -143,11 +145,11 @@ def _bits(word) -> int:
 
 
 def _rational_image_mod_p(image, t) -> dict:
-    """An exact image (`shuffle_image`), each coefficient evaluated by
-    `_eval_q` at q = t and reduced modulo the prime, bit-keyed, zeros
-    dropped."""
+    """An exact image, word -> LaurentQ (`_laurent_image`), each
+    coefficient evaluated by `_eval_q` at q = t and reduced modulo the
+    prime, bit-keyed, zeros dropped."""
     p = fs.PRIME
-    vals = {_bits(k): _eval_q(c, t) for k, c in image.terms.items()}
+    vals = {_bits(k): _eval_q(c, t) for k, c in image.items()}
     row = {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in vals.items()}
     return {k: v for k, v in row.items() if v}
 
@@ -183,7 +185,7 @@ def test_integer_rows_match_the_rational_evaluation():
     rows.append(fs.FreeElement({(1,): qpow(3) - 2 + qpow(-5), (2,): qpow(7) * 4}))
     rows.append(fs.FreeElement({(): qpow(-2) * 5}))
     assert any(h > 0 for e in rows[-4:] for c in e.terms.values() for h in c.terms)
-    images = [fs.shuffle_image(elem) for elem in rows]
+    images = [_laurent_image(elem) for elem in rows]
     for t in (2, 3, 97, fs._probabilistic_point(0)):
         nonzero = 0
         for elem, image in zip(rows, images):
@@ -200,11 +202,11 @@ def test_integer_rows_match_the_rational_evaluation():
 def test_membership_trivial_cases():
     s1, _ = fs.serre_relators()
     res = fs.ideal_membership(fs.FreeElement())
-    assert res.member and not fs.shuffle_image(fs.FreeElement())
+    assert res.member and not _laurent_image(fs.FreeElement())
     x = fs.FreeElement.word((1,)) * s1
     # x is literally the spanning row E1 * S1, and its image is zero
     assert x == fs.expand_certificate([((0, (1,), ()), lq_one())])
-    assert not fs.shuffle_image(x)
+    assert not _laurent_image(x)
     assert fs.ideal_membership(x, mode="exact").member
     assert fs.ideal_membership(x, mode="probabilistic").member
     # weight (1,1): the ideal component is zero
@@ -251,10 +253,10 @@ def test_straightening_small_weights_exact():
                  "v0*v3 - q^-2*v3*v0 - (q^-4-1)*v2*v1",
                  "v1*v2 - q^-2*v2*v1"):
         d = diffs[name]
-        assert not fs.shuffle_image(d), name
+        assert not _laurent_image(d), name
         assert fs.ideal_membership(d, mode="exact").member, name
         changed = d + fs.FreeElement.word(max(d.terms))
-        assert fs.shuffle_image(changed), name
+        assert _laurent_image(changed), name
         assert not fs.ideal_membership(changed, mode="exact").member, name
 
 
@@ -433,7 +435,7 @@ def u_word_free_difference(letters) -> fs.FreeElement:
     lhs = fs.FreeElement({(): lq_one()})
     for i in letters:
         lhs = lhs * ws[i]
-    nf = pbw.word_product(letters)
+    nf = word_product(letters)
     rhs = {}
     for a, c in nf.terms.items():
         piece = fs.FreeElement({(): lq_one()})
@@ -485,10 +487,35 @@ def _laurent_shuffle(terms, pos) -> dict:
     return out
 
 
+@cache
+def _laurent_image(x) -> dict:
+    """Phi(x) by the reference `_laurent_shuffle`, word -> LaurentQ; kept
+    per element, since several tests ask for the same differences' images
+    (callers only read it)."""
+    return _laurent_shuffle(list(x.terms.items()), 0)
+
+
+def _signed_digits(v, bits) -> dict:
+    """The digits d_j of v = sum d_j 2^(bits j), each in
+    [-2^(bits - 1), 2^(bits - 1)), by index j, zeros dropped."""
+    t, half = 1 << bits, 1 << (bits - 1)
+    out, j = {}, 0
+    while v:
+        d = (v + half) % t - half
+        if d:
+            out[j] = d
+        v = (v - d) >> bits
+        j += 1
+    return out
+
+
 def test_int_shuffle_matches_the_laurent_reference():
-    # the six differences, each also changed on its lead word (a
-    # non-member), both relators, and seeded random elements of words up
-    # to total 8
+    # the exact walk at q = 2^B, each value decoded into signed digits base
+    # 2^B, against the reference word by word, up to one power of q common
+    # to all words; B leaves every coefficient, at most ||x||_1 n! in
+    # absolute value, one digit.  The elements: the six differences, each
+    # also changed on its lead word (a non-member), both relators, and
+    # seeded random elements of words up to total 8, mixed lengths included
     elems = list(fs.serre_relators())
     for _, d in fs.straightening_differences():
         elems += [d, d + fs.FreeElement.word(max(d.terms))]
@@ -498,17 +525,30 @@ def test_int_shuffle_matches_the_laurent_reference():
             tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8))):
                 qpow(rng.randint(-4, 4)) * rng.choice((-3, -1, 1, 2)) + rng.randint(-1, 1)
             for _ in range(rng.randint(1, 6))}))
+    nonzero = 0
     for x in elems:
-        assert fs.shuffle_image(x) == fs.FreeElement._raw(_laurent_shuffle(list(x.terms.items()), 0))
+        want = _laurent_image(x)
+        norm = sum(abs(v) for c in x.terms.values() for v in c.terms.values())
+        bits = (norm * factorial(max(map(len, x.terms)))).bit_length() + 1
+        got = {k: _signed_digits(v, bits) for k, v in fs._image_at(x, 1 << bits, exact=True).items()}
+        got = {k: digits for k, digits in got.items() if digits}
+        m = None
+        for v, c in want.items():
+            digits = got.pop(_bits(v))
+            m = min(digits) - min(c.terms) // 2 if m is None else m
+            assert digits == {h // 2 + m: a for h, a in c.terms.items()}
+        assert not got
+        nonzero += bool(want)
+    assert nonzero == 46
 
 
 def test_shuffle_image_of_relators_and_a_commutator():
     s1, s2 = fs.serre_relators()
-    assert not fs.shuffle_image(s1) and not fs.shuffle_image(s2)
+    assert not _laurent_image(s1) and not _laurent_image(s2)
     c = fs.FreeElement({(1, 2): lq_one(), (2, 1): -lq_one()})
     # E1 |> E2 = E1 E2 + q^2 E2 E1, so the commutator goes to (1 - q^2) c
-    assert fs.shuffle_image(c) == c.scale(1 - qpow(2))
-    assert len(fs.shuffle_image(c).terms) == 2
+    assert _laurent_image(c) == c.scale(1 - qpow(2)).terms
+    assert len(_laurent_image(c)) == 2
 
 
 def test_shuffle_kernel_is_the_ideal_at_5_3():
@@ -516,34 +556,81 @@ def test_shuffle_kernel_is_the_ideal_at_5_3():
     # images of the words span a space of the Kostant partition count at
     # q = 2, so the kernel is no larger than the ideal's 35 dimensions
     w = (5, 3)
-    assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
-    images = [_row_at(fs.shuffle_image(fs.FreeElement.word(u)).terms, 2)
+    assert all(not _laurent_image(row) for _, row in fs.spanning_set(w))
+    images = [_row_at(_laurent_image(fs.FreeElement.word(u)), 2)
               for u in fs.words_of_weight(*w)]
     assert len(_flat_echelon(images)) == _kostant_table(w)[5][3] == 21
 
 
 def test_shuffle_kernel_is_the_ideal_at_6_4():
-    # as at (5, 3), with the images from the point walk at seed 0's point:
-    # rank 48 at one point bounds the rank over Q(q) from below, so the
-    # kernel has at most 210 - 48 = 162 dimensions, the span's rank
+    # as at (5, 3), each of the 182 spanning rows decided exact, and the
+    # word images from the exact walk at q = 2^15 (one power of q common to
+    # all of them aside), reduced modulo P61: rank 48 at one point bounds
+    # the rank over Q(q) from below, so the kernel has at most
+    # 210 - 48 = 162 dimensions, the span's rank
     # (`test_integer_echelon_rank_is_words_less_kostant_count`); the kernel
     # contains the ideal, so the two are equal, with no probability
     w = (6, 4)
-    assert all(not fs.shuffle_image(row) for _, row in fs.spanning_set(w))
-    t = fs._probabilistic_point(0)
-    images = [_image_mod_p(fs.FreeElement.word(u), t) for u in fs.words_of_weight(*w)]
+    rows = fs.spanning_set(w)
+    assert len(rows) == 182
+    assert all(fs.ideal_membership(row, mode="exact").member for _, row in rows)
+    images = [{k: v % P61 for k, v in fs._image_at(fs.FreeElement.word(u), 2 ** 15, exact=True).items()
+               if v % P61} for u in fs.words_of_weight(*w)]
     assert len(images) == 210
-    assert len(_flat_echelon(images, fs.PRIME)) == _kostant_table(w)[6][4] == 48
+    assert len(_flat_echelon(images)) == _kostant_table(w)[6][4] == 48
 
 
 def test_exact_decides_the_large_differences():
-    # the weights the default leaves to the probabilistic mode
+    # the weights the default leaves to the probabilistic mode, each
+    # difference also changed on its lead word, and both times 2^70 + 1,
+    # the changed one by 2^66 q^-1 on its lead word: coefficients past 64 bits
     for _, d in fs.straightening_differences():
         if d.weight() not in ((6, 4), (7, 5)):
             continue
-        assert fs.ideal_membership(d, mode="exact").member
-        changed = d + fs.FreeElement.word(max(d.terms))
-        assert not fs.ideal_membership(changed, mode="exact").member
+        for x, lead in ((d, lq_one()), (d.scale(2 ** 70 + 1), 2 ** 66 * qpow(-1))):
+            assert fs.ideal_membership(x, mode="exact").member
+            changed = x + fs.FreeElement.word(max(d.terms), lead)
+            assert not fs.ideal_membership(changed, mode="exact").member
+        assert max(abs(v) for c in changed.terms.values() for v in c.terms.values()) > 2 ** 64
+
+
+@pytest.mark.parametrize("k", [1, 3, 64, 200])
+def test_exact_point_exceeds_the_coefficient_bound(k):
+    # x = (2^k - q) E1 is not a member, but its image vanishes at q = 2^k:
+    # exact mode must take t = 2^B above ||x||_1 a! b! = 2^k + 1
+    x = fs.FreeElement.word((1,), 2 ** k - qpow(1))
+    assert not any(fs._image_at(x, 2 ** k, exact=True).values())
+    assert fs.ideal_membership(x) == (False, "exact", (1, 0))
+    s1, _ = fs.serre_relators()
+    assert fs.ideal_membership(s1.scale(2 ** k - qpow(1)), mode="exact").member
+
+
+@pytest.mark.parametrize("mode", [None, "exact", "probabilistic"])
+def test_an_odd_half_exponent_is_refused_in_either_mode(mode):
+    for x in (fs.FreeElement.word((1,), half_pow(1)),
+              fs.FreeElement({(1, 2): qpow(2), (2, 1): half_pow(-3) + 1})):
+        with pytest.raises(ValueError, match="odd half-powers"):
+            fs.ideal_membership(x, mode=mode)
+
+
+def test_perturbed_differences_are_non_members_as_the_reference_says():
+    # each difference with one coefficient of one word moved by +-1, three
+    # per difference.  The reference maps the difference to 0 and the moved
+    # word, a sum of shuffles with coefficients q^E, to a nonzero image, so
+    # by linearity it maps each perturbed element to a nonzero image; exact
+    # mode must call each a non-member
+    rng = random.Random(0)
+    perturbed = 0
+    for _, d in fs.straightening_differences():
+        assert not _laurent_image(d)
+        for _ in range(3):
+            word = rng.choice(sorted(d.terms))
+            h = rng.choice(sorted(d.terms[word].terms))
+            delta = fs.FreeElement.word(word, half_pow(h) * rng.choice((-1, 1)))
+            assert _laurent_image(delta)
+            assert not fs.ideal_membership(d + delta, mode="exact").member
+            perturbed += 1
+    assert perturbed == 18
 
 
 @pytest.mark.parametrize("w", [(4, 2), (5, 3)])

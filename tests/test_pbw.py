@@ -366,7 +366,7 @@ def test_parse_roundtrip_odd_half_steps():
 @pytest.mark.parametrize("text, word, t", [("u0*u3", (0, 3), 0), ("(q)*u0*u0*u1", (0, 0, 1), 1)])
 def test_parse_multiplies_a_word_out_of_normal_order(text, word, t):
     # u0*u3 = (q^-2)*u3*u0 + (-1 + q^-4)*u2*u1, not u3*u0
-    assert pbw.PbwElement.parse(text) == pbw.word_product(word).scale_qpow(t)
+    assert pbw.PbwElement.parse(text) == word_product(word).scale_qpow(t)
 
 
 def test_parse_reads_a_normal_ordered_word_without_straightening(monkeypatch):
@@ -400,11 +400,20 @@ def test_parse_takes_the_coefficient_up_to_the_last_parenthesis():
             pbw.PbwElement.parse(bad)
 
 
+def word_product(letters) -> pbw.PbwElement:
+    """Straightened product u_{i_1} u_{i_2} ... for a letter sequence, one
+    generator at a time on the int kernel."""
+    t = {pbw._ZERO_EXP: {0: 1}}
+    for i in letters:
+        t = pbw._terms_times_gen(t, i)
+    return pbw._element(t)
+
+
 def test_word_product_equals_multiply():
     rng = random.Random(15)
     for _ in range(10):
         word = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
-        direct = pbw.word_product(word)
+        direct = word_product(word)
         step = pbw.one()
         for i in word:
             step = step * pbw.generator(i)
