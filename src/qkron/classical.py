@@ -15,9 +15,13 @@ terms, into a fresh dict, with no collision check; `exact_div` adds a
 quotient term to the divisor's terms the same way.  The c_{n,a,b} table
 of `coefficient_polynomial` is summed over the `cluster_terms` in two
 binomial passes, over l and then over k; there is no per-coefficient
-function.  `verify_classical` checks the Chebyshev rows s_0..s_5 and
-t_0..t_5 against the closed Dickson sums (`_dickson_rows`), not against the
-recursion that builds them, and the recursion on the sums.
+function.  It is the one route to the polynomial rows U_n
+(`polynomial_form`); the three-term recursion U_n = z U_{n-1} - P1 P0 U_{n-2}
+is an identity `linear_recursion_check` checks on the closed Laurent
+formula, not a way to build a row.  `verify_classical` checks the Chebyshev
+rows s_0..s_5 and t_0..t_5 against the closed Dickson sums
+(`_dickson_rows`), not against the recursion that builds them, and the
+recursion on the sums.
 
 Cluster variables are indexed by their subscript: `cluster_variable(4)`
 is U_4.  The closed Laurent formula over the seed (U1, U2, P0, P1) covers
@@ -257,24 +261,18 @@ def cluster_variable(n: int) -> CPoly:
 @lru_cache(maxsize=None)
 def polynomial_form(n: int) -> CPoly:
     """U_n as a polynomial in U3, U2, U1, U0; memoized like
-    `cluster_variable`.  U_4 is `cluster_variable(4).subs_p()`, and n >= 5
-    takes one step of U_n = z U_{n-1} - P1 P0 U_{n-2} from the memoized rows
-    below.  The classical suite checks both facts against `subs_p`.
-
-    The rows below are filled bottom-up first, so no call is more than one
-    row deep and a cold large n cannot exhaust the recursion limit."""
-    if 0 <= n <= 3:
-        return (U0, U1, U2, U3)[n]
+    `cluster_variable`.  The seed U0, U1, U2 for 0 <= n <= 2; for n >= 3 the
+    c_{n,a,b} table, `coefficient_polynomial(n - 3)`; for n < 0 the swap of
+    row 3 - n.  No row is computed from lower rows, so the memo holds only
+    the rows asked for.  The classical suite checks the table against the
+    closed Laurent formula with P eliminated, and the three-term recursion
+    U_n = z U_{n-1} - P1 P0 U_{n-2} on that formula
+    (`linear_recursion_check`)."""
+    if 0 <= n <= 2:
+        return (U0, U1, U2)[n]
     if n < 0:
         return polynomial_form(3 - n).swap()
-    if n == 4:
-        out = cluster_variable(4).subs_p()
-        if not out.is_polynomial():
-            raise AssertionError("U_4 did not clear its denominator")
-        return out
-    for k in range(5, n):
-        polynomial_form(k)
-    return z_poly() * polynomial_form(n - 1) - p1_poly() * p0_poly() * polynomial_form(n - 2)
+    return coefficient_polynomial(n - 3)
 
 
 def coefficient_polynomial(n: int) -> CPoly:
@@ -453,13 +451,28 @@ def linear_recursion_check(n_max: int, closed: dict) -> list:
                               cfr[n + 1], t * cfr[n] - cfr[n - 1]))
     z = z_poly()
     pp = p1_poly() * p0_poly()
-    # the closed formula with P eliminated, not `polynomial_form`, which
-    # is built by this recursion
+    # the closed formula with P eliminated, not `polynomial_form`: the
+    # recursion is an identity on the closed formula, not a route to a row
     for k in range(4, n_max + 1):
         report.append(compare("classical", k, "U_{k+1} = z U_k - P1 P0 U_{k-1}",
                               closed[k + 1], z * closed[k] - pp * closed[k - 1]))
     report.append(compare("classical", 0, "z = U3 U0 - U2 U1", z_laurent().subs_p(), z))
     return report
+
+
+def table_entry(n: int, identity: str, check) -> dict:
+    """The classical entry for `check()`, a check that reads the c_{n,a,b}
+    table (`polynomial_form` or `coefficient_polynomial`) and returns either
+    a bool or a pair (lhs, rhs) to compare.  A table row with a nonzero
+    out-of-range coefficient raises AssertionError; the entry then fails with
+    that message as its detail, so the suite reports it instead of raising."""
+    try:
+        got = check()
+    except AssertionError as exc:
+        return entry("classical", n, identity, False, str(exc))
+    if isinstance(got, tuple):
+        return compare("classical", n, identity, *got)
+    return entry("classical", n, identity, got)
 
 
 def verify_classical(n_max: int = 10) -> list:
@@ -477,25 +490,21 @@ def verify_classical(n_max: int = 10) -> list:
     report.append(entry("classical", 0,
                         "coefficient-free exchange U_{n+1} U_{n-1} = U_n^2 + 1", ok))
 
-    report.append(compare("classical", 0, "U_4 = U3^2 U0 - 2 U3 U2 U1 + U2^3",
-                          polynomial_form(4), U3 ** 2 * U0 - 2 * U3 * U2 * U1 + U2 ** 3))
+    # the closed formula with P eliminated, once per n for every entry below
+    # that reads it: the c_{n,a,b} table, polynomiality and the recursions
+    n_table, n_rec = min(n_max - 2, 8), min(n_max, 9)
+    closed = {n: cluster_variable(n).subs_p()
+              for n in range(3, max(n_max, n_table + 3, n_rec + 1) + 1)}
 
-    for n in range(0, min(n_max - 2, 8) + 1):
-        try:
-            ok = coefficient_polynomial(n) == polynomial_form(n + 3)
-        except AssertionError:
-            ok = False
-        report.append(entry("classical", n,
-                            "c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish", ok))
-
-    # the closed formula with P eliminated, once per n for both checks below
-    n_rec = min(n_max, 9)
-    closed = {n: cluster_variable(n).subs_p() for n in range(3, max(n_max, n_rec + 1) + 1)}
-    ok = True
-    for n in range(4, n_max + 1):
-        u = closed[n]
-        ok = ok and u.is_polynomial() and not u.uses_p_symbols() and u == polynomial_form(n)
-    report.append(entry("classical", 0, "polynomiality of U_n in U3,U2,U1,U0", ok))
+    report.append(table_entry(0, "U_4 = U3^2 U0 - 2 U3 U2 U1 + U2^3", lambda: (
+        polynomial_form(4), U3 ** 2 * U0 - 2 * U3 * U2 * U1 + U2 ** 3)))
+    for n in range(0, n_table + 1):
+        report.append(table_entry(
+            n, "c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish",
+            lambda: coefficient_polynomial(n) == closed[n + 3]))
+    report.append(table_entry(0, "polynomiality of U_n in U3,U2,U1,U0", lambda: all(
+        closed[n].is_polynomial() and not closed[n].uses_p_symbols()
+        and closed[n] == polynomial_form(n) for n in range(4, n_max + 1))))
 
     ok = True
     for n in range(2, min(n_max, 9)):

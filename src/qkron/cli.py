@@ -22,7 +22,8 @@ order.  Each bound a suite reads has a limit, listed in `_SUITE_TABLE`: the
 largest value that, with the suite's other bound at its default, answered
 within a minute in 2 GB.  A bound past the limit of a suite it goes to (for
 `verify all`, of any suite that reads it) is exit 3 with one line on stderr,
-before any suite runs.  Each limit was measured alone, so a request with
+before any suite runs; so is a `table cluster` range past `_CLUSTER_LIMIT`,
+before any row is built.  Each limit was measured alone, so a request with
 both of a suite's bounds at their limits, or `verify all` at the limits,
 may take minutes: it runs every suite and bound it names in turn.
 This module imports at start every module that a command other than
@@ -87,10 +88,17 @@ _SUITE_TABLE = {
     "closed-formulas": ({"n_max": (4, 16), "k_max": (6, 109)}, lambda n, k, seed, mode:
                         dcb.verify_closed_formulas(n) + dcb.verify_power_formulas(k)),
     "pbw-expansion": ({"n_max": (3, 17)}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
-    "classical": ({"n_max": (10, 61)}, lambda n, k, seed, mode:
+    "classical": ({"n_max": (10, 55)}, lambda n, k, seed, mode:
                   classical.verify_classical(n) + _classical_cross_checks()),
     "qseed": ({"n_max": (5, 19)}, _qseed),
 }
+# `table cluster`: row n costs about m^3 with m = max(n, 3 - n) (U_n and
+# U_{3-n} are mirror images), so a range's work is the sum of m^3 over its
+# rows.  The limit is the largest single row that answered within 60 s under
+# a 2 GB address-space limit, measured as above (row 350: 46-53 s, 80 MB
+# peak RSS; row 360: 57 s); a range whose work exceeds that row's is exit 3
+# before any row is built.
+_CLUSTER_LIMIT = 350
 _BOUND_FLAGS = (("--n-max", "n_max"), ("--k-max", "k_max"))
 SUITES = tuple(_SUITE_TABLE)
 
@@ -110,9 +118,9 @@ def _classical_cross_checks() -> list:
     the commutative formulas."""
     entries = []
     for m in range(0, 4):
-        entries.append(compare("classical", m, "q=1 image of B[m+1,0,0,m] equals U_{m+3}",
-                               dcb.b_element((m + 1, 0, 0, m)).specialize_q1(),
-                               classical.polynomial_form(m + 3)))
+        q1 = dcb.b_element((m + 1, 0, 0, m)).specialize_q1()
+        entries.append(classical.table_entry(m, "q=1 image of B[m+1,0,0,m] equals U_{m+3}",
+                                             lambda: (q1, classical.polynomial_form(m + 3))))
     for n in range(2, 5):
         entries.append(compare("classical", n, "q=1 image of B[n,0,0,n] equals s_n",
                                dcb.b_element((n, 0, 0, n)).specialize_q1(),
@@ -241,10 +249,23 @@ def _parse_range(text: str, parser):
     return lo, hi
 
 
+def _cluster_work(lo: int, hi: int) -> int:
+    """The sum of max(n, 3 - n)^3 over lo <= n <= hi, in closed form: m = n
+    for n >= 2 and m = 3 - n for n <= 1, each a run of consecutive cubes."""
+    def cubes(a, b):  # a^3 + ... + b^3 for 1 <= a
+        return (b * (b + 1) // 2) ** 2 - (a * (a - 1) // 2) ** 2 if a <= b else 0
+
+    return cubes(max(lo, 2), hi) + cubes(3 - min(hi, 1), 3 - lo)
+
+
 def cmd_table(args, parser) -> int:
     lo, hi = _parse_range(args.range, parser)
     rows = []
     if args.kind == "cluster":
+        if _cluster_work(lo, hi) > _CLUSTER_LIMIT ** 3:
+            print(f"error: table cluster {lo}..{hi} exceeds the limit: the sum of "
+                  f"max(n, 3-n)^3 over its rows is past {_CLUSTER_LIMIT}^3", file=sys.stderr)
+            return EXIT_RESOURCE
         for n in range(lo, hi + 1):
             rows.append({"n": n,
                          "laurent": classical.cluster_variable(n),

@@ -78,9 +78,11 @@ def test_u4_golden():
     assert str(u4) == "U3^2*U0 - 2*U3*U2*U1 + U2^3"
 
 
-def test_coefficient_table_matches_polynomial_form():
+def test_coefficient_table_matches_the_closed_formula_with_p_eliminated():
+    # the table against the other route to U_{n+3}, not against
+    # polynomial_form, which reads the table
     for n in range(0, 6):
-        assert cl.coefficient_polynomial(n) == cl.polynomial_form(n + 3)
+        assert cl.coefficient_polynomial(n) == cl.cluster_variable(n + 3).subs_p()
 
 
 def test_coefficient_vanishing():
@@ -287,13 +289,15 @@ def test_cluster_memo_matches_uncached_calls():
 
 
 def test_polynomial_form_matches_the_closed_formula_with_p_eliminated():
-    # n >= 5 is built by the three-term recursion; subs_p is the oracle
+    # n >= 3 is the c_{n,a,b} table and n < 0 its swap; subs_p of the
+    # closed Laurent formula is the oracle
     for n in range(-10, 25):
         assert cl.polynomial_form(n) == cl.cluster_variable(n).subs_p(), n
 
 
 def test_cold_polynomial_form_needs_no_deep_recursion():
-    # rows are filled bottom-up, so a cold call stays a few frames deep
+    # a row is summed from the c_{n,a,b} table, not from the rows below
+    # it, so a cold call stays a few frames deep
     import sys
 
     expected = cl.polynomial_form(50)
@@ -441,12 +445,35 @@ def test_coefficient_polynomial_matches_the_quadruple_sum():
         assert cl.coefficient_polynomial(n).terms == want, n
 
 
-def test_coefficient_polynomial_raises_on_an_out_of_range_coefficient(monkeypatch):
-    # a single term (k, l, c) = (0, 0, 1) gives c_{n,0,n} = +-1 on U1^(-n-1)
+@pytest.fixture
+def cold_cluster_memos():
+    """Empty row memos on entry and on exit, so that no row built under a
+    test's patch is read by a later test."""
+    memos = (cl.cluster_variable, cl.polynomial_form)
+    for f in memos:
+        f.cache_clear()
+    yield
+    for f in memos:
+        f.cache_clear()
+
+
+def test_coefficient_polynomial_raises_on_an_out_of_range_coefficient(monkeypatch,
+                                                                      cold_cluster_memos):
+    # a single term (k, l, c) = (0, 0, 1) gives c_{n,0,n} = +-1 on U1^(-n-1);
+    # the suite reports each entry that reads the table, with the message
+    from qkron import cli
+
     monkeypatch.setattr(cl, "cluster_terms", lambda m, binom: iter([(0, 0, 1)]))
     with pytest.raises(AssertionError, match="invalid monomial"):
         cl.coefficient_polynomial(3)
-    assert not all(e["ok"] for e in cl.verify_classical(5))
+    rep = cl.verify_classical(5) + cli._classical_cross_checks()
+    bad = {e["identity"]: e.get("detail", "") for e in rep if not e["ok"]}
+    for identity in ("U_4 = U3^2 U0 - 2 U3 U2 U1 + U2^3",
+                     "c_{n,a,b} table matches U_{n+3}, out-of-range coefficients vanish",
+                     "q=1 image of B[m+1,0,0,m] equals U_{m+3}"):
+        assert bad[identity].endswith("on an invalid monomial"), identity
+    # the closed formula, patched too, fails polynomiality before the table is read
+    assert "polynomiality of U_n in U3,U2,U1,U0" in bad
 
 
 _MIXED_OPERANDS = [

@@ -165,6 +165,56 @@ def test_table_layer_cap_is_checked_before_any_layer(monkeypatch, capsys):
     assert (code, out, err) == (3, "", "error: layer 9 > --max-layer 8\n")
 
 
+def test_cluster_work_is_the_sum_of_cubes():
+    for lo in range(-12, 12):
+        for hi in range(lo, 14):
+            assert cli._cluster_work(lo, hi) == sum(max(n, 3 - n) ** 3 for n in range(lo, hi + 1))
+
+
+def _widest_cluster_range():
+    """The longest range 1..hi whose work is within the limit."""
+    hi = 1
+    while cli._cluster_work(1, hi + 1) <= cli._CLUSTER_LIMIT ** 3:
+        hi += 1
+    return hi
+
+
+def test_table_cluster_within_its_limit_is_answered(monkeypatch, capsys):
+    # the limit row, its mirror 3 - limit, the widest range 1..hi and every
+    # range the benchmark sends (|n| <= 11) pass the check
+    limit, hi = cli._CLUSTER_LIMIT, _widest_cluster_range()
+    built = []
+    monkeypatch.setattr(classical, "cluster_variable", lambda n: built.append(n) or classical.U1)
+    monkeypatch.setattr(classical, "polynomial_form", lambda n: classical.U2)
+    for text, rows in ((str(limit), [limit]), (str(3 - limit), [3 - limit]),
+                       (f"1..{hi}", list(range(1, hi + 1))), ("-11..11", list(range(-11, 12)))):
+        built.clear()
+        code, out, err = run(["table", "cluster", "--", text], capsys)
+        assert (code, err, built) == (0, "", rows), text
+        assert out.count("(polynomial) = U2") == len(rows)
+
+
+@pytest.mark.parametrize("past", [lambda limit, hi: str(limit + 1),
+                                  lambda limit, hi: str(3 - (limit + 1)),
+                                  lambda limit, hi: f"1..{hi + 1}",
+                                  lambda limit, hi: "-1000000000..1000000000"],
+                         ids=["limit-plus-1", "mirror", "widest-range-plus-1", "huge-range"])
+def test_table_cluster_past_its_limit_exits_3_before_any_row(past, monkeypatch, capsys):
+    limit = cli._CLUSTER_LIMIT
+    text = past(limit, _widest_cluster_range())
+
+    def refuse(n):
+        raise AssertionError(f"row {n} built before the limit check")
+
+    monkeypatch.setattr(classical, "cluster_variable", refuse)
+    monkeypatch.setattr(classical, "polynomial_form", refuse)
+    code, out, err = run(["table", "cluster", "--", text], capsys)
+    lo, hi = cli._parse_range(text, None)
+    assert (code, out) == (3, "")
+    assert err == (f"error: table cluster {lo}..{hi} exceeds the limit: the sum of "
+                   f"max(n, 3-n)^3 over its rows is past {limit}^3\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "1", "0", "0", "0", "--max-layer", "-5"],
     ["product", "1", "0", "0", "0", "0", "0", "0", "1", "--max-layer", "-1"],
