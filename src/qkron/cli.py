@@ -4,13 +4,23 @@ verification suites, and print cluster/layer tables.
 Exit codes are the machine contract: 0 success, 1 an identity `verify`
 checks failed (nothing else), 2 usage error, 3 a resource cap was hit or
 memory ran out, 141 (128 + SIGPIPE, as `cat` gives) the reader closed
-stdout.  A request whose first argument names a command goes straight to
-that command's parser (`build_parser` keeps them in the map `commands` on
-the parser it returns), with the namespace the top-level parser would pass
-it; the top-level parser reads every other request: no argument, `-h`, an
-unknown command or `--`.  `main` calls the handler each subcommand
-names, with that subcommand's parser, and flushes stdout; a usage error
-that `main` or a handler finds is that parser's error, so it prints
+stdout.  A request whose first argument names a command goes first to
+that command's plain reader (`_plain_reader`; `build_parser` keeps the
+readers in the map `readers` on the parser it returns, beside the map
+`commands` of the command parsers).  The reader is derived from the
+declarations of the command's parser, its positionals, options, types,
+choices and defaults, not declared a second time, and it reads only a
+plain request: the positionals, then options, each written exactly as
+declared, with its value, if it takes one, as the next token, not starting
+with '-'.  It returns the namespace the command's parser would, or None,
+and then that parser reads the request with the namespace the top-level
+parser would pass it.  So argparse still writes all help and every usage
+error, and reads every other syntax: `-h`, an abbreviated option,
+``--opt=value``, ``--``, a negative number, a positional after an option.
+The top-level parser reads every request that names no command: no
+argument, `-h`, an unknown command or `--`.  `main` calls the handler each
+subcommand names, with that subcommand's parser, and flushes stdout; a
+usage error that `main` or a handler finds is that parser's error, so it prints
 ``usage: qkron <command> ...`` and ``qkron <command>: error: ...`` as
 argparse's own errors for the command do.  A `RecursionError` or
 `MemoryError` from any handler is exit 3, and a `BrokenPipeError` is exit
@@ -302,6 +312,95 @@ def cmd_table(args, parser) -> int:
     return EXIT_OK
 
 
+def _plain_reader(command: str, parser: argparse.ArgumentParser):
+    """The strict reader of `command`'s plain requests, derived from the
+    declarations of its parser: read(tokens) returns the namespace that
+    ``parser.parse_known_args(tokens, Namespace(command=command))`` returns,
+    with no extras, or None, and then argparse reads the request.
+
+    A plain request is the positionals (each as many tokens as its `nargs`
+    says, a trailing ``nargs="?"`` one token or none), each converted by its
+    `type` and within its `choices`, then options, each written exactly as
+    declared: a flag alone, any other option followed by one value, checked
+    the same way, that does not start with '-'.  Any other request is None:
+    a token that starts with '-' and is not one of the options (`-h`, an
+    abbreviation, ``--opt=value``, ``--``, a negative number), a missing
+    option value, a positional after an option, a wrong positional count, a
+    failed conversion or choice.  A parser with an action the reader does
+    not model gets a reader that always returns None."""
+    positionals, options, defaults = [], {}, {}
+    modeled = parser.prefix_chars == "-" and parser.fromfile_prefix_chars is None
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # not among `options`, so -h and --help go to argparse
+        if isinstance(action, argparse._StoreConstAction):
+            options.update(dict.fromkeys(action.option_strings, (action, True)))
+        elif type(action) is argparse._StoreAction and action.option_strings:
+            modeled &= action.nargs is None and not action.required
+            options.update(dict.fromkeys(action.option_strings, (action, False)))
+        elif type(action) is argparse._StoreAction:
+            modeled &= action.nargs in (None, "?") or isinstance(action.nargs, int)
+            positionals.append(action)
+        else:
+            modeled = False
+        # argparse converts a str default that no token replaced, and checks
+        # the default of an empty positional against its choices
+        modeled &= action.default is not argparse.SUPPRESS and (
+            not isinstance(action.default, str)
+            or action.type is None and bool(action.option_strings))
+        defaults[action.dest] = action.default
+    for dest, default in parser._defaults.items():
+        defaults.setdefault(dest, default)
+    optional = bool(positionals) and positionals[-1].nargs == "?"
+    modeled &= all(a.nargs != "?" for a in positionals[:-1])
+    # the positional token count, less the trailing optional one; a token
+    # past the positionals that is not an option is declined where it is met
+    fixed = sum(1 if a.nargs in (None, "?") else a.nargs for a in positionals) - optional
+    if not modeled:
+        return lambda tokens: None
+
+    def value(action, token):
+        converted = token if action.type is None else action.type(token)
+        if action.choices is not None and converted not in action.choices:
+            raise ValueError(token)
+        return converted
+
+    def read(tokens):
+        first = 0  # the first token that starts with '-'
+        while first < len(tokens) and tokens[first][:1] != "-":
+            first += 1
+        if first < fixed:
+            return None
+        args = argparse.Namespace(command=command, **defaults)
+        try:
+            at = 0
+            for action in positionals[:len(positionals) - (first < fixed + optional)]:
+                if action.nargs in (None, "?"):
+                    setattr(args, action.dest, value(action, tokens[at]))
+                    at += 1
+                else:
+                    setattr(args, action.dest,
+                            [value(action, t) for t in tokens[at:at + action.nargs]])
+                    at += action.nargs
+            while at < len(tokens):
+                action, flag = options.get(tokens[at], (None, None))
+                if action is None:
+                    return None
+                if flag:
+                    setattr(args, action.dest, action.const)
+                    at += 1
+                elif at + 1 == len(tokens) or tokens[at + 1][:1] == "-":
+                    return None
+                else:
+                    setattr(args, action.dest, value(action, tokens[at + 1]))
+                    at += 2
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        return args
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qkron",
@@ -346,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-layer", type=int, default=8)
     t.set_defaults(handler=cmd_table)
     p.commands = {"compute": c, "product": pr, "verify": v, "table": t}
+    p.readers = {name: _plain_reader(name, parser) for name, parser in p.commands.items()}
     return p
 
 
@@ -359,9 +459,12 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     parser = _PARSER
     argv = sys.argv[1:] if argv is None else argv
-    sub = parser.commands.get(argv[0]) if argv else None
-    args, extra = (parser.parse_known_args(argv) if sub is None
-                   else sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+    read = parser.readers.get(argv[0]) if argv else None
+    args, extra = (read(argv[1:]) if read else None), []
+    if args is None:
+        sub = parser.commands.get(argv[0]) if argv else None
+        args, extra = (parser.parse_known_args(argv) if sub is None
+                       else sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
     # the usage errors found past argparse name the command, as argparse's own do
     parser = parser.commands[args.command]
     if args.command == "table" and args.range is None:

@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -590,8 +595,10 @@ def test_product_of_p_powers_answers_through_the_cores(argv, want, capsys):
 _P8 = ["1", "0", "0", "0", "0", "0", "0", "1"]
 
 # requests at the edges of the dispatch: no command, help, unknown or
-# abbreviated commands, `--`, bad choices and counts, negative ranges and
-# trailing extras; (argv, expected exit code)
+# abbreviated commands, `--`, bad choices and counts, negative ranges,
+# trailing extras, and requests argparse accepts but the plain reader hands
+# over (an abbreviated option, --opt=value, an option between positionals);
+# (argv, expected exit code)
 _DISPATCH_EDGES = [
     ([], 2), (["-h"], 0), (["bogus"], 2), (["comp", "1", "0", "0", "1"], 2),
     (["--", "compute", "1", "0", "0", "1"], 2), (["-x", "compute", "1", "0", "0", "1"], 2),
@@ -605,6 +612,10 @@ _DISPATCH_EDGES = [
     (["compute", "1", "0", "0", "1", "extra"], 2), (["product", *_P8, "--bogus"], 2),
     (["table", "layer", "1", "2"], 2), (["verify", "serre", "--k-max", "2"], 2),
 ]
+_HANDED_OVER = [(["compute", "1", "0", "0", "1", "--form", "json"], 0),
+                (["compute", "1", "0", "0", "1", "--format=json"], 0),
+                (["product", *_P8[:4], "--format", "json", *_P8[4:]], 0)]
+_DISPATCH_EDGES += _HANDED_OVER
 
 
 def test_reused_parser_leaks_no_state(capsys, monkeypatch):
@@ -628,17 +639,22 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     # usage and help wrap at the same width in both processes, terminal or not
     monkeypatch.setenv("COLUMNS", "80")
     outputs = []
-    for argv, want_code in sequence:
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        got = capsys.readouterr()
-        want = subprocess.run([sys.executable, "-m", "qkron.cli", *argv],
-                              capture_output=True, text=True, env=dict(_ENV, COLUMNS="80"))
-        assert code == want.returncode == want_code, argv
-        assert (got.out, got.err) == (want.stdout, want.stderr), argv
-        outputs.append(got.out)
+    # the reference interpreters run two at a time, beside the in-process
+    # requests, which stay sequential and in order
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        wants = [pool.submit(subprocess.run, [sys.executable, "-m", "qkron.cli", *argv],
+                             capture_output=True, text=True, env=dict(_ENV, COLUMNS="80"))
+                 for argv, _ in sequence]
+        for (argv, want_code), want in zip(sequence, wants):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            want = want.result()
+            assert code == want.returncode == want_code, argv
+            assert (got.out, got.err) == (want.stdout, want.stderr), argv
+            outputs.append(got.out)
     assert json.loads(outputs[0])["a"] == [2, 0, 0, 1]
     assert outputs[1].strip() == str(dcb.b_element((2, 0, 0, 1)))
     assert json.loads(outputs[4])["ok"] is True
@@ -665,6 +681,117 @@ def test_known_commands_skip_the_top_level_parser(monkeypatch, capsys):
         with pytest.raises(RuntimeError, match="top-level parser reached"):
             cli.main(argv)
     assert reached == [[], ["-h"], ["bogus"]]
+    capsys.readouterr()
+
+
+# the fuzz vocabulary of each command: a pool for each positional and one for
+# each option's value (None for a flag), good values, repeated so that most
+# requests are plain, beside negative, malformed and empty ones and bad choices
+_INTS = ["0", "1", "2", "7"] * 16 + ["+1", " 3", "1_0", "-1", "-1_0", "-0", "x", "1.5", "", "0x1"]
+_FORMATS = ["text", "json", "latex"] * 4 + ["yaml", ""]
+_FUZZ = {
+    "compute": ([_INTS] * 4, {"--format": _FORMATS, "--dual-pbw": None, "--q1": None,
+                              "--max-layer": _INTS}),
+    "product": ([_INTS] * 8, {"--format": _FORMATS, "--max-layer": _INTS}),
+    "verify": ([[*cli.SUITES, "all", "nosuch", ""]],
+               {"--n-max": _INTS, "--k-max": _INTS, "--seed": _INTS,
+                "--mode": ["exact", "probabilistic", "fast", ""]}),
+    "table": ([["cluster", "layer"] * 4 + ["grid", ""], ["1", "0..2"] * 4 + ["-2..1", "x", ""]],
+              {"--format": _FORMATS, "--max-layer": _INTS}),
+}
+_NOISE = ["--", "-h", "--help", "-x", "--bogus", "", "extra", "-1", "--format", "--q1"]
+
+
+def _fuzz_argv(rng):
+    """One request: a command's positionals, sometimes one short or long,
+    with options (exact, abbreviated, --opt=value or without their value,
+    perhaps repeated) mostly after them and sometimes between them, and
+    sometimes one noise token anywhere."""
+    command = rng.choice(sorted(_FUZZ))
+    slots, options = _FUZZ[command]
+    tokens = [rng.choice(pool) for pool in slots]
+    r = rng.random()
+    if r < 0.1:
+        del tokens[rng.randrange(len(tokens))]
+    elif r < 0.2:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(slots[-1]))
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        flag = rng.choice(sorted(options))
+        pool = options[flag]
+        group = [flag] if pool is None else [flag, rng.choice(pool)]
+        r = rng.random()
+        if r < 0.06 and pool:
+            group = [f"{flag}={group[1]}"]
+        elif r < 0.12:
+            group[0] = flag[:rng.randint(3, len(flag) - 1)]
+        elif r < 0.15 and pool:
+            group.pop()
+        at = len(tokens) if rng.random() < 0.85 else rng.randint(0, len(tokens))
+        tokens[at:at] = group
+    if rng.random() < 0.1:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_NOISE))
+    return [command, *tokens]
+
+
+def check_plain_reader(argvs):
+    """Check each request on its command's plain reader against argparse:
+    a namespace the reader returns is the one argparse returns, with no
+    extras, and the reader returns None for every request on which argparse
+    exits.  Returns (requests read, requests declined)."""
+    parser = cli.build_parser()
+    counts = [0, 0]
+    for argv in argvs:
+        read = parser.readers.get(argv[0]) if argv else None
+        if read is None:
+            assert not argv or argv[0] not in parser.commands, argv
+            continue
+        got = read(argv[1:])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want, extra = parser.commands[argv[0]].parse_known_args(
+                    argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit:
+            assert got is None, argv
+        else:
+            assert got is None or (vars(got), []) == (vars(want), extra), argv
+        counts[got is None] += 1
+    return tuple(counts)
+
+
+def fuzz_plain_reader(count, seed):
+    """`check_plain_reader` on `count` seeded requests over all four commands."""
+    rng = random.Random(seed)
+    return check_plain_reader([_fuzz_argv(rng) for _ in range(count)])
+
+
+def test_plain_reader_agrees_with_argparse():
+    read, declined = check_plain_reader([argv for argv, _ in _DISPATCH_EDGES])
+    assert read > 0 and declined > 0
+    # argparse reads these alike, but only because no option shares a prefix
+    readers = cli.build_parser().readers
+    assert all(readers[argv[0]](argv[1:]) is None for argv, _ in _HANDED_OVER)
+    read, declined = fuzz_plain_reader(2000, seed=0)
+    # both sides of the reader are well exercised
+    assert read > 400 and declined > 400
+
+
+def test_plain_requests_skip_argparse(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert cli.main(["compute", "0", "0", "0", "0"]) == 0
+
+    def refuse(args=None, namespace=None):
+        raise RuntimeError(f"argparse reached for {args}")
+
+    for parser in (cli._PARSER, *cli._PARSER.commands.values()):
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+    a = ["1", "0", "0", "1"]
+    for argv in (["compute", *a], ["compute", *a, "--format", "json"],
+                 ["compute", *a, "--format", "latex"], ["compute", *a, "--dual-pbw"],
+                 ["compute", *a, "--q1"], ["product", *_P8, "--format", "json"],
+                 ["table", "cluster", "1..3", "--format", "latex"], ["table", "layer", "2"],
+                 ["verify", "recursions", "--n-max", "3"]):
+        assert cli.main(argv) == 0, argv
     capsys.readouterr()
 
 
