@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .qarith import Terms, add_into, cluster_terms, compare, entry, power_product
+from .qarith import Terms, add_into, cluster_terms, compare, entry, name_tables, power_product
 
 VARS = ("U3", "U2", "U1", "U0", "P0", "P1")
 _LATEX_VARS = ("U_3", "U_2", "U_1", "U_0", "P_0", "P_1")
@@ -187,8 +187,12 @@ class CPoly(Terms):
                            for (y0, y1, y2, y3, y4, y5), c2 in other.terms.items()}, -qc)
         return CPoly._raw(quot)
 
-    def _mono(self, e, latex):
+    @staticmethod
+    def _mono(e, latex):
         return power_product(_LATEX_VARS if latex else VARS, e, latex)
+
+    _name_tables = name_tables(_mono)
+    _unit_key = _ZERO_EXP
 
 
 def const(c) -> CPoly:
@@ -288,15 +292,19 @@ def coefficient_polynomial(n: int) -> CPoly:
     Raises if a coefficient with an out-of-range monomial (negative
     exponent) is nonzero; their vanishing is exactly the combinatorial
     identity the formula asserts."""
+    # pascal[m][j] = C(m, j) for the rows m = 0..n + 1 both passes read; the
+    # entries past j = m are zero and not stored, so their products are skipped
+    pascal = [[comb(m, j) for j in range(m + 1)] for m in range(n + 2)]
     r = {}
     for k, l, t in cluster_terms(n, binomial):
         row = r.setdefault(k, [0] * (n + 1))
         t = -t if l % 2 else t
-        for b in range(n + 1):
-            row[b] += t * comb(n - l, b)
+        for b, x in enumerate(pascal[n - l]):
+            row[b] += t * x
     out = {}
     for a in range(0, n + 2):
-        cols = [(-comb(n + 1 - k, a) if k % 2 else comb(n + 1 - k, a), row) for k, row in r.items()]
+        cols = [(-pascal[n + 1 - k][a] if k % 2 else pascal[n + 1 - k][a], row)
+                for k, row in r.items() if a <= n + 1 - k]
         for b in range(0, n + 1):
             c = sum(ca * row[b] for ca, row in cols)
             if (a + b) % 2 == 0:

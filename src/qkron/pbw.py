@@ -67,7 +67,7 @@ relabelling of keys.
 
 from __future__ import annotations
 
-from .qarith import LaurentQ, Terms, add_shifted, entry, lq_one, power_product, qpow, read
+from .qarith import LaurentQ, Terms, add_shifted, entry, lq_one, name_tables, power_product, qpow, read
 
 Exp = tuple  # (a3, a2, a1, a0)
 
@@ -294,8 +294,11 @@ class PbwElement(Terms):
 
     # -- text and JSON forms --------------------------------------------------
 
-    def _mono(self, a, latex):
+    @staticmethod
+    def _mono(a, latex):
         return power_product(_U_LATEX if latex else _U_NAMES, a, latex)
+
+    _name_tables = name_tables(_mono)
 
     # kept in this class, where the benchmark tracer wraps them
     def __str__(self):

@@ -24,21 +24,26 @@ LaurentQ wraps is never a target, only a source.
 The canonical text form of a sum is one grammar, written only by
 ``Terms._render``: terms in decreasing key order, written ``a - b + c``
 (``a-b+c`` in LaTeX), each a signed coefficient times a monomial.  A
-subclass only names its monomials: ``_names`` gives, for a key, the term
-with coefficient 1 and the text that follows any other int coefficient,
-derived from ``_mono(key, latex)`` (most of them through
-:func:`power_product`).  ``LaurentQ`` looks the names of q^(h/2) up in a
-bounded table, ``_Q_NAMES``, instead of rebuilding them per term.  The
-sign, the coefficient and the unit are ``_render``'s, written in one pass
-over a sum's keys, sorted once: an int-coefficient sum (``LaurentQ``,
-``CPoly``) is one list comprehension over the keys and one join, a sum of
-one int-coefficient term (most often a power of q) is written directly,
-and a Laurent coefficient is written by ``_render`` on it, whose private
-``negate`` writes an all-negative one with its sign outside the
-parentheses without building its negation.  Every listing of terms
-outside ``_render`` (the JSON forms, the layer cache, the CLI's dual-PBW
-and product tables) sorts the keys the same way, never the pairs.  The
-one reader of that form is the identity reader below, through
+subclass only names its monomials: ``_names`` gives a key's monomial name,
+``""`` for the unit, made by ``_mono(key, latex)`` (most of them through
+:func:`power_product`).  ``LaurentQ``, ``PbwElement`` and ``CPoly``, whose
+names depend on the key alone, look them up in their own pair of
+:func:`name_tables`; ``FreeElement`` and ``TorusElement`` call ``_mono``
+for each key.  The sign, the coefficient and the unit are ``_render``'s,
+over a sum's keys, sorted once.  An int-coefficient sum (``LaurentQ``,
+``CPoly``) is joined by C-level maps over the keys, each term its signed
+coefficient's piece (``+ 3*``, ``- ``) from the table ``_SIGNED`` followed
+by its name, with no format per term; the unit's term is then written
+again and the first ``+`` dropped.  A sum of one int-coefficient term (most
+often a power of q) is written directly, and so is a Laurent coefficient
+of one term; a longer Laurent coefficient is written by ``_render`` on it,
+whose private ``negate`` writes an all-negative one with its sign outside
+the parentheses without building its negation.  Every table stops storing
+at a fixed cap, and holds pieces only, keyed by an int or an exponent
+tuple: no text of a coefficient or an element is kept.  Every listing of
+terms outside ``_render`` (the JSON forms, the layer cache, the CLI's
+dual-PBW and product tables) sorts the keys the same way, never the
+pairs.  The one reader of that form is the identity reader below, through
 :func:`read`.
 
 :func:`cluster_terms` is the one index set of the paper's explicit formula
@@ -123,10 +128,11 @@ class Terms:
     """A finite sum of monomials: ``terms`` maps each monomial key to its
     nonzero coefficient; its sum merges through `add_into`.  A subclass
     adds the product of keys and ``_mono(key, latex)``: the name of one
-    monomial, ``""`` for the unit, from which ``_names`` derives what
-    ``str`` and ``to_latex`` render; ``_scalar(c)`` is its element c * 1
-    if it takes int operands (and has powers), and ``_like`` builds a
-    result of the same kind."""
+    monomial, ``""`` for the unit, which ``_names`` hands to ``str`` and
+    ``to_latex`` (from ``_name_tables`` where the subclass sets them; a
+    subclass with int coefficients sets ``_unit_key``); ``_scalar(c)`` is
+    its element c * 1 if it takes int operands (and has powers), and
+    ``_like`` builds a result of the same kind."""
 
     __slots__ = ("terms",)
 
@@ -223,13 +229,22 @@ class Terms:
     def to_latex(self) -> str:
         return self._render(latex=True)
 
+    # (text, LaTeX) `name_tables` of a type whose names depend on the key alone
+    _name_tables = None
+    # the unit's key, in a type whose coefficients are ints
+    _unit_key = None
+
     def _names(self, latex):
-        """The name hook: a function from a key to the pair (its term with
-        coefficient 1, the text that follows any other int coefficient),
-        ``("q", "*q")`` say, and ``("1", "")`` for the unit; by default
-        derived from ``_mono(key, latex)``."""
+        """The name hook: a function from a key to its monomial name, ``""``
+        for the unit, as ``_mono(key, latex)`` makes it: a lookup in the
+        type's `_name_tables` where it has them, else a call of ``_mono``
+        each time (``FreeElement``, whose names are words, and
+        ``TorusElement``, whose names depend on its n)."""
+        tables = self._name_tables
+        if tables is not None:
+            return tables[latex].__getitem__
         mono = self._mono
-        return lambda k: _name_pair(mono(k, latex), latex)
+        return lambda k: mono(k, latex)
 
     def _render(self, latex=False, negate=False):
         """The canonical text form (LaTeX if latex): the terms in decreasing
@@ -239,11 +254,14 @@ class Terms:
         unit, a Laurent polynomial in parentheses (``(c)*m``, ``(c)m``, with
         ``1`` for the unit); a coefficient 1 is dropped, and the sign comes
         out when every coefficient is negative.  A sum's coefficients are
-        all ints or all Laurent polynomials.  The keys are sorted once, and
-        each term is written with its sign in one pass over them; the first
-        term's ``+`` is dropped at the end.  A single term with an int
-        coefficient, such as a power of q, is written directly: ``m``,
-        ``-m`` or ``3*m``, the same text as the general path.
+        all ints or all Laurent polynomials.  The keys are sorted once.  An
+        int-coefficient term is its signed coefficient's piece from
+        `_SIGNED` (``+ ``, ``- 3*``) joined to its name, both looked up and
+        joined by C-level maps over the keys; the unit's term, which these
+        pieces would write ``+ 3*``, is then written again, and the first
+        term's ``+`` is dropped.  A single term with an int coefficient,
+        such as a power of q, is written directly: ``m``, ``-m`` or ``3*m``,
+        and so is a Laurent coefficient of one term.
 
         negate (private, for int coefficients) writes -self by swapping the
         signs as they are written: a Laurent coefficient whose sign comes
@@ -256,35 +274,102 @@ class Terms:
         if len(t) == 1:
             (k, c), = t.items()
             if type(c) is int:
-                if negate:
-                    c = -c
-                one, tail = name(k)
-                return one if c == 1 else "-" + one if c == -1 else f"{c}{tail}"
+                return _int_term(-c if negate else c, name(k), latex)
         keys = sorted(t, reverse=True)
         plus, minus = ("+", "-") if latex else ("+ ", "- ")
         if type(t[keys[0]]) is int:
-            up, down = (minus, plus) if negate else (plus, minus)
-            parts = [up + one if c == 1 else down + one if c == -1
-                     else f"{up}{c}{tail}" if c > 0 else f"{down}{-c}{tail}"
-                     for k in keys for c, (one, tail) in ((t[k], name(k)),)]
+            parts = list(map(add, map(_SIGNED[latex][negate].__getitem__, map(t.__getitem__, keys)),
+                             map(name, keys)))
+            unit = self._unit_key
+            c = t.get(unit)
+            if c is not None:
+                if negate:
+                    c = -c
+                parts[keys.index(unit)] = f"{plus}{c}" if c > 0 else f"{minus}{-c}"
         else:
+            qname = LaurentQ._name_tables[latex].__getitem__
+            star = "" if latex else "*"
             parts = []
             for k in keys:
                 c = t[k]
-                flip = max(c.terms.values()) < 0
-                one = name(k)[0]
-                parts.append((minus if flip else plus) + (
-                    one if c.terms == _UNITS[flip]
-                    else f"({c._render(True, flip)}){one}" if latex
-                    else f"({c._render(False, flip)})*{one}"))
+                if len(c.terms) == 1:
+                    # one term v q^(h/2), as most coefficients of small elements are,
+                    # written here with no nested _render call
+                    (h, v), = c.terms.items()
+                    flip = v < 0
+                    body = _int_term(-v if flip else v, qname(h), latex)
+                else:
+                    flip = max(c.terms.values()) < 0
+                    body = c._render(latex, flip)
+                sign = minus if flip else plus
+                m = name(k) or "1"
+                parts.append(sign + m if body == "1" else f"{sign}({body}){star}{m}")
         first = parts[0]
         parts[0] = first[len(plus):] if first[0] == "+" else "-" + first[len(minus):]
         return ("" if latex else " ").join(parts)
 
 
-def _name_pair(m, latex):
-    """The names (see `Terms._names`) of the monomial named m."""
-    return (m, m if latex else "*" + m) if m else ("1", "")
+def _int_term(c, m, latex):
+    """The term c m, for an int c != 0 and a monomial named m (``""`` for
+    the unit): ``m``, ``-m``, ``3*m`` (``3m``), or c alone on the unit."""
+    return (str(c) if not m else m if c == 1 else "-" + m if c == -1
+            else f"{c}{m}" if latex else f"{c}*{m}")
+
+
+class _Pieces(dict):
+    """The one capped table of the writer: key -> a piece of text, made by
+    make(key) on first use and stored only while the table holds fewer
+    than cap pieces; past that, a new key's piece is made each time and not
+    stored, so the table never holds more than cap.  The names tables
+    (`name_tables`) and the signed-coefficient tables (`_SIGNED`) are its
+    instances.  It holds pieces only, a monomial's name or a signed int
+    coefficient, never the text of a coefficient or an element."""
+
+    __slots__ = ("make", "cap")
+
+    def __init__(self, make, cap):
+        super().__init__()
+        self.make = make
+        self.cap = cap
+
+    def __missing__(self, k):
+        piece = self.make(k)
+        if len(self) < self.cap:
+            self[k] = piece
+        return piece
+
+
+# names per table: the fullest table holds 2,201 names after the seed-1 list
+# of perfbench's `queries` workload, which writes layers 0..8, the diagonal
+# cores n <= 14 and the cluster rows it asks for
+_NAMES_CAP = 4096
+
+
+def name_tables(mono):
+    """The (text, LaTeX) names tables of a type whose name of a monomial,
+    mono(key, latex), depends on the key alone (see `Terms._names`)."""
+    return tuple(_Pieces(lambda k, latex=latex: mono(k, latex), _NAMES_CAP) for latex in (False, True))
+
+
+def _signed_piece(latex, negate):
+    """The maker of a signed int coefficient's piece, the text written before
+    a term's name: ``+ `` and ``- `` for 1 and -1, ``+ 3*`` or ``-3`` (LaTeX)
+    for any other; negate swaps the signs."""
+    plus, minus = ("+", "-") if latex else ("+ ", "- ")
+    if negate:
+        plus, minus = minus, plus
+    star = "" if latex else "*"
+
+    def make(c):
+        sign, c = (plus, c) if c > 0 else (minus, -c)
+        return sign if c == 1 else f"{sign}{c}{star}"
+    return make
+
+
+# signed coefficients per table: the fullest holds 2,308 after the same list
+_SIGNED_CAP = 4096
+_SIGNED = tuple(tuple(_Pieces(_signed_piece(latex, negate), _SIGNED_CAP) for negate in (False, True))
+                for latex in (False, True))
 
 
 def power_product(names, exps, latex: bool) -> str:
@@ -394,8 +479,18 @@ class LaurentQ(Terms):
 
     # -- text form ----------------------------------------------------------
 
-    def _names(self, latex):
-        return _Q_NAMES[latex].__getitem__
+    @staticmethod
+    def _mono(h, latex):
+        """The name of q^(h/2): ``q``, ``q^k``, ``q^(h/2)`` (``q^{k}``,
+        ``q^{h/2}``), ``""`` for h = 0."""
+        if not h:
+            return ""
+        if latex:
+            return f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
+        return f"q^({h}/2)" if h % 2 else "q" if h == 2 else f"q^{h // 2}"
+
+    _name_tables = name_tables(_mono)
+    _unit_key = 0
 
     # kept in this class, where the benchmark tracer wraps it
     def __str__(self):
@@ -407,38 +502,8 @@ class LaurentQ(Terms):
         return read(s, {}, _ONE)
 
 
-class _QNames(dict):
-    """h -> the names of q^(h/2) (see `Terms._names`), in text or LaTeX.
-    A name is stored on first use for |h| <= _Q_NAMES_BOUND, which covers
-    layers 0..8 (|h| <= 66) and the diagonal cores n <= 14 (|h| <= 644);
-    a key outside is formatted each time and not stored, so the table
-    never holds more than 2 * _Q_NAMES_BOUND + 1 names."""
-
-    __slots__ = ("latex",)
-
-    def __init__(self, latex):
-        super().__init__()
-        self.latex = latex
-
-    def __missing__(self, h):
-        if not h:
-            m = ""
-        elif self.latex:
-            m = f"q^{{{h // 2}}}" if h % 2 == 0 else f"q^{{{h}/2}}"
-        else:
-            m = f"q^({h}/2)" if h % 2 else "q" if h == 2 else f"q^{h // 2}"
-        names = _name_pair(m, self.latex)
-        if abs(h) <= _Q_NAMES_BOUND:
-            self[h] = names
-        return names
-
-
-_Q_NAMES_BOUND = 1024
-_Q_NAMES = (_QNames(False), _QNames(True))
-
 _ZERO = LaurentQ._raw({})
 _ONE = LaurentQ._raw({0: 1})
-_UNITS = (_ONE.terms, {0: -1})  # the terms of 1 and of -1
 
 
 def lq_zero() -> LaurentQ:

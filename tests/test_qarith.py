@@ -260,6 +260,91 @@ def test_text_forms_match_the_term_by_term_oracle():
                                 (2, 0, 0, 1): -lq_one(), (0, 0, 0, 3): LaurentQ({2: -1})})
             _assert_renders_as_oracle(y)
             _assert_renders_as_oracle(-y)
+    _assert_edges_render_as_oracle()
+
+
+def _assert_int_sum_renders_as_oracle(x):
+    # an int-coefficient sum, also written negated through _render's negate
+    _assert_renders_as_oracle(x)
+    assert (x._render(negate=True), x._render(True, True)) == (_oracle_render(-x), _oracle_render(-x, True))
+
+
+def _assert_edges_render_as_oracle():
+    """The edges of the writer's tables: int coefficients larger than the
+    signed table holds, a unit term between other terms, and `PbwElement`
+    and `CPoly` keys past the names table's cap."""
+    cap = qarith._SIGNED_CAP
+    for c in (cap + 1, 10 ** 6, -10 ** 6, 2 ** 70, -2 ** 70):
+        # the unit (key 0) sits between q^2, q^(1/2) and q^(-3/2), q^-4
+        x = LaurentQ({4: c, 1: -1, 0: c, -3: 1, -8: -c})
+        _assert_int_sum_renders_as_oracle(x)
+        _assert_int_sum_renders_as_oracle(-x)
+        _assert_int_sum_renders_as_oracle(LaurentQ({0: c}))
+        _assert_int_sum_renders_as_oracle(LaurentQ({-7: c}))
+        big = qarith._NAMES_CAP + 1
+        u = classical.CPoly({(0, big, 0, 1, 0, 0): c, (0, 0, 0, 0, 0, 0): -3, (0, 0, 0, 0, 0, big): 1,
+                             (1, 0, 0, 0, 0, 0): -1, (0, 0, 0, 0, 0, 1): -c})
+        _assert_int_sum_renders_as_oracle(u)
+        _assert_int_sum_renders_as_oracle(-u)
+        y = pbw.PbwElement({(big, 0, 0, 1): x, (0, 0, 0, 0): LaurentQ({-big: c}), (0, big, 0, 0): -lq_one(),
+                            (1, 0, big, 0): LaurentQ({big: -c}), (0, 0, 0, big): LaurentQ({0: c})})
+        _assert_renders_as_oracle(y)
+        _assert_renders_as_oracle(-y)
+
+
+def test_writer_tables_stop_at_their_caps():
+    # more distinct coefficients and keys than any table holds: every text
+    # still matches the oracle, no table grows past its cap, and the edges
+    # then render with every table full
+    tables = ([t for row in qarith._SIGNED for t in row] + list(LaurentQ._name_tables)
+              + list(pbw.PbwElement._name_tables) + list(classical.CPoly._name_tables))
+    n = max(t.cap for t in tables) + 100
+    x = LaurentQ({2 * i - n: (i + 2) * (-1) ** i for i in range(n)})
+    _assert_int_sum_renders_as_oracle(x)
+    u = classical.CPoly({(i % 71, i // 71, 0, 0, 1, 0): 3 * i - n for i in range(n)})
+    _assert_int_sum_renders_as_oracle(u)
+    # one-term coefficients, written inline, and two-term ones, written by their own _render
+    y = pbw.PbwElement({(i % 71, i // 71, 0, 1): LaurentQ({i - n: -i - 2}) if i % 3 else LaurentQ({i: 1, -1: -i - 2})
+                        for i in range(n)})
+    _assert_renders_as_oracle(y)
+    assert all(len(t) <= t.cap for t in tables)
+    assert all(len(t) == t.cap for t in qarith._SIGNED[0])
+    assert len(pbw.PbwElement._name_tables[0]) == len(classical.CPoly._name_tables[0]) == qarith._NAMES_CAP
+    _assert_edges_render_as_oracle()
+    assert all(len(t) <= t.cap for t in tables)
+
+
+def fuzz_writer(n_laurent, n_pbw, seed):
+    """Write n_laurent seeded LaurentQ and n_pbw PbwElement values, with
+    coefficients up to 2^70 in size and half-exponents up to 5000: each
+    must read back to itself, and its text and LaTeX must be the oracle's
+    (the reader also takes a juxtaposed coefficient, so only the oracle
+    sees a dropped ``*``).  At 20,000 and 2,000 values the signed tables
+    that ``str`` and ``to_latex`` use and the names tables of both types
+    fill to their caps.  Returns a summary line; raises AssertionError on
+    the first value that fails."""
+    rng = random.Random(seed)
+
+    def coef():
+        return rng.choice((1, -1, rng.randint(-99, 99), rng.randint(-2 ** 70, 2 ** 70))) or 1
+
+    def laurent():
+        span = rng.choice((3, 60, 700, 5000))
+        return LaurentQ({rng.randint(-span, span): coef() for _ in range(rng.randint(1, 8))})
+
+    values = [laurent() for _ in range(n_laurent)]
+    values += [pbw.PbwElement({tuple(rng.randint(0, 12) for _ in range(4)): laurent()
+                               for _ in range(rng.randint(1, 6))}) for _ in range(n_pbw)]
+    for x in values:
+        text = str(x)
+        assert type(x).parse(text) == x, f"{x!r} reads back as {type(x).parse(text)!r}"
+        assert text == _oracle_render(x), f"{text!r} is not the oracle's {_oracle_render(x)!r}"
+        assert x.to_latex() == _oracle_render(x, True), f"LaTeX of {x!r}: {x.to_latex()!r}"
+    return f"{n_laurent} LaurentQ and {n_pbw} PbwElement values read back and match the oracle"
+
+
+def test_writer_round_trips_seeded_values():
+    assert fuzz_writer(2000, 200, seed=7).startswith("2000 LaurentQ")
 
 
 def test_writer_and_dual_pbw_negate_and_multiply_no_coefficient(monkeypatch):
