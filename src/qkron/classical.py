@@ -42,9 +42,10 @@ _NVARS = 6
 _ZERO_EXP = (0,) * _NVARS
 
 
-def _check_int(c):
+def _check_int(c) -> int:
     if not isinstance(c, int):
         raise TypeError(f"CPoly coefficients are ints, got {c!r}")
+    return int(c)  # an exact int, as the writer expects, not a bool or an IntEnum
 
 
 def binomial(n: int, k: int) -> int:
@@ -67,10 +68,7 @@ class CPoly(Terms):
     __slots__ = ()
 
     def __init__(self, terms=None):
-        if terms:
-            for c in terms.values():
-                _check_int(c)
-        super().__init__(terms)
+        super().__init__(terms and {k: _check_int(c) for k, c in terms.items()})
 
     @classmethod
     def _scalar(cls, c: int):

@@ -35,7 +35,8 @@ within a minute in 2 GB.  A bound past the limit of a suite it goes to (for
 before any suite runs; so is a `table cluster` range past `_CLUSTER_LIMIT`,
 before any row is built.  Each limit was measured alone, so a request with
 both of a suite's bounds at their limits, or `verify all` at the limits,
-may take minutes: it runs every suite and bound it names in turn.
+may take minutes or run out of memory (exit 3): it runs every suite and
+bound it names in turn.
 This module imports at start every module that a command other than
 `verify` can reach: `qarith`, `pbw`, `dcb` and `classical`.  `free_serre`
 and `qseed` are imported by the suite runner that calls them, so a
@@ -95,7 +96,7 @@ _SUITE_TABLE = {
                lambda n, k, seed, mode: dcb.verify_layers(k, seeds=(seed + 1, seed + 2))),
     "recursions": ({"n_max": (6, 42)}, lambda n, k, seed, mode: dcb.verify_recursions(n)),
     "products": ({"n_max": (5, 42)}, lambda n, k, seed, mode: dcb.verify_products(n)),
-    "closed-formulas": ({"n_max": (4, 16), "k_max": (6, 109)}, lambda n, k, seed, mode:
+    "closed-formulas": ({"n_max": (4, 16), "k_max": (6, 120)}, lambda n, k, seed, mode:
                         dcb.verify_closed_formulas(n) + dcb.verify_power_formulas(k)),
     "pbw-expansion": ({"n_max": (3, 17)}, lambda n, k, seed, mode: dcb.verify_pbw_expansion(n)),
     "classical": ({"n_max": (10, 55)}, lambda n, k, seed, mode:

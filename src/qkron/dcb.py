@@ -107,7 +107,7 @@ from pathlib import Path
 from . import pbw
 from .qarith import (LaurentQ, add_into, add_shifted, cluster_terms, compare, diff_detail, entry,
                      half_pow, identities, lq_zero, parse_identity, qpow, quantum_binom,
-                     split_antisymmetric)
+                     quantum_binom_row, split_antisymmetric)
 
 Exp = tuple
 
@@ -834,13 +834,13 @@ def verify_closed_formulas(n_max: int) -> list:
 
 
 def power_formulas(k: int):
-    """Closed expansions of p1^k and p0^k in the ordered monomial basis."""
+    """Closed expansions of p1^k and p0^k in the ordered monomial basis, from the row [k i]."""
     if k < 0:
         raise ValueError("needs k >= 0")
     e1 = {}
     e0 = {}
-    for i in range(0, k + 1):
-        c = quantum_binom(k, i) * qpow(2 * i * i - i * k - k * k + i + k)
+    for i, c in enumerate(quantum_binom_row(k)):
+        c = c * qpow(2 * i * i - i * k - k * k + i + k)
         if i % 2:
             c = -c
         e1[(k - i, 2 * i, k - i, 0)] = c
@@ -863,16 +863,12 @@ def pbw_expansion_formula(n: int) -> dict:
     Summands with a negative coordinate must cancel; this is asserted
     rather than assumed.
     """
+    rows = [list(quantum_binom_row(m)) for m in range(n + 2)]
     acc = {}
-    for k, l, c_kl in cluster_terms(n, quantum_binom):
-        for s in range(0, n + 2 - k):
-            cs = quantum_binom(n + 1 - k, s)
-            if not cs:
-                continue
-            for r in range(0, n + 1 - l):
-                cr = quantum_binom(n - l, r)
-                if not cr:
-                    continue
+    # cluster_terms also asks for [-1 0], at (k, l) = (n + 1, 0), which is outside the rows
+    for k, l, c_kl in cluster_terms(n, lambda m, j: rows[m][j] if 0 <= j <= m else quantum_binom(m, j)):
+        for s, cs in enumerate(rows[n + 1 - k]):
+            for r, cr in enumerate(rows[n - l]):
                 e = (-l - 2 * k * l + 2 * n + k * n + l * n - 3 * r - l * r - r * r
                      + s - k * s + 2 * r * s - s * s)
                 coef = c_kl * cs * cr * qpow(e)

@@ -1,8 +1,10 @@
 """Exact coefficient arithmetic for the quantum Kronecker algebra.
 
 Everything here is exact: Laurent polynomials in q^(1/2) with
-arbitrary-precision integer coefficients, quantum integers, binomials and
-factorials, and the bar involution q -> q^(-1).  There is no floating point
+arbitrary-precision integer coefficients, quantum integers, factorials and
+binomials, and the bar involution q -> q^(-1).  A row of quantum binomials
+comes from the Gaussian product formula (`quantum_binom_row`), and no memo
+of quantum numbers is kept.  There is no floating point
 and no rational anywhere in the package: the Serre check evaluates at an
 integer point, 2^B over the integers or a drawn point modulo a prime
 (``free_serre``).
@@ -86,6 +88,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import add, mul
 
 
@@ -400,12 +403,12 @@ class LaurentQ(Terms):
                 if not isinstance(c, int):
                     raise TypeError(f"LaurentQ coefficients are ints, got {c!r}")
                 if c:
-                    t[h] = c
+                    t[h] = int(c)  # an exact int, as the writer expects, not a bool or an IntEnum
         self.terms = t
 
     @classmethod
     def from_int(cls, c: int) -> "LaurentQ":
-        return cls._raw({0: c} if c else {})
+        return cls._raw({0: c if type(c) is int else int(c)} if c else {})
 
     _scalar = from_int
 
@@ -529,7 +532,6 @@ def bar(x: LaurentQ) -> LaurentQ:
     return x.bar()
 
 
-@lru_cache(maxsize=None)
 def quantum_int(k: int) -> LaurentQ:
     """The quantum integer [k] = (q^k - q^(-k)) / (q - q^(-1)).
 
@@ -541,42 +543,44 @@ def quantum_int(k: int) -> LaurentQ:
     return LaurentQ._raw({2 * e: 1 for e in range(k - 1, -k, -2)})
 
 
-@lru_cache(maxsize=None)
 def quantum_factorial(k: int) -> LaurentQ:
     """[k]! = [k][k-1]...[1], with [0]! = 1."""
     if k < 0:
         raise ValueError("factorial needs k >= 0")
-    if k == 0:
-        return _ONE
-    return quantum_factorial(k - 1) * quantum_int(k)
+    return reduce(mul, map(quantum_int, range(2, k + 1)), _ONE)
 
 
-_BINOM_CACHE: dict = {}
+def quantum_binom_row(n: int):
+    """Yield [n 0], [n 1], ..., [n n] for n >= 0: [n j] = q^(-j(n-j)) G(n, j)(q^2),
+    where the Gaussian binomial G(n, j) in x, a list of j(n-j) + 1 positive ints,
+    is G(n, j-1) times 1 - x^(n-j+1), divided exactly by 1 - x^j (a prefix sum
+    with stride j).  Nothing is kept between calls."""
+    g = [1]
+    yield _ONE
+    for j in range(1, n + 1):
+        d = n + 1 - j
+        g = [a - b for a, b in zip(g + [0] * d, [0] * d + g)]
+        for i in range(j, len(g)):
+            g[i] += g[i - j]
+        del g[-j:]
+        s = 2 * j * (n - j)
+        yield LaurentQ._raw(dict(zip(range(-s, s + 1, 4), g)))
 
 
 def quantum_binom(n: int, k: int) -> LaurentQ:
-    """The quantum binomial coefficient [n k], defined for all integers.
-
-    For n >= 0 this runs the q-Pascal recurrence
-    [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1]; for n < 0 it reflects,
-    [n k] = (-1)^k [k-n-1 k], as [-m] = -[m] in the defining product.
-    Conventions: [n k] = 0 for k < 0, and [n 0] = 1.
-    """
+    """The quantum binomial coefficient [n k], defined for all integers: for
+    n >= 0 entry min(k, n - k) of `quantum_binom_row`, and for n < 0 the
+    reflection [n k] = (-1)^k [k-n-1 k], as [-m] = -[m] in the defining
+    product.  Conventions: [n k] = 0 for k < 0 and for 0 <= n < k, and
+    [n 0] = 1."""
     if k < 0:
         return _ZERO
-    if k == 0:
-        return _ONE
-    if n >= 0:
-        if k > n:
-            return _ZERO
-        key = (n, k)
-        hit = _BINOM_CACHE.get(key)
-        if hit is None:
-            hit = qpow(k) * quantum_binom(n - 1, k) + qpow(k - n) * quantum_binom(n - 1, k - 1)
-            _BINOM_CACHE[key] = hit
-        return hit
-    hit = quantum_binom(k - n - 1, k)
-    return -hit if k % 2 else hit
+    if n < 0:
+        hit = quantum_binom(k - n - 1, k)
+        return -hit if k % 2 else hit
+    if k > n:
+        return _ZERO
+    return next(islice(quantum_binom_row(n), min(k, n - k), None))
 
 
 def cluster_terms(m: int, binom):

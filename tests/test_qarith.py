@@ -1,3 +1,4 @@
+import enum
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from qkron.qarith import (
     lq_zero,
     qpow,
     quantum_binom,
+    quantum_binom_row,
     quantum_factorial,
     quantum_int,
     split_antisymmetric,
@@ -65,6 +67,18 @@ def test_pascal_identities():
         b = quantum_binom(n, k)
         assert b == qpow(k) * quantum_binom(n - 1, k) + qpow(k - n) * quantum_binom(n - 1, k - 1)
         assert b == qpow(-k) * quantum_binom(n - 1, k) + qpow(n - k) * quantum_binom(n - 1, k - 1)
+
+
+def test_quantum_binom_is_the_q_pascal_recursion():
+    # the oracle: row n of the q-Pascal triangle, [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1],
+    # run here from row n - 1; the product formula must give every entry of rows 0..40
+    row = [lq_one()]
+    for n in range(0, 41):
+        if n:
+            prev = [lq_zero()] + row + [lq_zero()]  # prev[k + 1] = [n-1 k] for k = -1..n
+            row = [qpow(k) * prev[k + 1] + qpow(k - n) * prev[k] for k in range(n + 1)]
+        assert list(quantum_binom_row(n)) == row, n
+        assert [quantum_binom(n, k) for k in range(-2, n + 3)] == [lq_zero()] * 2 + row + [lq_zero()] * 2, n
 
 
 def test_specialization_at_q1():
@@ -290,6 +304,33 @@ def _assert_edges_render_as_oracle():
                             (1, 0, big, 0): LaurentQ({big: -c}), (0, 0, 0, big): LaurentQ({0: c})})
         _assert_renders_as_oracle(y)
         _assert_renders_as_oracle(-y)
+
+
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("c", [True, _Three.THREE], ids=["bool", "IntEnum"])
+def test_an_int_subclass_writes_and_reads_back_as_its_int(c):
+    # an operand or coefficient that is a bool or an IntEnum is stored as the exact int it
+    # equals, so the writer prints its value (never "True") and the text reads back alike
+    n = int(c)
+    zero = (0,) * 6
+    pairs = [(qpow(1) + c, qpow(1) + n), (LaurentQ.from_int(c), LaurentQ.from_int(n)),
+             (LaurentQ({2: c, -1: -c}), LaurentQ({2: n, -1: -n})), (c + qpow(-1), n + qpow(-1)),
+             (pbw.generator(1) + c, pbw.generator(1) + n), (pbw.scalar(c), pbw.scalar(n)),
+             (classical.CPoly({zero: c}), classical.CPoly({zero: n})), (classical.const(c), classical.const(n)),
+             (classical.U1 + c, classical.U1 + n)]
+    for x, want in pairs:
+        assert (str(x), x.to_latex(), x) == (str(want), want.to_latex(), want)
+        coefs = x.terms.values()
+        if isinstance(x, pbw.PbwElement):
+            coefs = [v for lq in coefs for v in lq.terms.values()]
+        assert all(type(v) is int for v in coefs), repr(x)
+        # CPoly has no reader of its text
+        if not isinstance(x, classical.CPoly):
+            back = type(x).parse(str(x))
+            assert back == want and str(back) == str(want)
 
 
 def test_writer_tables_stop_at_their_caps():
