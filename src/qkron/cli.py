@@ -22,11 +22,19 @@ argument, `-h`, an unknown command or `--`.  `main` calls the handler each
 subcommand names, with that subcommand's parser, and flushes stdout; a
 usage error that `main` or a handler finds is that parser's error, so it prints
 ``usage: qkron <command> ...`` and ``qkron <command>: error: ...`` as
-argparse's own errors for the command do.  A `RecursionError` or
-`MemoryError` from any handler is exit 3, and a `BrokenPipeError` is exit
-141 with nothing on stderr.  The layer cache (`QCA_CACHE_DIR`) is write-only and
-never changes an exit code: a damaged file is rewritten silently, and a
-path that cannot be used is one warning.
+argparse's own errors for the command do.  A `RecursionError`,
+`MemoryError` or `OverflowError` (an index too large for the interpreter)
+from any handler is exit 3, and a `BrokenPipeError` is exit 141 with
+nothing on stderr.  Exit 3 too, before any work, is a `compute` or
+`product` whose answer may hold a number longer than the interpreter
+writes as text (`sys.get_int_max_str_digits`; the bound is 4 total^2 for
+an answer on layer total), and a `verify` whose layers report would name
+such a seed.  Every `--format json` answer is written by format strings
+around `pbw.json_terms`, the JSON writer of terms the layer cache shares,
+with no tree of dicts; the `json` module writes only the `verify` report.
+The layer cache (`QCA_CACHE_DIR`) is write-only and never changes an exit
+code: a damaged file is rewritten silently, and a path that cannot be
+used is one warning.
 `verify` runs its suites one after another in this process, in `SUITES`
 order.  Each bound a suite reads has a limit, listed in `_SUITE_TABLE`: the
 largest value that, with the suite's other bound at its default, answered
@@ -144,10 +152,35 @@ def _bname(a) -> str:
     return f"B[{','.join(map(str, a))}]"
 
 
+# the interpreter's limit on the digits of an int written as text, 0 for none
+# (an interpreter without the limit has no getter); the limit stays, since it
+# keeps the reading of argv linear
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _past_digit_limit(n: int, what: str) -> bool:
+    """Whether n, a bound on the numbers `what` may hold, is past the
+    interpreter's limit on the digits of an int written as text, read when
+    called; if so, say so in one line on stderr."""
+    limit = _digit_limit()
+    # below 8^limit, n is below 10^limit: most requests build no power of ten
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+        print(f"error: {what} may hold numbers of more than {limit} digits, the "
+              "interpreter's limit for integer text", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_compute(args, parser) -> int:
     a = tuple(args.a)
     if any(x < 0 for x in a):
         parser.error("exponents must be non-negative")
+    # every q-exponent measured in an answer is at most total^2 in size (b(a) is
+    # at most total(a)^2 / 2, and B[0,0,0,n] B[n,0,0,0] carries q^(-total^2)); a
+    # half-exponent, written for an odd one, is twice that, and 4 total^2 keeps
+    # a factor 2 to spare
+    if _past_digit_limit(4 * sum(a) ** 2, "the answer"):
+        return EXIT_RESOURCE
     # the cap is on the core (x, 0, 0, w) that b_element's p0/p1 stripping
     # leaves, checked before any build so that it never depends on earlier
     # requests; b_element recurses once per step, so a stripping as deep as
@@ -161,28 +194,28 @@ def cmd_compute(args, parser) -> int:
         print(f"error: layer {x + w} exceeds cap {args.max_layer}", file=sys.stderr)
         return EXIT_RESOURCE
     elem = dcb.b_element(a)
-    out = {}
+    json_form = args.format == "json"
+    parts = []  # the JSON answer's members, each written as text
     if args.dual_pbw:
         d = dcb.expand_in_dual_pbw(elem)
-        keys = sorted(d, reverse=True)
-        if args.format == "json":
-            out["dual_pbw"] = [{"exp": list(e), "coef": str(d[e])} for e in keys]
+        if json_form:
+            parts.append('"dual_pbw": ' + pbw.json_terms(d, "exp"))
         else:
             latex = args.format == "latex"
             print("\n".join([f"E[{','.join(map(str, e))}]: {d[e].to_latex() if latex else d[e]}"
-                             for e in keys]))
+                             for e in sorted(d, reverse=True)]))
     if args.q1:
         q1 = elem.specialize_q1()
-        if args.format == "json":
-            out["q1"] = str(q1)
+        if json_form:
+            parts.append('"q1": "%s"' % q1)  # U/P names and the coefficient grammar: no escape
         elif args.format == "latex":
             print(q1.to_latex())
         else:
             print(q1)
-    if args.format == "json":
-        out["a"] = list(a)
-        out["element"] = elem.to_json_dict()
-        print(json.dumps(out))
+    if json_form:
+        parts.append('"a": [%d, %d, %d, %d], "element": {"terms": %s}'
+                     % (*a, pbw.json_terms(elem.terms, "exp")))
+        print("{%s}" % ", ".join(parts))
     elif not args.dual_pbw and not args.q1:
         print(elem.to_latex() if args.format == "latex" else elem)
     return EXIT_OK
@@ -197,13 +230,16 @@ def cmd_product(args, parser) -> int:
         print(f"error: product lives on layer {k} > --max-layer {args.max_layer}",
               file=sys.stderr)
         return EXIT_RESOURCE
+    # the bound of compute, on layer k
+    if _past_digit_limit(4 * k ** 2, "the product"):
+        return EXIT_RESOURCE
     d = dcb.b_product(a, b)
-    keys = sorted(d, reverse=True)
     if args.format == "json":
-        print(json.dumps({"a": list(a), "b": list(b),
-                          "terms": [{"c": list(e), "coef": str(d[e])} for e in keys]}))
+        print('{"a": [%d, %d, %d, %d], "b": [%d, %d, %d, %d], "terms": %s}'
+              % (*a, *b, pbw.json_terms(d, "c")))
     else:
-        parts = [f"({d[e]})*{_bname(e)}" if d[e] != 1 else _bname(e) for e in keys]
+        parts = [f"({d[e]})*{_bname(e)}" if d[e] != 1 else _bname(e)
+                 for e in sorted(d, reverse=True)]
         print(f"{_bname(a)}*{_bname(b)} = " + (" + ".join(parts) if parts else "0"))
     return EXIT_OK
 
@@ -236,6 +272,9 @@ def cmd_verify(args, parser) -> int:
                 print(f"error: {flag} {value} exceeds the {name} suite's limit {bounds[key][1]}",
                       file=sys.stderr)
                 return EXIT_RESOURCE
+    # the layers suite names seed + 1 and seed + 2 in its report
+    if "layers" in names and _past_digit_limit(abs(args.seed) + 2, "the layers report"):
+        return EXIT_RESOURCE
     params = {"n_max": args.n_max, "k_max": args.k_max, "seed": args.seed,
               "mode": args.mode}
     results = [run_suite(n, params) for n in names]
@@ -282,8 +321,9 @@ def cmd_table(args, parser) -> int:
                          "laurent": classical.cluster_variable(n),
                          "polynomial": classical.polynomial_form(n)})
         if args.format == "json":
-            print(json.dumps([{"n": r["n"], "laurent": str(r["laurent"]),
-                               "polynomial": str(r["polynomial"])} for r in rows]))
+            # U/P names and the coefficient grammar need no JSON escape
+            print("[%s]" % ", ".join(['{"n": %d, "laurent": "%s", "polynomial": "%s"}'
+                                      % (r["n"], r["laurent"], r["polynomial"]) for r in rows]))
         else:
             for r in rows:
                 if args.format == "latex":
@@ -304,8 +344,9 @@ def cmd_table(args, parser) -> int:
             for a in sorted(tab.entries, reverse=True):
                 rows.append({"a": a, "element": tab.entries[a]})
         if args.format == "json":
-            print(json.dumps([{"a": list(r["a"]), "element": r["element"].to_json_dict()}
-                              for r in rows]))
+            print("[%s]" % ", ".join(['{"a": [%d, %d, %d, %d], "element": {"terms": %s}}'
+                                      % (*r["a"], pbw.json_terms(r["element"].terms, "exp"))
+                                      for r in rows]))
         else:
             for r in rows:
                 body = r["element"].to_latex() if args.format == "latex" else str(r["element"])
@@ -488,7 +529,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (MemoryError, RecursionError) as exc:
+    except (MemoryError, OverflowError, RecursionError) as exc:
         print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
               file=sys.stderr)
         return EXIT_RESOURCE

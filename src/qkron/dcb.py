@@ -456,20 +456,16 @@ def _layer_path(k: int, cache_dir) -> Path:
 def _layer_bytes(tab: LayerTable):
     """The layer's cache file in pieces of one entry each: the bytes of
     `json.dumps` of [{"a": list(a), "element": B[a].to_json_dict()}, ...] in
-    key order, each entry written by one format around its coefficients'
-    text, its terms in decreasing key order as `to_json_dict` lists them;
-    both sort the keys, not the (key, coefficient) pairs.  That text needs
-    no JSON escape, since the coefficient grammar writes only ASCII digits,
-    spaces and ``q^()/*+-``; the tests and CI check these bytes against
-    `json.dumps`."""
+    key order, each entry one format around the listing of its terms by
+    `pbw.json_terms`, the JSON writer the CLI shares (whose docstring says
+    why no JSON escape is needed); the tests and CI check these bytes
+    against `json.dumps`."""
     yield b"["
     sep = ""
     entries = tab.entries
     for a in sorted(entries):
-        t = entries[a].terms
-        terms = ", ".join(['{"exp": [%d, %d, %d, %d], "coef": "%s"}' % (*b, t[b])
-                           for b in sorted(t, reverse=True)])
-        yield ('%s{"a": [%d, %d, %d, %d], "element": {"terms": [%s]}}' % (sep, *a, terms)).encode()
+        terms = pbw.json_terms(entries[a].terms, "exp")
+        yield ('%s{"a": [%d, %d, %d, %d], "element": {"terms": %s}}' % (sep, *a, terms)).encode()
         sep = ", "
     yield b"]"
 

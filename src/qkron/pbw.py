@@ -322,6 +322,21 @@ class PbwElement(Terms):
         return read(s, U_POWERS, one())
 
 
+def json_terms(terms: dict, key: str) -> str:
+    """The JSON list of a term dict, exponent 4-tuple -> LaurentQ: the text
+    `json.dumps` writes for [{key: list(e), "coef": str(terms[e])}, ...] in
+    decreasing key order, as `to_json_dict` lists an element's terms (both
+    sort the keys, not the (key, coefficient) pairs), each entry one format
+    around its coefficient's text.  That text needs no JSON escape, since
+    the coefficient grammar writes only ASCII digits, spaces and
+    ``q^()/*+-``, and neither does `key`, a name of ASCII letters.  It is
+    the one JSON writer of terms: the layer cache (`dcb._layer_bytes`) and
+    every `--format json` answer of the CLI go through it, and the tests
+    and CI check its bytes against `json.dumps`."""
+    return "[" + ", ".join([f'{{"{key}": [{e[0]}, {e[1]}, {e[2]}, {e[3]}], "coef": "{terms[e]}"}}'
+                            for e in sorted(terms, reverse=True)]) + "]"
+
+
 # -- constructors -------------------------------------------------------------
 
 

@@ -43,10 +43,12 @@ whose private ``negate`` writes an all-negative one with its sign outside
 the parentheses without building its negation.  Every table stops storing
 at a fixed cap, and holds pieces only, keyed by an int or an exponent
 tuple: no text of a coefficient or an element is kept.  Every listing of
-terms outside ``_render`` (the JSON forms, the layer cache, the CLI's
-dual-PBW and product tables) sorts the keys the same way, never the
-pairs.  The one reader of that form is the identity reader below, through
-:func:`read`.
+terms outside ``_render`` sorts the keys the same way, never the pairs:
+``PbwElement.to_json_dict``, the dict form, and ``pbw.json_terms``, the
+one JSON writer of terms, which writes the layer cache and every JSON
+answer of the CLI, with each coefficient's text from ``_render``; the
+CLI's text dual-PBW and product tables do too.  The one reader of that
+form is the identity reader below, through :func:`read`.
 
 :func:`cluster_terms` is the one index set of the paper's explicit formula
 for the quantized cluster variables, a double sum over k + l <= n or

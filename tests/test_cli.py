@@ -370,6 +370,47 @@ def test_out_of_memory_exits_3(monkeypatch, capsys):
     assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
+_LONG = str(10 ** 2200)
+
+
+# each answer would hold a number longer than the interpreter writes as text:
+# E[a] carries q^(b(a)), b(a) of more than 4300 digits; the layers report
+# names seed + 1; the product's cluster-monomial branch repeats a tuple
+# 10^2200 times
+@pytest.mark.parametrize("argv", [
+    *(["compute", _LONG, "0", "0", "0", "--format", f] for f in ("text", "json", "latex")),
+    *(["compute", "0", "0", "0", _LONG, "--format", f] for f in ("text", "json", "latex")),
+    ["verify", "layers", "--seed", "9" * 4300],
+    ["verify", "all", "--seed", "-" + "9" * 4300],
+    ["product", "0", "0", "0", _LONG, "1", "0", "0", "0", "--max-layer", "1" + _LONG]])
+def test_answer_past_the_digit_limit_exits_3_before_any_work(argv, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("built past the digit limit")
+
+    for attr in ("b_element", "b_product", "verify_layers"):
+        monkeypatch.setattr(dcb, attr, no_work)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_answer_within_the_digit_limit_is_written(capsys):
+    # 4 total^2 = 4 10^4298 is within the limit, and E[n,0,0,0] carries
+    # q^(n(n-1)/2), 4298 digits
+    n = 10 ** 2149
+    code, out, _ = run(["compute", str(n), "0", "0", "0"], capsys)
+    assert (code, out) == (0, f"(q^{n * (n - 1) // 2})*u3^{n}\n")
+
+
+def test_index_too_large_for_the_interpreter_exits_3(capsys):
+    # the cluster-monomial branch of b_element repeats a tuple 10^30 times
+    n = str(10 ** 30)
+    code, out, err = run(["product", "0", "0", "0", n, "1", "0", "0", "0", "--max-layer", n + "0"],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: cannot fit 'int' into an index-sized integer"]
+
+
 def test_latex_output(capsys):
     code, out, _ = run(["compute", "1", "0", "1", "0", "--format", "latex"], capsys)
     assert code == 0
@@ -384,6 +425,67 @@ def test_dual_pbw_latex_prints_latex_coefficients(capsys):
     # the text table is the same table with the text coefficients
     code, out, _ = run(["compute", "1", "0", "0", "1", "--dual-pbw"], capsys)
     assert out == "E[1,0,0,1]: 1\nE[0,1,1,0]: -q^2\n"
+
+
+def _json_answer(argv, capsys):
+    """The JSON answer to argv, after checking that it is byte for byte
+    `json.dumps` of itself plus a newline."""
+    code, out, err = run([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert out == json.dumps(data) + "\n"
+    return out, data
+
+
+def _coefs(listing):
+    return [t["coef"] for t in listing]
+
+
+_SMALL = [a for k in range(3) for a in dcb.layer_exponents(k)]
+_COMPUTE_SWEEP = ([a for k in range(5) for a in dcb.layer_exponents(k)]
+                  + [(n, 0, 0, n + d) for n in range(7) for d in (-1, 1) if n + d >= 0])
+
+
+def test_json_answers_are_json_dumps_of_their_dict_form(monkeypatch, capsys):
+    # every JSON answer is written by format strings around pbw.json_terms;
+    # json.dumps of the dict form built from to_json_dict is its oracle
+    coefs, lengths = [], []
+    for a in _COMPUTE_SWEEP:
+        elem = dcb.b_element(a)
+        for flags in ([], ["--dual-pbw"], ["--q1"], ["--dual-pbw", "--q1"]):
+            out, data = _json_answer(["compute", *map(str, a), *flags], capsys)
+            want = {}
+            if "--dual-pbw" in flags:
+                dual = pbw.PbwElement(dcb.expand_in_dual_pbw(elem))
+                want["dual_pbw"] = dual.to_json_dict()["terms"]
+            if "--q1" in flags:
+                want["q1"] = str(elem.specialize_q1())
+            want.update(a=list(a), element=elem.to_json_dict())
+            assert out == json.dumps(want) + "\n"
+            coefs += _coefs(data["element"]["terms"]) + _coefs(data.get("dual_pbw", []))
+    for a in _SMALL:
+        for b in _SMALL:
+            _, data = _json_answer(["product", *map(str, a), *map(str, b)], capsys)
+            assert (data["a"], data["b"]) == (list(a), list(b))
+            coefs += _coefs(data["terms"])
+            lengths.append(len(data["terms"]))
+    for k in [*map(str, range(5)), "0..4"]:
+        out, _ = _json_answer(["table", "layer", k], capsys)
+        lo, _, hi = k.partition("..")
+        want = [{"a": list(a), "element": e.to_json_dict()}
+                for j in range(int(lo), int(hi or lo) + 1)
+                for a, e in sorted(dcb.layer_table(j).entries.items(), reverse=True)]
+        assert out == json.dumps(want) + "\n"
+    _, data = _json_answer(["table", "cluster", "-10..10"], capsys)
+    assert [(r["n"], r["polynomial"]) for r in data] == [
+        (n, str(classical.polynomial_form(n))) for n in range(-10, 11)]
+    # an empty listing: a product that expanded to nothing
+    monkeypatch.setattr(dcb, "b_product", lambda a, b: {})
+    _, data = _json_answer(["product", "1", "0", "0", "0", "0", "0", "0", "1"], capsys)
+    lengths.append(len(data["terms"]))
+    assert pbw.json_terms({}, "exp") == json.dumps([])
+    # the sweep writes a coefficient of 1, a negative one and an empty listing
+    assert "1" in coefs and any(c.startswith("-") for c in coefs) and 0 in lengths
 
 
 @pytest.mark.parametrize("argv", [["verify", "recursions", "--n-max", "-3"],
