@@ -7,16 +7,16 @@ memory ran out, 141 (128 + SIGPIPE, as `cat` gives) the reader closed
 stdout.  A request whose first argument names a command goes first to
 that command's plain reader (`_plain_reader`; `build_parser` keeps the
 readers in the map `readers` on the parser it returns, beside the map
-`commands` of the command parsers).  The reader is derived from the
-declarations of the command's parser, its positionals, options, types,
-choices and defaults, not declared a second time, and it reads only a
-plain request: the positionals, then options, each written exactly as
-declared, with its value, if it takes one, as the next token, not starting
-with '-'.  It returns the namespace the command's parser would, or None,
-and then that parser reads the request with the namespace the top-level
-parser would pass it.  So argparse still writes all help and every usage
-error, and reads every other syntax: `-h`, an abbreviated option,
-``--opt=value``, ``--``, a negative number, a positional after an option.
+`commands` of the command parsers).  The reader is built from the actions
+that the command's `add_argument` calls return, so nothing is declared
+twice, and reads only a plain request: the positionals, then options, each
+written exactly as declared, with its value, if it takes one, as the next
+token, not starting with '-'.  It returns the namespace the command's
+parser would, or None, and then that parser reads the request with the
+namespace the top-level parser would pass it.  So argparse still writes
+all help and every usage error, and reads every other syntax: `-h`, an
+abbreviated option, ``--opt=value``, ``--``, a negative number, a
+positional after an option.
 The top-level parser reads every request that names no command: no
 argument, `-h`, an unknown command or `--`.  `main` calls the handler each
 subcommand names, with that subcommand's parser, and flushes stdout; a
@@ -354,89 +354,63 @@ def cmd_table(args, parser) -> int:
     return EXIT_OK
 
 
-def _plain_reader(command: str, parser: argparse.ArgumentParser):
-    """The strict reader of `command`'s plain requests, derived from the
-    declarations of its parser: read(tokens) returns the namespace that
+def _plain_reader(command: str, parser: argparse.ArgumentParser, actions: list):
+    """The strict reader of `command`'s plain requests, built from the
+    `actions` that `parser.add_argument` returned, read only through their
+    documented attributes, and from ``parser.get_default("handler")``:
+    read(tokens) returns the namespace that
     ``parser.parse_known_args(tokens, Namespace(command=command))`` returns,
     with no extras, or None, and then argparse reads the request.
 
     A plain request is the positionals (each as many tokens as its `nargs`
     says, a trailing ``nargs="?"`` one token or none), each converted by its
     `type` and within its `choices`, then options, each written exactly as
-    declared: a flag alone, any other option followed by one value, checked
-    the same way, that does not start with '-'.  Any other request is None:
-    a token that starts with '-' and is not one of the options (`-h`, an
-    abbreviation, ``--opt=value``, ``--``, a negative number), a missing
-    option value, a positional after an option, a wrong positional count, a
-    failed conversion or choice.  A parser with an action the reader does
-    not model gets a reader that always returns None."""
-    positionals, options, defaults = [], {}, {}
-    modeled = parser.prefix_chars == "-" and parser.fromfile_prefix_chars is None
-    for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # not among `options`, so -h and --help go to argparse
-        if isinstance(action, argparse._StoreConstAction):
-            options.update(dict.fromkeys(action.option_strings, (action, True)))
-        elif type(action) is argparse._StoreAction and action.option_strings:
-            modeled &= action.nargs is None and not action.required
-            options.update(dict.fromkeys(action.option_strings, (action, False)))
-        elif type(action) is argparse._StoreAction:
-            modeled &= action.nargs in (None, "?") or isinstance(action.nargs, int)
-            positionals.append(action)
-        else:
-            modeled = False
-        # argparse converts a str default that no token replaced, and checks
-        # the default of an empty positional against its choices
-        modeled &= action.default is not argparse.SUPPRESS and (
-            not isinstance(action.default, str)
-            or action.type is None and bool(action.option_strings))
-        defaults[action.dest] = action.default
-    for dest, default in parser._defaults.items():
-        defaults.setdefault(dest, default)
+    declared: a flag (``nargs=0``, storing its `const`) alone, any other
+    option followed by one value, checked the same way, that does not start
+    with '-'.  Any other request is None: a token that starts with '-' and
+    is not an option (`-h`, an abbreviation, ``--opt=value``, ``--``, a
+    negative number), a missing option value, a positional after an option,
+    a wrong positional count, a failed conversion or choice."""
+    positionals = [action for action in actions if not action.option_strings]
+    options = {flag: action for action in actions for flag in action.option_strings}
+    defaults = {action.dest: action.default for action in actions}
+    defaults["handler"] = parser.get_default("handler")
     optional = bool(positionals) and positionals[-1].nargs == "?"
-    modeled &= all(a.nargs != "?" for a in positionals[:-1])
     # the positional token count, less the trailing optional one; a token
     # past the positionals that is not an option is declined where it is met
-    fixed = sum(1 if a.nargs in (None, "?") else a.nargs for a in positionals) - optional
-    if not modeled:
-        return lambda tokens: None
+    fixed = sum(a.nargs if isinstance(a.nargs, int) else 1 for a in positionals) - optional
 
     def value(action, token):
+        if token[:1] == "-":  # an option, or a value only argparse reads
+            raise ValueError(token)
         converted = token if action.type is None else action.type(token)
         if action.choices is not None and converted not in action.choices:
             raise ValueError(token)
         return converted
 
     def read(tokens):
-        first = 0  # the first token that starts with '-'
-        while first < len(tokens) and tokens[first][:1] != "-":
-            first += 1
-        if first < fixed:
+        if len(tokens) < fixed:
             return None
+        # the trailing optional positional takes a token that does not start with '-'
+        skip = optional and (len(tokens) == fixed or tokens[fixed][:1] == "-")
         args = argparse.Namespace(command=command, **defaults)
         try:
             at = 0
-            for action in positionals[:len(positionals) - (first < fixed + optional)]:
-                if action.nargs in (None, "?"):
-                    setattr(args, action.dest, value(action, tokens[at]))
-                    at += 1
-                else:
-                    setattr(args, action.dest,
-                            [value(action, t) for t in tokens[at:at + action.nargs]])
-                    at += action.nargs
+            for action in positionals[:len(positionals) - skip]:
+                many = isinstance(action.nargs, int)
+                values = [value(action, t) for t in tokens[at:at + (action.nargs if many else 1)]]
+                setattr(args, action.dest, values if many else values[0])
+                at += len(values)
             while at < len(tokens):
-                action, flag = options.get(tokens[at], (None, None))
-                if action is None:
-                    return None
-                if flag:
+                # an undeclared token is a KeyError, a missing option value an IndexError
+                action = options[tokens[at]]
+                if action.nargs == 0:
                     setattr(args, action.dest, action.const)
                     at += 1
-                elif at + 1 == len(tokens) or tokens[at + 1][:1] == "-":
-                    return None
                 else:
                     setattr(args, action.dest, value(action, tokens[at + 1]))
                     at += 2
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        except (LookupError, TypeError, ValueError, argparse.ArgumentTypeError):
             return None
         return args
 
@@ -452,42 +426,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="print the basis element B[a3,a2,a1,a0]")
-    c.add_argument("a", nargs=4, type=int, metavar="A")
-    c.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    c.add_argument("--dual-pbw", action="store_true",
-                   help="print the dual PBW coefficient table instead")
-    c.add_argument("--q1", action="store_true", help="print the q = 1 specialization")
-    c.add_argument("--max-layer", type=int, default=8)
+    compute = [c.add_argument("a", nargs=4, type=int, metavar="A"),
+               c.add_argument("--format", choices=("text", "json", "latex"), default="text"),
+               c.add_argument("--dual-pbw", action="store_true",
+                              help="print the dual PBW coefficient table instead"),
+               c.add_argument("--q1", action="store_true", help="print the q = 1 specialization"),
+               c.add_argument("--max-layer", type=int, default=8)]
     c.set_defaults(handler=cmd_compute)
 
     pr = sub.add_parser("product", help="expand B[a] * B[b] in the basis")
-    pr.add_argument("a", nargs=4, type=int, metavar="A")
-    pr.add_argument("b", nargs=4, type=int, metavar="B")
-    pr.add_argument("--format", choices=("text", "json"), default="text")
-    pr.add_argument("--max-layer", type=int, default=8)
+    product = [pr.add_argument("a", nargs=4, type=int, metavar="A"),
+               pr.add_argument("b", nargs=4, type=int, metavar="B"),
+               pr.add_argument("--format", choices=("text", "json"), default="text"),
+               pr.add_argument("--max-layer", type=int, default=8)]
     pr.set_defaults(handler=cmd_product)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=SUITES + ("all",))
-    v.add_argument("--n-max", type=int, default=None)
-    v.add_argument("--k-max", type=int, default=None)
-    v.add_argument("--mode", choices=("exact", "probabilistic"), default=None,
-                   help="serre only: exact (the kernel of the quantum shuffle map) or "
-                        "probabilistic (the shuffle map at one seeded point modulo a prime); "
-                        "default exact up to total weight 8")
-    v.add_argument("--seed", type=int, default=0)
+    verify = [v.add_argument("suite", choices=SUITES + ("all",)),
+              v.add_argument("--n-max", type=int, default=None),
+              v.add_argument("--k-max", type=int, default=None),
+              v.add_argument("--mode", choices=("exact", "probabilistic"), default=None,
+                             help="serre only: exact (the kernel of the quantum shuffle map) or "
+                                  "probabilistic (the shuffle map at one seeded point modulo a "
+                                  "prime); default exact up to total weight 8"),
+              v.add_argument("--seed", type=int, default=0)]
     v.set_defaults(handler=cmd_verify)
 
     t = sub.add_parser("table", help="print cluster variables or a basis layer")
-    t.add_argument("kind", choices=("cluster", "layer"))
-    # optional here, so that `main` can take a range such as -20..20, which
-    # argparse reads as an unknown option, or one after other options
-    t.add_argument("range", nargs="?", help="N or N..M")
-    t.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    t.add_argument("--max-layer", type=int, default=8)
+    # the range is optional here, so that `main` can take one such as -20..20,
+    # which argparse reads as an unknown option, or one after other options
+    table = [t.add_argument("kind", choices=("cluster", "layer")),
+             t.add_argument("range", nargs="?", help="N or N..M"),
+             t.add_argument("--format", choices=("text", "json", "latex"), default="text"),
+             t.add_argument("--max-layer", type=int, default=8)]
     t.set_defaults(handler=cmd_table)
     p.commands = {"compute": c, "product": pr, "verify": v, "table": t}
-    p.readers = {name: _plain_reader(name, parser) for name, parser in p.commands.items()}
+    declared = {c: compute, pr: product, v: verify, t: table}  # what add_argument returned
+    p.readers = {name: _plain_reader(name, cmd, declared[cmd]) for name, cmd in p.commands.items()}
     return p
 
 

@@ -736,7 +736,10 @@ def b_product(a: Exp, b: Exp) -> dict:
     q^(E(f) - E(g)) B[g], g = f + (S+S')(1,0,1,0) + (R+R')(0,1,0,1), since g
     strips to f's core.  The core product is `times_b(B[c], c', {})`;
     `expand_in_b_basis(b_element(a) * b_element(b))` is the oracle the
-    tests and CI check this against."""
+    tests and CI check this against.  A negative coordinate in a or b gives
+    {}, since `b_element` of it is 0."""
+    if min(a) < 0 or min(b) < 0:
+        return {}
     (_, (x0, y0)), (_, (x1, y1)) = _p_facts()
     c, d = _core(a), _core(b)
     (w1, w2), (v1, v2) = pbw.exp_root_weight(c), pbw.exp_root_weight(d)
@@ -801,7 +804,10 @@ def g_exponent(n: int, k: int, l: int) -> int:
 def p_power(which: int, k: int) -> pbw.PbwElement:
     """p0^k (which = 0) or p1^k (which = 1), read off the basis: `b_element`
     strips k factors p0 from B[0,k,0,k] (p1 from B[k,0,k,0]), the j-th with
-    q^(4(j-1)), so p^k = q^(-2k(k-1)) B."""
+    q^(4(j-1)), so p^k = q^(-2k(k-1)) B.  A negative k is a ValueError: p^-1
+    is not an element of the algebra."""
+    if k < 0:
+        raise ValueError("needs k >= 0")
     return b_element((0, k, 0, k) if which == 0 else (k, 0, k, 0)).scale_qpow(-2 * k * (k - 1))
 
 

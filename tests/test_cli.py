@@ -878,6 +878,29 @@ def test_plain_reader_agrees_with_argparse():
     assert read > 400 and declined > 400
 
 
+def test_fuzz_vocabulary_names_every_declaration():
+    # the plain reader reads whatever the command parsers declare, so the fuzz
+    # must reach all of it: a pool for each positional token, holding every
+    # choice, and each option string, with no value pool exactly for a flag
+    commands = cli.build_parser().commands
+    assert set(_FUZZ) == set(commands)
+    for name, parser in commands.items():
+        slots, options = _FUZZ[name]
+        declared = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert {flag for a in declared for flag in a.option_strings} == set(options), name
+        at = 0
+        for action in declared:
+            for flag in action.option_strings:
+                assert (options[flag] is None) == (action.nargs == 0), flag
+                assert set(action.choices or ()) <= set(options[flag] or ()), flag
+            if not action.option_strings:
+                width = action.nargs if isinstance(action.nargs, int) else 1
+                for pool in slots[at:at + width]:
+                    assert set(action.choices or ()) <= set(pool), (name, action.dest)
+                at += width
+        assert at == len(slots), name
+
+
 def test_plain_requests_skip_argparse(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_PARSER", None)
     assert cli.main(["compute", "0", "0", "0", "0"]) == 0

@@ -287,6 +287,13 @@ def test_p_powers_from_the_basis_equal_the_straightened_powers():
         assert dcb.p_power(1, k) == pbw.p1() ** k, k
 
 
+def test_negative_p_power_is_a_value_error():
+    # p^-1 is not an element of the algebra, as power_formulas(-1) says too
+    for which in (0, 1):
+        with pytest.raises(ValueError):
+            dcb.p_power(which, -1)
+
+
 def test_pbw_expansion_formula():
     assert all(e["ok"] for e in dcb.verify_pbw_expansion(2))
     got = dcb.pbw_expansion_formula(1)
@@ -757,19 +764,28 @@ def _random_exp(rng, total):
     return (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], total - cuts[2])
 
 
+# pairs with a negative coordinate, in each factor in turn: B of it is 0,
+# so the oracle's expansion is empty
+_NEGATIVE_PAIRS = [((-1, 0, 0, 0), (0, 0, 0, 0)), ((1, -1, 0, 0), (0, 0, 0, 1))]
+_NEGATIVE_PAIRS += [(b, a) for a, b in _NEGATIVE_PAIRS]
+
+
 @pytest.mark.parametrize("seed, n, top, single", [(0, 300, 4, True), (1, 30, 18, False)],
                          ids=["total-4-each", "total-18"])
 def test_b_product_matches_the_straightened_expansion(seed, n, top, single):
     # the core route against the oracle expand_in_b_basis(B[a] B[b]): pairs
-    # with total <= 4 each, then pairs whose product lies on a layer <= 18
+    # with a negative coordinate, then pairs with total <= 4 each, then pairs
+    # whose product lies on a layer <= 18
     rng = random.Random(seed)
+    pairs = list(_NEGATIVE_PAIRS)
     for _ in range(n):
         if single:
             ka, kb = rng.randint(0, top), rng.randint(0, top)
         else:
             ka = rng.randint(0, top)
             kb = rng.randint(0, top - ka)
-        a, b = _random_exp(rng, ka), _random_exp(rng, kb)
+        pairs.append((_random_exp(rng, ka), _random_exp(rng, kb)))
+    for a, b in pairs:
         assert dcb.b_product(a, b) == dcb.expand_in_b_basis(B(*a) * B(*b)), (a, b)
 
 
